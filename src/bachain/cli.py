@@ -327,6 +327,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     try:
         alphas = tuple(parse_expr(a) for a in args.alpha)
         form = LinearForm(alphas)
+        # one scan visits one tail per +-pair of the nonzero box points
+        tails = ((2 * args.max_norm + 1) ** form.r - 1) // 2
+        if tails > args.budget:
+            raise SearchTooLarge(
+                f"scan to max-norm {args.max_norm} in dimension {form.r} "
+                f"visits {tails} tails > budget {args.budget}")
         chain = enumerate_chain(form, args.max_norm, cap=args.precision_cap)
     except ExprSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -434,14 +440,22 @@ def cmd_report(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--precision-cap", type=int, default=PRECISION_CAP,
-                   help="refinement cap in bits (default %(default)s)")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="scan budget in residual evaluations")
-    p.add_argument("--out", help="write output to this file instead of stdout")
-    p.add_argument("--format", choices=("text", "machine"), default="text",
-                   help="report flavor: human text or JSON")
+_OPTIONS = {
+    "precision-cap": dict(type=int, default=PRECISION_CAP,
+                          help="refinement cap in bits (default %(default)s)"),
+    "budget": dict(type=int, default=DEFAULT_BUDGET,
+                   help="most vectors one scan may visit "
+                        "(default %(default)s)"),
+    "out": dict(help="write output to this file instead of stdout"),
+    "format": dict(choices=("text", "machine"), default="text",
+                   help="report flavor: human text or JSON"),
+}
+
+
+def _add_options(p: argparse.ArgumentParser, *names: str) -> None:
+    """Register the shared options a subcommand actually reads."""
+    for name in names:
+        p.add_argument(f"--{name}", **_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(e.g. 'root(2,2)')")
     p_enum.add_argument("--max-norm", type=int, required=True,
                         help="largest tail max-norm to scan")
-    _add_common(p_enum)
+    _add_options(p_enum, "precision-cap", "budget", "out")
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="run checks on a chain file")
@@ -470,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "or 'power:r=1,coeff=1/2,exp=1'")
     p_verify.add_argument("--k", type=int,
                           help="series diagnostic extension count")
-    _add_common(p_verify)
+    _add_options(p_verify, "out", "format")
     p_verify.set_defaults(func=cmd_verify)
 
     p_ext = sub.add_parser("extend", help="dimension-extension experiment")
@@ -485,12 +499,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed for sampled runs (generated if omitted)")
     p_ext.add_argument("--max-norm", type=int,
                        help="search bound (default: the chain's)")
-    _add_common(p_ext)
+    _add_options(p_ext, "precision-cap", "budget", "out", "format")
     p_ext.set_defaults(func=cmd_extend)
 
     p_rep = sub.add_parser("report", help="pretty-print a chain/report file")
     p_rep.add_argument("file")
-    p_rep.add_argument("--out")
+    _add_options(p_rep, "out")
     p_rep.set_defaults(func=cmd_report)
 
     return parser

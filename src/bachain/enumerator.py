@@ -17,10 +17,19 @@ the classical r = 1 ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Optional
 
 from .errors import DependenceSuspected, PrecisionExhausted
-from .linform import LinearForm, best_m0, tail_norm, zeta
+from .linform import (
+    LinearForm,
+    abs_bounds,
+    best_m0,
+    scaled_constants,
+    scaled_dot,
+    tail_norm,
+    zeta,
+)
 from .realnum import (
     PRECISION_CAP,
     START_PRECISION,
@@ -29,7 +38,8 @@ from .realnum import (
     RealExpr,
     _Inconclusive,
     _eval_at,
-    eval_interval,
+    precision_ladder,
+    working_limit,
 )
 
 
@@ -92,52 +102,46 @@ class _Rescan(Exception):
 
 def canonical_shell_tails(r: int, M: int) -> Iterator[tuple[int, ...]]:
     """Tails of max-norm exactly M whose first nonzero coordinate is
-    positive: one representative per +-pair."""
+    positive: one representative per +-pair.
+
+    Ordered by the position of the first nonzero coordinate, then
+    lexicographically.  Scans compare candidates in this order, so it
+    decides which near-ties force a rescan and, through the precision
+    used, the bytes of a chain file.  Work is proportional to the output.
+    """
     if M < 1:
         return
     if r == 1:
         yield (M,)
         return
-
-    def suffixes(length: int, need_max: bool) -> Iterator[tuple[int, ...]]:
-        if length == 0:
-            if not need_max:
-                yield ()
-            return
-        if need_max:
-            # either this coordinate realizes the norm, or a later one must
-            for c in range(-M, M + 1):
-                rest_need = abs(c) != M
-                for tail in suffixes(length - 1, rest_need):
-                    yield (c,) + tail
-        else:
-            for c in range(-M, M + 1):
-                for tail in suffixes(length - 1, False):
-                    yield (c,) + tail
-
-    # position of the first nonzero coordinate
+    box = range(-M, M + 1)
     for lead in range(r):
         zeros = (0,) * lead
-        remaining = r - lead - 1
-        for first in range(1, M + 1):
-            for tail in suffixes(remaining, need_max=(first != M)):
-                yield zeros + (first,) + tail
+        length = r - lead - 1
+        if length:
+            # a leading coordinate below M leaves the norm to the suffix
+            suffixes = list(_normed(M, length))
+            for first in range(1, M):
+                head = zeros + (first,)
+                for suffix in suffixes:
+                    yield head + suffix
+        yield from product(*((0,),) * lead, (M,), *(box,) * length)
 
 
-def _scaled_alphas(form: LinearForm, w: int, grid: int,
-                   cap: int) -> tuple[list[int], list[int]]:
-    """Integer endpoint pairs a_lo[j], a_hi[j] on the 2**-grid lattice
-    enclosing each constant, from enclosures of width <= 2**-w."""
-    los, his = [], []
-    for alpha in form.alphas:
-        iv = eval_interval(alpha, w, cap)
-        lo, hi = iv.lo, iv.hi
-        # exact scaling: endpoints are dyadic, grid is at least as fine
-        los.append(lo.man << (lo.exp + grid) if lo.exp + grid >= 0
-                   else lo.man >> -(lo.exp + grid))
-        his.append(-((-hi.man) >> -(hi.exp + grid)) if hi.exp + grid < 0
-                   else hi.man << (hi.exp + grid))
-    return los, his
+def _normed(M: int, length: int) -> Iterator[tuple[int, ...]]:
+    """Vectors in [-M, M]**length (length >= 1) with max-norm exactly M,
+    in lexicographic order."""
+    if length == 1:
+        yield (-M,)
+        yield (M,)
+        return
+    rest = (range(-M, M + 1),) * (length - 1)
+    yield from product((-M,), *rest)
+    inner = list(_normed(M, length - 1))
+    for c in range(1 - M, M):
+        for suffix in inner:
+            yield (c,) + suffix
+    yield from product((M,), *rest)
 
 
 def _shell_scan(form: LinearForm, M_max: int, w: int, cap: int) -> list[dict]:
@@ -145,7 +149,7 @@ def _shell_scan(form: LinearForm, M_max: int, w: int, cap: int) -> list[dict]:
     raises _Rescan when certification fails at this precision."""
     r = form.r
     grid = w + 2
-    a_lo, a_hi = _scaled_alphas(form, w, grid, cap)
+    a_lo, a_hi = scaled_constants(form.alphas, w, grid, cap)
     T = 1 << grid
     T2 = T << 1
 
@@ -157,29 +161,15 @@ def _shell_scan(form: LinearForm, M_max: int, w: int, cap: int) -> list[dict]:
     for M in range(1, M_max + 1):
         best = None  # (abs_lo, abs_hi, tail, n, r_lo, r_hi)
         for tail in canonical_shell_tails(r, M):
-            s_lo = 0
-            s_hi = 0
-            for c, al, ah in zip(tail, a_lo, a_hi):
-                if c > 0:
-                    s_lo += c * al
-                    s_hi += c * ah
-                elif c < 0:
-                    s_lo += c * ah
-                    s_hi += c * al
-            num_lo = 2 * s_lo + T
-            num_hi = 2 * s_hi + T
-            n_lo, rem_lo = divmod(num_lo, T2)
-            n_hi, rem_hi = divmod(num_hi, T2)
+            s_lo, s_hi = scaled_dot(tail, a_lo, a_hi)
+            # nearest integer; an endpoint on a half-integer is ambiguous
+            n_lo, rem_lo = divmod(2 * s_lo + T, T2)
+            n_hi, rem_hi = divmod(2 * s_hi + T, T2)
             if n_lo != n_hi or rem_lo == 0 or rem_hi == 0:
                 raise _Rescan("rounding", tail)
             r_lo = s_lo - n_lo * T
             r_hi = s_hi - n_lo * T
-            if r_lo >= 0:
-                abs_lo, abs_hi = r_lo, r_hi
-            elif r_hi <= 0:
-                abs_lo, abs_hi = -r_hi, -r_lo
-            else:
-                abs_lo, abs_hi = 0, max(-r_lo, r_hi)
+            abs_lo, abs_hi = abs_bounds(r_lo, r_hi)
             if abs_lo == 0 and abs_hi == 0:
                 raise DependenceSuspected(
                     f"form value of tail {tail} is exactly zero",
@@ -228,26 +218,25 @@ def enumerate_chain(form: LinearForm, M_max: int,
     """
     if M_max < 1:
         raise ValueError("M_max must be >= 1")
-    w_max = max(START_PRECISION, cap // 2)
-    w = min(START_PRECISION + (form.r * M_max).bit_length(), w_max)
-    while True:
+    limit = working_limit(cap)
+    start = min(START_PRECISION + (form.r * M_max).bit_length(), limit)
+    for w in precision_ladder(start, limit):
         try:
             raw = _shell_scan(form, M_max, w, cap)
         except _Rescan as exc:
-            # every unresolvable ambiguity (tie, half-integer, zero straddle)
-            # witnesses a rational dependence; anything short of the cap is
-            # just a request for more precision
-            if w >= w_max:
-                raise DependenceSuspected(
-                    f"cannot separate candidates at cap ({exc.reason})",
-                    witness=exc.witness) from None
-            w = min(w * 2, w_max)
+            # below the cap an ambiguity is just a request for more precision
+            failed = exc
             continue
         records = tuple(
             BestApprox(index=i + 1, m=rec["m"], M=rec["M"], zeta=rec["zeta"])
             for i, rec in enumerate(raw))
         return BAChain(form=form, records=records, search_bound=M_max,
                        precision_used=w)
+    # an ambiguity (tie, half-integer, zero straddle) that survives the cap
+    # witnesses a rational dependence
+    raise DependenceSuspected(
+        f"cannot separate candidates at cap ({failed.reason})",
+        witness=failed.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +284,16 @@ def brute_force_oracle(form: LinearForm, M_max: int,
         entry = global_best
         if tail_norm(entry["tail"]) != level:
             raise AssertionError("oracle: new global minimum off its shell")
-        residual = entry["residual"]
-        w = START_PRECISION
-        w_max = max(START_PRECISION, cap // 2)
-        while residual.sign() not in (1, -1):
-            if w >= w_max:
-                raise DependenceSuspected(
-                    f"oracle: sign of tail {entry['tail']} undecidable",
-                    witness=entry["tail"])
-            w = min(w * 2, w_max)
-            _re_abs(entry, form, w, cap)
+        for w in precision_ladder(START_PRECISION, working_limit(cap)):
+            if w > START_PRECISION:  # the stored residual stands for rung 1
+                _re_abs(entry, form, w, cap)
             residual = entry["residual"]
+            if residual.sign() in (1, -1):
+                break
+        else:
+            raise DependenceSuspected(
+                f"oracle: sign of tail {entry['tail']} undecidable",
+                witness=entry["tail"])
         if residual.sign() == 1:
             m = (entry["m0"],) + entry["tail"]
             z = residual
@@ -324,28 +312,22 @@ def brute_force_oracle(form: LinearForm, M_max: int,
 
 def _min_by_abs(a: dict, b: dict, form: LinearForm, cap: int) -> dict:
     """Certified argmin of two residual entries, refining on demand."""
-    w = START_PRECISION
-    w_max = max(START_PRECISION, cap // 2)
     ia, ib = a["abs"], b["abs"]
-    while True:
+    for w in precision_ladder(START_PRECISION, working_limit(cap)):
+        if w > START_PRECISION:  # the stored enclosures stand for rung 1
+            ia = _re_abs(a, form, w, cap)
+            ib = _re_abs(b, form, w, cap)
         if ia.hi < ib.lo:
             return a
         if ib.hi < ia.lo:
             return b
-        if w >= w_max:
-            raise DependenceSuspected(
-                f"oracle: residual tie between {a['tail']} and {b['tail']}",
-                witness=(a["tail"], b["tail"]))
-        w = min(w * 2, w_max)
-        ia = _re_abs(a, form, w, cap)
-        ib = _re_abs(b, form, w, cap)
+    raise DependenceSuspected(
+        f"oracle: residual tie between {a['tail']} and {b['tail']}",
+        witness=(a["tail"], b["tail"]))
 
 
 def _re_abs(entry: dict, form: LinearForm, w: int, cap: int) -> DyadicInterval:
-    value = DyadicInterval.point(entry["m0"])
-    for coeff, alpha in zip(entry["tail"], form.alphas):
-        if coeff:
-            value = value + eval_interval(alpha, w, cap).mul_int(coeff)
+    value = zeta((entry["m0"],) + entry["tail"], form, w, cap)
     entry["abs"] = value.abs()
     entry["residual"] = value
     return entry["abs"]
@@ -355,19 +337,20 @@ def _tighten_decrease(records: list[BestApprox], form: LinearForm,
                       cap: int) -> list[BestApprox]:
     """Re-evaluate record values until consecutive enclosures are disjoint."""
     out = list(records)
-    w_max = max(START_PRECISION, cap // 2)
     for i in range(1, len(out)):
-        w = START_PRECISION
-        while not (out[i].zeta.hi < out[i - 1].zeta.lo):
-            if w >= w_max:
-                raise DependenceSuspected(
-                    "oracle: consecutive records do not separate",
-                    witness=(out[i - 1].m, out[i].m))
-            w = min(w * 2, w_max)
-            for j in (i - 1, i):
-                rec = out[j]
-                iv = zeta(rec.m, form, w, cap)
-                out[j] = BestApprox(index=rec.index, m=rec.m, M=rec.M, zeta=iv)
+        for w in precision_ladder(START_PRECISION, working_limit(cap)):
+            if w > START_PRECISION:  # the stored values stand for rung 1
+                for j in (i - 1, i):
+                    rec = out[j]
+                    iv = zeta(rec.m, form, w, cap)
+                    out[j] = BestApprox(index=rec.index, m=rec.m, M=rec.M,
+                                        zeta=iv)
+            if out[i].zeta.hi < out[i - 1].zeta.lo:
+                break
+        else:
+            raise DependenceSuspected(
+                "oracle: consecutive records do not separate",
+                witness=(out[i - 1].m, out[i].m))
     return out
 
 
@@ -394,25 +377,22 @@ def cf_convergents(alpha: RealExpr, count: int,
     q_prev, q_curr = 1, 0  # seeds q_{-2} = 1, q_{-1} = 0
     w = START_PRECISION
     for step in range(count):
-        while True:
+        # each step resumes at the rung the previous one certified on
+        for w in precision_ladder(w, cap):
             try:
                 iv = _eval_at(alpha, w)
                 num = iv.mul_int(a).add_int(b)
                 den = iv.mul_int(c).add_int(d)
                 quot = num.divide(den, w)
             except _Inconclusive:
-                quot = None
-            if quot is not None:
-                f_lo = quot.lo.floor_int()
-                f_hi = quot.hi.floor_int()
-                if f_lo == f_hi and not quot.hi.is_integer():
-                    n = f_lo
-                    break
-            if w >= cap:
-                raise PrecisionExhausted(
-                    f"partial quotient {step} does not certify "
-                    "(rational value suspected)", cap)
-            w = min(w * 2, cap)
+                continue
+            n = quot.lo.floor_int()
+            if n == quot.hi.floor_int() and not quot.hi.is_integer():
+                break
+        else:
+            raise PrecisionExhausted(
+                f"partial quotient {step} does not certify "
+                "(rational value suspected)", cap)
         if step > 0 and n < 1:
             raise AssertionError("partial quotients must be positive")
         p_prev, p_curr = p_curr, n * p_curr + p_prev

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import isqrt
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .enumerator import (
     BAChain,
@@ -31,7 +31,7 @@ from .errors import (
     PrecisionExhausted,
     SearchTooLarge,
 )
-from .linform import LinearForm
+from .linform import LinearForm, abs_bounds, scaled_constants, scaled_dot
 from .realnum import (
     PRECISION_CAP,
     START_PRECISION,
@@ -42,9 +42,10 @@ from .realnum import (
     _Inconclusive,
     _root_down,
     _root_up,
-    eval_interval,
+    precision_ladder,
     rational,
     root,
+    working_limit,
 )
 
 DEFAULT_BUDGET = 10 ** 7
@@ -167,32 +168,25 @@ def _primes() -> Iterator[int]:
 
 
 def _certified_floor(expr: RealExpr, cap: int = PRECISION_CAP) -> int:
-    w = START_PRECISION
-    while True:
+    for w in precision_ladder(START_PRECISION, cap):
         try:
             iv = _eval_at(expr, w)
         except _Inconclusive:
-            iv = None
-        if iv is not None:
-            f_lo = iv.lo.floor_int()
-            if f_lo == iv.hi.floor_int() and not iv.hi.is_integer():
-                return f_lo
-        if w >= cap:
-            raise PrecisionExhausted("floor does not certify", cap)
-        w = min(w * 2, cap)
+            continue
+        f_lo = iv.lo.floor_int()
+        if f_lo == iv.hi.floor_int() and not iv.hi.is_integer():
+            return f_lo
+    raise PrecisionExhausted("floor does not certify", cap)
 
 
 def _certify_unit_interval(expr: RealExpr, cap: int) -> None:
     """Refine until the enclosure lies strictly inside (0, 1)."""
-    w = START_PRECISION
-    while True:
+    for w in precision_ladder(START_PRECISION, cap):
         iv = _eval_at(expr, w)
         if iv.lo.man > 0 and iv.hi < Dyadic(1):
             return
-        if w >= cap:
-            raise PrecisionExhausted(
-                "sampled constant does not certify inside (0, 1)", cap)
-        w = min(w * 2, cap)
+    raise PrecisionExhausted(
+        "sampled constant does not certify inside (0, 1)", cap)
 
 
 def sample_betas(form: LinearForm, k: int, seed: int,
@@ -284,19 +278,6 @@ def mixed_scan_volume(r: int, k: int, bound: int) -> int:
     return ext // 2 + base_nonzero * ext
 
 
-def _scaled_constants(exprs: Sequence[RealExpr], w: int, grid: int,
-                      cap: int) -> tuple[list[int], list[int]]:
-    los, his = [], []
-    for e in exprs:
-        iv = eval_interval(e, w, cap)
-        lo, hi = iv.lo, iv.hi
-        los.append(lo.man << (lo.exp + grid) if lo.exp + grid >= 0
-                   else lo.man >> -(lo.exp + grid))
-        his.append(-((-hi.man) >> -(hi.exp + grid)) if hi.exp + grid < 0
-                   else hi.man << (hi.exp + grid))
-    return los, his
-
-
 def degeneracy_criterion(chain: BAChain, beta: BetaSample, nu: int,
                          budget: int = DEFAULT_BUDGET,
                          cap: int = PRECISION_CAP) -> CriterionVerdict:
@@ -322,65 +303,40 @@ def degeneracy_criterion(chain: BAChain, beta: BetaSample, nu: int,
     exprs = tuple(chain.form.alphas) + beta.values
     m0_cap = (r + k + 1) * bound
 
-    w = START_PRECISION + (2 * (r + k) * bound).bit_length()
-    w_max = max(START_PRECISION, cap // 2)
-    while True:
+    start = START_PRECISION + (2 * (r + k) * bound).bit_length()
+    for w in precision_ladder(start, working_limit(cap)):
         grid = w + 2
-        a_lo, a_hi = _scaled_constants(exprs, w, grid, cap)
+        a_lo, a_hi = scaled_constants(exprs, w, grid, cap)
         T = 1 << grid
         T2 = T << 1
         # zeta bounds on the same scale, rounded away from the comparison
-        z = rec.zeta
-        z_hi_scaled = -((-z.hi.man) >> -(z.hi.exp + grid)) \
-            if z.hi.exp + grid < 0 else z.hi.man << (z.hi.exp + grid)
-        z_lo_scaled = z.lo.man >> -(z.lo.exp + grid) \
-            if z.lo.exp + grid < 0 else z.lo.man << (z.lo.exp + grid)
+        z_lo = rec.zeta.lo.floor_scaled(grid)
+        z_hi = rec.zeta.hi.ceil_scaled(grid)
         ambiguous = None
-        witness = None
         for tail in _mixed_tails(r, k, bound):
-            s_lo = 0
-            s_hi = 0
-            for c, al, ah in zip(tail, a_lo, a_hi):
-                if c > 0:
-                    s_lo += c * al
-                    s_hi += c * ah
-                elif c < 0:
-                    s_lo += c * ah
-                    s_hi += c * al
-            n_lo = (2 * s_lo + T) // T2
-            n_hi = (2 * s_hi + T) // T2
-            if n_lo != n_hi:
+            s_lo, s_hi = scaled_dot(tail, a_lo, a_hi)
+            n = (2 * s_lo + T) // T2
+            if n != (2 * s_hi + T) // T2:
                 ambiguous = tail
                 break
-            n = min(m0_cap, max(-m0_cap, n_lo))
-            r_lo = s_lo - n * T
-            r_hi = s_hi - n * T
-            if r_lo >= 0:
-                abs_lo, abs_hi = r_lo, r_hi
-            elif r_hi <= 0:
-                abs_lo, abs_hi = -r_hi, -r_lo
-            else:
-                abs_lo, abs_hi = 0, max(-r_lo, r_hi)
-            if abs_lo >= z_hi_scaled:
+            n = min(m0_cap, max(-m0_cap, n))
+            abs_lo, abs_hi = abs_bounds(s_lo - n * T, s_hi - n * T)
+            if abs_lo >= z_hi:
                 continue  # certified no smaller than zeta_nu
-            if abs_hi < z_lo_scaled:
-                witness = (-n,) + tail
-                break
+            if abs_hi < z_lo:
+                return CriterionVerdict(nu=nu, passed=False,
+                                        witness=(-n,) + tail,
+                                        detail="form value certifiably below "
+                                               f"zeta_{nu}")
             ambiguous = tail
             break
-        if witness is not None:
-            return CriterionVerdict(nu=nu, passed=False, witness=witness,
-                                    detail="form value certifiably below "
-                                           f"zeta_{nu}")
         if ambiguous is None:
             return CriterionVerdict(nu=nu, passed=True,
                                     detail=f"scan bound {bound}, "
                                            f"{mixed_scan_volume(r, k, bound)} vectors")
-        if w >= w_max:
-            raise PrecisionExhausted(
-                f"criterion at nu={nu}: vector {ambiguous} does not separate "
-                "from zeta", cap)
-        w = min(w * 2, w_max)
+    raise PrecisionExhausted(
+        f"criterion at nu={nu}: vector {ambiguous} does not separate "
+        "from zeta", cap)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 A form of dimension r carries constants (a_1, ..., a_r); an integer vector
 m = (m_0, m_1, ..., m_r) has form value m_0 + m_1*a_1 + ... + m_r*a_r.
 This module evaluates form values, picks the optimal free coefficient m_0
-for a given tail, and applies the positive-value sign normalization.
+for a given tail, applies the positive-value sign normalization, and holds
+the scaled-integer residual kernel that both exhaustive scans (the chain
+enumerator and the degeneracy criterion) run per tail.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .realnum import (
     RealExpr,
     eval_interval,
     nearest_integer,
+    precision_ladder,
+    working_limit,
 )
 
 IntVector = tuple[int, ...]
@@ -86,24 +90,13 @@ def best_m0(tail: Sequence[int], form: LinearForm,
         raise ValueError(f"expected {form.r} tail coordinates, got {len(tail)}")
     if not any(tail):
         raise ValueError("tail must not be all zero")
-    # requested widths stay at half the cap so evaluation keeps headroom
-    # for its own outward rounding
-    w_max = max(START_PRECISION, cap // 2)
-    w = min(START_PRECISION + sum(abs(c) for c in tail).bit_length(), w_max)
-    while True:
-        value = DyadicInterval.point(0)
-        for coeff, alpha in zip(tail, form.alphas):
-            if coeff:
-                value = value + eval_interval(alpha, w, cap).mul_int(coeff)
+    limit = working_limit(cap)
+    start = min(START_PRECISION + sum(map(abs, tail)).bit_length(), limit)
+    m = (0,) + tuple(tail)
+    for w in precision_ladder(start, limit):
         try:
-            n, residual = nearest_integer(value)
+            n, residual = nearest_integer(zeta(m, form, w, cap))
         except (AmbiguousRounding, WidthTooLarge):
-            if w >= w_max:
-                raise DependenceSuspected(
-                    f"residual of tail {tuple(tail)} cannot be rounded at "
-                    f"cap {cap}; exact 0 or 1/2 suspected",
-                    witness=tuple(tail))
-            w = min(w * 2, w_max)
             continue
         if residual.sign() == 0:
             # an exact integer combination is a certified rational dependence
@@ -111,22 +104,65 @@ def best_m0(tail: Sequence[int], form: LinearForm,
                 f"tail {tuple(tail)} combines to an exact integer",
                 witness=tuple(tail))
         return -n, residual
+    raise DependenceSuspected(
+        f"residual of tail {tuple(tail)} cannot be rounded at "
+        f"cap {cap}; exact 0 or 1/2 suspected",
+        witness=tuple(tail))
 
 
 def canonicalize_sign(m: Sequence[int], form: LinearForm,
                       cap: int = PRECISION_CAP) -> IntVector:
     """Return m or -m, whichever has a certified positive form value."""
     m = tuple(m)
-    w_max = max(START_PRECISION, cap // 2)
-    w = START_PRECISION
-    while True:
-        iv = zeta(m, form, w, cap)
-        s = iv.sign()
+    for w in precision_ladder(START_PRECISION, working_limit(cap)):
+        s = zeta(m, form, w, cap).sign()
         if s == 1:
             return m
         if s == -1:
             return tuple(-c for c in m)
-        if s == 0 or w >= w_max:
-            raise DependenceSuspected(
-                f"form value of {m} has no certifiable sign", witness=m)
-        w = min(w * 2, w_max)
+        if s == 0:
+            break
+    raise DependenceSuspected(
+        f"form value of {m} has no certifiable sign", witness=m)
+
+
+# ---------------------------------------------------------------------------
+# Scaled-integer residual kernel
+# ---------------------------------------------------------------------------
+
+
+def scaled_constants(exprs: Sequence[RealExpr], w: int, grid: int,
+                     cap: int = PRECISION_CAP) -> tuple[list[int], list[int]]:
+    """Integer endpoints lo[j], hi[j] on the 2**-grid lattice enclosing
+    each constant, from enclosures of width <= 2**-w; exact whenever the
+    grid is at least as fine as the enclosure endpoints."""
+    los, his = [], []
+    for e in exprs:
+        iv = eval_interval(e, w, cap)
+        los.append(iv.lo.floor_scaled(grid))
+        his.append(iv.hi.ceil_scaled(grid))
+    return los, his
+
+
+def scaled_dot(tail: Sequence[int], los: Sequence[int],
+               his: Sequence[int]) -> tuple[int, int]:
+    """Bounds s_lo <= sum tail_j * a_j <= s_hi on the scale of the
+    endpoints from ``scaled_constants``."""
+    s_lo = s_hi = 0
+    for c, al, ah in zip(tail, los, his):
+        if c > 0:
+            s_lo += c * al
+            s_hi += c * ah
+        elif c < 0:
+            s_lo += c * ah
+            s_hi += c * al
+    return s_lo, s_hi
+
+
+def abs_bounds(lo: int, hi: int) -> tuple[int, int]:
+    """Bounds on |x| for every lo <= x <= hi."""
+    if lo >= 0:
+        return lo, hi
+    if hi <= 0:
+        return -hi, -lo
+    return 0, max(-lo, hi)

@@ -6,10 +6,11 @@ produces dyadic intervals (endpoints = integer mantissa * 2**exponent) that
 are guaranteed to contain the exact value; all rounding is outward, so a
 decided sign or comparison is a certificate, never a float artifact.
 
-Refinement follows a fixed doubling schedule of working precisions
-64, 128, 256, ... bits.  Because dyadic grids nest, the interval computed
-at a higher working precision is always contained in the one computed at a
-lower precision, which makes every certificate monotone under refinement.
+Refinement climbs a fixed doubling ladder of working precisions
+64, 128, 256, ... bits (``precision_ladder``).  Because dyadic grids nest,
+the interval computed at a higher working precision is always contained in
+the one computed at a lower precision, which makes every certificate
+monotone under refinement.
 """
 
 from __future__ import annotations
@@ -28,17 +29,24 @@ from .errors import (
 #: PrecisionExhausted rather than returning an undecided answer silently.
 PRECISION_CAP = 1 << 16
 
-#: First working precision of the refinement schedule.
+#: First rung of the precision ladder.
 START_PRECISION = 64
 
 
-def precision_schedule(cap: int = PRECISION_CAP) -> Iterator[int]:
-    """Yield the working precisions 64, 128, ... up to and including cap."""
-    w = START_PRECISION
-    while w < cap:
+def precision_ladder(start: int, limit: int) -> Iterator[int]:
+    """Working precisions start, 2*start, 4*start, ..., clipped to and
+    ending at limit; only start itself when start >= limit."""
+    w = start
+    while w < limit:
         yield w
         w *= 2
-    yield cap
+    yield max(start, limit)
+
+
+def working_limit(cap: int) -> int:
+    """Top rung for callers that request enclosure widths: half the cap,
+    so evaluation keeps headroom for its own outward rounding."""
+    return max(START_PRECISION, cap // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +58,7 @@ class Dyadic:
     """Exact dyadic rational ``man * 2**exp`` with odd (or zero) mantissa.
 
     Addition, subtraction and multiplication are exact; rounding happens
-    only in the explicit ``floor_grid``/``ceil_grid`` operations.
+    only in the explicit ``floor_*``/``ceil_*`` operations.
     """
 
     __slots__ = ("man", "exp")
@@ -139,28 +147,22 @@ class Dyadic:
 
     # -- directed rounding ----------------------------------------------------
 
-    def floor_grid(self, p: int) -> "Dyadic":
-        """Largest multiple of 2**-p that is <= self."""
-        if self.exp >= -p:
-            return self
-        return Dyadic(self.man >> (-p - self.exp), -p)
+    def floor_scaled(self, p: int) -> int:
+        """floor(self * 2**p): self rounded down onto the 2**-p grid, as an
+        integer count of grid steps."""
+        s = self.exp + p
+        return self.man << s if s >= 0 else self.man >> -s
 
-    def ceil_grid(self, p: int) -> "Dyadic":
-        """Smallest multiple of 2**-p that is >= self."""
-        if self.exp >= -p:
-            return self
-        shift = -p - self.exp
-        return Dyadic(-((-self.man) >> shift), -p)
+    def ceil_scaled(self, p: int) -> int:
+        """ceil(self * 2**p): self rounded up onto the 2**-p grid."""
+        s = self.exp + p
+        return self.man << s if s >= 0 else -((-self.man) >> -s)
 
     def floor_int(self) -> int:
-        if self.exp >= 0:
-            return self.man << self.exp
-        return self.man >> -self.exp
+        return self.floor_scaled(0)
 
     def ceil_int(self) -> int:
-        if self.exp >= 0:
-            return self.man << self.exp
-        return -((-self.man) >> -self.exp)
+        return self.ceil_scaled(0)
 
     def is_integer(self) -> bool:
         return self.exp >= 0
@@ -398,24 +400,14 @@ def _root_down(d: Dyadic, n: int, p: int) -> Dyadic:
     """Largest multiple of 2**-p that is <= d**(1/n), for d >= 0."""
     if d.man == 0:
         return ZERO
-    shift = d.exp + n * p
-    if shift >= 0:
-        scaled = d.man << shift
-    else:
-        scaled = d.man >> -shift  # floor division: rounds toward -inf, safe downward
-    return Dyadic(iroot_floor(scaled, n), -p)
+    return Dyadic(iroot_floor(d.floor_scaled(n * p), n), -p)
 
 
 def _root_up(d: Dyadic, n: int, p: int) -> Dyadic:
     """Smallest multiple of 2**-p that is >= d**(1/n), for d >= 0."""
     if d.man == 0:
         return ZERO
-    shift = d.exp + n * p
-    if shift >= 0:
-        scaled = d.man << shift
-    else:
-        scaled = -((-d.man) >> -shift)  # ceiling: safe upward
-    return Dyadic(iroot_ceil(scaled, n), -p)
+    return Dyadic(iroot_ceil(d.ceil_scaled(n * p), n), -p)
 
 
 class _Inconclusive(Exception):
@@ -577,7 +569,7 @@ def _certify_nonnegative(expr: RealExpr, cap: int) -> None:
         if exact < 0:
             raise DomainError("radicand is negative")
         return
-    for w in precision_schedule(cap):
+    for w in precision_ladder(min(START_PRECISION, cap), cap):
         try:
             iv = _eval_at(expr, w)
         except _Inconclusive:
@@ -595,7 +587,7 @@ def _certify_nonzero(expr: RealExpr, cap: int) -> None:
         if exact == 0:
             raise DomainError("denominator is exactly zero")
         return
-    for w in precision_schedule(cap):
+    for w in precision_ladder(min(START_PRECISION, cap), cap):
         try:
             iv = _eval_at(expr, w)
         except _Inconclusive:
@@ -644,12 +636,12 @@ def eval_interval(expr: RealExpr, precision: int,
                   cap: int = PRECISION_CAP) -> DyadicInterval:
     """Certified enclosure of the exact value with width <= 2**-precision.
 
-    Deterministic for fixed (expr, precision): the refinement schedule is
+    Deterministic for fixed (expr, precision): the precision ladder is
     fixed, so repeated calls return identical intervals.
     """
     if precision < 1:
         raise ValueError("precision must be positive")
-    for w in precision_schedule(cap):
+    for w in precision_ladder(min(START_PRECISION, cap), cap):
         try:
             iv = _eval_at(expr, w)
         except _Inconclusive:
@@ -684,21 +676,18 @@ def compare(a: RealExpr, b: RealExpr,
     precision budget (equal values can never separate)."""
     if max_precision < 1:
         raise ValueError("max_precision must be positive")
-    w = min(START_PRECISION, max_precision)
-    while True:
+    for w in precision_ladder(min(START_PRECISION, max_precision),
+                              max_precision):
         try:
             ia = _eval_at(a, w)
             ib = _eval_at(b, w)
         except _Inconclusive:
-            pass
-        else:
-            if ia.hi < ib.lo:
-                return LESS
-            if ib.hi < ia.lo:
-                return GREATER
-        if w >= max_precision:
-            return Undecided(w)
-        w = min(w * 2, max_precision)
+            continue
+        if ia.hi < ib.lo:
+            return LESS
+        if ib.hi < ia.lo:
+            return GREATER
+    return Undecided(w)
 
 
 def nearest_integer(x: DyadicInterval) -> tuple[int, DyadicInterval]:

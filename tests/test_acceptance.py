@@ -194,40 +194,44 @@ def _independent_mixed_minimum(alpha_f, beta_f, bound):
 
 
 def test_criterion_7_criterion_vs_enumeration(sqrt2_form):
-    mpmath.mp.dps = 50
-    t0 = time.time()
-    chain = enumerate_chain(sqrt2_form, 60)
-    alpha_f = mpmath.sqrt(2)
-    agreements = 0
-    ok = True
-    for seed in range(5):
-        beta = ext.sample_betas(sqrt2_form, 1, seed=seed)
-        rep = ext.compare_extended(sqrt2_form, beta, 60, base_chain=chain)
-        pair_records = {r.m for r in brute_force_oracle(
-            LinearForm(tuple(sqrt2_form.alphas) + beta.values), 60).records}
-        beta_iv = beta.values[0].eval(180)
-        beta_f = mpmath.mpf(beta_iv.lo.man) * mpmath.mpf(2) ** beta_iv.lo.exp
-        for nu, verdict in rep.criterion_verdicts.items():
-            bound = chain.records[nu].M
-            zeta_f = _mpf_fraction(
-                abs(chain.records[nu - 1].m[0]
-                    + chain.records[nu - 1].m[1] * alpha_f))
-            mixed_min = _mpf_fraction(
-                _independent_mixed_minimum(alpha_f, beta_f, bound))
-            independent = mixed_min >= zeta_f
-            same = verdict.passed == independent
-            ok = ok and same
-            assert same, (f"seed {seed} nu={nu}: certified verdict "
-                          f"{verdict.passed} vs independent scan {independent}")
-            agreements += 1
-            if verdict.passed:
-                # a passing index forces both padded vectors into the
-                # pair's actual chain
-                assert chain.records[nu - 1].m + (0,) in pair_records
-                assert chain.records[nu].m + (0,) in pair_records
-    _line(7, "degeneracy criterion vs enumeration", ok,
-          f"{agreements} exact verdict agreements, {time.time() - t0:.1f}s")
-    assert ok
+    with mpmath.workdps(50):
+        t0 = time.time()
+        chain = enumerate_chain(sqrt2_form, 60)
+        alpha_f = mpmath.sqrt(2)
+        agreements = 0
+        ok = True
+        for seed in range(5):
+            beta = ext.sample_betas(sqrt2_form, 1, seed=seed)
+            rep = ext.compare_extended(sqrt2_form, beta, 60, base_chain=chain)
+            pair_form = LinearForm(tuple(sqrt2_form.alphas) + beta.values)
+            pair_records = {r.m for r in
+                            brute_force_oracle(pair_form, 60).records}
+            beta_iv = beta.values[0].eval(180)
+            beta_f = (mpmath.mpf(beta_iv.lo.man)
+                      * mpmath.mpf(2) ** beta_iv.lo.exp)
+            for nu, verdict in rep.criterion_verdicts.items():
+                bound = chain.records[nu].M
+                zeta_f = _mpf_fraction(
+                    abs(chain.records[nu - 1].m[0]
+                        + chain.records[nu - 1].m[1] * alpha_f))
+                mixed_min = _mpf_fraction(
+                    _independent_mixed_minimum(alpha_f, beta_f, bound))
+                independent = mixed_min >= zeta_f
+                same = verdict.passed == independent
+                ok = ok and same
+                assert same, (f"seed {seed} nu={nu}: certified verdict "
+                              f"{verdict.passed} vs independent scan "
+                              f"{independent}")
+                agreements += 1
+                if verdict.passed:
+                    # a passing index forces both padded vectors into the
+                    # pair's actual chain
+                    assert chain.records[nu - 1].m + (0,) in pair_records
+                    assert chain.records[nu].m + (0,) in pair_records
+        _line(7, "degeneracy criterion vs enumeration", ok,
+              f"{agreements} exact verdict agreements, "
+              f"{time.time() - t0:.1f}s")
+        assert ok
 
 
 # --- 8: closed-form lattice sum ------------------------------------------------
@@ -252,31 +256,32 @@ def test_criterion_8_harmonic_closed_form():
 
 
 def test_criterion_9_series_diagnostics(r1_chains_10k):
-    mpmath.mp.dps = 50
-    chain = r1_chains_10k["sqrt2"]
-    sqrt2 = mpmath.sqrt(2)
-    ok = True
-    for k in (1, 2):
-        sums = an.series_partial_sums(chain, k)
-        running = mpmath.mpf(0)
-        slack = Fraction(1, 10 ** 40)
-        for i, (rec, nxt) in enumerate(zip(chain.records, chain.records[1:])):
-            zeta_f = abs(rec.m[0] + rec.m[1] * sqrt2)
-            term = mpmath.mpf(nxt.M) ** (1 + k) * zeta_f
-            if k == 1:
-                term *= mpmath.log(nxt.M)
-            running += term
-            oracle = _mpf_fraction(running)
-            enclosure = sums[i]
-            inside = (enclosure.lo.as_fraction() - slack <= oracle
-                      <= enclosure.hi.as_fraction() + slack)
-            ok = ok and inside
-            assert inside, f"k={k} S_{i + 1}"
-        for a, b in zip(sums, sums[1:]):
-            assert b.lo > a.lo and b.hi > a.hi
-    _line(9, "series diagnostics vs 50-digit oracle", ok,
-          f"{2 * (len(chain.records) - 1)} partial sums")
-    assert ok
+    with mpmath.workdps(50):
+        chain = r1_chains_10k["sqrt2"]
+        sqrt2 = mpmath.sqrt(2)
+        ok = True
+        for k in (1, 2):
+            sums = an.series_partial_sums(chain, k)
+            running = mpmath.mpf(0)
+            slack = Fraction(1, 10 ** 40)
+            pairs = zip(chain.records, chain.records[1:])
+            for i, (rec, nxt) in enumerate(pairs):
+                zeta_f = abs(rec.m[0] + rec.m[1] * sqrt2)
+                term = mpmath.mpf(nxt.M) ** (1 + k) * zeta_f
+                if k == 1:
+                    term *= mpmath.log(nxt.M)
+                running += term
+                oracle = _mpf_fraction(running)
+                enclosure = sums[i]
+                inside = (enclosure.lo.as_fraction() - slack <= oracle
+                          <= enclosure.hi.as_fraction() + slack)
+                ok = ok and inside
+                assert inside, f"k={k} S_{i + 1}"
+            for a, b in zip(sums, sums[1:]):
+                assert b.lo > a.lo and b.hi > a.hi
+        _line(9, "series diagnostics vs 50-digit oracle", ok,
+              f"{2 * (len(chain.records) - 1)} partial sums")
+        assert ok
 
 
 # --- 10: bit-level reproducibility ----------------------------------------------

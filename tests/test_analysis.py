@@ -198,8 +198,6 @@ class TestPsi:
         assert an.check_psi_singular(chain, psi).passed
 
     def test_family_values_against_oracle(self):
-        mpmath.mp.prec = 200
-
         def as_fraction(x):
             sign, man, exp, _ = x._mpf_
             f = Fraction(man) * Fraction(2) ** exp
@@ -207,15 +205,18 @@ class TestPsi:
 
         log_spec = an.PsiSpec(family="log", r=2, k=1, eps=Fraction(1, 10))
         iv = log_spec.value(50, 128)
-        oracle = as_fraction(
-            1 / (mpmath.mpf(50) ** 3 * mpmath.log(50) ** mpmath.mpf("2.1")))
+        with mpmath.workprec(200):
+            oracle = as_fraction(
+                1 / (mpmath.mpf(50) ** 3
+                     * mpmath.log(50) ** mpmath.mpf("2.1")))
         assert iv.lo.as_fraction() <= oracle <= iv.hi.as_fraction()
 
         ll_spec = an.PsiSpec(family="loglog", r=2, k=2, eps=Fraction(1, 10))
         iv = ll_spec.value(50, 128)
-        oracle = as_fraction(
-            1 / (mpmath.mpf(50) ** 4
-                 * mpmath.log(mpmath.log(50)) ** mpmath.mpf("1.1")))
+        with mpmath.workprec(200):
+            oracle = as_fraction(
+                1 / (mpmath.mpf(50) ** 4
+                     * mpmath.log(mpmath.log(50)) ** mpmath.mpf("1.1")))
         assert iv.lo.as_fraction() <= oracle <= iv.hi.as_fraction()
 
     def test_domain_limits(self):
@@ -249,8 +250,8 @@ class TestSeries:
         chain = make_chain(r1_form, rows)
         s1 = an.series_partial_sums(chain, k=1)[0]
         # 2**2 * ln(2) * 1/8 = ln(2)/2
-        mpmath.mp.prec = 120
-        sign, man, exp, _ = (mpmath.log(2) / 2)._mpf_
+        with mpmath.workprec(120):
+            sign, man, exp, _ = (mpmath.log(2) / 2)._mpf_
         oracle = Fraction(man) * Fraction(2) ** exp
         assert s1.lo.as_fraction() <= oracle <= s1.hi.as_fraction()
 

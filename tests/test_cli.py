@@ -185,6 +185,32 @@ class TestCommands:
                          "--seed", "1", "--budget", "10"])
         assert code == cli.EXIT_BUDGET
 
+    @pytest.mark.parametrize("budget,code", [(10, cli.EXIT_BUDGET),
+                                             (839, cli.EXIT_BUDGET),
+                                             (840, cli.EXIT_OK)])
+    def test_enumerate_budget(self, tmp_path, capsys, budget, code):
+        out = tmp_path / "c.rec"
+        # ((2*20 + 1)**2 - 1) / 2 = 840 tails in one scan
+        assert cli.main(["enumerate", "--alpha", "root(2,2)", "--alpha",
+                         "root(3,2)", "--max-norm", "20",
+                         "--budget", str(budget), "--out", str(out)]) == code
+        assert out.exists() == (code == cli.EXIT_OK)
+
+    @pytest.mark.parametrize("extra", [
+        ["enumerate", "--alpha", "root(2,2)", "--max-norm", "5",
+         "--format", "machine"],
+        ["verify", "CHAIN", "--precision-cap", "1"],
+        ["verify", "CHAIN", "--budget", "1"],
+    ])
+    def test_unread_flags_rejected(self, tmp_path, capsys, extra):
+        rec = tmp_path / "c.rec"
+        cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "5",
+                  "--out", str(rec)])
+        argv = [str(rec) if a == "CHAIN" else a for a in extra]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == cli.EXIT_USAGE
+
     def test_report_pretty_prints_chain(self, tmp_path, capsys):
         rec = tmp_path / "c.rec"
         cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "12",

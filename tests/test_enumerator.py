@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +33,21 @@ class TestShellTails:
         tails = set(canonical_shell_tails(2, 3))
         full = {t for t in tails} | {tuple(-c for c in t) for t in tails}
         assert len(full) == (2 * 3 + 1) ** 2 - (2 * 3 - 1) ** 2
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("M", range(7))
+    def test_order_matches_box_listing(self, r, M):
+        # the order decides which near-ties a scan meets, and so the
+        # precision-used header of a chain file: by the position of the
+        # first nonzero coordinate, then lexicographic
+        def leading_zeros(t):
+            return next(i for i, c in enumerate(t) if c)
+
+        listing = sorted(
+            (t for t in product(range(-M, M + 1), repeat=r)
+             if any(t) and max(map(abs, t)) == M and t[leading_zeros(t)] > 0),
+            key=lambda t: (leading_zeros(t), t))
+        assert list(canonical_shell_tails(r, M)) == listing
 
 
 class TestEnumerate:

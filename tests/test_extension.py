@@ -161,12 +161,12 @@ class TestLatticeSum:
         assert lo == hi == 2 * harmonic
 
     def test_k2_against_oracle(self):
-        mpmath.mp.prec = 200
-        oracle = mpmath.mpf(0)
-        for a in range(-3, 4):
-            for b in range(-3, 4):
-                if a or b:
-                    oracle += 1 / mpmath.sqrt(a * a + b * b)
+        with mpmath.workprec(200):
+            oracle = mpmath.mpf(0)
+            for a in range(-3, 4):
+                for b in range(-3, 4):
+                    if a or b:
+                        oracle += 1 / mpmath.sqrt(a * a + b * b)
         sign, man, exp, _ = oracle._mpf_
         oracle_f = Fraction(man) * Fraction(2) ** exp
         lo, hi = ext.lattice_inv_norm_sum(3, 2)

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bachain.errors import DependenceSuspected
-from bachain.linform import LinearForm, best_m0, canonicalize_sign, zeta
+from bachain.linform import (
+    LinearForm,
+    abs_bounds,
+    best_m0,
+    canonicalize_sign,
+    scaled_constants,
+    scaled_dot,
+    zeta,
+)
 from bachain.realnum import Dyadic, rational, root
 from conftest import sqrt_digits
 
@@ -60,6 +68,28 @@ class TestZeta:
     def test_width_scales_with_coefficients(self, sqrt2):
         iv = zeta((0, 1000), sqrt2, 40)
         assert iv.width().as_fraction() <= Fraction(1001, 2 ** 40)
+
+
+class TestScaledKernel:
+    @pytest.mark.parametrize("tail", [(1, 0), (0, -3), (2, -5), (-7, 7)])
+    def test_dot_encloses_form_value(self, cbrt_pair, tail):
+        w, grid = 40, 42
+        los, his = scaled_constants(cbrt_pair.alphas, w, grid)
+        s_lo, s_hi = scaled_dot(tail, los, his)
+        iv = zeta((0,) + tail, cbrt_pair, w)
+        scale = Fraction(1, 2 ** grid)
+        assert s_lo * scale <= iv.lo.as_fraction()
+        assert iv.hi.as_fraction() <= s_hi * scale
+        # width 2**-w per unit coefficient, plus one grid step per rounded
+        # endpoint
+        slack = sum(map(abs, tail)) * Fraction(2 ** (grid - w) + 2)
+        assert s_hi - s_lo <= slack
+
+    @pytest.mark.parametrize("lo,hi,expected", [
+        (2, 5, (2, 5)), (-5, -2, (2, 5)), (-3, 5, (0, 5)), (-6, 1, (0, 6)),
+        (0, 0, (0, 0))])
+    def test_abs_bounds(self, lo, hi, expected):
+        assert abs_bounds(lo, hi) == expected
 
 
 class TestBestM0:

@@ -25,6 +25,7 @@ from bachain.realnum import (
     ln_interval,
     nearest_integer,
     pow_rational,
+    precision_ladder,
     rational,
     root,
 )
@@ -91,6 +92,33 @@ class TestDyadic:
         assert Dyadic(7, -2).ceil_int() == 2
         assert Dyadic(-7, -2).floor_int() == -2
         assert Dyadic(-7, -2).ceil_int() == -1
+
+    def test_floor_ceil_scaled(self):
+        # 7/4 on the 2**-1 grid: 3.5 steps
+        assert Dyadic(7, -2).floor_scaled(1) == 3
+        assert Dyadic(7, -2).ceil_scaled(1) == 4
+        assert Dyadic(-7, -2).floor_scaled(1) == -4
+        assert Dyadic(-7, -2).ceil_scaled(1) == -3
+        # on or finer than the value's own grid the scaling is exact
+        for d in (Dyadic(7, -2), Dyadic(-7, -2), Dyadic(5, 3), Dyadic(0)):
+            for p in (2, 5):
+                exact = d.as_fraction() * 2 ** p
+                assert d.floor_scaled(p) == d.ceil_scaled(p) == exact
+
+
+@pytest.mark.parametrize("start,limit,rungs", [
+    (64, 32768, [64 << i for i in range(10)]),
+    (70, 300, [70, 140, 280, 300]),
+    # start at or above the limit: that one rung only
+    (100, 64, [100]),
+    (96, 1, [96]),
+    # eval_interval's rungs, min(64, cap) up to cap, for caps 32, 64, 100
+    (32, 32, [32]),
+    (64, 64, [64]),
+    (64, 100, [64, 100]),
+])
+def test_precision_ladder(start, limit, rungs):
+    assert list(precision_ladder(start, limit)) == rungs
 
 
 class TestIroot:
@@ -209,9 +237,9 @@ class TestLn:
 
     @pytest.mark.parametrize("n", [2, 3, 10, 97, 5741])
     def test_contains_oracle(self, n):
-        mpmath.mp.prec = 200
         iv = ln_interval(n, 96)
-        oracle = mpf_to_fraction(mpmath.log(n))
+        with mpmath.workprec(200):
+            oracle = mpf_to_fraction(mpmath.log(n))
         slack = Fraction(1, 2 ** 150)
         assert iv.lo.as_fraction() - slack <= oracle <= iv.hi.as_fraction() + slack
         assert iv.width_le(90)
@@ -219,9 +247,9 @@ class TestLn:
     def test_interval_argument(self):
         x = DyadicInterval(Dyadic(2), Dyadic(3))
         iv = ln_interval(x, 64)
-        mpmath.mp.prec = 120
-        assert iv.lo.as_fraction() <= mpf_to_fraction(mpmath.log(2))
-        assert iv.hi.as_fraction() >= mpf_to_fraction(mpmath.log(3))
+        with mpmath.workprec(120):
+            assert iv.lo.as_fraction() <= mpf_to_fraction(mpmath.log(2))
+            assert iv.hi.as_fraction() >= mpf_to_fraction(mpmath.log(3))
 
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
@@ -277,9 +305,9 @@ def test_monotone_refinement(expr, p, extra):
 @given(_exprs, st.integers(min_value=10, max_value=80))
 @settings(max_examples=60, deadline=None)
 def test_enclosure_soundness(expr, p):
-    mpmath.mp.prec = 300
     iv = eval_interval(expr, p)
-    oracle = mpf_to_fraction(mp_eval(expr))
+    with mpmath.workprec(300):
+        oracle = mpf_to_fraction(mp_eval(expr))
     slack = Fraction(1, 2 ** 250)
     assert iv.lo.as_fraction() - slack <= oracle <= iv.hi.as_fraction() + slack
 
