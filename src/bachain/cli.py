@@ -360,7 +360,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
     with open(args.chain) as fh:
         chain = parse_chain(fh.read())
     form = chain.form
-    m_max = args.max_norm or chain.search_bound
+    m_max = chain.search_bound if args.max_norm is None else args.max_norm
     if args.beta:
         if len(args.beta) != args.k:
             print(f"error: expected {args.k} --beta expressions",

@@ -49,6 +49,7 @@ from .realnum import (
 )
 
 DEFAULT_BUDGET = 10 ** 7
+LATTICE_BITS = 64  # bits of each square root in the lattice sum
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +358,8 @@ def _tree_sum(terms: list[Fraction]) -> Fraction:
     return work[0]
 
 
-def lattice_inv_norm_sum(M: int, k: int, precision: int = 64,
-                         budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Fraction]:
+def lattice_inv_norm_sum(M: int, k: int, budget: int = DEFAULT_BUDGET
+                         ) -> tuple[Fraction, Fraction]:
     """Bounds on sum of 1/sqrt(m_1^2 + ... + m_k^2) over nonzero integer
     vectors with max-norm <= M, by direct enumeration.
 
@@ -384,8 +385,8 @@ def lattice_inv_norm_sum(M: int, k: int, precision: int = 64,
                 hi_terms.append(term)
             else:
                 d = Dyadic(n)
-                r_lo = _root_down(d, 2, precision)
-                r_hi = _root_up(d, 2, precision)
+                r_lo = _root_down(d, 2, LATTICE_BITS)
+                r_hi = _root_up(d, 2, LATTICE_BITS)
                 lo_terms.append(1 / r_hi.as_fraction())
                 hi_terms.append(1 / r_lo.as_fraction())
     # canonical tails cover one of each +-pair
@@ -393,7 +394,6 @@ def lattice_inv_norm_sum(M: int, k: int, precision: int = 64,
 
 
 def omega_bound(zeta_nu: DyadicInterval, M_next: int, r: int, k: int,
-                precision: int = 64,
                 budget: int = DEFAULT_BUDGET) -> DyadicInterval:
     """Explicit union bound on the measure of extension constants that
     violate the criterion at one index:
@@ -408,12 +408,12 @@ def omega_bound(zeta_nu: DyadicInterval, M_next: int, r: int, k: int,
         raise ValueError("inputs must be positive")
     if zeta_nu.lo.man <= 0:
         raise ValueError("zeta must be a certified positive enclosure")
-    s_lo, s_hi = lattice_inv_norm_sum(M_next, k, precision, budget)
-    sum_iv = DyadicInterval.from_fractions(s_lo, s_hi, precision + 16)
+    s_lo, s_hi = lattice_inv_norm_sum(M_next, k, budget)
+    sum_iv = DyadicInterval.from_fractions(s_lo, s_hi, LATTICE_BITS + 16)
     if k % 2 == 0:
         k_pow = DyadicInterval.point(k ** (k // 2))
     else:
-        k_pow = DyadicInterval.point(k ** k).nth_root(2, precision + 16)
+        k_pow = DyadicInterval.point(k ** k).nth_root(2, LATTICE_BITS + 16)
     scale = 2 * (k + r + 1) * (2 * M_next + 1) ** (r + 1)
     return zeta_nu.mul_int(scale) * k_pow * sum_iv
 
@@ -460,29 +460,28 @@ class ExtensionReport:
         }
 
 
-def compare_extended(form: LinearForm, beta: BetaSample, M_max: int,
-                     base_chain: Optional[BAChain] = None,
-                     budget: int = DEFAULT_BUDGET,
-                     cap: int = PRECISION_CAP) -> ExtensionReport:
-    """Enumerate the extended form's chain, align it against the padded
-    base chain, and run the per-index criterion scans.
-
-    The match horizon is the smallest base index from which the two
-    sequences agree exactly through the search bound (None when no suffix
-    agrees).
-    """
-    r = form.r
-    k = beta.k
-    if (2 * M_max + 1) ** (r + k) > budget:
+def _resolve_base(form: LinearForm, k: int, M_max: int,
+                  base_chain: Optional[BAChain], budget: int,
+                  cap: int) -> BAChain:
+    """Budget-check the extended enumeration, then return ``base_chain``,
+    or a fresh base chain to M_max when it stops short of M_max."""
+    if (2 * M_max + 1) ** (form.r + k) > budget:
         raise SearchTooLarge(
-            f"extended enumeration in dimension {r + k} at bound {M_max} "
+            f"extended enumeration in dimension {form.r + k} at bound {M_max} "
             f"exceeds budget {budget}")
     if base_chain is None or base_chain.search_bound < M_max:
         base_chain = enumerate_chain(form, M_max, cap)
+    return base_chain
+
+
+def _align(form: LinearForm, base_chain: BAChain, beta: BetaSample,
+           M_max: int, cap: int) -> ExtensionReport:
+    """Enumerate the extended form's chain to M_max and align it against
+    the padded base chain; the per-sample half of an extension run."""
     ext_form = LinearForm(tuple(form.alphas) + beta.values)
     ext_chain = enumerate_chain(ext_form, M_max, cap)
 
-    padded = pad_chain(base_chain, k)
+    padded = pad_chain(base_chain, beta.k)
     padded_vectors = {pv.vector for pv in padded}
     ext_vectors = {rec.m for rec in ext_chain.records}
 
@@ -500,27 +499,47 @@ def compare_extended(form: LinearForm, beta: BetaSample, M_max: int,
             nu_match = s
             break
 
-    report = ExtensionReport(k=k, search_bound=M_max, beta=beta,
-                             base_chain=base_chain, extended_chain=ext_chain,
-                             extras=extras, missing=missing,
-                             nu_match=nu_match)
+    return ExtensionReport(k=beta.k, search_bound=M_max, beta=beta,
+                           base_chain=base_chain, extended_chain=ext_chain,
+                           extras=extras, missing=missing, nu_match=nu_match)
+
+
+def _omega_table(chain: BAChain, k: int,
+                 budget: int) -> tuple[dict[int, DyadicInterval], str]:
+    """The omega bound at each index with a successor record, and the
+    regime note read from them; neither depends on the extension constants."""
+    table = {nu: omega_bound(chain.records[nu - 1].zeta,
+                             chain.records[nu].M, chain.r, k, budget=budget)
+             for nu in range(1, len(chain.records))}
+    small = sum(1 for iv in table.values() if iv.hi.cmp_int(1) < 0)
+    return table, (
+        f"{small} of {len(table)} per-index measure bounds are below 1; "
+        "the bounds control violations only where their tail sum is small, "
+        "so for generic base constants this table is diagnostic rather "
+        "than a proof of eventual matching.")
+
+
+def compare_extended(form: LinearForm, beta: BetaSample, M_max: int,
+                     base_chain: Optional[BAChain] = None,
+                     budget: int = DEFAULT_BUDGET,
+                     cap: int = PRECISION_CAP) -> ExtensionReport:
+    """Enumerate the extended form's chain, align it against the padded
+    base chain, and run the per-index criterion scans.
+
+    The match horizon is the smallest base index from which the two
+    sequences agree exactly through the search bound (None when no suffix
+    agrees).
+    """
+    base_chain = _resolve_base(form, beta.k, M_max, base_chain, budget, cap)
+    report = _align(form, base_chain, beta, M_max, cap)
     for nu in range(1, len(base_chain.records)):
         try:
             report.criterion_verdicts[nu] = degeneracy_criterion(
                 base_chain, beta, nu, budget=budget, cap=cap)
         except SearchTooLarge as exc:
             report.skipped_criteria[nu] = str(exc)
-        report.omega_table[nu] = omega_bound(
-            base_chain.records[nu - 1].zeta, base_chain.records[nu].M,
-            r, k, budget=budget)
-
-    bounds = [iv.hi for iv in report.omega_table.values()]
-    small = sum(1 for b in bounds if b.cmp_int(1) < 0)
-    report.regime_note = (
-        f"{small} of {len(bounds)} per-index measure bounds are below 1; "
-        "the bounds control violations only where their tail sum is small, "
-        "so for generic base constants this table is diagnostic rather "
-        "than a proof of eventual matching.")
+    report.omega_table, report.regime_note = _omega_table(
+        base_chain, beta.k, budget)
     return report
 
 
@@ -558,30 +577,25 @@ class MonteCarloResult:
 def monte_carlo(form: LinearForm, chain: BAChain, k: int, samples: int,
                 seed: int, M_max: int, budget: int = DEFAULT_BUDGET,
                 cap: int = PRECISION_CAP) -> MonteCarloResult:
-    """Run compare_extended over ``samples`` seeded extension tuples and
-    aggregate how many match the padded chain from each index on.
+    """Align ``samples`` seeded extensions against the padded base chain
+    and aggregate how many match it from each index on; the omega table
+    is built once, and no criterion scan runs.
 
     Fully deterministic for a fixed seed: per-sample seeds derive from one
     generator, and every numeric step is exact or certified.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    base = _resolve_base(form, k, M_max, chain, budget, cap)
     rng = random.Random(seed)
     sample_seeds = [rng.randrange(1 << 30) for _ in range(samples)]
-    horizons: list[Optional[int]] = []
-    omega_table: dict[int, DyadicInterval] = {}
-    regime = ""
-    for s in sample_seeds:
-        beta = sample_betas(form, k, s, cap)
-        rep = compare_extended(form, beta, M_max, base_chain=chain,
-                               budget=budget, cap=cap)
-        horizons.append(rep.nu_match)
-        omega_table = rep.omega_table
-        regime = rep.regime_note
+    betas = (sample_betas(form, k, s, cap) for s in sample_seeds)
+    horizons = [_align(form, base, b, M_max, cap).nu_match for b in betas]
     matched_beyond = {
         nu: sum(1 for h in horizons if h is not None and h <= nu)
-        for nu in range(1, len(chain.records) + 1)
+        for nu in range(1, len(base.records) + 1)
     }
+    omega_table, regime = _omega_table(base, k, budget)
     return MonteCarloResult(samples=samples, seed=seed, k=k,
                             search_bound=M_max, sample_seeds=sample_seeds,
                             horizons=horizons, matched_beyond=matched_beyond,

@@ -75,17 +75,10 @@ class Dyadic:
         self.man = man
         self.exp = exp
 
-    @classmethod
-    def from_int(cls, n: int) -> "Dyadic":
-        return cls(n, 0)
-
     def as_fraction(self) -> Fraction:
         if self.exp >= 0:
             return Fraction(self.man << self.exp)
         return Fraction(self.man, 1 << -self.exp)
-
-    def is_zero(self) -> bool:
-        return self.man == 0
 
     def sign(self) -> int:
         return (self.man > 0) - (self.man < 0)
@@ -280,12 +273,6 @@ class DyadicInterval:
         if w.man == 1:
             return s >= 0
         return w.man.bit_length() <= s
-
-    def contains_fraction(self, value: Fraction) -> bool:
-        return self.lo.as_fraction() <= value <= self.hi.as_fraction()
-
-    def contains_int(self, n: int) -> bool:
-        return self.lo.cmp_int(n) <= 0 <= self.hi.cmp_int(n)
 
     def sign(self) -> Optional[int]:
         """+1 or -1 when the interval is sign-definite, 0 for the exact

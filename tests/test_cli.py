@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -184,6 +185,34 @@ class TestCommands:
         code = cli.main(["extend", str(rec), "--k", "1", "--samples", "1",
                          "--seed", "1", "--budget", "10"])
         assert code == cli.EXIT_BUDGET
+
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_extend_max_norm_below_one(self, tmp_path, capsys, bound):
+        rec = tmp_path / "c.rec"
+        cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "10",
+                  "--out", str(rec)])
+        code = cli.main(["extend", str(rec), "--k", "1", "--samples", "1",
+                         "--seed", "1", "--max-norm", bound])
+        assert code == cli.EXIT_USAGE
+        assert "M_max must be >= 1" in capsys.readouterr().err
+
+    # sha256 of two JSON reports: reorganising the extension layer must
+    # keep its output bytes
+    @pytest.mark.parametrize("argv,digest", [
+        (["--k", "1", "--beta", "root(3,2)-1"],
+         "aa800f9c349023c5552e755c5e20b62c87b3050c5546d89bffc389533bf16c90"),
+        (["--k", "2", "--samples", "3", "--seed", "9", "--max-norm", "12"],
+         "108f1bdb472ed92b2a84e9490d35b7b68b0d4d0fe6a51b7cc27688e06da9d0ed"),
+    ], ids=["explicit-beta", "sampled"])
+    def test_extend_machine_report_pinned(self, tmp_path, capsys, argv,
+                                          digest):
+        rec = tmp_path / "c.rec"
+        cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "30",
+                  "--out", str(rec)])
+        code = cli.main(["extend", str(rec), "--format", "machine"] + argv)
+        out = capsys.readouterr().out
+        assert code == cli.EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("budget,code", [(10, cli.EXIT_BUDGET),
                                              (839, cli.EXIT_BUDGET),

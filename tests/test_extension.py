@@ -332,3 +332,49 @@ class TestMonteCarlo:
             allowed = max(Fraction(0), 1 - iv.hi.as_fraction())
             fraction = Fraction(res.matched_beyond[nu], res.samples)
             assert fraction >= allowed
+
+    @pytest.mark.parametrize("samples", [1, 3])
+    def test_beta_independent_work_runs_once(self, sqrt2_form, monkeypatch,
+                                             samples):
+        chain = enumerate_chain(sqrt2_form, 20)
+        calls = []
+        lattice = ext.lattice_inv_norm_sum
+
+        def counting(*args, **kwargs):
+            calls.append(args[:2])
+            return lattice(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("monte_carlo must not run criterion scans")
+
+        monkeypatch.setattr(ext, "lattice_inv_norm_sum", counting)
+        monkeypatch.setattr(ext, "compare_extended", forbidden)
+        monkeypatch.setattr(ext, "degeneracy_criterion", forbidden)
+        res = ext.monte_carlo(sqrt2_form, chain, k=2, samples=samples,
+                              seed=3, M_max=8)
+        assert len(res.horizons) == samples
+        # one lattice sum per index, whatever the sample count
+        assert calls == [(rec.M, 2) for rec in chain.records[1:]]
+
+    def test_omega_table_matches_compare_extended(self, sqrt2_form):
+        chain = enumerate_chain(sqrt2_form, 20)
+        res = ext.monte_carlo(sqrt2_form, chain, k=1, samples=3, seed=8,
+                              M_max=20)
+        for s, horizon in zip(res.sample_seeds, res.horizons):
+            beta = ext.sample_betas(sqrt2_form, 1, s)
+            rep = ext.compare_extended(sqrt2_form, beta, 20, base_chain=chain)
+            assert rep.omega_table == res.omega_table
+            assert rep.regime_note == res.regime_note
+            assert rep.nu_match == horizon
+
+    def test_matched_beyond_spans_resolved_base(self):
+        # M_max beyond the given chain's bound re-enumerates the base chain;
+        # every per-index field must describe that chain, not the short one
+        form = LinearForm((parse_expr("(root(5,2)-1)/2"),))
+        short = enumerate_chain(form, 10)
+        base = enumerate_chain(form, 60)
+        assert len(base.records) > len(short.records)
+        res = ext.monte_carlo(form, short, k=1, samples=1, seed=3, M_max=60)
+        assert sorted(res.matched_beyond) == list(
+            range(1, len(base.records) + 1))
+        assert sorted(res.omega_table) == list(range(1, len(base.records)))
