@@ -362,6 +362,10 @@ def cmd_extend(args: argparse.Namespace) -> int:
     form = chain.form
     m_max = chain.search_bound if args.max_norm is None else args.max_norm
     if args.beta:
+        if args.samples is not None or args.seed is not None:
+            print("error: --samples and --seed apply only to sampled runs, "
+                  "not to --beta", file=sys.stderr)
+            return EXIT_USAGE
         if len(args.beta) != args.k:
             print(f"error: expected {args.k} --beta expressions",
                   file=sys.stderr)
@@ -376,7 +380,8 @@ def cmd_extend(args: argparse.Namespace) -> int:
         if seed is None:
             seed = random.SystemRandom().randrange(1 << 30)
             print(f"generated seed {seed}", file=sys.stderr)
-        result = monte_carlo(form, chain, k=args.k, samples=args.samples,
+        samples = 1 if args.samples is None else args.samples
+        result = monte_carlo(form, chain, k=args.k, samples=samples,
                              seed=seed, M_max=m_max, budget=args.budget,
                              cap=args.precision_cap)
     if args.format == "machine":
@@ -493,8 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of extension constants (>= 1)")
     p_ext.add_argument("--beta", action="append",
                        help="explicit extension constant (k times)")
-    p_ext.add_argument("--samples", type=int, default=1,
-                       help="number of seeded samples when no --beta")
+    p_ext.add_argument("--samples", type=int,
+                       help="number of seeded samples when no --beta "
+                            "(default: 1)")
     p_ext.add_argument("--seed", type=int,
                        help="seed for sampled runs (generated if omitted)")
     p_ext.add_argument("--max-norm", type=int,

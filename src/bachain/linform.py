@@ -21,6 +21,7 @@ from .errors import (
 from .realnum import (
     PRECISION_CAP,
     START_PRECISION,
+    Dyadic,
     DyadicInterval,
     RealExpr,
     eval_interval,
@@ -63,14 +64,26 @@ class LinearForm:
 def zeta(m: Sequence[int], form: LinearForm, precision: int,
          cap: int = PRECISION_CAP) -> DyadicInterval:
     """Enclosure of m_0 + sum m_j*a_j; each constant is evaluated to width
-    <= 2**-precision, so the result has width <= 2**-precision * sum|m_j|."""
+    <= 2**-precision, so the result has width <= 2**-precision * sum|m_j|.
+
+    The endpoints are exact integer sums on the finest grid among the
+    terms: m_0 and, per constant, coeff times the endpoint that bounds the
+    product from below (above)."""
     if len(m) != form.r + 1:
         raise ValueError(f"expected {form.r + 1} coordinates, got {len(m)}")
-    total = DyadicInterval.point(m[0])
+    terms = []  # (coeff, lower endpoint, upper endpoint) of coeff * a_j
+    e = 0
     for coeff, alpha in zip(m[1:], form.alphas):
         if coeff:
-            total = total + eval_interval(alpha, precision, cap).mul_int(coeff)
-    return total
+            iv = eval_interval(alpha, precision, cap)
+            lo, hi = (iv.lo, iv.hi) if coeff > 0 else (iv.hi, iv.lo)
+            terms.append((coeff, lo, hi))
+            e = min(e, lo.exp, hi.exp)
+    s_lo = s_hi = m[0] << -e
+    for coeff, lo, hi in terms:
+        s_lo += (coeff * lo.man) << (lo.exp - e)
+        s_hi += (coeff * hi.man) << (hi.exp - e)
+    return DyadicInterval(Dyadic(s_lo, e), Dyadic(s_hi, e))
 
 
 def tail_norm(tail: Sequence[int]) -> int:

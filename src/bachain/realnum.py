@@ -120,12 +120,17 @@ class Dyadic:
         return hash((self.man, self.exp))
 
     def __lt__(self, other: "Dyadic") -> bool:
-        a, b, _ = self._aligned(other)
-        return a < b
+        # shift only the mantissa with the larger exponent onto the other's
+        s = self.exp - other.exp
+        if s >= 0:
+            return (self.man << s) < other.man
+        return self.man < (other.man << -s)
 
     def __le__(self, other: "Dyadic") -> bool:
-        a, b, _ = self._aligned(other)
-        return a <= b
+        s = self.exp - other.exp
+        if s >= 0:
+            return (self.man << s) <= other.man
+        return self.man <= (other.man << -s)
 
     def __gt__(self, other: "Dyadic") -> bool:
         return other < self
@@ -188,7 +193,6 @@ class Dyadic:
 
 ZERO = Dyadic(0)
 ONE = Dyadic(1)
-HALF = Dyadic(1, -1)
 
 
 def dyadic_from_fraction(value: Fraction, p: int, round_up: bool) -> Dyadic:
@@ -241,7 +245,7 @@ class DyadicInterval:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: Dyadic, hi: Dyadic):
-        if lo > hi:
+        if hi < lo:
             raise ValueError("interval endpoints out of order")
         self.lo = lo
         self.hi = hi
@@ -258,9 +262,6 @@ class DyadicInterval:
             dyadic_from_fraction(lo, p, round_up=False),
             dyadic_from_fraction(hi, p, round_up=True),
         )
-
-    def width(self) -> Dyadic:
-        return self.hi - self.lo
 
     def width_le(self, p: int) -> bool:
         """True iff width <= 2**-p, decided exactly."""
@@ -421,7 +422,8 @@ class RealExpr:
     or the arithmetic operators; int and Fraction operands coerce.
     """
 
-    __slots__ = ("kind", "value", "index", "children", "_cache")
+    __slots__ = ("kind", "value", "index", "children", "_cache",
+                 "_enclosures")
 
     def __init__(self, kind: str, value: Optional[Fraction] = None,
                  index: Optional[int] = None,
@@ -431,6 +433,8 @@ class RealExpr:
         self.index = index
         self.children = children
         self._cache: dict[int, DyadicInterval] = {}
+        # eval_interval results, keyed by (precision, cap)
+        self._enclosures: dict[tuple[int, int], DyadicInterval] = {}
 
     # -- constructors --------------------------------------------------------
 
@@ -623,17 +627,25 @@ def eval_interval(expr: RealExpr, precision: int,
                   cap: int = PRECISION_CAP) -> DyadicInterval:
     """Certified enclosure of the exact value with width <= 2**-precision.
 
-    Deterministic for fixed (expr, precision): the precision ladder is
-    fixed, so repeated calls return identical intervals.
+    Deterministic for fixed (expr, precision, cap): the precision ladder
+    is fixed, so repeated calls return identical intervals.  The result is
+    memoised on the node under (precision, cap); the cap is part of the
+    key because it clips the ladder, so it can change which rung is the
+    first narrow enough.
     """
     if precision < 1:
         raise ValueError("precision must be positive")
+    key = (precision, cap)
+    iv = expr._enclosures.get(key)
+    if iv is not None:
+        return iv
     for w in precision_ladder(min(START_PRECISION, cap), cap):
         try:
             iv = _eval_at(expr, w)
         except _Inconclusive:
             continue
         if iv.width_le(precision):
+            expr._enclosures[key] = iv
             return iv
     raise PrecisionExhausted(
         f"width <= 2^-{precision} not reached for {expr!r}", cap)
@@ -683,18 +695,23 @@ def nearest_integer(x: DyadicInterval) -> tuple[int, DyadicInterval]:
     Requires width < 1/4; raises AmbiguousRounding when x straddles (or
     touches) a half-integer, in which case the caller refines and retries.
     """
-    if not (x.width() < Dyadic(1, -2)):
+    lo, hi = x.lo, x.hi
+    # endpoints as integer multiples of 2**e; e <= -2 puts 1/4 on the grid
+    e = min(lo.exp, hi.exp, -2)
+    a = lo.man << (lo.exp - e)
+    b = hi.man << (hi.exp - e)
+    q = -e  # 1 == 2**q grid steps
+    if b - a >= 1 << (q - 2):
         raise WidthTooLarge("interval wider than 1/4")
-    t_lo = x.lo + HALF
-    t_hi = x.hi + HALF
-    if t_lo.is_integer() or t_hi.is_integer():
+    half = 1 << (q - 1)
+    mask = (1 << q) - 1
+    if not (a + half) & mask or not (b + half) & mask:
         raise AmbiguousRounding("endpoint lies exactly on a half-integer")
-    n_lo = t_lo.floor_int()
-    n_hi = t_hi.floor_int()
-    if n_lo != n_hi:
+    n = (a + half) >> q
+    if n != (b + half) >> q:
         raise AmbiguousRounding("interval straddles a half-integer")
-    d = Dyadic(n_lo)
-    return n_lo, DyadicInterval(x.lo - d, x.hi - d)
+    step = n << q
+    return n, DyadicInterval(Dyadic(a - step, e), Dyadic(b - step, e))
 
 
 # ---------------------------------------------------------------------------

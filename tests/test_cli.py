@@ -196,6 +196,35 @@ class TestCommands:
         assert code == cli.EXIT_USAGE
         assert "M_max must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [
+        ["--samples", "5"],
+        ["--seed", "3"],
+        ["--samples", "1", "--seed", "3"],
+    ], ids=["samples", "seed", "both"])
+    def test_extend_beta_rejects_sampling_flags(self, tmp_path, capsys,
+                                                 extra):
+        rec = tmp_path / "c.rec"
+        cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "10",
+                  "--out", str(rec)])
+        code = cli.main(["extend", str(rec), "--k", "1",
+                         "--beta", "root(3,2)-1"] + extra)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert "--samples and --seed" in captured.err
+
+    def test_extend_samples_default_one(self, tmp_path, capsys):
+        rec = tmp_path / "c.rec"
+        cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "10",
+                  "--out", str(rec)])
+        capsys.readouterr()
+        code = cli.main(["extend", str(rec), "--k", "1", "--seed", "2",
+                         "--format", "machine"])
+        assert code == cli.EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert data["samples"] == 1
+        assert len(data["match_horizons"]) == 1
+
     # sha256 of two JSON reports: reorganising the extension layer must
     # keep its output bytes
     @pytest.mark.parametrize("argv,digest", [

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bachain import enumerator
 from bachain.enumerator import (
     brute_force_oracle,
     canonical_shell_tails,
@@ -123,6 +124,26 @@ class TestOracle:
         a = enumerate_chain(sqrt2_form, 50)
         b = brute_force_oracle(sqrt2_form, 50)
         assert [(r.m, r.M) for r in a.records] == [(r.m, r.M) for r in b.records]
+
+    def test_independent_of_scan_kernel(self, monkeypatch):
+        # the cross-check is worthless if the oracle runs the enumerator's
+        # residual kernel, so it must work with that kernel unavailable
+        def alphas():
+            return (parse_expr("root(7,2)"), parse_expr("root(11,3)"))
+
+        want = enumerate_chain(LinearForm(alphas()), 12)
+
+        def unavailable(*args, **kwargs):
+            raise AssertionError("scan kernel reached")
+
+        monkeypatch.setattr(enumerator, "scaled_dot", unavailable)
+        monkeypatch.setattr(enumerator, "scaled_constants", unavailable)
+        with pytest.raises(AssertionError, match="scan kernel reached"):
+            enumerate_chain(LinearForm(alphas()), 12)
+        got = brute_force_oracle(LinearForm(alphas()), 12)
+        assert [(r.index, r.m, r.M) for r in got.records] == \
+            [(r.index, r.m, r.M) for r in want.records]
+        assert len(got.records) >= 4
 
 
 class TestContinuedFractions:

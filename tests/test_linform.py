@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bachain.cli import parse_expr
 from bachain.errors import DependenceSuspected
 from bachain.linform import (
     LinearForm,
@@ -13,7 +14,14 @@ from bachain.linform import (
     scaled_dot,
     zeta,
 )
-from bachain.realnum import Dyadic, rational, root
+from bachain.realnum import (
+    PRECISION_CAP,
+    Dyadic,
+    DyadicInterval,
+    eval_interval,
+    rational,
+    root,
+)
 from conftest import sqrt_digits
 
 
@@ -67,7 +75,7 @@ class TestZeta:
 
     def test_width_scales_with_coefficients(self, sqrt2):
         iv = zeta((0, 1000), sqrt2, 40)
-        assert iv.width().as_fraction() <= Fraction(1001, 2 ** 40)
+        assert (iv.hi - iv.lo).as_fraction() <= Fraction(1001, 2 ** 40)
 
 
 class TestScaledKernel:
@@ -181,3 +189,36 @@ def test_zeta_subadditive_enclosures(t1, t2):
     iv_total = zeta(total, form, p)
     assert iv_sum.lo <= iv_total.lo
     assert iv_total.hi <= iv_sum.hi
+
+
+# --- the DyadicInterval chain that the exact-sum zeta replaced --------------
+
+
+def _zeta_reference(m, form, precision, cap=PRECISION_CAP):
+    total = DyadicInterval.point(m[0])
+    for coeff, alpha in zip(m[1:], form.alphas):
+        if coeff:
+            total = total + eval_interval(alpha, precision, cap).mul_int(coeff)
+    return total
+
+
+# enclosure endpoints of mixed exponents: roots rounded to the 2**-w grid,
+# a quotient, and roots that are exactly an integer (2) or a dyadic (3/4)
+_ALPHA_TEXTS = ("root(2,2)", "root(3,3)/5", "(1+root(5,2))/2", "root(4,2)",
+                "root(9/16,2)")
+
+
+@given(st.lists(st.sampled_from(_ALPHA_TEXTS), min_size=1, max_size=3),
+       st.integers(min_value=-(1 << 40), max_value=1 << 40),
+       st.lists(st.integers(min_value=-300, max_value=300),
+                min_size=3, max_size=3),
+       st.integers(min_value=1, max_value=140),
+       st.sampled_from([200, PRECISION_CAP]))
+@settings(max_examples=150, deadline=None)
+def test_zeta_matches_interval_chain(texts, m0, coeffs, precision, cap):
+    form = LinearForm(tuple(parse_expr(t) for t in texts))
+    m = (m0,) + tuple(coeffs[:form.r])
+    got = zeta(m, form, precision, cap)
+    want = _zeta_reference(m, form, precision, cap)
+    assert (got.lo.man, got.lo.exp) == (want.lo.man, want.lo.exp)
+    assert (got.hi.man, got.hi.exp) == (want.hi.man, want.hi.exp)

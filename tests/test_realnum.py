@@ -13,6 +13,7 @@ from bachain.errors import (
 from bachain.realnum import (
     GREATER,
     LESS,
+    PRECISION_CAP,
     Dyadic,
     DyadicInterval,
     Undecided,
@@ -29,6 +30,8 @@ from bachain.realnum import (
     rational,
     root,
 )
+from bachain import realnum
+from bachain.cli import parse_expr
 from conftest import cbrt_digits, sqrt_digits
 
 
@@ -228,6 +231,152 @@ class TestNearestInteger:
     def test_too_wide(self):
         with pytest.raises(WidthTooLarge):
             nearest_integer(self._iv(0, 1))
+
+
+class TestEnclosureMemo:
+    """eval_interval memoises per node under (precision, cap)."""
+
+    TEXT = "root(2,2) + root(3,3)"
+
+    @pytest.mark.parametrize("capped_first", [True, False])
+    def test_key_includes_cap(self, capped_first):
+        # cap 100 climbs 64, 100 and cap 2^16 climbs 64, 128: rung 64 is
+        # too coarse for width 2^-72, so the two answers differ
+        want = {cap: eval_interval(parse_expr(self.TEXT), 72, cap=cap)
+                for cap in (100, PRECISION_CAP)}
+        assert want[100] != want[PRECISION_CAP]
+        e = parse_expr(self.TEXT)
+        caps = [100, PRECISION_CAP]
+        if not capped_first:
+            caps.reverse()
+        for cap in caps + caps:
+            if cap == PRECISION_CAP:
+                assert eval_interval(e, 72) == want[cap]
+            else:
+                assert eval_interval(e, 72, cap=cap) == want[cap]
+        assert set(e._enclosures) == {(72, 100), (72, PRECISION_CAP)}
+
+    def test_repeat_call_skips_the_ladder(self, monkeypatch):
+        e = parse_expr(self.TEXT)
+        first = eval_interval(e, 90)
+
+        def no_climb(expr, w):
+            raise AssertionError("memoised enclosure re-evaluated")
+
+        monkeypatch.setattr(realnum, "_eval_at", no_climb)
+        assert eval_interval(e, 90) is first
+
+    def test_fresh_tree_starts_empty(self):
+        eval_interval(parse_expr(self.TEXT), 40)
+        e = parse_expr(self.TEXT)
+        stack = [e]
+        while stack:
+            node = stack.pop()
+            assert node._enclosures == {}
+            stack.extend(node.children)
+        eval_interval(e, 40)
+        assert set(e._enclosures) == {(40, PRECISION_CAP)}
+
+
+# --- the Dyadic-object formulations the integer fast paths replaced ---------
+
+
+def _lt_aligned(a: Dyadic, b: Dyadic) -> bool:
+    x, y, _ = a._aligned(b)
+    return x < y
+
+
+def _le_aligned(a: Dyadic, b: Dyadic) -> bool:
+    x, y, _ = a._aligned(b)
+    return x <= y
+
+
+def _nearest_integer_reference(x: DyadicInterval):
+    if not _lt_aligned(x.hi - x.lo, Dyadic(1, -2)):
+        raise WidthTooLarge("interval wider than 1/4")
+    half = Dyadic(1, -1)
+    t_lo = x.lo + half
+    t_hi = x.hi + half
+    if t_lo.is_integer() or t_hi.is_integer():
+        raise AmbiguousRounding("endpoint lies exactly on a half-integer")
+    n_lo = t_lo.floor_int()
+    n_hi = t_hi.floor_int()
+    if n_lo != n_hi:
+        raise AmbiguousRounding("interval straddles a half-integer")
+    d = Dyadic(n_lo)
+    return n_lo, DyadicInterval(x.lo - d, x.hi - d)
+
+
+def _outcome(fn, x):
+    """Result with exact endpoints, or the exception's type and text."""
+    try:
+        n, res = fn(x)
+    except (WidthTooLarge, AmbiguousRounding) as exc:
+        return type(exc), str(exc)
+    return n, (res.lo.man, res.lo.exp), (res.hi.man, res.hi.exp)
+
+
+_dyadics = st.builds(Dyadic, st.integers(min_value=-(1 << 70),
+                                         max_value=1 << 70),
+                     st.integers(min_value=-90, max_value=8))
+_anchors = st.one_of(
+    _dyadics,
+    st.builds(Dyadic, st.integers(min_value=-40, max_value=40)),  # integers
+    st.integers(min_value=-40, max_value=40).map(            # half-integers
+        lambda k: Dyadic(2 * k + 1, -1)),
+    st.integers(min_value=-160, max_value=160).map(          # quarter grid
+        lambda k: Dyadic(k, -2)),
+)
+_widths = st.one_of(
+    st.just(Dyadic(1, -2)),                                  # exactly 1/4
+    st.just(Dyadic(0)),
+    st.builds(Dyadic, st.integers(min_value=1, max_value=1 << 40),
+              st.integers(min_value=-90, max_value=-1)),
+    st.integers(min_value=1, max_value=1 << 20).map(         # just below 1/4
+        lambda k: Dyadic((1 << 40) - k, -42)),
+)
+
+
+@st.composite
+def _intervals(draw):
+    anchor, width = draw(_anchors), draw(_widths)
+    if draw(st.booleans()):
+        return DyadicInterval(anchor, anchor + width)
+    return DyadicInterval(anchor - width, anchor)
+
+
+@given(_intervals())
+@settings(max_examples=400, deadline=None)
+def test_nearest_integer_matches_dyadic_formulation(x):
+    assert _outcome(nearest_integer, x) == \
+        _outcome(_nearest_integer_reference, x)
+
+
+@pytest.mark.parametrize("lo,hi,expected", [
+    (Dyadic(3, -1), Dyadic(13, -3), AmbiguousRounding),      # on 3/2
+    (Dyadic(0), Dyadic(1, -2), WidthTooLarge),                # width 1/4
+    (Dyadic(1, -1), Dyadic(3, -2), WidthTooLarge),            # both at once
+    (Dyadic(5), Dyadic(5), None),                             # integer point
+    (Dyadic(7, -4), Dyadic(9, -4), AmbiguousRounding),        # across 1/2
+    (Dyadic(-1, -3), Dyadic(1, -4), None),                    # across 0
+])
+def test_nearest_integer_edge_cases(lo, hi, expected):
+    x = DyadicInterval(lo, hi)
+    got = _outcome(nearest_integer, x)
+    assert got == _outcome(_nearest_integer_reference, x)
+    if expected is None:
+        assert isinstance(got[0], int)
+    else:
+        assert got[0] is expected
+
+
+@given(_anchors, _anchors)
+@settings(max_examples=300, deadline=None)
+def test_comparisons_match_aligned(a, b):
+    assert (a < b) == _lt_aligned(a, b)
+    assert (a <= b) == _le_aligned(a, b)
+    assert (a > b) == _lt_aligned(b, a)
+    assert (a >= b) == _le_aligned(b, a)
 
 
 class TestLn:
