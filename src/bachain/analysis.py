@@ -26,6 +26,8 @@ from .realnum import (
     DyadicInterval,
     ln_interval,
     pow_rational,
+    precision_ladder,
+    working_limit,
 )
 
 PASS = "pass"
@@ -35,6 +37,13 @@ UNDECIDED = "undecided"
 
 #: Checks that are theorems about every chain: a failure fails the build.
 THEOREM_CHECKS = ("monotonic", "minkowski", "growth", "polytope")
+
+#: Every name ``run_checks`` accepts in its ``selected`` set.
+CHECK_NAMES = THEOREM_CHECKS + ("determinants", "ranks", "psi", "series")
+
+#: Working precision, in bits, of psi values and logarithms: the series
+#: sums are computed at it, and the psi test starts its ladder there.
+CHECK_PRECISION = 96
 
 
 @dataclass(frozen=True)
@@ -169,23 +178,6 @@ def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def det_cofactor(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by first-row cofactor expansion; the slow
-    cross-check twin of det_bareiss."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j, coeff in enumerate(rows[0]):
-        if coeff == 0:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        total += (-1) ** j * coeff * det_cofactor(minor)
-    return total
 
 
 def window_matrix(chain: BAChain, nu: int) -> list[tuple[int, ...]]:
@@ -329,7 +321,8 @@ class PsiSpec:
             return 3  # needs log y > 1
         return 1
 
-    def value(self, y: int, precision: int = 96) -> DyadicInterval:
+    def value(self, y: int,
+              precision: int = CHECK_PRECISION) -> DyadicInterval:
         """Certified enclosure of psi(y) for integer y >= y_min."""
         if y < self.y_min:
             raise DomainError(f"psi undefined below y = {self.y_min}")
@@ -366,8 +359,7 @@ class PsiSpec:
                 f"(log log y)^(1+{self.eps}))")
 
 
-def check_psi_singular(chain: BAChain, psi: PsiSpec,
-                       precision: int = 96) -> Verdict:
+def check_psi_singular(chain: BAChain, psi: PsiSpec) -> Verdict:
     """zeta_nu <= psi(M_{nu+1}) for every applicable nu.
 
     Most chains fail this: singularity at a prescribed rate is a property
@@ -382,8 +374,8 @@ def check_psi_singular(chain: BAChain, psi: PsiSpec,
         if y < psi.y_min:
             skipped += 1
             continue
-        p = precision
-        while True:
+        for p in precision_ladder(CHECK_PRECISION,
+                                  working_limit(PRECISION_CAP)):
             psi_iv = psi.value(y, p)
             if rec.zeta.hi <= psi_iv.lo:
                 break  # certified pass at this index
@@ -392,18 +384,16 @@ def check_psi_singular(chain: BAChain, psi: PsiSpec,
                                margin=psi_iv,
                                detail=f"zeta_{rec.index} > psi({y}) certified; "
                                       f"{psi.describe()}")
-            if p >= PRECISION_CAP // 2:
-                return Verdict("psi-singular", UNDECIDED,
-                               witness_index=rec.index,
-                               detail="enclosures never separated")
-            p *= 2
+        else:
+            return Verdict("psi-singular", UNDECIDED,
+                           witness_index=rec.index,
+                           detail="enclosures never separated")
     note = f"{skipped} index(es) below y_min skipped; " if skipped else ""
     return Verdict("psi-singular", PASS,
                    detail=note + psi.describe())
 
 
-def series_partial_sums(chain: BAChain, k: int,
-                        precision: int = 96) -> list[DyadicInterval]:
+def series_partial_sums(chain: BAChain, k: int) -> list[DyadicInterval]:
     """Certified partial sums S_N of the convergence diagnostic series
     sum_nu M_{nu+1}**(r+k) * (log M_{nu+1})**delta_k * zeta_nu.
 
@@ -421,7 +411,7 @@ def series_partial_sums(chain: BAChain, k: int,
     for rec, nxt in zip(chain.records, chain.records[1:]):
         term = rec.zeta.mul_int(nxt.M ** (r + k))
         if delta_k:
-            term = term * ln_interval(nxt.M, precision)
+            term = term * ln_interval(nxt.M, CHECK_PRECISION)
         total = total + term
         sums.append(total)
     return sums
@@ -502,6 +492,10 @@ def run_checks(chain: BAChain, psi: Optional[PsiSpec] = None,
                selected: Optional[set[str]] = None) -> ChainReport:
     """Run the selected checks (default: all applicable) and collect the
     evidence tables."""
+    unknown = sorted(set(selected or ()) - set(CHECK_NAMES))
+    if unknown:
+        raise ValueError(f"unknown check(s) {', '.join(unknown)}; "
+                         f"choose from {','.join(CHECK_NAMES)}")
     report = ChainReport()
 
     def wanted(name: str) -> bool:

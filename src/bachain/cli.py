@@ -240,32 +240,44 @@ def parse_chain(text: str) -> BAChain:
 # ---------------------------------------------------------------------------
 
 
+#: Keys each psi family accepts, with their defaults ("" for required).
+_PSI_KEYS = {
+    "power": {"r": "1", "k": "1", "coeff": "1", "exp": "0"},
+    "log": {"r": "", "k": "1", "eps": "1/10"},
+    "loglog": {"r": "", "k": "1", "eps": "1/10"},
+}
+
+
 def parse_psi(text: str) -> analysis.PsiSpec:
     """Parse 'family:key=value,...', e.g. 'log:r=2,k=1,eps=1/10' or
     'power:r=1,coeff=1/2,exp=1'."""
     if ":" not in text:
         raise ValueError("psi spec must look like family:key=value,...")
     family, _, rest = text.partition(":")
-    kv = {}
+    keys = _PSI_KEYS.get(family)
+    if keys is None:
+        raise ValueError(f"unknown psi family {family!r}")
+    kv = {key: val for key, val in keys.items() if val}
     for part in rest.split(","):
         if not part:
             continue
-        key, _, val = part.partition("=")
-        kv[key.strip()] = val.strip()
-
-    def frac(s: str) -> Fraction:
-        return Fraction(s)
-
-    if family == "power":
-        return analysis.PsiSpec(
-            family="power", r=int(kv.get("r", "1")), k=int(kv.get("k", "1")),
-            coeff=frac(kv.get("coeff", "1")),
-            power_exp=frac(kv.get("exp", "0")))
-    if family in ("log", "loglog"):
-        return analysis.PsiSpec(
-            family=family, r=int(kv["r"]), k=int(kv.get("k", "1")),
-            eps=frac(kv.get("eps", "1/10")))
-    raise ValueError(f"unknown psi family {family!r}")
+        key, _, val = (s.strip() for s in part.partition("="))
+        if key not in keys:
+            raise ValueError(f"unknown psi key {key!r} for family {family!r}; "
+                             f"expected {', '.join(keys)}")
+        kv[key] = val
+    try:
+        if family == "power":
+            return analysis.PsiSpec(
+                family="power", r=int(kv["r"]), k=int(kv["k"]),
+                coeff=Fraction(kv["coeff"]), power_exp=Fraction(kv["exp"]))
+        return analysis.PsiSpec(family=family, r=int(kv["r"]),
+                                k=int(kv["k"]), eps=Fraction(kv["eps"]))
+    except KeyError as exc:
+        raise ValueError(f"psi family {family!r} needs {exc.args[0]}") \
+            from None
+    except ZeroDivisionError:
+        raise ValueError(f"psi spec {text!r} divides by zero") from None
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +357,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     with open(args.chain) as fh:
         chain = parse_chain(fh.read())
     psi = parse_psi(args.psi) if args.psi else None
-    selected = set(args.checks.split(",")) if args.checks else None
+    selected = ({c for c in args.checks.split(",") if c}
+                if args.checks else None)
     report = analysis.run_checks(chain, psi=psi, series_k=args.k,
                                  selected=selected)
     if args.format == "machine":

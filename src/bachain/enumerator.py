@@ -36,8 +36,7 @@ from .realnum import (
     Dyadic,
     DyadicInterval,
     RealExpr,
-    _Inconclusive,
-    _eval_at,
+    enclosures,
     precision_ladder,
     working_limit,
 )
@@ -378,16 +377,12 @@ def cf_convergents(alpha: RealExpr, count: int,
     w = START_PRECISION
     for step in range(count):
         # each step resumes at the rung the previous one certified on
-        for w in precision_ladder(w, cap):
-            try:
-                iv = _eval_at(alpha, w)
-                num = iv.mul_int(a).add_int(b)
-                den = iv.mul_int(c).add_int(d)
-                quot = num.divide(den, w)
-            except _Inconclusive:
-                continue
-            n = quot.lo.floor_int()
-            if n == quot.hi.floor_int() and not quot.hi.is_integer():
+        for w, iv in enclosures(alpha, w, cap):
+            den = iv.mul_int(c).add_int(d)
+            if den.sign() is None:
+                continue  # the divisor straddles zero at this rung
+            n = iv.mul_int(a).add_int(b).divide(den, w).certified_floor()
+            if n is not None:
                 break
         else:
             raise PrecisionExhausted(

@@ -38,10 +38,7 @@ from .realnum import (
     Dyadic,
     DyadicInterval,
     RealExpr,
-    _eval_at,
-    _Inconclusive,
-    _root_down,
-    _root_up,
+    enclosures,
     precision_ladder,
     rational,
     root,
@@ -169,21 +166,16 @@ def _primes() -> Iterator[int]:
 
 
 def _certified_floor(expr: RealExpr, cap: int = PRECISION_CAP) -> int:
-    for w in precision_ladder(START_PRECISION, cap):
-        try:
-            iv = _eval_at(expr, w)
-        except _Inconclusive:
-            continue
-        f_lo = iv.lo.floor_int()
-        if f_lo == iv.hi.floor_int() and not iv.hi.is_integer():
-            return f_lo
+    for _, iv in enclosures(expr, START_PRECISION, cap):
+        n = iv.certified_floor()
+        if n is not None:
+            return n
     raise PrecisionExhausted("floor does not certify", cap)
 
 
 def _certify_unit_interval(expr: RealExpr, cap: int) -> None:
     """Refine until the enclosure lies strictly inside (0, 1)."""
-    for w in precision_ladder(START_PRECISION, cap):
-        iv = _eval_at(expr, w)
+    for _, iv in enclosures(expr, START_PRECISION, cap):
         if iv.lo.man > 0 and iv.hi < Dyadic(1):
             return
     raise PrecisionExhausted(
@@ -384,11 +376,9 @@ def lattice_inv_norm_sum(M: int, k: int, budget: int = DEFAULT_BUDGET
                 lo_terms.append(term)
                 hi_terms.append(term)
             else:
-                d = Dyadic(n)
-                r_lo = _root_down(d, 2, LATTICE_BITS)
-                r_hi = _root_up(d, 2, LATTICE_BITS)
-                lo_terms.append(1 / r_hi.as_fraction())
-                hi_terms.append(1 / r_lo.as_fraction())
+                rt = DyadicInterval.point(n).nth_root(2, LATTICE_BITS)
+                lo_terms.append(1 / rt.hi.as_fraction())
+                hi_terms.append(1 / rt.lo.as_fraction())
     # canonical tails cover one of each +-pair
     return 2 * _tree_sum(lo_terms), 2 * _tree_sum(hi_terms)
 

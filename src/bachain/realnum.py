@@ -7,10 +7,11 @@ are guaranteed to contain the exact value; all rounding is outward, so a
 decided sign or comparison is a certificate, never a float artifact.
 
 Refinement climbs a fixed doubling ladder of working precisions
-64, 128, 256, ... bits (``precision_ladder``).  Because dyadic grids nest,
-the interval computed at a higher working precision is always contained in
-the one computed at a lower precision, which makes every certificate
-monotone under refinement.
+64, 128, 256, ... bits (``precision_ladder``); ``enclosures`` walks it for
+one expression and skips the rungs that cannot evaluate it.  Because
+dyadic grids nest, the interval computed at a higher working precision is
+always contained in the one computed at a lower precision, which makes
+every certificate monotone under refinement.
 """
 
 from __future__ import annotations
@@ -275,6 +276,16 @@ class DyadicInterval:
             return s >= 0
         return w.man.bit_length() <= s
 
+    def certified_floor(self) -> Optional[int]:
+        """floor of every point, or None when the interval reaches an
+        integer above its lower floor; an exact-integer upper endpoint
+        counts as reaching it, so a possibly rational value never
+        certifies."""
+        n = self.lo.floor_int()
+        if n == self.hi.floor_int() and not self.hi.is_integer():
+            return n
+        return None
+
     def sign(self) -> Optional[int]:
         """+1 or -1 when the interval is sign-definite, 0 for the exact
         zero point, None when undecided."""
@@ -366,11 +377,14 @@ class DyadicInterval:
             raise ValueError("root index must be >= 2")
         if self.hi.man < 0:
             raise DomainError("negative radicand")
-        lo = self.lo if self.lo.man > 0 else ZERO
-        return DyadicInterval(
-            _root_down(lo, n, p),
-            _root_up(self.hi if self.hi.man > 0 else ZERO, n, p),
-        )
+        # radicand endpoints on the 2**-(n*p) grid, whose n-th roots land
+        # on the 2**-p grid; the integer roots round down and up
+        lo = self.lo.floor_scaled(n * p) if self.lo.man > 0 else 0
+        hi = self.hi.ceil_scaled(n * p) if self.hi.man > 0 else 0
+        r_lo = iroot_floor(lo, n)
+        # a radicand that is one grid point needs only one integer root
+        r_hi = iroot_ceil(hi, n) if hi != lo else r_lo + (r_lo ** n != lo)
+        return DyadicInterval(Dyadic(r_lo, -p), Dyadic(r_hi, -p))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DyadicInterval):
@@ -382,20 +396,6 @@ class DyadicInterval:
 
     def __repr__(self) -> str:
         return f"DyadicInterval({float(self.lo):.6g}, {float(self.hi):.6g})"
-
-
-def _root_down(d: Dyadic, n: int, p: int) -> Dyadic:
-    """Largest multiple of 2**-p that is <= d**(1/n), for d >= 0."""
-    if d.man == 0:
-        return ZERO
-    return Dyadic(iroot_floor(d.floor_scaled(n * p), n), -p)
-
-
-def _root_up(d: Dyadic, n: int, p: int) -> Dyadic:
-    """Smallest multiple of 2**-p that is >= d**(1/n), for d >= 0."""
-    if d.man == 0:
-        return ZERO
-    return Dyadic(iroot_ceil(d.ceil_scaled(n * p), n), -p)
 
 
 class _Inconclusive(Exception):
@@ -560,11 +560,7 @@ def _certify_nonnegative(expr: RealExpr, cap: int) -> None:
         if exact < 0:
             raise DomainError("radicand is negative")
         return
-    for w in precision_ladder(min(START_PRECISION, cap), cap):
-        try:
-            iv = _eval_at(expr, w)
-        except _Inconclusive:
-            continue
+    for _, iv in enclosures(expr, min(START_PRECISION, cap), cap):
         if iv.lo.man >= 0:
             return
         if iv.hi.man < 0:
@@ -578,11 +574,7 @@ def _certify_nonzero(expr: RealExpr, cap: int) -> None:
         if exact == 0:
             raise DomainError("denominator is exactly zero")
         return
-    for w in precision_ladder(min(START_PRECISION, cap), cap):
-        try:
-            iv = _eval_at(expr, w)
-        except _Inconclusive:
-            continue
+    for _, iv in enclosures(expr, min(START_PRECISION, cap), cap):
         if iv.sign() in (1, -1):
             return
     raise PrecisionExhausted("cannot certify denominator != 0", cap)
@@ -623,6 +615,23 @@ def _eval_at(expr: RealExpr, w: int) -> DyadicInterval:
     return iv
 
 
+def enclosures(expr: RealExpr, start: int,
+               limit: int) -> Iterator[tuple[int, DyadicInterval]]:
+    """(w, enclosure at working precision w) for each rung of
+    ``precision_ladder(start, limit)`` whose evaluation is conclusive.
+
+    A rung that cannot certify a fact the evaluation needs (a divisor's
+    sign) is skipped: it only asks for more precision.  This is the one
+    place that decides what an inconclusive rung means.
+    """
+    for w in precision_ladder(start, limit):
+        try:
+            iv = _eval_at(expr, w)
+        except _Inconclusive:
+            continue
+        yield w, iv
+
+
 def eval_interval(expr: RealExpr, precision: int,
                   cap: int = PRECISION_CAP) -> DyadicInterval:
     """Certified enclosure of the exact value with width <= 2**-precision.
@@ -639,11 +648,7 @@ def eval_interval(expr: RealExpr, precision: int,
     iv = expr._enclosures.get(key)
     if iv is not None:
         return iv
-    for w in precision_ladder(min(START_PRECISION, cap), cap):
-        try:
-            iv = _eval_at(expr, w)
-        except _Inconclusive:
-            continue
+    for _, iv in enclosures(expr, min(START_PRECISION, cap), cap):
         if iv.width_le(precision):
             expr._enclosures[key] = iv
             return iv
@@ -675,18 +680,14 @@ def compare(a: RealExpr, b: RealExpr,
     precision budget (equal values can never separate)."""
     if max_precision < 1:
         raise ValueError("max_precision must be positive")
-    for w in precision_ladder(min(START_PRECISION, max_precision),
-                              max_precision):
-        try:
-            ia = _eval_at(a, w)
-            ib = _eval_at(b, w)
-        except _Inconclusive:
-            continue
-        if ia.hi < ib.lo:
-            return LESS
-        if ib.hi < ia.lo:
-            return GREATER
-    return Undecided(w)
+    # a - b encloses as [a.lo - b.hi, a.hi - b.lo]: sign-definite exactly
+    # when the two enclosures are disjoint
+    for _, iv in enclosures(a - b, min(START_PRECISION, max_precision),
+                            max_precision):
+        s = iv.sign()
+        if s in (LESS, GREATER):
+            return s
+    return Undecided(max_precision)
 
 
 def nearest_integer(x: DyadicInterval) -> tuple[int, DyadicInterval]:

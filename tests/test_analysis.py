@@ -11,6 +11,20 @@ from bachain.linform import LinearForm, tail_norm
 from bachain.realnum import Dyadic, DyadicInterval, root
 
 
+def det_cofactor(rows):
+    """Exact determinant by first-row cofactor expansion: the slow,
+    independent reference for det_bareiss."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for j, coeff in enumerate(rows[0]):
+        if coeff:
+            minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
+            total += (-1) ** j * coeff * det_cofactor(minor)
+    return total
+
+
 def make_chain(form, rows, search_bound=None):
     """Synthetic chain: rows of (vector, zeta_lo, zeta_hi) fractions."""
     records = []
@@ -103,7 +117,7 @@ class TestGrowth:
 class TestDeterminants:
     def test_identity_stub(self):
         assert an.det_bareiss([(1, 0), (0, 1)]) == 1
-        assert an.det_cofactor([(1, 0), (0, 1)]) == 1
+        assert det_cofactor([(1, 0), (0, 1)]) == 1
 
     def test_r1_alternation(self, r1_chains_10k):
         for chain in r1_chains_10k.values():
@@ -116,7 +130,7 @@ class TestDeterminants:
         chain = cbrt_pair_chain_200
         for nu in range(1, len(chain.records) - 1):
             rows = an.window_matrix(chain, nu)
-            assert an.det_bareiss(rows) == an.det_cofactor(rows)
+            assert an.det_bareiss(rows) == det_cofactor(rows)
 
     def test_window_out_of_range(self, sqrt2_chain):
         with pytest.raises(ChainTooShort):
@@ -129,7 +143,7 @@ class TestDeterminants:
             min_size=n, max_size=n)))
     @settings(max_examples=120)
     def test_bareiss_equals_cofactor(self, rows):
-        assert an.det_bareiss(rows) == an.det_cofactor(rows)
+        assert an.det_bareiss(rows) == det_cofactor(rows)
 
 
 class TestTailRank:
@@ -218,6 +232,26 @@ class TestPsi:
                 1 / (mpmath.mpf(50) ** 4
                      * mpmath.log(mpmath.log(50)) ** mpmath.mpf("1.1")))
         assert iv.lo.as_fraction() <= oracle <= iv.hi.as_fraction()
+
+    def test_undecided_after_the_top_rung(self, r1_form, monkeypatch):
+        # psi = 83/200 lies inside zeta_1's enclosure, so no rung decides
+        rows = [((-1, 1), "0.41", "0.42"), ((3, -2), "0.17", "0.172")]
+        chain = make_chain(r1_form, rows)
+        psi = an.PsiSpec(family="power", r=1, coeff=Fraction(83, 200),
+                         power_exp=Fraction(0))
+        rungs = []
+        value = an.PsiSpec.value
+
+        def spy(self, y, precision=an.CHECK_PRECISION):
+            rungs.append(precision)
+            return value(self, y, precision)
+
+        monkeypatch.setattr(an.PsiSpec, "value", spy)
+        verdict = an.check_psi_singular(chain, psi)
+        assert verdict.status == an.UNDECIDED
+        assert verdict.witness_index == 1
+        assert rungs == [96 << i for i in range(9)] + [32768]
+        assert rungs[-2] == 24576
 
     def test_domain_limits(self):
         spec = an.PsiSpec(family="loglog", r=2, k=1, eps=Fraction(1, 10))

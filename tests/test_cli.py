@@ -269,6 +269,23 @@ class TestCommands:
             cli.main(argv)
         assert info.value.code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("extra", [
+        ["--psi", "log:k=1"],
+        ["--psi", "log:r=1,eps=1/0"],
+        ["--psi", "log:r=1,zz=3"],
+        ["--checks", "monotnic"],
+    ], ids=["psi-without-r", "psi-divides-by-zero", "psi-unknown-key",
+            "unknown-check"])
+    def test_verify_malformed_input(self, tmp_path, capsys, extra):
+        rec = tmp_path / "c.rec"
+        cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "5",
+                  "--out", str(rec)])
+        capsys.readouterr()
+        assert cli.main(["verify", str(rec)] + extra) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_report_pretty_prints_chain(self, tmp_path, capsys):
         rec = tmp_path / "c.rec"
         cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "12",

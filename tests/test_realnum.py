@@ -19,6 +19,7 @@ from bachain.realnum import (
     Undecided,
     compare,
     dyadic_from_fraction,
+    enclosures,
     eval_interval,
     expr_to_text,
     iroot_ceil,
@@ -32,6 +33,7 @@ from bachain.realnum import (
 )
 from bachain import realnum
 from bachain.cli import parse_expr
+from bachain.enumerator import cf_convergents
 from conftest import cbrt_digits, sqrt_digits
 
 
@@ -124,6 +126,47 @@ def test_precision_ladder(start, limit, rungs):
     assert list(precision_ladder(start, limit)) == rungs
 
 
+class TestEnclosures:
+    def test_skips_an_inconclusive_rung(self):
+        # a sqrt(2) convergent so close that root(2) - p/q straddles zero
+        # at 64 bits: the quotient cannot be evaluated on that rung
+        p, q = next((p, q) for p, q in cf_convergents(root(2), 40)
+                    if q > 1 << 34)
+        den = root(2) - rational(p, q)
+        [(w, iv)] = enclosures(den, 64, 64)
+        assert w == 64 and iv.sign() is None
+        e = 1 / den
+        got = list(enclosures(e, 64, 1024))
+        assert [w for w, _ in got] == [128, 256, 512, 1024]
+        with mpmath.workprec(2048):
+            value = 1 / (mpmath.sqrt(2) - mpmath.mpf(p) / q)
+            for _, iv in got:
+                assert iv.lo.as_fraction() <= mpf_to_fraction(value) \
+                    <= iv.hi.as_fraction()
+
+    def test_rungs_follow_the_ladder(self):
+        assert [w for w, _ in enclosures(root(3), 70, 300)] == \
+            [70, 140, 280, 300]
+
+
+class TestCertifiedFloor:
+    @pytest.mark.parametrize("lo,hi,expected", [
+        # integer endpoints: only a lower one certifies
+        (Fraction(3), Fraction(7, 2), 3),
+        (Fraction(5, 2), Fraction(3), None),
+        (Fraction(3), Fraction(3), None),
+        (Fraction(-2), Fraction(-2), None),
+        # near-integer intervals on either side
+        (3 - Fraction(1, 2 ** 80), 3 - Fraction(1, 2 ** 81), 2),
+        (3 + Fraction(1, 2 ** 81), 3 + Fraction(1, 2 ** 80), 3),
+        (3 - Fraction(1, 2 ** 80), 3 + Fraction(1, 2 ** 80), None),
+        (Fraction(-3, 2), Fraction(-5, 4), -2),
+    ])
+    def test_cases(self, lo, hi, expected):
+        iv = DyadicInterval.from_fractions(lo, hi, 100)
+        assert iv.certified_floor() == expected
+
+
 class TestIroot:
     @pytest.mark.parametrize("n,k", [(0, 2), (1, 5), (26, 3), (27, 3),
                                      (28, 3), (10 ** 30, 7)])
@@ -132,6 +175,17 @@ class TestIroot:
         assert f ** k <= n < (f + 1) ** k
         c = iroot_ceil(n, k)
         assert (c - 1) ** k < n <= c ** k or (n == 0 and c == 0)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("d", [Dyadic(2), Dyadic(49), Dyadic(243),
+                               Dyadic(9, -6), Dyadic(1, -7)])
+def test_nth_root_of_a_point(d, k):
+    # a one-point radicand takes its upper root from the lower one
+    p = 40
+    iv = DyadicInterval.point(d).nth_root(k, p)
+    assert iv.lo == Dyadic(iroot_floor(d.floor_scaled(k * p), k), -p)
+    assert iv.hi == Dyadic(iroot_ceil(d.ceil_scaled(k * p), k), -p)
 
 
 class TestEval:
