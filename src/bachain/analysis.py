@@ -155,29 +155,38 @@ def check_growth(chain: BAChain) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
+def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Rank and signed last pivot of an integer matrix by fraction-free
+    (Bareiss) elimination; for a square matrix of full rank the pivot is
+    the determinant.  Each division is exact, since every entry below the
+    pivot rows is a minor of the input, and a column without a pivot is
+    zero in every remaining row, so skipping it keeps that so."""
+    m = [list(row) for row in rows]
+    rank, sign, prev = 0, 1, 1
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
+        top = m[rank]
+        for row in m[rank + 1:]:
+            f = row[col]
+            for j in range(col + 1, len(row)):
+                row[j] = (row[j] * top[col] - f * top[j]) // prev
+        prev = top[col]
+        rank += 1
+    return rank, sign * prev
+
+
 def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of an integer matrix by fraction-free elimination."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    m = [list(row) for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    rank, det = _eliminate(rows)
+    return det if rank == n else 0
 
 
 def window_matrix(chain: BAChain, nu: int) -> list[tuple[int, ...]]:
@@ -202,29 +211,8 @@ def determinant(chain: BAChain, nu: int) -> int:
 
 
 def rank_rational(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals by exact Gaussian elimination."""
-    work = [[Fraction(x) for x in row] for row in rows if any(row)]
-    if not work:
-        return 0
-    cols = len(work[0])
-    rank = 0
-    row = 0
-    for col in range(cols):
-        pivot = next((i for i in range(row, len(work)) if work[i][col] != 0),
-                     None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        p = work[row][col]
-        for i in range(row + 1, len(work)):
-            f = work[i][col] / p
-            if f:
-                work[i] = [a - f * b for a, b in zip(work[i], work[row])]
-        rank += 1
-        row += 1
-        if row == len(work):
-            break
-    return rank
+    """Rank over the rationals of an integer matrix, computed exactly."""
+    return _eliminate(rows)[0]
 
 
 def tail_rank(chain: BAChain, nu_0: int) -> int:

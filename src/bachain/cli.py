@@ -66,6 +66,11 @@ REPORT_MAGIC = "bachain-report v1"
 _TOKEN_RE = re.compile(r"\s*(\d+|root|[()+\-*/,])")
 
 
+#: Most levels of the tree one constant expression may build; deeper
+#: input is a usage error, never a recursion overflow.
+MAX_EXPR_DEPTH = 100
+
+
 class ExprSyntaxError(ValueError):
     pass
 
@@ -87,7 +92,14 @@ def _tokenize(text: str) -> list[str]:
 
 def parse_expr(text: str) -> RealExpr:
     """Parse the constant grammar: integers, + - * /, parentheses, and
-    root(x, n) for the n-th root of x."""
+    root(x, n) for the n-th root of x.
+
+    The tree built may be at most MAX_EXPR_DEPTH nodes high, and brackets,
+    roots and minus signs may nest at most MAX_EXPR_DEPTH + 1 deep, so
+    nothing recurses past the bound.  The extra level is the bracket that
+    ``expr_to_text`` puts around a negative fraction, so every accepted
+    tree reads back from its own text.
+    """
     tokens = _tokenize(text)
     pos = 0
 
@@ -104,65 +116,77 @@ def parse_expr(text: str) -> RealExpr:
         pos += 1
         return tok
 
-    def parse_sum() -> RealExpr:
-        node = parse_product()
+    def check(levels: int, bound: int = MAX_EXPR_DEPTH) -> int:
+        if levels > bound:
+            raise ExprSyntaxError(
+                f"expression nests deeper than {MAX_EXPR_DEPTH} levels")
+        return levels
+
+    def opened(nest: int) -> int:
+        return check(nest + 1, MAX_EXPR_DEPTH + 1)
+
+    # Each parser takes the number of brackets, roots and minus signs open
+    # around it and returns its node with the node's height.
+    def parse_sum(nest: int) -> tuple[RealExpr, int]:
+        node, height = parse_product(nest)
         while peek() in ("+", "-"):
             op = take()
-            rhs = parse_product()
+            rhs, rhs_height = parse_product(nest)
+            height = check(1 + max(height, rhs_height))
             node = node + rhs if op == "+" else node - rhs
-        return node
+        return node, height
 
-    def parse_product() -> RealExpr:
-        node = parse_unary()
+    def parse_product(nest: int) -> tuple[RealExpr, int]:
+        node, height = parse_unary(nest)
         while peek() in ("*", "/"):
             op = take()
-            rhs = parse_unary()
-            if op == "*":
-                node = node * rhs
-            elif node.is_rational_literal() and rhs.is_rational_literal():
+            rhs, rhs_height = parse_unary(nest)
+            if op == "/" and node.is_rational_literal() \
+                    and rhs.is_rational_literal():
                 # fold so that literals like 1/2 or -3/7 round-trip as
                 # single rational nodes
                 if rhs.value == 0:
                     raise ExprSyntaxError("division by zero")
-                node = rational(node.value / rhs.value)
-            else:
-                node = node / rhs
-        return node
+                node, height = rational(node.value / rhs.value), 1
+                continue
+            height = check(1 + max(height, rhs_height))
+            node = node * rhs if op == "*" else node / rhs
+        return node, height
 
-    def parse_unary() -> RealExpr:
+    def parse_unary(nest: int) -> tuple[RealExpr, int]:
         if peek() == "-":
             take()
-            inner = parse_unary()
+            inner, height = parse_unary(opened(nest))
             if inner.is_rational_literal():
-                return rational(-inner.value)
-            return -inner
-        return parse_atom()
+                return rational(-inner.value), 1
+            return -inner, check(height + 1)
+        return parse_atom(nest)
 
-    def parse_atom() -> RealExpr:
+    def parse_atom(nest: int) -> tuple[RealExpr, int]:
         tok = peek()
         if tok is None:
             raise ExprSyntaxError("unexpected end of expression")
         if tok == "(":
             take()
-            node = parse_sum()
+            node, height = parse_sum(opened(nest))
             take(")")
-            return node
+            return node, height
         if tok == "root":
             take()
             take("(")
-            radicand = parse_sum()
+            radicand, height = parse_sum(opened(nest))
             take(",")
             index = take()
             if not index.isdigit():
                 raise ExprSyntaxError("root index must be an integer")
             take(")")
-            return root(radicand, int(index))
+            return root(radicand, int(index)), check(height + 1)
         if tok.isdigit():
             take()
-            return rational(int(tok))
+            return rational(int(tok)), 1
         raise ExprSyntaxError(f"unexpected token {tok!r}")
 
-    node = parse_sum()
+    node, _ = parse_sum(0)
     if pos != len(tokens):
         raise ExprSyntaxError(f"trailing input from token {tokens[pos]!r}")
     return node
@@ -336,19 +360,15 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    try:
-        alphas = tuple(parse_expr(a) for a in args.alpha)
-        form = LinearForm(alphas)
-        # one scan visits one tail per +-pair of the nonzero box points
-        tails = ((2 * args.max_norm + 1) ** form.r - 1) // 2
-        if tails > args.budget:
-            raise SearchTooLarge(
-                f"scan to max-norm {args.max_norm} in dimension {form.r} "
-                f"visits {tails} tails > budget {args.budget}")
-        chain = enumerate_chain(form, args.max_norm, cap=args.precision_cap)
-    except ExprSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    alphas = tuple(parse_expr(a) for a in args.alpha)
+    form = LinearForm(alphas)
+    # one scan visits one tail per +-pair of the nonzero box points
+    tails = ((2 * args.max_norm + 1) ** form.r - 1) // 2
+    if tails > args.budget:
+        raise SearchTooLarge(
+            f"scan to max-norm {args.max_norm} in dimension {form.r} "
+            f"visits {tails} tails > budget {args.budget}")
+    chain = enumerate_chain(form, args.max_norm, cap=args.precision_cap)
     _emit(serialize_chain(chain, args.precision_cap), args.out)
     return EXIT_OK
 
@@ -376,13 +396,10 @@ def cmd_extend(args: argparse.Namespace) -> int:
     m_max = chain.search_bound if args.max_norm is None else args.max_norm
     if args.beta:
         if args.samples is not None or args.seed is not None:
-            print("error: --samples and --seed apply only to sampled runs, "
-                  "not to --beta", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--samples and --seed apply only to sampled "
+                             "runs, not to --beta")
         if len(args.beta) != args.k:
-            print(f"error: expected {args.k} --beta expressions",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"expected {args.k} --beta expressions")
         values = tuple(parse_expr(b) for b in args.beta)
         beta = BetaSample(values=values, seed=None,
                           recipe="explicit: " + ", ".join(args.beta))
@@ -448,8 +465,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     elif stripped.startswith(REPORT_MAGIC):
         _emit(text, args.out)
     else:
-        print("error: unrecognized file format", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("unrecognized file format")
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ the classical r = 1 ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, islice, product
 from typing import Iterator, Optional
 
 from .errors import DependenceSuspected, PrecisionExhausted
@@ -358,9 +358,8 @@ def _tighten_decrease(records: list[BestApprox], form: LinearForm,
 # ---------------------------------------------------------------------------
 
 
-def cf_convergents(alpha: RealExpr, count: int,
-                   cap: int = PRECISION_CAP) -> list[tuple[int, int]]:
-    """First ``count`` continued-fraction convergents p/q of alpha.
+def _convergents(alpha: RealExpr, cap: int) -> Iterator[tuple[int, int]]:
+    """Continued-fraction convergents p/q of alpha, in order, without end.
 
     Gauss-map steps are tracked exactly through an integer Moebius state
     x_i = (a*alpha + b) / (c*alpha + d); each partial quotient is the
@@ -368,14 +367,11 @@ def cf_convergents(alpha: RealExpr, count: int,
     alpha.  A floor that never certifies (a rational alpha) raises
     PrecisionExhausted.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
     a, b, c, d = 1, 0, 0, 1
-    convergents: list[tuple[int, int]] = []
     p_prev, p_curr = 0, 1  # seeds p_{-2} = 0, p_{-1} = 1
     q_prev, q_curr = 1, 0  # seeds q_{-2} = 1, q_{-1} = 0
     w = START_PRECISION
-    for step in range(count):
+    for step in count():
         # each step resumes at the rung the previous one certified on
         for w, iv in enclosures(alpha, w, cap):
             den = iv.mul_int(c).add_int(d)
@@ -392,24 +388,27 @@ def cf_convergents(alpha: RealExpr, count: int,
             raise AssertionError("partial quotients must be positive")
         p_prev, p_curr = p_curr, n * p_curr + p_prev
         q_prev, q_curr = q_curr, n * q_curr + q_prev
-        convergents.append((p_curr, q_curr))
+        yield p_curr, q_curr
         a, b, c, d = c, d, a - n * c, b - n * d
-    return convergents
+
+
+def cf_convergents(alpha: RealExpr, count: int,
+                   cap: int = PRECISION_CAP) -> list[tuple[int, int]]:
+    """First ``count`` continued-fraction convergents p/q of alpha."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    return list(islice(_convergents(alpha, cap), count))
 
 
 def convergent_denominators(alpha: RealExpr, up_to: int,
                             cap: int = PRECISION_CAP) -> list[int]:
     """Distinct convergent denominators <= up_to, in order.  These are the
     r = 1 best-approximation norms (the duplicate q = 1 that appears when
-    the first partial quotient is 1 collapses to a single entry)."""
+    the first partial quotient is 1 collapses to a single entry).  The
+    stream ends because positive partial quotients make q grow at least
+    like the Fibonacci numbers."""
     qs: list[int] = []
-    count = 4
-    while True:
-        convs = cf_convergents(alpha, count, cap)
-        if convs[-1][1] > up_to or count > 4 * up_to.bit_length() + 64:
-            break
-        count *= 2
-    for _, q in convs:
+    for _, q in _convergents(alpha, cap):
         if q > up_to:
             break
         if not qs or q > qs[-1]:

@@ -73,11 +73,17 @@ class ExperimentConfig:
     budget: int = DEFAULT_BUDGET
 
 
+#: Keys a config may give once each; ``alpha`` is the one that repeats.
+_CONFIG_KEYS = ("version", "k", "samples", "seed", "max-norm",
+                "precision-cap", "budget")
+
+
 def load_experiment_config(text: str) -> ExperimentConfig:
     """Parse the line-oriented ``key value`` config format ('#' comments).
 
     Required keys: version (must be 1), alpha (repeatable), k, samples,
-    seed, max-norm.  Optional: precision-cap, budget.
+    seed, max-norm.  Optional: precision-cap, budget.  An unknown key, or
+    any key but alpha given twice, is an error.
     """
     fields: dict = {"alpha": []}
     for raw in text.splitlines():
@@ -90,6 +96,10 @@ def load_experiment_config(text: str) -> ExperimentConfig:
             raise ValueError(f"config line needs a value: {raw!r}")
         if key == "alpha":
             fields["alpha"].append(value)
+        elif key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+        elif key in fields:
+            raise ValueError(f"config key {key!r} given twice")
         else:
             fields[key] = value
     try:
@@ -187,33 +197,22 @@ def sample_betas(form: LinearForm, k: int, seed: int,
     """Seeded constants b_i = frac(u_i * sqrt(p_i)) with rational u_i and
     distinct primes p_i.
 
-    The primes avoid every prime factor of a square-root radicand already
-    present in the form, so a sample can never be trivially dependent on
-    the base constants.
+    A prime is skipped when it divides a square-root radicand greater
+    than 1 already present in the form, so a sample can never be
+    trivially dependent on the base constants.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     rng = random.Random(seed)
-    avoid: set[int] = set()
-    for alpha in form.alphas:
-        for rad in alpha.square_root_radicands():
-            d = 2
-            n = rad
-            while d * d <= n:
-                while n % d == 0:
-                    avoid.add(d)
-                    n //= d
-                d += 1
-            if n > 1:
-                avoid.add(n)
+    radicands = [rad for alpha in form.alphas
+                 for rad in alpha.square_root_radicands() if rad > 1]
     values = []
     picked = []
     gen = _primes()
     while len(values) < k:
         p = next(gen)
-        if p in avoid:
+        if any(rad % p == 0 for rad in radicands):
             continue
-        avoid.add(p)
         u = Fraction(2 * rng.randrange(1, 1 << 20) + 1, 1 << 21)
         x = rational(u) * root(p)
         beta = x - rational(_certified_floor(x, cap))

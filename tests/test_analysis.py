@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bachain import analysis as an
 from bachain.enumerator import BAChain, BestApprox
@@ -23,6 +23,39 @@ def det_cofactor(rows):
             minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
             total += (-1) ** j * coeff * det_cofactor(minor)
     return total
+
+
+def rank_fraction(rows):
+    """Rank by Gaussian elimination over Fraction: the independent
+    reference for rank_rational."""
+    work = [[Fraction(x) for x in row] for row in rows if any(row)]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(rank, len(work)) if work[i][col]),
+                     None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for i in range(rank + 1, len(work)):
+            f = work[i][col] / work[rank][col]
+            work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def low_rank_matrices(draw, rows=st.integers(0, 7), cols=st.integers(1, 5)):
+    """Integer products A*B with n rows, c columns and an inner dimension
+    drawn from 0..c, so that many are rank-deficient; n = 0 gives the
+    matrix with no rows."""
+    n = draw(rows)
+    c = draw(cols)
+    inner = draw(st.integers(0, c))
+    entry = st.integers(min_value=-5, max_value=5)
+    a = [[draw(entry) for _ in range(inner)] for _ in range(n)]
+    b = [[draw(entry) for _ in range(c)] for _ in range(inner)]
+    return [[sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(c)]
+            for i in range(n)]
 
 
 def make_chain(form, rows, search_bound=None):
@@ -136,12 +169,16 @@ class TestDeterminants:
         with pytest.raises(ChainTooShort):
             an.determinant(sqrt2_chain, len(sqrt2_chain.records))
 
-    @given(st.integers(min_value=1, max_value=4).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(min_value=-30, max_value=30),
+    @given(st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.one_of(
+            st.lists(st.lists(st.integers(min_value=-30, max_value=30),
+                              min_size=n, max_size=n),
                      min_size=n, max_size=n),
-            min_size=n, max_size=n)))
-    @settings(max_examples=120)
+            low_rank_matrices(st.just(n), st.just(n)))))
+    @example([[0, 1], [1, 0]])
+    @example([[0, 0, 1], [0, 2, 0], [3, 0, 0]])
+    @example([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+    @settings(max_examples=200)
     def test_bareiss_equals_cofactor(self, rows):
         assert an.det_bareiss(rows) == det_cofactor(rows)
 
@@ -158,6 +195,14 @@ class TestTailRank:
         ranks = [an.tail_rank(cbrt_pair_chain_200, nu0)
                  for nu0 in range(1, len(cbrt_pair_chain_200.records) + 1)]
         assert all(a >= b for a, b in zip(ranks, ranks[1:]))
+
+    @given(low_rank_matrices())
+    @example([])
+    @example([[0, 0, 0], [1, 2, 3], [0, 0, 0], [2, 4, 6]])
+    @example([[0, 1, 0], [0, 0, 1], [0, 2, 3]])
+    @settings(max_examples=300)
+    def test_rank_matches_fraction_elimination(self, rows):
+        assert an.rank_rational(rows) == rank_fraction(rows)
 
     def test_zero_column_preserves_rank(self, sqrt2_chain):
         rows = [rec.m for rec in sqrt2_chain.records]

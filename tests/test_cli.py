@@ -9,6 +9,17 @@ from bachain.enumerator import enumerate_chain
 from bachain.realnum import expr_to_text, root
 
 
+DEPTH = cli.MAX_EXPR_DEPTH
+
+#: Constant expressions far deeper than MAX_EXPR_DEPTH, one per shape that
+#: used to overflow the interpreter stack.
+DEEP_SHAPES = {
+    "brackets": "(" * 300 + "root(2,2)" + ")" * 300,
+    "minus-signs": "-" * 2000 + "root(2,2)",
+    "sum-chain": "1+" * 1500 + "root(2,2)",
+}
+
+
 class TestExprParser:
     @pytest.mark.parametrize("text,value", [
         ("3", Fraction(3)),
@@ -36,6 +47,27 @@ class TestExprParser:
     def test_division_by_zero_literal(self):
         with pytest.raises(cli.ExprSyntaxError):
             cli.parse_expr("1/0")
+
+    # trees exactly DEPTH high whose deepest leaf is a negative fraction
+    # (expr_to_text brackets it), and the deepest bracket nesting accepted
+    @pytest.mark.parametrize("text", [
+        "-3/7" + "+1" * (DEPTH - 1),
+        "1+(" * (DEPTH - 1) + "-3/7" + ")" * (DEPTH - 1),
+        "root(" * (DEPTH - 2) + "2+-3/7" + ",2)" * (DEPTH - 2),
+        "(" * (DEPTH + 1) + "1" + ")" * (DEPTH + 1),
+    ], ids=["left-chain", "right-chain", "roots", "brackets"])
+    def test_depth_bound_accepted_and_round_trips(self, text):
+        e = cli.parse_expr(text)
+        assert cli.parse_expr(expr_to_text(e)) == e
+
+    @pytest.mark.parametrize("text", [
+        "1" + "+1" * DEPTH,
+        "-" * (DEPTH + 2) + "1",
+        "(" * (DEPTH + 2) + "1" + ")" * (DEPTH + 2),
+    ], ids=["chain", "minus-signs", "brackets"])
+    def test_depth_bound_exceeded(self, text):
+        with pytest.raises(cli.ExprSyntaxError, match="nests deeper"):
+            cli.parse_expr(text)
 
     def test_round_trip_fixture_expressions(self):
         for text in ["root(2,2)", "(1+root(5,2))/2 - 1", "root(5,2)-2",
@@ -294,6 +326,35 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == cli.EXIT_OK
         assert "alpha[1] = root(2, 2)" in out
+
+    @pytest.mark.parametrize("shape", list(DEEP_SHAPES), ids=list(DEEP_SHAPES))
+    def test_enumerate_deep_expression_is_usage_error(self, capsys, shape):
+        code = cli.main(["enumerate", "--alpha=" + DEEP_SHAPES[shape],
+                         "--max-norm", "5"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "extend", "report"])
+    @pytest.mark.parametrize("shape", list(DEEP_SHAPES), ids=list(DEEP_SHAPES))
+    def test_deep_alpha_header_is_usage_error(self, tmp_path, capsys, shape,
+                                              command):
+        rec = tmp_path / "c.rec"
+        cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "5",
+                  "--out", str(rec)])
+        text = rec.read_text()
+        assert "# alpha root(2, 2)\n" in text
+        rec.write_text(text.replace("# alpha root(2, 2)\n",
+                                    f"# alpha {DEEP_SHAPES[shape]}\n"))
+        capsys.readouterr()
+        extra = ["--k", "1", "--seed", "1"] if command == "extend" else []
+        code = cli.main([command, str(rec)] + extra)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
 
     def test_report_unknown_format(self, tmp_path, capsys):
         f = tmp_path / "x"

@@ -296,6 +296,15 @@ budget 500000
             ext.load_experiment_config(
                 self.CONFIG.replace("version 1", "version 2"))
 
+    @pytest.mark.parametrize("line", ["budgett 10", "precision_cap 64"])
+    def test_unknown_key_rejected(self, line):
+        with pytest.raises(ValueError, match=line.split()[0]):
+            ext.load_experiment_config(self.CONFIG + line + "\n")
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ValueError, match="'seed'"):
+            ext.load_experiment_config(self.CONFIG + "seed 9\n")
+
 
 class TestMonteCarlo:
     def test_deterministic(self, sqrt2_form):
