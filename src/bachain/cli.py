@@ -374,11 +374,16 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    with open(args.chain) as fh:
-        chain = parse_chain(fh.read())
-    psi = parse_psi(args.psi) if args.psi else None
     selected = ({c for c in args.checks.split(",") if c}
                 if args.checks else None)
+    # with --checks, --psi and --k come exactly with the checks they feed
+    for check, flag, value in (("psi", "--psi", args.psi),
+                               ("series", "--k", args.k)):
+        if selected is not None and (value is None) == (check in selected):
+            raise ValueError(f"--checks {check} and {flag} go together")
+    with open(args.chain) as fh:
+        chain = parse_chain(fh.read())
+    psi = None if args.psi is None else parse_psi(args.psi)
     report = analysis.run_checks(chain, psi=psi, series_k=args.k,
                                  selected=selected)
     if args.format == "machine":

@@ -25,10 +25,10 @@ from .linform import (
     LinearForm,
     abs_bounds,
     best_m0,
+    form_values,
     scaled_constants,
     scaled_dot,
     tail_norm,
-    zeta,
 )
 from .realnum import (
     PRECISION_CAP,
@@ -243,114 +243,98 @@ def enumerate_chain(form: LinearForm, M_max: int,
 # ---------------------------------------------------------------------------
 
 
+class _Candidate:
+    """One tail's full vector (m_0, tail), its signed form-value enclosure
+    with the enclosure's absolute value, and the rung of the form-value
+    ladder that enclosure came from."""
+
+    __slots__ = ("m", "value", "size", "rung")
+
+    def __init__(self, tail: tuple[int, ...], form: LinearForm, cap: int):
+        m0, self.value, self.rung = best_m0(tail, form, cap)
+        self.size = self.value.abs()
+        self.m = (m0,) + tail
+
+    def refine(self, form: LinearForm, cap: int) -> bool:
+        """Climb to the next rung above the candidate's own; the enclosure
+        only narrows.  False when the candidate already holds the top."""
+        w, value = next(form_values(self.m, form, 2 * self.rung, cap))
+        if w <= self.rung:
+            return False
+        self.rung, self.value, self.size = w, value, value.abs()
+        return True
+
+
 def brute_force_oracle(form: LinearForm, M_max: int,
                        cap: int = PRECISION_CAP) -> BAChain:
     """Same contract as enumerate_chain, computed independently.
 
     Every canonical tail's residual is evaluated through the interval API
-    (per-tail precision refinement, no shared scan state), shell minima are
-    selected by certified comparison with on-demand re-refinement, and the
-    global minimum at every norm level is recomputed from the stored shell
-    minima.  Intended for tests at small M_max.
+    (``best_m0`` per tail, no shared scan state), shell minima are
+    selected by certified comparison, and the global minimum at every norm
+    level is recomputed from the stored shell minima.  A comparison or a
+    sign that the enclosures cannot decide refines the candidates
+    involved, each climbing from its own rung, so enclosures only narrow
+    and every decision taken stays certified by the final ones, which
+    the records carry.  Intended for tests at small M_max.
     """
     if M_max < 1:
         raise ValueError("M_max must be >= 1")
-    r = form.r
 
     # per-shell argmin, each tail evaluated from scratch
-    shell_minima: list[dict] = []
+    shell_minima: list[_Candidate] = []
     for M in range(1, M_max + 1):
-        entries = []
-        for tail in canonical_shell_tails(r, M):
-            m0, residual = best_m0(tail, form, cap)
-            entries.append({"tail": tail, "m0": m0, "abs": residual.abs(),
-                            "residual": residual})
-        best = entries[0]
-        for cand in entries[1:]:
-            best = _min_by_abs(best, cand, form, cap)
+        best = None
+        for tail in canonical_shell_tails(form.r, M):
+            cand = _Candidate(tail, form, cap)
+            best = cand if best is None else _smaller(best, cand, form, cap)
         shell_minima.append(best)
 
     # global minimum at every level, recomputed as an explicit prefix pass
-    records: list[BestApprox] = []
-    prev_best: Optional[dict] = None
+    found: list[tuple[int, _Candidate]] = []
     for level in range(1, M_max + 1):
-        global_best = shell_minima[0]
-        for i in range(1, level):
-            global_best = _min_by_abs(global_best, shell_minima[i], form, cap)
-        if prev_best is not None and global_best["tail"] == prev_best["tail"]:
-            prev_best = global_best
+        best = shell_minima[0]
+        for cand in shell_minima[1:level]:
+            best = _smaller(best, cand, form, cap)
+        if found and found[-1][1] is best:
             continue
-        entry = global_best
-        if tail_norm(entry["tail"]) != level:
+        if tail_norm(best.m[1:]) != level:
             raise AssertionError("oracle: new global minimum off its shell")
-        for w in precision_ladder(START_PRECISION, working_limit(cap)):
-            if w > START_PRECISION:  # the stored residual stands for rung 1
-                _re_abs(entry, form, w, cap)
-            residual = entry["residual"]
-            if residual.sign() in (1, -1):
-                break
-        else:
-            raise DependenceSuspected(
-                f"oracle: sign of tail {entry['tail']} undecidable",
-                witness=entry["tail"])
-        if residual.sign() == 1:
-            m = (entry["m0"],) + entry["tail"]
-            z = residual
-        else:
-            m = (-entry["m0"],) + tuple(-c for c in entry["tail"])
-            z = -residual
-        records.append(BestApprox(index=len(records) + 1, m=m,
-                                  M=level, zeta=z))
-        prev_best = global_best
+        while best.value.sign() not in (1, -1):
+            if not best.refine(form, cap):
+                raise DependenceSuspected(
+                    f"oracle: sign of tail {best.m[1:]} undecidable",
+                    witness=best.m[1:])
+        found.append((level, best))
 
-    # the chain invariants need certified strict decrease between records
-    tightened = _tighten_decrease(records, form, cap)
-    return BAChain(form=form, records=tuple(tightened),
+    records = []
+    for index, (level, cand) in enumerate(found, start=1):
+        s = cand.value.sign()  # +-1, certified above; narrowing keeps it
+        records.append(BestApprox(
+            index=index, m=tuple(s * c for c in cand.m), M=level,
+            zeta=cand.value if s == 1 else -cand.value))
+    for prev, rec in zip(records, records[1:]):
+        if not rec.zeta.hi < prev.zeta.lo:
+            raise AssertionError("oracle: consecutive records do not separate")
+    return BAChain(form=form, records=tuple(records),
                    search_bound=M_max, precision_used=PRECISION_CAP)
 
 
-def _min_by_abs(a: dict, b: dict, form: LinearForm, cap: int) -> dict:
-    """Certified argmin of two residual entries, refining on demand."""
-    ia, ib = a["abs"], b["abs"]
-    for w in precision_ladder(START_PRECISION, working_limit(cap)):
-        if w > START_PRECISION:  # the stored enclosures stand for rung 1
-            ia = _re_abs(a, form, w, cap)
-            ib = _re_abs(b, form, w, cap)
-        if ia.hi < ib.lo:
+def _smaller(a: _Candidate, b: _Candidate, form: LinearForm,
+             cap: int) -> _Candidate:
+    """Certified argmin of |form value| over two candidates, refining
+    both until their enclosures separate."""
+    while True:
+        if a.size.hi < b.size.lo:
             return a
-        if ib.hi < ia.lo:
+        if b.size.hi < a.size.lo:
             return b
-    raise DependenceSuspected(
-        f"oracle: residual tie between {a['tail']} and {b['tail']}",
-        witness=(a["tail"], b["tail"]))
-
-
-def _re_abs(entry: dict, form: LinearForm, w: int, cap: int) -> DyadicInterval:
-    value = zeta((entry["m0"],) + entry["tail"], form, w, cap)
-    entry["abs"] = value.abs()
-    entry["residual"] = value
-    return entry["abs"]
-
-
-def _tighten_decrease(records: list[BestApprox], form: LinearForm,
-                      cap: int) -> list[BestApprox]:
-    """Re-evaluate record values until consecutive enclosures are disjoint."""
-    out = list(records)
-    for i in range(1, len(out)):
-        for w in precision_ladder(START_PRECISION, working_limit(cap)):
-            if w > START_PRECISION:  # the stored values stand for rung 1
-                for j in (i - 1, i):
-                    rec = out[j]
-                    iv = zeta(rec.m, form, w, cap)
-                    out[j] = BestApprox(index=rec.index, m=rec.m, M=rec.M,
-                                        zeta=iv)
-            if out[i].zeta.hi < out[i - 1].zeta.lo:
-                break
-        else:
+        climbed_a = a.refine(form, cap)
+        climbed_b = b.refine(form, cap)
+        if not (climbed_a or climbed_b):
             raise DependenceSuspected(
-                "oracle: consecutive records do not separate",
-                witness=(out[i - 1].m, out[i].m))
-    return out
+                f"oracle: residual tie between {a.m[1:]} and {b.m[1:]}",
+                witness=(a.m[1:], b.m[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,17 @@
 
 A form of dimension r carries constants (a_1, ..., a_r); an integer vector
 m = (m_0, m_1, ..., m_r) has form value m_0 + m_1*a_1 + ... + m_r*a_r.
-This module evaluates form values, picks the optimal free coefficient m_0
-for a given tail, applies the positive-value sign normalization, and holds
-the scaled-integer residual kernel that both exhaustive scans (the chain
-enumerator and the degeneracy criterion) run per tail.
+This module evaluates form values and climbs the one ladder over them,
+picks the optimal free coefficient m_0 for a given tail, applies the
+positive-value sign normalization, and holds the scaled-integer residual
+kernel that both exhaustive scans (the chain enumerator and the
+degeneracy criterion) run per tail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     AmbiguousRounding,
@@ -90,10 +91,24 @@ def tail_norm(tail: Sequence[int]) -> int:
     return max(abs(c) for c in tail)
 
 
+def form_values(m: Sequence[int], form: LinearForm, start: int,
+                cap: int = PRECISION_CAP) -> Iterator[tuple[int, DyadicInterval]]:
+    """(w, zeta(m, form, w, cap)) for each rung w of the precision ladder
+    from start (clipped to the working limit) up to working_limit(cap).
+
+    Successive enclosures nest, so a caller that resumes from a rung it
+    already holds only ever narrows its enclosure.  This is the one ladder
+    over form values.
+    """
+    limit = working_limit(cap)
+    for w in precision_ladder(min(start, limit), limit):
+        yield w, zeta(m, form, w, cap)
+
+
 def best_m0(tail: Sequence[int], form: LinearForm,
-            cap: int = PRECISION_CAP) -> tuple[int, DyadicInterval]:
+            cap: int = PRECISION_CAP) -> tuple[int, DyadicInterval, int]:
     """Free coefficient minimizing |m_0 + sum tail_j*a_j|, with the signed
-    residual enclosure.
+    residual enclosure and the rung it was certified at.
 
     Refines until the nearest integer is unambiguous; an ambiguity that
     survives the cap means the fractional part sits exactly on 0 or 1/2,
@@ -103,12 +118,10 @@ def best_m0(tail: Sequence[int], form: LinearForm,
         raise ValueError(f"expected {form.r} tail coordinates, got {len(tail)}")
     if not any(tail):
         raise ValueError("tail must not be all zero")
-    limit = working_limit(cap)
-    start = min(START_PRECISION + sum(map(abs, tail)).bit_length(), limit)
-    m = (0,) + tuple(tail)
-    for w in precision_ladder(start, limit):
+    start = START_PRECISION + sum(map(abs, tail)).bit_length()
+    for w, value in form_values((0,) + tuple(tail), form, start, cap):
         try:
-            n, residual = nearest_integer(zeta(m, form, w, cap))
+            n, residual = nearest_integer(value)
         except (AmbiguousRounding, WidthTooLarge):
             continue
         if residual.sign() == 0:
@@ -116,7 +129,7 @@ def best_m0(tail: Sequence[int], form: LinearForm,
             raise DependenceSuspected(
                 f"tail {tuple(tail)} combines to an exact integer",
                 witness=tuple(tail))
-        return -n, residual
+        return -n, residual, w
     raise DependenceSuspected(
         f"residual of tail {tuple(tail)} cannot be rounded at "
         f"cap {cap}; exact 0 or 1/2 suspected",
@@ -127,8 +140,8 @@ def canonicalize_sign(m: Sequence[int], form: LinearForm,
                       cap: int = PRECISION_CAP) -> IntVector:
     """Return m or -m, whichever has a certified positive form value."""
     m = tuple(m)
-    for w in precision_ladder(START_PRECISION, working_limit(cap)):
-        s = zeta(m, form, w, cap).sign()
+    for _, value in form_values(m, form, START_PRECISION, cap):
+        s = value.sign()
         if s == 1:
             return m
         if s == -1:

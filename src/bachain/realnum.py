@@ -175,15 +175,16 @@ class Dyadic:
 
     @classmethod
     def from_hex(cls, text: str) -> "Dyadic":
-        s = text.strip()
-        neg = s.startswith("-")
-        if neg:
-            s = s[1:]
-        if not s.startswith("0x") or "p" not in s:
+        """Inverse of ``to_hex``.  Only the exact text it writes parses, so
+        a parsed value serializes back to the same bytes."""
+        try:
+            man_hex, exp_dec = text.replace("0x", "", 1).split("p")
+            d = cls(int(man_hex, 16), int(exp_dec))
+        except ValueError:
+            d = None
+        if d is None or d.to_hex() != text:
             raise ValueError(f"malformed dyadic literal: {text!r}")
-        man_hex, exp_dec = s[2:].split("p", 1)
-        man = int(man_hex, 16)
-        return cls(-man if neg else man, int(exp_dec))
+        return d
 
     def __repr__(self) -> str:
         return f"Dyadic({self.man}, {self.exp})"

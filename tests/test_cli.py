@@ -6,7 +6,7 @@ import pytest
 
 from bachain import cli
 from bachain.enumerator import enumerate_chain
-from bachain.realnum import expr_to_text, root
+from bachain.realnum import Dyadic, expr_to_text, root
 
 
 DEPTH = cli.MAX_EXPR_DEPTH
@@ -317,6 +317,91 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    # each flag asks for a check that the selection leaves out, or a
+    # selected check lacks the flag it reads
+    @pytest.mark.parametrize("extra,message", [
+        (["--psi", "power:r=1,coeff=1/2,exp=1", "--checks", "monotonic"],
+         "--checks psi and --psi go together"),
+        (["--k", "1", "--checks", "ranks"],
+         "--checks series and --k go together"),
+        (["--checks", "psi"], "--checks psi and --psi go together"),
+        (["--checks", "series"], "--checks series and --k go together"),
+    ], ids=["psi-unselected", "k-unselected", "psi-without-spec",
+            "series-without-k"])
+    def test_verify_flag_and_check_go_together(self, tmp_path, capsys, extra,
+                                               message):
+        rec = tmp_path / "c.rec"
+        cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "5",
+                  "--out", str(rec)])
+        capsys.readouterr()
+        assert cli.main(["verify", str(rec)] + extra) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_verify_selected_flag_checks_run(self, tmp_path, capsys):
+        rec = tmp_path / "c.rec"
+        cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "30",
+                  "--out", str(rec)])
+        capsys.readouterr()
+        cli.main(["verify", str(rec), "--checks", "psi,series", "--k", "1",
+                  "--psi", "power:r=1,coeff=1/2,exp=1", "--format", "machine"])
+        data = json.loads(capsys.readouterr().out)
+        assert set(data["verdicts"]) == {"psi-singular"}
+        assert data["series_k"] == 1
+        assert data["series_partial_sums"]
+        assert data["determinants"] == {} and data["tail_ranks"] == {}
+
+    # the same value as the record's lower endpoint, spelled otherwise
+    @pytest.mark.parametrize("respell", [
+        lambda h, e: f"0x{h}0p{e - 4}",
+        lambda h, e: f"0x{h[0]}_{h[1:]}p{e}",
+        lambda h, e: f"0x0{h}p{e}",
+        lambda h, e: f"0x{h.upper()}p{e}",
+    ], ids=["even-mantissa", "underscore", "leading-zero", "upper-case"])
+    @pytest.mark.parametrize("command", ["verify", "extend", "report"])
+    def test_noncanonical_dyadic_is_usage_error(self, tmp_path, capsys,
+                                                respell, command):
+        rec = tmp_path / "c.rec"
+        cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "5",
+                  "--out", str(rec)])
+        lines = rec.read_text().splitlines()
+        fields = lines[-1].split()
+        lo = Dyadic.from_hex(fields[4])
+        fields[4] = respell(f"{lo.man:x}", lo.exp)
+        man_hex, exp_dec = fields[4][2:].split("p")
+        assert Fraction(int(man_hex, 16)) * Fraction(2) ** int(exp_dec) \
+            == lo.as_fraction()
+        rec.write_text("\n".join(lines[:-1] + [" ".join(fields)]) + "\n")
+        capsys.readouterr()
+        extra = ["--k", "1", "--seed", "1"] if command == "extend" else []
+        assert cli.main([command, str(rec)] + extra) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed dyadic literal")
+
+    def test_leading_minus_constants(self, tmp_path, capsys):
+        # a value starting with "-" needs the --opt=VALUE form; with a space
+        # argparse takes it for an option
+        rec = tmp_path / "c.rec"
+        assert cli.main(["enumerate", "--alpha=-1+root(2,2)", "--max-norm",
+                         "30", "--out", str(rec)]) == cli.EXIT_OK
+        chain = cli.parse_chain(rec.read_text())
+        assert [r.M for r in chain.records] == [1, 2, 5, 12, 29]
+        capsys.readouterr()
+        outs = []
+        for beta in (["--beta=-1+root(3,2)"], ["--beta", "root(3,2)-1"]):
+            assert cli.main(["extend", str(rec), "--k", "1"] + beta) \
+                == cli.EXIT_OK
+            outs.append([ln for ln in capsys.readouterr().out.splitlines()
+                         if not ln.startswith("beta ")])
+        assert outs[0] == outs[1]
+        assert outs[0][2].startswith("criterion nu=1: fail")
+        with pytest.raises(SystemExit) as info:
+            cli.main(["enumerate", "--alpha", "-1+root(2,2)", "--max-norm",
+                      "5"])
+        assert info.value.code == cli.EXIT_USAGE
 
     def test_report_pretty_prints_chain(self, tmp_path, capsys):
         rec = tmp_path / "c.rec"

@@ -12,8 +12,15 @@ from bachain.enumerator import (
     enumerate_chain,
 )
 from bachain.errors import DependenceSuspected, PrecisionExhausted
-from bachain.linform import LinearForm, tail_norm
-from bachain.realnum import rational, root
+from bachain.linform import LinearForm, best_m0, tail_norm
+from bachain.realnum import (
+    PRECISION_CAP,
+    Dyadic,
+    DyadicInterval,
+    rational,
+    root,
+    working_limit,
+)
 from bachain.cli import parse_expr
 
 
@@ -144,6 +151,82 @@ class TestOracle:
         assert [(r.index, r.m, r.M) for r in got.records] == \
             [(r.index, r.m, r.M) for r in want.records]
         assert len(got.records) >= 4
+
+
+@pytest.fixture
+def climbs(monkeypatch):
+    """Counts the oracle's refinements by the rule that asked for them
+    (an argmin comparison or a record's sign), records the highest rung
+    reached, and checks that every climb goes up and only narrows."""
+    counts = {"argmin": 0, "sign": 0, "top": 0}
+    asking = ["sign"]
+    real_refine = enumerator._Candidate.refine
+    real_smaller = enumerator._smaller
+
+    def refine(cand, form, cap):
+        value, rung = cand.value, cand.rung
+        climbed = real_refine(cand, form, cap)
+        if climbed:
+            assert cand.rung > rung
+            assert value.lo <= cand.value.lo and cand.value.hi <= value.hi
+            counts[asking[-1]] += 1
+            counts["top"] = max(counts["top"], cand.rung)
+        return climbed
+
+    def smaller(*args):
+        asking.append("argmin")
+        try:
+            return real_smaller(*args)
+        finally:
+            asking.pop()
+
+    monkeypatch.setattr(enumerator._Candidate, "refine", refine)
+    monkeypatch.setattr(enumerator, "_smaller", smaller)
+    return counts
+
+
+def seed_coarse(monkeypatch, pad_exp):
+    """Start every oracle candidate from its rung's enclosure widened by
+    2**pad_exp on both sides: still an enclosure, but coarser than any
+    rung gives, so decisions must climb."""
+    pad = Dyadic(1, pad_exp)
+
+    def coarse(tail, form, cap=PRECISION_CAP):
+        m0, value, rung = best_m0(tail, form, cap)
+        return m0, DyadicInterval(value.lo - pad, value.hi + pad), rung
+
+    monkeypatch.setattr(enumerator, "best_m0", coarse)
+
+
+def records(chain):
+    return [(r.index, r.m, r.M) for r in chain.records]
+
+
+class TestOracleRefinement:
+    def test_argmin_climb(self, monkeypatch, climbs):
+        form = LinearForm((parse_expr("root(7,2)"), parse_expr("root(11,3)")))
+        want = records(enumerate_chain(form, 12))
+        seed_coarse(monkeypatch, -3)
+        assert records(brute_force_oracle(form, 12)) == want
+        assert climbs["argmin"] > 0
+
+    def test_sign_climb(self, monkeypatch, climbs):
+        # shell 1 holds the only tail of r = 1, so the first record's sign
+        # is decided before any comparison refines it
+        form = LinearForm((parse_expr("(1+root(5,2))/2 - 1"),))
+        want = records(enumerate_chain(form, 25))
+        seed_coarse(monkeypatch, -1)
+        assert records(brute_force_oracle(form, 25)) == want
+        assert climbs["sign"] > 0
+
+    def test_tie_at_cap(self, climbs):
+        # |1/3| and |2/3 - 1| tie exactly; 1/3 hides behind a root node
+        form = LinearForm((root(9) / 9,))
+        with pytest.raises(DependenceSuspected, match="tie") as info:
+            brute_force_oracle(form, 2, cap=2048)
+        assert info.value.witness == ((1,), (2,))
+        assert climbs["argmin"] > 0
+        assert climbs["top"] == working_limit(2048)
 
 
 class TestContinuedFractions:

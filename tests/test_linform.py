@@ -107,7 +107,7 @@ class TestBestM0:
         ((5,), -7, "0.0710", "0.0711"),
     ])
     def test_sqrt2_examples(self, sqrt2, tail, m0, res_lo, res_hi):
-        got_m0, residual = best_m0(tail, sqrt2)
+        got_m0, residual, _ = best_m0(tail, sqrt2)
         assert got_m0 == m0
         assert Fraction(res_lo) <= residual.lo.as_fraction()
         assert residual.hi.as_fraction() <= Fraction(res_hi)
@@ -155,7 +155,7 @@ _pair_tails = st.lists(st.integers(min_value=-20, max_value=20),
 @settings(max_examples=50, deadline=None)
 def test_residual_strictly_inside_half_unit(tail):
     form = LinearForm((root(2),))
-    _, residual = best_m0(tail, form)
+    _, residual, _ = best_m0(tail, form)
     assert residual.lo.as_fraction() > Fraction(-1, 2)
     assert residual.hi.as_fraction() < Fraction(1, 2)
 
@@ -164,7 +164,7 @@ def test_residual_strictly_inside_half_unit(tail):
 @settings(max_examples=50, deadline=None)
 def test_canonicalize_is_involution_on_pair(tail):
     form = LinearForm((root(2, 3), root(4, 3)))
-    m0, _ = best_m0(tail, form)
+    m0, _, _ = best_m0(tail, form)
     m = (m0,) + tail
     neg = tuple(-c for c in m)
     try:

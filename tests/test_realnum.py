@@ -92,6 +92,15 @@ class TestDyadic:
         with pytest.raises(ValueError):
             Dyadic.from_hex("1.5")
 
+    # each names a dyadic, but not in the text to_hex writes
+    @pytest.mark.parametrize("text", [
+        "0x-5p3", "0xap3", "0x5_0p3", "0x5p+3", "0x5p 3",
+        "0x05p3", "0x5Ap3", "0X5p3", "0x5p03", "0x5p-0", "-0x0p0",
+        " 0x5p3", "5p3"])
+    def test_from_hex_accepts_only_canonical_text(self, text):
+        with pytest.raises(ValueError, match="malformed dyadic literal"):
+            Dyadic.from_hex(text)
+
     def test_floor_ceil_int(self):
         assert Dyadic(7, -2).floor_int() == 1
         assert Dyadic(7, -2).ceil_int() == 2

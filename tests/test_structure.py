@@ -28,3 +28,51 @@ def test_detects_a_private_import(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("from .realnum import (\n    Dyadic,\n    _eval_at,\n)\n")
     assert private_realnum_imports(probe) == ["_eval_at"]
+
+
+#: The functions outside ``realnum`` that may climb the precision ladder
+#: themselves; every other refinement takes its rungs from
+#: ``realnum.enclosures`` or ``linform.form_values``.
+LADDER_SITES = {
+    ("linform.py", "form_values"),
+    ("enumerator.py", "enumerate_chain"),
+    ("extension.py", "degeneracy_criterion"),
+    ("analysis.py", "check_psi_singular"),
+}
+
+
+def ladder_calls(path: Path) -> list[str]:
+    """Names of the functions in ``path`` that call ``precision_ladder``
+    (``<module>`` for a call outside any function)."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if name == "precision_ladder":
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return found
+
+
+def test_precision_ladder_called_only_at_its_sites():
+    calls = {(p.name, fn) for p in SRC.glob("*.py") if p.name != "realnum.py"
+             for fn in ladder_calls(p)}
+    assert calls - LADDER_SITES == set()
+
+
+def test_detects_a_ladder_call(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(m):\n"
+                     "    def g():\n"
+                     "        return list(realnum.precision_ladder(64, 128))\n"
+                     "    return [w for w in precision_ladder(64, 128)]\n"
+                     "precision_ladder(1, 2)\n")
+    assert ladder_calls(probe) == ["g", "f", "<module>"]
