@@ -212,14 +212,28 @@ def serialize_chain(chain: BAChain, precision_cap: int = PRECISION_CAP) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Header keys whose value is one integer; each appears at most once.
+_INT_HEADERS = ("r", "search-bound", "precision-cap", "precision-used")
+
+
+def _parse_int(text: str) -> int:
+    """Only the text ``str`` writes for an integer parses, so a parsed
+    chain serializes back to the same bytes."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or str(value) != text:
+        raise ValueError(f"malformed integer: {text!r}")
+    return value
+
+
 def parse_chain(text: str) -> BAChain:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != CHAIN_MAGIC:
         raise ValueError(f"not a chain file (missing {CHAIN_MAGIC!r})")
-    r: Optional[int] = None
     alphas: list[RealExpr] = []
-    search_bound: Optional[int] = None
-    precision_used: Optional[int] = None
+    header: dict[str, int] = {}
     body: list[str] = []
     for ln in lines[1:]:
         if ln.startswith("#"):
@@ -228,19 +242,21 @@ def parse_chain(text: str) -> BAChain:
                 continue
             key = parts[0]
             val = parts[1] if len(parts) > 1 else ""
-            if key == "r":
-                r = int(val)
-            elif key == "alpha":
+            if key == "alpha":
                 alphas.append(parse_expr(val))
-            elif key == "search-bound":
-                search_bound = int(val)
-            elif key == "precision-used":
-                precision_used = int(val)
-            # precision-cap and unknown keys: provenance only
+            elif key in _INT_HEADERS:
+                if key in header:
+                    raise ValueError(f"chain header {key!r} given twice")
+                header[key] = _parse_int(val)
+            # unknown keys: provenance only
         else:
             body.append(ln)
-    if r is None or search_bound is None or precision_used is None:
-        raise ValueError("chain file header incomplete")
+    try:
+        r = header["r"]
+        search_bound = header["search-bound"]
+        precision_used = header["precision-used"]
+    except KeyError:
+        raise ValueError("chain file header incomplete") from None
     if len(alphas) != r:
         raise ValueError(f"header lists {len(alphas)} constants, r = {r}")
     form = LinearForm(tuple(alphas))
@@ -249,9 +265,9 @@ def parse_chain(text: str) -> BAChain:
         fields = ln.split()
         if len(fields) != r + 5:
             raise ValueError(f"malformed record line: {ln!r}")
-        index = int(fields[0])
-        m = tuple(int(x) for x in fields[1:r + 2])
-        M = int(fields[r + 2])
+        index = _parse_int(fields[0])
+        m = tuple(_parse_int(x) for x in fields[1:r + 2])
+        M = _parse_int(fields[r + 2])
         zeta = DyadicInterval(Dyadic.from_hex(fields[r + 3]),
                               Dyadic.from_hex(fields[r + 4]))
         records.append(BestApprox(index=index, m=m, M=M, zeta=zeta))
@@ -281,7 +297,7 @@ def parse_psi(text: str) -> analysis.PsiSpec:
     keys = _PSI_KEYS.get(family)
     if keys is None:
         raise ValueError(f"unknown psi family {family!r}")
-    kv = {key: val for key, val in keys.items() if val}
+    given: dict[str, str] = {}
     for part in rest.split(","):
         if not part:
             continue
@@ -289,7 +305,10 @@ def parse_psi(text: str) -> analysis.PsiSpec:
         if key not in keys:
             raise ValueError(f"unknown psi key {key!r} for family {family!r}; "
                              f"expected {', '.join(keys)}")
-        kv[key] = val
+        if key in given:
+            raise ValueError(f"psi key {key!r} given twice")
+        given[key] = val
+    kv = {key: val for key, val in keys.items() if val} | given
     try:
         if family == "power":
             return analysis.PsiSpec(

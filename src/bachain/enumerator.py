@@ -20,14 +20,14 @@ from dataclasses import dataclass
 from itertools import count, islice, product
 from typing import Iterator, Optional
 
-from .errors import DependenceSuspected, PrecisionExhausted
+from .errors import AmbiguousRounding, DependenceSuspected, PrecisionExhausted
 from .linform import (
     LinearForm,
     abs_bounds,
     best_m0,
     form_values,
     scaled_constants,
-    scaled_dot,
+    scaled_residual,
     tail_norm,
 )
 from .realnum import (
@@ -147,10 +147,7 @@ def _shell_scan(form: LinearForm, M_max: int, w: int, cap: int) -> list[dict]:
     """One full scan at working precision w.  Returns record dicts or
     raises _Rescan when certification fails at this precision."""
     r = form.r
-    grid = w + 2
-    a_lo, a_hi = scaled_constants(form.alphas, w, grid, cap)
-    T = 1 << grid
-    T2 = T << 1
+    grid, a_lo, a_hi = scaled_constants(form.alphas, w, cap)
 
     running_lo: Optional[int] = None  # certified |residual| bounds of last record
     running_hi: Optional[int] = None
@@ -160,26 +157,18 @@ def _shell_scan(form: LinearForm, M_max: int, w: int, cap: int) -> list[dict]:
     for M in range(1, M_max + 1):
         best = None  # (abs_lo, abs_hi, tail, n, r_lo, r_hi)
         for tail in canonical_shell_tails(r, M):
-            s_lo, s_hi = scaled_dot(tail, a_lo, a_hi)
-            # nearest integer; an endpoint on a half-integer is ambiguous
-            n_lo, rem_lo = divmod(2 * s_lo + T, T2)
-            n_hi, rem_hi = divmod(2 * s_hi + T, T2)
-            if n_lo != n_hi or rem_lo == 0 or rem_hi == 0:
-                raise _Rescan("rounding", tail)
-            r_lo = s_lo - n_lo * T
-            r_hi = s_hi - n_lo * T
+            try:
+                n, r_lo, r_hi = scaled_residual(tail, a_lo, a_hi, grid)
+            except AmbiguousRounding:
+                raise _Rescan("rounding", tail) from None
             abs_lo, abs_hi = abs_bounds(r_lo, r_hi)
             if abs_lo == 0 and abs_hi == 0:
                 raise DependenceSuspected(
                     f"form value of tail {tail} is exactly zero",
                     witness=tail)
-            if best is None:
-                best = (abs_lo, abs_hi, tail, n_lo, r_lo, r_hi)
-            elif abs_lo > best[1]:
-                continue
-            elif abs_hi < best[0]:
-                best = (abs_lo, abs_hi, tail, n_lo, r_lo, r_hi)
-            else:
+            if best is None or abs_hi < best[0]:
+                best = (abs_lo, abs_hi, tail, n, r_lo, r_hi)
+            elif abs_lo <= best[1]:
                 raise _Rescan("tie", (best[2], tail))
 
         abs_lo, abs_hi, tail, n, r_lo, r_hi = best

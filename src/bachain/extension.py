@@ -27,11 +27,12 @@ from .enumerator import (
     enumerate_chain,
 )
 from .errors import (
+    AmbiguousRounding,
     ChainTooShort,
     PrecisionExhausted,
     SearchTooLarge,
 )
-from .linform import LinearForm, abs_bounds, scaled_constants, scaled_dot
+from .linform import LinearForm, abs_bounds, scaled_constants, scaled_residual
 from .realnum import (
     PRECISION_CAP,
     START_PRECISION,
@@ -297,27 +298,25 @@ def degeneracy_criterion(chain: BAChain, beta: BetaSample, nu: int,
 
     start = START_PRECISION + (2 * (r + k) * bound).bit_length()
     for w in precision_ladder(start, working_limit(cap)):
-        grid = w + 2
-        a_lo, a_hi = scaled_constants(exprs, w, grid, cap)
-        T = 1 << grid
-        T2 = T << 1
+        grid, a_lo, a_hi = scaled_constants(exprs, w, cap)
         # zeta bounds on the same scale, rounded away from the comparison
         z_lo = rec.zeta.lo.floor_scaled(grid)
         z_hi = rec.zeta.hi.ceil_scaled(grid)
         ambiguous = None
         for tail in _mixed_tails(r, k, bound):
-            s_lo, s_hi = scaled_dot(tail, a_lo, a_hi)
-            n = (2 * s_lo + T) // T2
-            if n != (2 * s_hi + T) // T2:
+            try:
+                n, r_lo, r_hi = scaled_residual(tail, a_lo, a_hi, grid)
+            except AmbiguousRounding:
                 ambiguous = tail
                 break
-            n = min(m0_cap, max(-m0_cap, n))
-            abs_lo, abs_hi = abs_bounds(s_lo - n * T, s_hi - n * T)
+            m0 = min(m0_cap, max(-m0_cap, n))
+            shift = (n - m0) << grid
+            abs_lo, abs_hi = abs_bounds(r_lo + shift, r_hi + shift)
             if abs_lo >= z_hi:
                 continue  # certified no smaller than zeta_nu
             if abs_hi < z_lo:
                 return CriterionVerdict(nu=nu, passed=False,
-                                        witness=(-n,) + tail,
+                                        witness=(-m0,) + tail,
                                         detail="form value certifiably below "
                                                f"zeta_{nu}")
             ambiguous = tail

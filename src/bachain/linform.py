@@ -157,23 +157,27 @@ def canonicalize_sign(m: Sequence[int], form: LinearForm,
 # ---------------------------------------------------------------------------
 
 
-def scaled_constants(exprs: Sequence[RealExpr], w: int, grid: int,
-                     cap: int = PRECISION_CAP) -> tuple[list[int], list[int]]:
-    """Integer endpoints lo[j], hi[j] on the 2**-grid lattice enclosing
-    each constant, from enclosures of width <= 2**-w; exact whenever the
-    grid is at least as fine as the enclosure endpoints."""
+def scaled_constants(exprs: Sequence[RealExpr], w: int,
+                     cap: int = PRECISION_CAP
+                     ) -> tuple[int, list[int], list[int]]:
+    """Grid exponent g = w + 2 and integer endpoints lo[j], hi[j] on the
+    2**-g lattice enclosing each constant, from enclosures of width
+    <= 2**-w (exact when the grid is as fine as their endpoints)."""
+    grid = w + 2
     los, his = [], []
     for e in exprs:
         iv = eval_interval(e, w, cap)
         los.append(iv.lo.floor_scaled(grid))
         his.append(iv.hi.ceil_scaled(grid))
-    return los, his
+    return grid, los, his
 
 
-def scaled_dot(tail: Sequence[int], los: Sequence[int],
-               his: Sequence[int]) -> tuple[int, int]:
-    """Bounds s_lo <= sum tail_j * a_j <= s_hi on the scale of the
-    endpoints from ``scaled_constants``."""
+def scaled_residual(tail: Sequence[int], los: Sequence[int],
+                    his: Sequence[int], grid: int) -> tuple[int, int, int]:
+    """Nearest integer n to x = sum tail_j * a_j and bounds r_lo <= x - n
+    <= r_hi on the 2**-grid scale of the ``scaled_constants`` endpoints.
+    Raises AmbiguousRounding when an endpoint of x's enclosure lies on a
+    half-integer or the two endpoints round to different integers."""
     s_lo = s_hi = 0
     for c, al, ah in zip(tail, los, his):
         if c > 0:
@@ -182,7 +186,14 @@ def scaled_dot(tail: Sequence[int], los: Sequence[int],
         elif c < 0:
             s_lo += c * ah
             s_hi += c * al
-    return s_lo, s_hi
+    half = 1 << (grid - 1)
+    n = (s_lo + half) >> grid
+    step = n << grid
+    r_lo, r_hi = s_lo - step, s_hi - step
+    # -half <= r_lo <= r_hi; r_hi >= half means s_hi rounds to n + 1 or up
+    if r_lo == -half or r_hi >= half:
+        raise AmbiguousRounding("endpoint on or across a half-integer")
+    return n, r_lo, r_hi
 
 
 def abs_bounds(lo: int, hi: int) -> tuple[int, int]:

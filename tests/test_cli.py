@@ -306,8 +306,9 @@ class TestCommands:
         ["--psi", "log:r=1,eps=1/0"],
         ["--psi", "log:r=1,zz=3"],
         ["--checks", "monotnic"],
+        ["--psi", "power:r=1,coeff=1/2,exp=1/2,exp=3", "--checks", "psi"],
     ], ids=["psi-without-r", "psi-divides-by-zero", "psi-unknown-key",
-            "unknown-check"])
+            "unknown-check", "psi-repeated-key"])
     def test_verify_malformed_input(self, tmp_path, capsys, extra):
         rec = tmp_path / "c.rec"
         cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "5",
@@ -380,6 +381,44 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: malformed dyadic literal")
+
+    # record 2 and a header integer, each spelled otherwise
+    @pytest.mark.parametrize("old,new", [
+        ("\n2 3 -2 2 ", "\n+2 3 -2 2 "),
+        ("\n2 3 -2 2 ", "\n2 3 -2 02 "),
+        ("\n2 3 -2 2 ", "\n2 3 -0_2 2 "),
+        ("\n# search-bound 5\n", "\n# search-bound 05\n"),
+    ], ids=["plus-sign", "leading-zero", "underscore", "padded-header"])
+    @pytest.mark.parametrize("command", ["verify", "extend", "report"])
+    def test_noncanonical_integer_is_usage_error(self, tmp_path, capsys,
+                                                 old, new, command):
+        rec = tmp_path / "c.rec"
+        cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "5",
+                  "--out", str(rec)])
+        text = rec.read_text()
+        assert text.count(old) == 1
+        rec.write_text(text.replace(old, new))
+        capsys.readouterr()
+        extra = ["--k", "1", "--seed", "1"] if command == "extend" else []
+        assert cli.main([command, str(rec)] + extra) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed integer")
+
+    @pytest.mark.parametrize("key", ["r", "search-bound", "precision-cap",
+                                     "precision-used"])
+    def test_repeated_header_key_is_usage_error(self, tmp_path, capsys, key):
+        rec = tmp_path / "c.rec"
+        cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "5",
+                  "--out", str(rec)])
+        lines = rec.read_text().splitlines()
+        line = next(ln for ln in lines if ln.split()[:2] == ["#", key])
+        rec.write_text("\n".join(lines + [line]) + "\n")
+        capsys.readouterr()
+        assert cli.main(["verify", str(rec)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: chain header {key!r} given twice\n"
 
     def test_leading_minus_constants(self, tmp_path, capsys):
         # a value starting with "-" needs the --opt=VALUE form; with a space

@@ -143,7 +143,7 @@ class TestOracle:
         def unavailable(*args, **kwargs):
             raise AssertionError("scan kernel reached")
 
-        monkeypatch.setattr(enumerator, "scaled_dot", unavailable)
+        monkeypatch.setattr(enumerator, "scaled_residual", unavailable)
         monkeypatch.setattr(enumerator, "scaled_constants", unavailable)
         with pytest.raises(AssertionError, match="scan kernel reached"):
             enumerate_chain(LinearForm(alphas()), 12)

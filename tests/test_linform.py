@@ -1,17 +1,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bachain.cli import parse_expr
-from bachain.errors import DependenceSuspected
+from bachain.errors import AmbiguousRounding, DependenceSuspected
 from bachain.linform import (
     LinearForm,
     abs_bounds,
     best_m0,
     canonicalize_sign,
     scaled_constants,
-    scaled_dot,
+    scaled_residual,
     zeta,
 )
 from bachain.realnum import (
@@ -81,17 +81,20 @@ class TestZeta:
 class TestScaledKernel:
     @pytest.mark.parametrize("tail", [(1, 0), (0, -3), (2, -5), (-7, 7)])
     def test_dot_encloses_form_value(self, cbrt_pair, tail):
-        w, grid = 40, 42
-        los, his = scaled_constants(cbrt_pair.alphas, w, grid)
-        s_lo, s_hi = scaled_dot(tail, los, his)
+        w = 40
+        grid, los, his = scaled_constants(cbrt_pair.alphas, w)
+        assert grid == w + 2
+        n, r_lo, r_hi = scaled_residual(tail, los, his, grid)
         iv = zeta((0,) + tail, cbrt_pair, w)
         scale = Fraction(1, 2 ** grid)
-        assert s_lo * scale <= iv.lo.as_fraction()
-        assert iv.hi.as_fraction() <= s_hi * scale
+        assert n + r_lo * scale <= iv.lo.as_fraction()
+        assert iv.hi.as_fraction() <= n + r_hi * scale
+        # n is the nearest integer: the residual stays inside (-1/2, 1/2)
+        assert -(1 << (grid - 1)) < r_lo <= r_hi < 1 << (grid - 1)
         # width 2**-w per unit coefficient, plus one grid step per rounded
         # endpoint
         slack = sum(map(abs, tail)) * Fraction(2 ** (grid - w) + 2)
-        assert s_hi - s_lo <= slack
+        assert r_hi - r_lo <= slack
 
     @pytest.mark.parametrize("lo,hi,expected", [
         (2, 5, (2, 5)), (-5, -2, (2, 5)), (-3, 5, (0, 5)), (-6, 1, (0, 6)),
@@ -189,6 +192,79 @@ def test_zeta_subadditive_enclosures(t1, t2):
     iv_total = zeta(total, form, p)
     assert iv_sum.lo <= iv_total.lo
     assert iv_total.hi <= iv_sum.hi
+
+
+# --- the scaled residual kernel against exact rationals --------------------
+
+
+def _residual_reference(tail, los, his, grid):
+    """(n, r_lo, r_hi) by Fraction arithmetic, or None when an endpoint is
+    a half-integer or the endpoints have different nearest integers."""
+    scale = Fraction(1, 1 << grid)
+    lo = sum(min(c * a, c * b) for c, a, b in zip(tail, los, his)) * scale
+    hi = sum(max(c * a, c * b) for c, a, b in zip(tail, los, his)) * scale
+    if lo.denominator == 2 or hi.denominator == 2 or round(lo) != round(hi):
+        return None
+    n = round(lo)
+    return n, (lo - n) / scale, (hi - n) / scale
+
+
+@st.composite
+def _kernel_cases(draw):
+    """Random tails, endpoint lists and grids; in the pinned modes the
+    first coefficient is 1 and its endpoints are moved so that the lower
+    or upper endpoint of the dot product lies exactly on a half-integer,
+    or the dot product's interval spans one."""
+    grid = draw(st.integers(min_value=1, max_value=80))
+    size = draw(st.integers(min_value=1, max_value=4))
+    unit = 1 << grid
+    tail = draw(st.lists(st.integers(min_value=-60, max_value=60),
+                         min_size=size, max_size=size))
+    los = draw(st.lists(st.integers(min_value=-8 * unit, max_value=8 * unit),
+                        min_size=size, max_size=size))
+    widths = draw(st.lists(st.one_of(st.integers(min_value=0, max_value=3),
+                                     st.integers(min_value=0,
+                                                 max_value=unit)),
+                           min_size=size, max_size=size))
+    his = [lo + wd for lo, wd in zip(los, widths)]
+    mode = draw(st.sampled_from(["free", "lo", "hi", "across"]))
+    if mode != "free":
+        tail[0] = 1
+        rest = list(zip(tail[1:], los[1:], his[1:]))
+        rest_lo = sum(min(c * a, c * b) for c, a, b in rest)
+        rest_hi = sum(max(c * a, c * b) for c, a, b in rest)
+        target = draw(st.integers(min_value=-50, max_value=50)) * unit \
+            + unit // 2
+        if mode == "lo":
+            los[0] = target - rest_lo
+            his[0] = los[0] + widths[0]
+        elif mode == "hi":
+            his[0] = target - rest_hi
+            los[0] = his[0] - widths[0]
+        else:
+            below = draw(st.integers(min_value=1, max_value=unit))
+            above = draw(st.integers(min_value=1, max_value=unit))
+            los[0] = target - rest_lo - below
+            his[0] = max(los[0], target - rest_hi + above)
+    return tuple(tail), los, his, grid
+
+
+@given(_kernel_cases())
+@example(((1,), [2], [2], 2))      # exactly 1/2
+@example(((-1,), [2], [2], 2))     # exactly -1/2
+@example(((1,), [0], [2], 2))      # upper endpoint on 1/2
+@example(((1,), [1], [3], 2))      # [1/4, 3/4] spans 1/2
+@example(((2, -1), [3, 1], [3, 2], 2))  # [1, 5/4]
+@example(((0, 0), [5, 1], [9, 2], 3))   # the zero tail
+@settings(max_examples=400, deadline=None)
+def test_scaled_residual_matches_fraction_reference(case):
+    tail, los, his, grid = case
+    want = _residual_reference(tail, los, his, grid)
+    if want is None:
+        with pytest.raises(AmbiguousRounding):
+            scaled_residual(tail, los, his, grid)
+    else:
+        assert scaled_residual(tail, los, his, grid) == want
 
 
 # --- the DyadicInterval chain that the exact-sum zeta replaced --------------

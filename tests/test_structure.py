@@ -76,3 +76,56 @@ def test_detects_a_ladder_call(tmp_path):
                      "    return [w for w in precision_ladder(64, 128)]\n"
                      "precision_ladder(1, 2)\n")
     assert ladder_calls(probe) == ["g", "f", "<module>"]
+
+
+#: The exhaustive scans, whose every rounding to the nearest integer must
+#: come from the one call to ``linform.scaled_residual``.
+SCAN_SITES = {
+    ("enumerator.py", "_shell_scan"),
+    ("extension.py", "degeneracy_criterion"),
+}
+
+
+def rounding_ops(path: Path, function: str):
+    """``divmod``, ``//`` and ``scaled_residual`` uses anywhere inside the
+    function named ``function`` in ``path`` (nested functions included),
+    or None when there is no such function."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == function]
+    if not defs:
+        return None
+    found = []
+    for node in ast.walk(defs[0]):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if name in ("divmod", "scaled_residual"):
+                found.append(name)
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                and isinstance(node.op, ast.FloorDiv):
+            found.append("//")
+    return found
+
+
+def test_scans_round_only_through_scaled_residual():
+    assert {site: rounding_ops(SRC / site[0], site[1])
+            for site in SCAN_SITES} == \
+        {site: ["scaled_residual"] for site in SCAN_SITES}
+
+
+def test_detects_rounding_in_a_scan(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def scan(s, t):\n"
+                     "    def inner(x):\n"
+                     "        return divmod(x, t)\n"
+                     "    s //= 2\n"
+                     "    n, lo, hi = linform.scaled_residual(s, t, t, 4)\n"
+                     "    return (2 * s + t) // (2 * t), inner(n)\n"
+                     "def other(s):\n"
+                     "    return s // 2\n")
+    assert sorted(rounding_ops(probe, "scan")) == \
+        ["//", "//", "divmod", "scaled_residual"]
+    assert rounding_ops(probe, "missing") is None
