@@ -21,6 +21,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional, Sequence
 
 from . import analysis
@@ -229,31 +230,31 @@ def _parse_int(text: str) -> int:
 
 
 def parse_chain(text: str) -> BAChain:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != CHAIN_MAGIC:
+    """Read a chain file.  Only the exact text ``serialize_chain`` writes
+    for the file's own ``precision-cap`` is accepted, so a chain read back
+    is the chain the file states, byte for byte."""
+    lines = text.splitlines()
+    if not lines or lines[0] != CHAIN_MAGIC:
         raise ValueError(f"not a chain file (missing {CHAIN_MAGIC!r})")
     alphas: list[RealExpr] = []
     header: dict[str, int] = {}
     body: list[str] = []
     for ln in lines[1:]:
         if ln.startswith("#"):
-            parts = ln[1:].strip().split(None, 1)
-            if not parts:
-                continue
-            key = parts[0]
-            val = parts[1] if len(parts) > 1 else ""
+            key, _, val = ln[1:].strip().partition(" ")
             if key == "alpha":
                 alphas.append(parse_expr(val))
             elif key in _INT_HEADERS:
                 if key in header:
                     raise ValueError(f"chain header {key!r} given twice")
                 header[key] = _parse_int(val)
-            # unknown keys: provenance only
+            # other keys are never written: the round trip below rejects them
         else:
             body.append(ln)
     try:
         r = header["r"]
         search_bound = header["search-bound"]
+        precision_cap = header["precision-cap"]
         precision_used = header["precision-used"]
     except KeyError:
         raise ValueError("chain file header incomplete") from None
@@ -271,8 +272,15 @@ def parse_chain(text: str) -> BAChain:
         zeta = DyadicInterval(Dyadic.from_hex(fields[r + 3]),
                               Dyadic.from_hex(fields[r + 4]))
         records.append(BestApprox(index=index, m=m, M=M, zeta=zeta))
-    return BAChain(form=form, records=tuple(records),
-                   search_bound=search_bound, precision_used=precision_used)
+    chain = BAChain(form=form, records=tuple(records),
+                    search_bound=search_bound, precision_used=precision_used)
+    written = serialize_chain(chain, precision_cap)
+    if written != text:
+        pairs = zip_longest(text.splitlines(True), written.splitlines(True))
+        line = next(i for i, (got, want) in enumerate(pairs, 1) if got != want)
+        raise ValueError(f"chain file line {line} is not as "
+                         "serialize_chain writes it")
+    return chain
 
 
 # ---------------------------------------------------------------------------

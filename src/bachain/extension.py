@@ -14,6 +14,7 @@ the (b_1, ..., b_k)-cube can violate the criterion at each index.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -353,30 +354,33 @@ def lattice_inv_norm_sum(M: int, k: int, budget: int = DEFAULT_BUDGET
     """Bounds on sum of 1/sqrt(m_1^2 + ... + m_k^2) over nonzero integer
     vectors with max-norm <= M, by direct enumeration.
 
-    Terms with a perfect-square norm (always, for k = 1) contribute
-    exactly; the rest contribute outward-rounded dyadic bounds, so for
-    k = 1 the two returned rationals coincide and equal twice the M-th
-    harmonic number.
+    The points are counted by squared norm n, and each norm class adds one
+    term: count/sqrt(n) exactly when n is a perfect square (always, for
+    k = 1), otherwise count/sqrt(n) with sqrt(n) rounded outward to the
+    2**-LATTICE_BITS grid.  The sums of these terms are exact, so for k = 1
+    the two returned rationals coincide and equal twice the M-th harmonic
+    number.
     """
     if M < 1 or k < 1:
         raise ValueError("M and k must be >= 1")
     count = (2 * M + 1) ** k - 1
     if count > budget:
         raise SearchTooLarge(f"{count} lattice points > budget {budget}")
+    classes = Counter(sum(c * c for c in tail)
+                      for shell in range(1, M + 1)
+                      for tail in canonical_shell_tails(k, shell))
     lo_terms: list[Fraction] = []
     hi_terms: list[Fraction] = []
-    for shell in range(1, M + 1):
-        for tail in canonical_shell_tails(k, shell):
-            n = sum(c * c for c in tail)
-            s = isqrt(n)
-            if s * s == n:
-                term = Fraction(1, s)
-                lo_terms.append(term)
-                hi_terms.append(term)
-            else:
-                rt = DyadicInterval.point(n).nth_root(2, LATTICE_BITS)
-                lo_terms.append(1 / rt.hi.as_fraction())
-                hi_terms.append(1 / rt.lo.as_fraction())
+    for n, points in classes.items():
+        s = isqrt(n)
+        if s * s == n:
+            lo_terms.append(Fraction(points, s))
+            hi_terms.append(lo_terms[-1])
+        else:
+            # floor(2**p sqrt(n)) < 2**p sqrt(n) < floor + 1, p = LATTICE_BITS
+            rt = isqrt(n << 2 * LATTICE_BITS)
+            lo_terms.append(Fraction(points << LATTICE_BITS, rt + 1))
+            hi_terms.append(Fraction(points << LATTICE_BITS, rt))
     # canonical tails cover one of each +-pair
     return 2 * _tree_sum(lo_terms), 2 * _tree_sum(hi_terms)
 

@@ -11,6 +11,9 @@ from bachain.realnum import Dyadic, expr_to_text, root
 
 DEPTH = cli.MAX_EXPR_DEPTH
 
+#: What ``parse_chain`` says of a file that ``serialize_chain`` did not write.
+LAYOUT = "chain file line {} is not as serialize_chain writes it"
+
 #: Constant expressions far deeper than MAX_EXPR_DEPTH, one per shape that
 #: used to overflow the interpreter stack.
 DEEP_SHAPES = {
@@ -419,6 +422,54 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: chain header {key!r} given twice\n"
+
+    # layouts serialize_chain never writes, each keeping every value
+    @pytest.mark.parametrize("edit,message", [
+        (lambda ls: ls[:7] + [""] + ls[7:], "malformed record line: ''"),
+        (lambda ls: ls[:6] + ["# note"] + ls[6:], LAYOUT.format(7)),
+        (lambda ls: ls[:7] + [ls[7].replace(" ", "\t", 1)] + ls[8:],
+         LAYOUT.format(8)),
+        (lambda ls: ls[:7] + [ls[7] + "  "] + ls[8:], LAYOUT.format(8)),
+        (lambda ls: ls[:1] + ls[6:] + ls[1:6], LAYOUT.format(2)),
+    ], ids=["blank-line", "unknown-key", "tab", "trailing-spaces",
+            "header-after-records"])
+    @pytest.mark.parametrize("command", ["verify", "extend", "report"])
+    def test_other_layout_is_usage_error(self, tmp_path, capsys, edit,
+                                         message, command):
+        rec = tmp_path / "c.rec"
+        cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "5",
+                  "--out", str(rec)])
+        lines = rec.read_text().splitlines()
+        assert lines[6].startswith("1 ") and len(lines) == 9
+        rec.write_text("\n".join(edit(lines)) + "\n")
+        capsys.readouterr()
+        extra = ["--k", "1", "--seed", "1"] if command == "extend" else []
+        assert cli.main([command, str(rec)] + extra) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_missing_final_newline_is_usage_error(self, tmp_path, capsys):
+        rec = tmp_path / "c.rec"
+        cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "5",
+                  "--out", str(rec)])
+        rec.write_text(rec.read_text().rstrip("\n"))
+        capsys.readouterr()
+        assert cli.main(["verify", str(rec)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {LAYOUT.format(9)}\n"
+
+    def test_file_precision_cap_is_read_back(self, tmp_path, capsys):
+        rec = tmp_path / "c.rec"
+        assert cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm",
+                         "5", "--precision-cap", "4096", "--out",
+                         str(rec)]) == cli.EXIT_OK
+        text = rec.read_text()
+        assert "\n# precision-cap 4096\n" in text
+        assert cli.serialize_chain(cli.parse_chain(text), 4096) == text
+        capsys.readouterr()
+        for argv in (["verify", str(rec)], ["report", str(rec)],
+                     ["extend", str(rec), "--k", "1", "--seed", "1"]):
+            assert cli.main(argv) == cli.EXIT_OK
 
     def test_leading_minus_constants(self, tmp_path, capsys):
         # a value starting with "-" needs the --opt=VALUE form; with a space

@@ -1,10 +1,16 @@
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import pytest
 
 from bachain import extension as ext
-from bachain.enumerator import BAChain, BestApprox, enumerate_chain
+from bachain.enumerator import (
+    BAChain,
+    BestApprox,
+    canonical_shell_tails,
+    enumerate_chain,
+)
 from bachain.errors import (
     ChainTooShort,
     PrecisionExhausted,
@@ -18,6 +24,27 @@ from bachain.realnum import (
     root,
 )
 from bachain.cli import parse_expr
+
+
+def lattice_sum_reference(M, k):
+    """The lattice sum one point at a time: each point's square root from
+    ``DyadicInterval.nth_root`` and its reciprocal as its own Fraction
+    term.  A test oracle for ``ext.lattice_inv_norm_sum``, which adds one
+    term per squared norm instead."""
+    lo_terms, hi_terms = [], []
+    for shell in range(1, M + 1):
+        for tail in canonical_shell_tails(k, shell):
+            n = sum(c * c for c in tail)
+            s = isqrt(n)
+            if s * s == n:
+                lo_terms.append(Fraction(1, s))
+                hi_terms.append(Fraction(1, s))
+            else:
+                rt = DyadicInterval.point(n).nth_root(2, ext.LATTICE_BITS)
+                lo_terms.append(1 / rt.hi.as_fraction())
+                hi_terms.append(1 / rt.lo.as_fraction())
+    # canonical tails cover one of each +-pair
+    return 2 * ext._tree_sum(lo_terms), 2 * ext._tree_sum(hi_terms)
 
 
 def make_chain(form, rows):
@@ -177,6 +204,48 @@ class TestLatticeSum:
     def test_budget(self):
         with pytest.raises(SearchTooLarge):
             ext.lattice_inv_norm_sum(10 ** 4, 2, budget=10 ** 6)
+
+    @pytest.mark.parametrize("M,k", [
+        (1, 1), (2, 1), (10, 1),
+        (1, 2), (2, 2), (3, 2), (13, 2), (34, 2),
+        (1, 3), (4, 3), (7, 3),
+        (1, 4), (3, 4),
+    ])
+    def test_equals_per_point_reference(self, M, k):
+        lo, hi = ext.lattice_inv_norm_sum(M, k)
+        ref_lo, ref_hi = lattice_sum_reference(M, k)
+        assert lo == ref_lo and hi == ref_hi
+
+    def test_k3_against_oracle(self):
+        with mpmath.workdps(50):
+            oracle = mpmath.mpf(0)
+            for a in range(-4, 5):
+                for b in range(-4, 5):
+                    for c in range(-4, 5):
+                        if a or b or c:
+                            oracle += 1 / mpmath.sqrt(a * a + b * b + c * c)
+            sign, man, exp, _ = oracle._mpf_
+        oracle_f = Fraction(man) * Fraction(2) ** exp
+        lo, hi = ext.lattice_inv_norm_sum(4, 3)
+        slack = Fraction(1, 10 ** 45)  # oracle's own rounding
+        assert lo < hi
+        assert lo - slack <= oracle_f <= hi + slack
+
+    @pytest.mark.parametrize("M,k", [(5, 2), (3, 3)])
+    def test_draws_one_tail_per_point_pair(self, monkeypatch, M, k):
+        # the traced benchmark gate counts (2M+1)^k - 1 points per call
+        drawn = []
+        tails = ext.canonical_shell_tails
+
+        def counting(*args):
+            for tail in tails(*args):
+                drawn.append(tail)
+                yield tail
+
+        monkeypatch.setattr(ext, "canonical_shell_tails", counting)
+        ext.lattice_inv_norm_sum(M, k)
+        assert len(drawn) == ((2 * M + 1) ** k - 1) // 2
+        assert len(set(drawn)) == len(drawn)
 
 
 class TestOmegaBound:

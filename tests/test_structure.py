@@ -30,6 +30,25 @@ def test_detects_a_private_import(tmp_path):
     assert private_realnum_imports(probe) == ["_eval_at"]
 
 
+def call_name(node) -> str | None:
+    """The called name of a call node (``f`` in ``f(x)`` and ``a.f(x)``),
+    None for any other node."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else \
+        getattr(func, "id", None)
+
+
+def function_def(path: Path, function: str):
+    """The first definition of the function named ``function`` in
+    ``path``, or None."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return next((node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name == function), None)
+
+
 #: The functions outside ``realnum`` that may climb the precision ladder
 #: themselves; every other refinement takes its rungs from
 #: ``realnum.enclosures`` or ``linform.form_values``.
@@ -49,12 +68,8 @@ def ladder_calls(path: Path) -> list[str]:
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else \
-                getattr(func, "id", None)
-            if name == "precision_ladder":
-                found.append(where)
+        if call_name(node) == "precision_ladder":
+            found.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
@@ -90,20 +105,14 @@ def rounding_ops(path: Path, function: str):
     """``divmod``, ``//`` and ``scaled_residual`` uses anywhere inside the
     function named ``function`` in ``path`` (nested functions included),
     or None when there is no such function."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    defs = [node for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node.name == function]
-    if not defs:
+    body = function_def(path, function)
+    if body is None:
         return None
     found = []
-    for node in ast.walk(defs[0]):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else \
-                getattr(func, "id", None)
-            if name in ("divmod", "scaled_residual"):
-                found.append(name)
+    for node in ast.walk(body):
+        name = call_name(node)
+        if name in ("divmod", "scaled_residual"):
+            found.append(name)
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) \
                 and isinstance(node.op, ast.FloorDiv):
             found.append("//")
@@ -129,3 +138,31 @@ def test_detects_rounding_in_a_scan(tmp_path):
     assert sorted(rounding_ops(probe, "scan")) == \
         ["//", "//", "divmod", "scaled_residual"]
     assert rounding_ops(probe, "missing") is None
+
+
+def per_point_root_calls(path: Path, function: str):
+    """``nth_root`` and ``as_fraction`` calls anywhere inside the function
+    named ``function`` in ``path``, or None when there is no such
+    function."""
+    body = function_def(path, function)
+    if body is None:
+        return None
+    return [name for name in map(call_name, ast.walk(body))
+            if name in ("nth_root", "as_fraction")]
+
+
+def test_lattice_sum_takes_integer_roots_per_norm_class():
+    # one isqrt per squared norm; a dyadic root or Fraction conversion
+    # per point is the cost the norm classes removed
+    assert per_point_root_calls(SRC / "extension.py",
+                                "lattice_inv_norm_sum") == []
+
+
+def test_detects_a_per_point_root(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def lattice_inv_norm_sum(M, k):\n"
+                     "    rt = DyadicInterval.point(M).nth_root(2, 64)\n"
+                     "    return 1 / rt.hi.as_fraction()\n")
+    assert sorted(per_point_root_calls(probe, "lattice_inv_norm_sum")) == \
+        ["as_fraction", "nth_root"]
+    assert per_point_root_calls(probe, "missing") is None
