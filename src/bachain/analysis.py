@@ -276,7 +276,9 @@ class PsiSpec:
       loglog      psi(y) = 1 / (y**(r+k) * (log y)**delta_k
                                 * (log log y)**(1 + eps))
     Logarithms are natural; the choice only shifts constants and is
-    recorded here once.
+    recorded here once.  r names the dimension of the chain the target is
+    meant for; every family's r must equal the chain's, although only the
+    logarithmic families use it in their formula.
     """
 
     family: str
@@ -354,6 +356,9 @@ def check_psi_singular(chain: BAChain, psi: PsiSpec) -> Verdict:
     of special tuples, so a first-violation report is the informative
     outcome, not a defect.
     """
+    if psi.r != chain.r:
+        raise ValueError(f"psi spec r={psi.r} does not match the chain's "
+                         f"r={chain.r}")
     if len(chain.records) < 2:
         raise ChainTooShort("need at least 2 records")
     skipped = 0

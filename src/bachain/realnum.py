@@ -16,6 +16,7 @@ every certificate monotone under refinement.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
@@ -197,17 +198,25 @@ ZERO = Dyadic(0)
 ONE = Dyadic(1)
 
 
-def dyadic_from_fraction(value: Fraction, p: int, round_up: bool) -> Dyadic:
-    """Round a rational to the 2**-p grid in the requested direction.
+def dyadic_from_ratio(num: int, den: int, p: int, round_up: bool) -> Dyadic:
+    """Round num/den (den > 0) to the 2**-p grid in the requested direction.
 
-    Exact (no rounding) whenever the denominator is a power of two.
+    Exact (no rounding) whenever num/den in lowest terms has a power-of-two
+    denominator, that is when the odd part of den divides num.
     """
-    num, den = value.numerator, value.denominator
-    if den & (den - 1) == 0:
-        return Dyadic(num, -(den.bit_length() - 1))
+    twos = (den & -den).bit_length() - 1
+    odd = den >> twos
+    if num % odd == 0:
+        return Dyadic(num // odd, -twos)
     scaled = num << p
     q = -((-scaled) // den) if round_up else scaled // den
     return Dyadic(q, -p)
+
+
+def _inverse_ratio(d: Dyadic) -> tuple[int, int]:
+    """1/d as (num, den) with den > 0, for a nonzero dyadic d."""
+    num, den = (1 << -d.exp, d.man) if d.exp < 0 else (1, d.man << d.exp)
+    return (num, den) if den > 0 else (-num, -den)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +270,8 @@ class DyadicInterval:
     @classmethod
     def from_fractions(cls, lo: Fraction, hi: Fraction, p: int) -> "DyadicInterval":
         return cls(
-            dyadic_from_fraction(lo, p, round_up=False),
-            dyadic_from_fraction(hi, p, round_up=True),
+            dyadic_from_ratio(lo.numerator, lo.denominator, p, round_up=False),
+            dyadic_from_ratio(hi.numerator, hi.denominator, p, round_up=True),
         )
 
     def width_le(self, p: int) -> bool:
@@ -360,8 +369,8 @@ class DyadicInterval:
             raise DomainError("reciprocal of exact zero")
         if s is None:
             raise _Inconclusive("reciprocal of interval straddling zero")
-        inv_lo = dyadic_from_fraction(1 / self.hi.as_fraction(), p, round_up=False)
-        inv_hi = dyadic_from_fraction(1 / self.lo.as_fraction(), p, round_up=True)
+        inv_lo = dyadic_from_ratio(*_inverse_ratio(self.hi), p, round_up=False)
+        inv_hi = dyadic_from_ratio(*_inverse_ratio(self.lo), p, round_up=True)
         return DyadicInterval(inv_lo, inv_hi)
 
     def divide(self, other: "DyadicInterval", p: int) -> "DyadicInterval":
@@ -721,53 +730,82 @@ def nearest_integer(x: DyadicInterval) -> tuple[int, DyadicInterval]:
 # ---------------------------------------------------------------------------
 
 
-def _atanh_series(z: Fraction, p: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of 2*atanh(z) for 0 <= z <= 1/3 by the odd power series
-    with an explicit geometric tail bound."""
-    if z == 0:
-        return Fraction(0), Fraction(0)
-    assert 0 < z <= Fraction(1, 3)
-    tol = Fraction(1, 1 << (p + 8))
-    total = Fraction(0)
-    zz = z * z
-    power = z
-    j = 0
-    while True:
-        term = 2 * power / (2 * j + 1)
-        if term <= tol:
-            # remaining tail <= term / (1 - z^2) <= (9/8) * term
-            tail = term * Fraction(9, 8)
-            return total, total + tail
-        total += term
-        power *= zz
-        j += 1
+def _atanh_series(a: int, b: int, p: int) -> tuple[int, int, int]:
+    """Enclosure [lo/den, hi/den] of 2*atanh(a/b) for 0 <= a/b <= 1/3.
+
+    The odd power series sum of t_j = 2 z**(2j+1) / (2j+1) stops at the
+    first term t_J <= 2**-(p+8), and (9/8) t_J bounds the rest: each term
+    is at most z**2 <= 1/9 times the one before.  The J terms are summed
+    exactly by binary splitting, in integers only.
+    """
+    if a == 0:
+        return 0, 0, 1
+    # a floating-point guess at J; the exact comparisons below decide it
+    slope = 2 * (math.log2(b) - math.log2(a))
+    j = int((p + 9) / slope)
+    j = max(0, int((p + 9 - math.log2(2 * j + 1)) / slope))
+    aa, bb = a * a, b * b
+    # t_j <= 2**-(p+8) iff a_pow * 2**(p+9) <= (2j+1) * b_pow
+    a_pow, b_pow = a ** (2 * j + 1), b ** (2 * j + 1)
+    while a_pow << (p + 9) > (2 * j + 1) * b_pow:
+        j, a_pow, b_pow = j + 1, a_pow * aa, b_pow * bb
+    while j and (a_pow // aa) << (p + 9) <= (2 * j - 1) * (b_pow // bb):
+        j, a_pow, b_pow = j - 1, a_pow // aa, b_pow // bb
+    # with B the product of 2j+1 over j < J and T from _split,
+    # sum_{j<J} t_j = 2a T / (B b**(2J-1)) and (9/8) t_J = 9 a_pow /
+    # (4 (2J+1) b_pow), over the common denominator 4 (2J+1) B b_pow
+    _, _, odd, t = _split(aa, bb, 0, j)
+    lo = 8 * (2 * j + 1) * a * bb * t
+    return lo, lo + 9 * a_pow * odd, 4 * (2 * j + 1) * odd * b_pow
 
 
-_LN2_CACHE: dict[int, tuple[Fraction, Fraction]] = {}
+#: Longest range ``_split`` sums term by term; above it the recursion's
+#: calls cost more than the short products they save.
+_SPLIT_LEAF = 8
 
 
-def _ln2_bounds(p: int) -> tuple[Fraction, Fraction]:
+def _split(x: int, y: int, lo: int, hi: int) -> tuple[int, int, int, int]:
+    """(x**n, y**n, B, T) for n = hi - lo >= 0, with B the product of the
+    odd numbers 2j+1 and T/B the sum of x**(j-lo) y**(hi-1-j) / (2j+1),
+    both over lo <= j < hi."""
+    if hi - lo <= _SPLIT_LEAF:
+        x_n, y_n, odd, t = 1, 1, 1, 0
+        for j in range(lo, hi):  # append term j on the right
+            t, odd = t * y * (2 * j + 1) + x_n * odd, odd * (2 * j + 1)
+            x_n, y_n = x_n * x, y_n * y
+        return x_n, y_n, odd, t
+    mid = (lo + hi) // 2
+    x_lo, y_lo, b_lo, t_lo = _split(x, y, lo, mid)
+    x_hi, y_hi, b_hi, t_hi = _split(x, y, mid, hi)
+    return (x_lo * x_hi, y_lo * y_hi, b_lo * b_hi,
+            y_hi * t_lo * b_hi + x_lo * t_hi * b_lo)
+
+
+_LN2_CACHE: dict[int, tuple[int, int, int]] = {}
+
+
+def _ln2_bounds(p: int) -> tuple[int, int, int]:
     cached = _LN2_CACHE.get(p)
     if cached is None:
-        cached = _atanh_series(Fraction(1, 3), p)
+        cached = _atanh_series(1, 3, p)
         _LN2_CACHE[p] = cached
     return cached
 
 
-def _ln_dyadic_bounds(d: Dyadic, p: int) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of ln(d) for an exact dyadic d > 0."""
+def _ln_dyadic_bounds(d: Dyadic, p: int) -> tuple[int, int, int]:
+    """Enclosure [lo/den, hi/den] of ln(d) for an exact dyadic d > 0."""
     if d.man <= 0:
         raise DomainError("logarithm of a nonpositive value")
-    f = d.as_fraction()
-    # reduce to x in [1, 2): ln(d) = e*ln2 + ln(x)
-    e = d.man.bit_length() - 1 + d.exp
-    x = f / (Fraction(2) ** e)
-    z = (x - 1) / (x + 1)
-    s_lo, s_hi = _atanh_series(z, p)
-    l2_lo, l2_hi = _ln2_bounds(p + max(0, abs(e).bit_length()))
-    if e >= 0:
-        return e * l2_lo + s_lo, e * l2_hi + s_hi
-    return e * l2_hi + s_lo, e * l2_lo + s_hi
+    # d = x * 2**e with x = man / 2**k in [1, 2): ln(d) = e*ln2 + ln(x),
+    # and ln(x) = 2*atanh(z) for z = (x-1)/(x+1) = (man-2**k)/(man+2**k)
+    k = d.man.bit_length() - 1
+    e = k + d.exp
+    s_lo, s_hi, s_den = _atanh_series(d.man - (1 << k), d.man + (1 << k), p)
+    l2_lo, l2_hi, l2_den = _ln2_bounds(p + abs(e).bit_length())
+    if e < 0:
+        l2_lo, l2_hi = l2_hi, l2_lo
+    return (e * l2_lo * s_den + s_lo * l2_den,
+            e * l2_hi * s_den + s_hi * l2_den, l2_den * s_den)
 
 
 def ln_interval(x: Union[int, Dyadic, DyadicInterval], p: int) -> DyadicInterval:
@@ -776,11 +814,13 @@ def ln_interval(x: Union[int, Dyadic, DyadicInterval], p: int) -> DyadicInterval
     if isinstance(x, int):
         x = Dyadic(x)
     if isinstance(x, Dyadic):
-        lo_f, hi_f = _ln_dyadic_bounds(x, p)
-        return DyadicInterval.from_fractions(lo_f, hi_f, p)
-    lo_f, _ = _ln_dyadic_bounds(x.lo, p)
-    _, hi_f = _ln_dyadic_bounds(x.hi, p)
-    return DyadicInterval.from_fractions(lo_f, hi_f, p)
+        lo, hi, den = _ln_dyadic_bounds(x, p)
+        lo_den = hi_den = den
+    else:
+        lo, _, lo_den = _ln_dyadic_bounds(x.lo, p)
+        _, hi, hi_den = _ln_dyadic_bounds(x.hi, p)
+    return DyadicInterval(dyadic_from_ratio(lo, lo_den, p, round_up=False),
+                          dyadic_from_ratio(hi, hi_den, p, round_up=True))
 
 
 def pow_rational(x: DyadicInterval, a: Fraction, p: int) -> DyadicInterval:

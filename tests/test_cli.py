@@ -23,6 +23,16 @@ DEEP_SHAPES = {
 }
 
 
+def enumerate_to(path, alphas, max_norm):
+    """Write the chain of ``alphas`` to ``max_norm`` to ``path`` with
+    ``bachain enumerate``; return the path."""
+    argv = ["enumerate", "--max-norm", str(max_norm), "--out", str(path)]
+    for alpha in alphas:
+        argv += ["--alpha", alpha]
+    assert cli.main(argv) == cli.EXIT_OK
+    return path
+
+
 class TestExprParser:
     @pytest.mark.parametrize("text,value", [
         ("3", Fraction(3)),
@@ -531,6 +541,43 @@ class TestCommands:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
+    # the chain's r is 1 for root(2,2) and 2 for the cube-root pair; a
+    # power spec without r has r=1
+    @pytest.mark.parametrize("alphas,spec,chain_r", [
+        (["root(2,2)"], "log:r=3,k=1,eps=1/2", 1),
+        (["root(2,2)"], "loglog:r=2,k=1,eps=1/2", 1),
+        (["root(2,2)"], "power:r=2,coeff=1/2,exp=1", 1),
+        (["root(2,3)", "root(4,3)"], "log:r=1,k=1,eps=1/2", 2),
+        (["root(2,3)", "root(4,3)"], "power:coeff=1/2,exp=1", 2),
+    ], ids=["log-r3-on-r1", "loglog-r2-on-r1", "power-r2-on-r1",
+            "log-r1-on-r2", "power-default-on-r2"])
+    def test_verify_psi_r_must_match_chain(self, tmp_path, capsys, alphas,
+                                           spec, chain_r):
+        rec = enumerate_to(tmp_path / "c.rec", alphas, 12)
+        capsys.readouterr()
+        assert cli.main(["verify", str(rec), "--psi", spec]) == cli.EXIT_USAGE
+        spec_r = cli.parse_psi(spec).r
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: psi spec r={spec_r} does not match "
+                                f"the chain's r={chain_r}\n")
+
+    @pytest.mark.parametrize("alphas,spec", [
+        (["root(2,2)"], "log:r=1,k=1,eps=1/2"),
+        (["root(2,2)"], "loglog:r=1,k=1,eps=1/2"),
+        (["root(2,2)"], "power:coeff=1/2,exp=1"),
+        (["root(2,3)", "root(4,3)"], "log:r=2,k=1,eps=1/2"),
+        (["root(2,3)", "root(4,3)"], "power:r=2,coeff=1/2,exp=1"),
+    ], ids=["log-r1", "loglog-r1", "power-default-r1", "log-r2", "power-r2"])
+    def test_verify_psi_matching_r_runs(self, tmp_path, capsys, alphas,
+                                        spec):
+        rec = enumerate_to(tmp_path / "c.rec", alphas, 12)
+        capsys.readouterr()
+        assert cli.main(["verify", str(rec), "--psi", spec,
+                         "--format", "machine"]) == cli.EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert data["verdicts"]["psi-singular"]["status"] in ("pass", "fail")
+
     def test_report_unknown_format(self, tmp_path, capsys):
         f = tmp_path / "x"
         f.write_text("mystery\n")
@@ -559,3 +606,37 @@ class TestReproducibility:
                       "--out", str(path)])
             texts.append(path.read_bytes())
         assert texts[0] == texts[1]
+
+
+#: The chains the report pins are measured on: (alphas, max-norm) by r.
+PIN_CHAINS = {1: (["root(2,2)"], 1000), 2: (["root(2,3)", "root(4,3)"], 40)}
+
+#: sha256 of ``verify --psi SPEC --k K --format machine`` by (r, SPEC, K).
+#: The psi margins and the k=1 partial sums carry logarithm digits.
+REPORT_PINS = {
+    (1, "log:r=1,k=1,eps=1/10", 1):
+        "386a81a0303c013914f6bb4cd34cc456d2462d8d2705690b28eed3e8e60e239a",
+    (1, "loglog:r=1,k=1,eps=1/10", 1):
+        "f581f416a810e6dddab6102d81ed631c24d8fcf2d8506c90a4b405b936ea27e7",
+    (1, "power:r=1,k=2,coeff=1/2,exp=1", 2):
+        "cf4c8eba683990e5460d965c6cff2badd2336eec7a6130c9a888b540c51c185c",
+    (2, "log:r=2,k=1,eps=1/10", 1):
+        "3f81e2f36058caedf6d73873ea144bf8e2c6f44399ea073ab91606278693d2bf",
+    (2, "loglog:r=2,k=1,eps=1/10", 1):
+        "7de116bbea944db1769766fffc7474260269bf8b04e2a7adcadb7706bdc121ed",
+    (2, "power:r=2,k=2,coeff=1/2,exp=1", 2):
+        "ffe18b8da9853bc8db89f99c1af3c45e3e79c44b0dab1ab9ed220d08292597b8",
+}
+
+
+def test_verify_machine_report_pinned(tmp_path):
+    chains = {r: enumerate_to(tmp_path / f"r{r}.rec", alphas, max_norm)
+              for r, (alphas, max_norm) in PIN_CHAINS.items()}
+    got = {}
+    for r, spec, k in REPORT_PINS:
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", str(chains[r]), "--psi", spec,
+                         "--k", str(k), "--format", "machine",
+                         "--out", str(out)]) == cli.EXIT_OK
+        got[r, spec, k] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == REPORT_PINS

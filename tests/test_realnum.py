@@ -18,7 +18,7 @@ from bachain.realnum import (
     DyadicInterval,
     Undecided,
     compare,
-    dyadic_from_fraction,
+    dyadic_from_ratio,
     enclosures,
     eval_interval,
     expr_to_text,
@@ -78,11 +78,11 @@ class TestDyadic:
         assert Dyadic(-1, -1) < Dyadic(0)
 
     def test_grid_rounding(self):
-        d = dyadic_from_fraction(Fraction(1, 3), 8, round_up=False)
-        u = dyadic_from_fraction(Fraction(1, 3), 8, round_up=True)
+        d = dyadic_from_ratio(1, 3, 8, round_up=False)
+        u = dyadic_from_ratio(1, 3, 8, round_up=True)
         assert d.as_fraction() <= Fraction(1, 3) <= u.as_fraction()
         assert (u - d).as_fraction() == Fraction(1, 256)
-        exact = dyadic_from_fraction(Fraction(5, 8), 2, round_up=True)
+        exact = dyadic_from_ratio(5, 8, 2, round_up=True)
         assert exact.as_fraction() == Fraction(5, 8)
 
     def test_hex_round_trip(self):
@@ -468,6 +468,156 @@ class TestLn:
             ln_interval(Dyadic(0), 32)
 
 
+# --- Fraction references for the integer logarithm and reciprocal -----------
+
+
+def _atanh_series_reference(z: Fraction, p: int) -> tuple[Fraction, Fraction]:
+    """The former Fraction series: 2*atanh(z) for 0 <= z <= 1/3, summed
+    term by term up to the first term <= 2**-(p+8), plus 9/8 of it."""
+    if z == 0:
+        return Fraction(0), Fraction(0)
+    tol = Fraction(1, 1 << (p + 8))
+    total = Fraction(0)
+    zz = z * z
+    power = z
+    j = 0
+    while True:
+        term = 2 * power / (2 * j + 1)
+        if term <= tol:
+            return total, total + term * Fraction(9, 8)
+        total += term
+        power *= zz
+        j += 1
+
+
+def _round_fraction_reference(value: Fraction, p: int,
+                              round_up: bool) -> Dyadic:
+    """The former Fraction rounding onto the 2**-p grid, exact when the
+    denominator is a power of two."""
+    num, den = value.numerator, value.denominator
+    if den & (den - 1) == 0:
+        return Dyadic(num, -(den.bit_length() - 1))
+    scaled = num << p
+    return Dyadic(-((-scaled) // den) if round_up else scaled // den, -p)
+
+
+def _ln_dyadic_bounds_reference(d: Dyadic, p: int) -> tuple[Fraction, Fraction]:
+    f = d.as_fraction()
+    e = d.man.bit_length() - 1 + d.exp
+    x = f / (Fraction(2) ** e)
+    s_lo, s_hi = _atanh_series_reference((x - 1) / (x + 1), p)
+    l2_lo, l2_hi = _atanh_series_reference(Fraction(1, 3),
+                                           p + abs(e).bit_length())
+    if e >= 0:
+        return e * l2_lo + s_lo, e * l2_hi + s_hi
+    return e * l2_hi + s_lo, e * l2_lo + s_hi
+
+
+def _ln_interval_reference(x, p: int) -> DyadicInterval:
+    if isinstance(x, int):
+        x = Dyadic(x)
+    if isinstance(x, Dyadic):
+        x = DyadicInterval.point(x)
+    lo, _ = _ln_dyadic_bounds_reference(x.lo, p)
+    _, hi = _ln_dyadic_bounds_reference(x.hi, p)
+    return DyadicInterval(_round_fraction_reference(lo, p, round_up=False),
+                          _round_fraction_reference(hi, p, round_up=True))
+
+
+def _endpoints(iv: DyadicInterval) -> tuple[int, int, int, int]:
+    return iv.lo.man, iv.lo.exp, iv.hi.man, iv.hi.exp
+
+
+_ln_precisions = st.sampled_from([64, 96, 192])
+_positive_dyadics = st.builds(
+    Dyadic, st.integers(min_value=1, max_value=1 << 90),
+    st.integers(min_value=-200, max_value=-1))
+_ln_arguments = st.one_of(
+    st.just(1),
+    st.integers(min_value=0, max_value=80).map(lambda k: 1 << k),
+    st.integers(min_value=1, max_value=1 << 64),
+    _positive_dyadics,
+    st.tuples(_positive_dyadics, _positive_dyadics).map(
+        lambda ds: DyadicInterval(min(ds), max(ds))),
+)
+
+
+@given(st.integers(min_value=0, max_value=1 << 80),
+       st.integers(min_value=0, max_value=1 << 80), _ln_precisions)
+@settings(max_examples=200, deadline=None)
+def test_atanh_series_equals_fraction_reference(a, extra, p):
+    b = 3 * a + extra + (a == 0)  # 0 <= a/b <= 1/3
+    lo, hi, den = realnum._atanh_series(a, b, p)
+    assert (Fraction(lo, den), Fraction(hi, den)) == \
+        _atanh_series_reference(Fraction(a, b), p)
+
+
+@given(st.one_of(_positive_dyadics,
+                 st.integers(min_value=1, max_value=1 << 64).map(Dyadic)),
+       _ln_precisions)
+@settings(max_examples=200, deadline=None)
+def test_ln_bounds_equal_fraction_reference(d, p):
+    # the same rationals, not only the same rounded endpoints
+    lo, hi, den = realnum._ln_dyadic_bounds(d, p)
+    assert (Fraction(lo, den), Fraction(hi, den)) == \
+        _ln_dyadic_bounds_reference(d, p)
+
+
+@given(st.integers(min_value=-(1 << 90), max_value=1 << 90),
+       st.integers(min_value=1, max_value=1 << 40),
+       st.integers(min_value=0, max_value=90),
+       st.integers(min_value=1, max_value=1 << 20),
+       st.integers(min_value=1, max_value=200), st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_ratio_rounding_matches_fraction_reference(num, odd, twos, c, p,
+                                                  round_up, dyadic):
+    # num/den with a common factor c left in, so the exact case (a
+    # dyadic value, possibly finer than the grid) must be found without
+    # reducing first
+    den = odd << twos
+    if dyadic:
+        num *= odd
+    assert dyadic_from_ratio(num * c, den * c, p, round_up) == \
+        _round_fraction_reference(Fraction(num, den), p, round_up)
+
+
+@given(_ln_arguments, _ln_precisions)
+@settings(max_examples=300, deadline=None)
+def test_ln_matches_fraction_reference(x, p):
+    assert _endpoints(ln_interval(x, p)) == \
+        _endpoints(_ln_interval_reference(x, p))
+
+
+@pytest.mark.parametrize("x", [1, 2, 1 << 40, Dyadic(1, -7),
+                               DyadicInterval(Dyadic(1), Dyadic(1)),
+                               DyadicInterval(Dyadic(1, -3), Dyadic(1, 5))])
+@pytest.mark.parametrize("p", [64, 96, 192])
+def test_ln_matches_fraction_reference_at_edges(x, p):
+    # ln 1 = 0 and the powers of two, where the atanh series is empty
+    assert _endpoints(ln_interval(x, p)) == \
+        _endpoints(_ln_interval_reference(x, p))
+
+
+def _reciprocal_reference(x: DyadicInterval, p: int) -> DyadicInterval:
+    return DyadicInterval(
+        _round_fraction_reference(1 / x.hi.as_fraction(), p, round_up=False),
+        _round_fraction_reference(1 / x.lo.as_fraction(), p, round_up=True))
+
+
+_magnitudes = st.builds(
+    Dyadic, st.one_of(st.just(1), st.integers(min_value=1, max_value=1 << 90)),
+    st.integers(min_value=-120, max_value=90))
+
+
+@given(_magnitudes, _magnitudes, st.sampled_from([1, -1]), _ln_precisions)
+@settings(max_examples=300, deadline=None)
+def test_reciprocal_matches_fraction_reference(a, b, sign, p):
+    # mantissa +-1 is the case the exact-dyadic rule keeps unrounded
+    x = DyadicInterval(*sorted((a.mul_int(sign), b.mul_int(sign))))
+    assert _endpoints(x.reciprocal(p)) == \
+        _endpoints(_reciprocal_reference(x, p))
+
+
 class TestPowRational:
     def test_half_power(self):
         iv = pow_rational(DyadicInterval.point(2), Fraction(3, 2), 64)
@@ -527,8 +677,9 @@ def test_enclosure_soundness(expr, p):
 @given(st.fractions(max_denominator=1000), st.integers(min_value=2, max_value=400))
 @settings(max_examples=80)
 def test_grid_rounding_brackets(value, p):
-    lo = dyadic_from_fraction(value, p, round_up=False)
-    hi = dyadic_from_fraction(value, p, round_up=True)
+    num, den = value.numerator, value.denominator
+    lo = dyadic_from_ratio(num, den, p, round_up=False)
+    hi = dyadic_from_ratio(num, den, p, round_up=True)
     assert lo.as_fraction() <= value <= hi.as_fraction()
     assert (hi - lo).as_fraction() <= Fraction(1, 2 ** p)
 

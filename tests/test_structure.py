@@ -140,22 +140,20 @@ def test_detects_rounding_in_a_scan(tmp_path):
     assert rounding_ops(probe, "missing") is None
 
 
-def per_point_root_calls(path: Path, function: str):
-    """``nth_root`` and ``as_fraction`` calls anywhere inside the function
-    named ``function`` in ``path``, or None when there is no such
-    function."""
+def named_calls(path: Path, function: str, names: set[str]):
+    """Calls of any of ``names`` anywhere inside the function named
+    ``function`` in ``path``, or None when there is no such function."""
     body = function_def(path, function)
     if body is None:
         return None
-    return [name for name in map(call_name, ast.walk(body))
-            if name in ("nth_root", "as_fraction")]
+    return [name for name in map(call_name, ast.walk(body)) if name in names]
 
 
 def test_lattice_sum_takes_integer_roots_per_norm_class():
     # one isqrt per squared norm; a dyadic root or Fraction conversion
     # per point is the cost the norm classes removed
-    assert per_point_root_calls(SRC / "extension.py",
-                                "lattice_inv_norm_sum") == []
+    assert named_calls(SRC / "extension.py", "lattice_inv_norm_sum",
+                       {"nth_root", "as_fraction"}) == []
 
 
 def test_detects_a_per_point_root(tmp_path):
@@ -163,6 +161,32 @@ def test_detects_a_per_point_root(tmp_path):
     probe.write_text("def lattice_inv_norm_sum(M, k):\n"
                      "    rt = DyadicInterval.point(M).nth_root(2, 64)\n"
                      "    return 1 / rt.hi.as_fraction()\n")
-    assert sorted(per_point_root_calls(probe, "lattice_inv_norm_sum")) == \
+    names = {"nth_root", "as_fraction"}
+    assert sorted(named_calls(probe, "lattice_inv_norm_sum", names)) == \
         ["as_fraction", "nth_root"]
-    assert per_point_root_calls(probe, "missing") is None
+    assert named_calls(probe, "missing", names) is None
+
+
+#: The certified logarithm and the reciprocal work on integers only; a
+#: Fraction on this path pays a gcd per operation.
+INTEGER_PATH = ("_atanh_series", "_split", "_ln2_bounds", "_ln_dyadic_bounds",
+                "ln_interval", "reciprocal", "_inverse_ratio",
+                "dyadic_from_ratio")
+
+#: Calls that build a Fraction or take one.
+FRACTION_CALLS = {"Fraction", "as_fraction", "from_fractions"}
+
+
+def test_logarithm_and_reciprocal_build_no_fraction():
+    assert {fn: named_calls(SRC / "realnum.py", fn, FRACTION_CALLS)
+            for fn in INTEGER_PATH} == {fn: [] for fn in INTEGER_PATH}
+
+
+def test_detects_a_fraction_on_the_integer_path(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def _atanh_series(a, b, p):\n"
+                     "    def term(j):\n"
+                     "        return Fraction(a, b) ** (2 * j + 1)\n"
+                     "    return term(0), Dyadic(a).as_fraction()\n")
+    assert sorted(named_calls(probe, "_atanh_series", FRACTION_CALLS)) == \
+        ["Fraction", "as_fraction"]
