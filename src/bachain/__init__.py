@@ -26,7 +26,7 @@ from .realnum import (
     rational,
     root,
 )
-from .linform import IntVector, LinearForm, best_m0, canonicalize_sign, zeta
+from .linform import LinearForm, best_m0, zeta
 from .enumerator import (
     BAChain,
     BestApprox,

@@ -247,9 +247,10 @@ class _Candidate:
     def refine(self, form: LinearForm, cap: int) -> bool:
         """Climb to the next rung above the candidate's own; the enclosure
         only narrows.  False when the candidate already holds the top."""
-        w, value = next(form_values(self.m, form, 2 * self.rung, cap))
+        w, lo, hi, e = next(form_values(self.m, form, 2 * self.rung, cap))
         if w <= self.rung:
             return False
+        value = DyadicInterval(Dyadic(lo, e), Dyadic(hi, e))
         self.rung, self.value, self.size = w, value, value.abs()
         return True
 
@@ -265,18 +266,27 @@ def brute_force_oracle(form: LinearForm, M_max: int,
     sign that the enclosures cannot decide refines the candidates
     involved, each climbing from its own rung, so enclosures only narrow
     and every decision taken stays certified by the final ones, which
-    the records carry.  Intended for tests at small M_max.
+    the records carry; ``precision_used`` is the highest rung any
+    candidate reached.  Intended for tests at small M_max.
     """
     if M_max < 1:
         raise ValueError("M_max must be >= 1")
 
-    # per-shell argmin, each tail evaluated from scratch
+    # per-shell argmin, each tail evaluated from scratch; a candidate's
+    # rung only climbs, so the top rung is read off each one that loses
+    # a comparison or is kept to the end
+    top = 0
     shell_minima: list[_Candidate] = []
     for M in range(1, M_max + 1):
         best = None
         for tail in canonical_shell_tails(form.r, M):
             cand = _Candidate(tail, form, cap)
-            best = cand if best is None else _smaller(best, cand, form, cap)
+            if best is None:
+                best = cand
+                continue
+            winner = _smaller(best, cand, form, cap)
+            top = max(top, best.rung, cand.rung)
+            best = winner
         shell_minima.append(best)
 
     # global minimum at every level, recomputed as an explicit prefix pass
@@ -305,8 +315,9 @@ def brute_force_oracle(form: LinearForm, M_max: int,
     for prev, rec in zip(records, records[1:]):
         if not rec.zeta.hi < prev.zeta.lo:
             raise AssertionError("oracle: consecutive records do not separate")
+    top = max([top] + [cand.rung for cand in shell_minima])
     return BAChain(form=form, records=tuple(records),
-                   search_bound=M_max, precision_used=PRECISION_CAP)
+                   search_bound=M_max, precision_used=top)
 
 
 def _smaller(a: _Candidate, b: _Candidate, form: LinearForm,

@@ -2,20 +2,23 @@
 
 A form of dimension r carries constants (a_1, ..., a_r); an integer vector
 m = (m_0, m_1, ..., m_r) has form value m_0 + m_1*a_1 + ... + m_r*a_r.
-This module evaluates form values and climbs the one ladder over them,
-picks the optimal free coefficient m_0 for a given tail, applies the
-positive-value sign normalization, and holds the scaled-integer residual
-kernel that both exhaustive scans (the chain enumerator and the
-degeneracy criterion) run per tail.
+This module evaluates form values as integer dot products over one table
+of constant endpoints per (form, precision, cap), climbs the one ladder
+over them, and picks the optimal free coefficient m_0 for a given tail.
+It also holds the scaled-integer residual kernel that both exhaustive
+scans (the chain enumerator and the degeneracy criterion) run per tail;
+the form-value path above never calls it, so the brute-force oracle
+built on that path stays an independent check of the scans.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .errors import (
     AmbiguousRounding,
+    BachainError,
     DependenceSuspected,
     WidthTooLarge,
 )
@@ -26,12 +29,10 @@ from .realnum import (
     DyadicInterval,
     RealExpr,
     eval_interval,
-    nearest_integer,
     precision_ladder,
+    round_scaled,
     working_limit,
 )
-
-IntVector = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,9 @@ class LinearForm:
     """
 
     alphas: tuple[RealExpr, ...]
+    # endpoint_table results, keyed by (precision, cap)
+    _tables: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if len(self.alphas) < 1:
@@ -62,29 +66,66 @@ class LinearForm:
         return len(self.alphas)
 
 
+def endpoint_table(form: LinearForm, precision: int,
+                   cap: int = PRECISION_CAP
+                   ) -> tuple[int, list[int], list[int], tuple[int, ...]]:
+    """Exponent e <= -2 and integer endpoints lo[j], hi[j] with
+    eval_interval(a_j, precision, cap) = [lo[j], hi[j]] * 2**e exactly,
+    plus the indices j whose constant cannot be evaluated there (their
+    endpoints are 0).
+
+    Memoised on the form under (precision, cap), like the enclosures on
+    the constants.
+    """
+    table = form._tables.get((precision, cap))
+    if table is not None:
+        return table
+    ivs = {}
+    for j, alpha in enumerate(form.alphas):
+        try:
+            ivs[j] = eval_interval(alpha, precision, cap)
+        except (BachainError, ValueError):
+            pass  # raised again by _dot for a vector that uses a_j
+    e = min([-2] + [d.exp for iv in ivs.values() for d in (iv.lo, iv.hi)])
+    los, his = [0] * form.r, [0] * form.r
+    for j, iv in ivs.items():
+        los[j] = iv.lo.man << (iv.lo.exp - e)
+        his[j] = iv.hi.man << (iv.hi.exp - e)
+    missing = tuple(j for j in range(form.r) if j not in ivs)
+    table = form._tables[(precision, cap)] = (e, los, his, missing)
+    return table
+
+
+def _dot(m: Sequence[int], form: LinearForm, precision: int,
+         cap: int) -> tuple[int, int, int]:
+    """Endpoints lo, hi and exponent e of m_0 + sum m_j*a_j enclosed as
+    [lo, hi] * 2**e: one integer dot product over ``endpoint_table``,
+    taking per constant the endpoint that bounds coeff * a_j from below
+    (above)."""
+    e, los, his, missing = endpoint_table(form, precision, cap)
+    for j in missing:
+        if m[j + 1]:
+            eval_interval(form.alphas[j], precision, cap)  # raises again
+    s_lo = s_hi = m[0] << -e
+    for c, al, ah in zip(m[1:], los, his):
+        if c > 0:
+            s_lo += c * al
+            s_hi += c * ah
+        elif c < 0:
+            s_lo += c * ah
+            s_hi += c * al
+    return s_lo, s_hi, e
+
+
 def zeta(m: Sequence[int], form: LinearForm, precision: int,
          cap: int = PRECISION_CAP) -> DyadicInterval:
     """Enclosure of m_0 + sum m_j*a_j; each constant is evaluated to width
     <= 2**-precision, so the result has width <= 2**-precision * sum|m_j|.
-
-    The endpoints are exact integer sums on the finest grid among the
-    terms: m_0 and, per constant, coeff times the endpoint that bounds the
-    product from below (above)."""
+    """
     if len(m) != form.r + 1:
         raise ValueError(f"expected {form.r + 1} coordinates, got {len(m)}")
-    terms = []  # (coeff, lower endpoint, upper endpoint) of coeff * a_j
-    e = 0
-    for coeff, alpha in zip(m[1:], form.alphas):
-        if coeff:
-            iv = eval_interval(alpha, precision, cap)
-            lo, hi = (iv.lo, iv.hi) if coeff > 0 else (iv.hi, iv.lo)
-            terms.append((coeff, lo, hi))
-            e = min(e, lo.exp, hi.exp)
-    s_lo = s_hi = m[0] << -e
-    for coeff, lo, hi in terms:
-        s_lo += (coeff * lo.man) << (lo.exp - e)
-        s_hi += (coeff * hi.man) << (hi.exp - e)
-    return DyadicInterval(Dyadic(s_lo, e), Dyadic(s_hi, e))
+    lo, hi, e = _dot(m, form, precision, cap)
+    return DyadicInterval(Dyadic(lo, e), Dyadic(hi, e))
 
 
 def tail_norm(tail: Sequence[int]) -> int:
@@ -92,17 +133,21 @@ def tail_norm(tail: Sequence[int]) -> int:
 
 
 def form_values(m: Sequence[int], form: LinearForm, start: int,
-                cap: int = PRECISION_CAP) -> Iterator[tuple[int, DyadicInterval]]:
-    """(w, zeta(m, form, w, cap)) for each rung w of the precision ladder
-    from start (clipped to the working limit) up to working_limit(cap).
+                cap: int = PRECISION_CAP
+                ) -> Iterator[tuple[int, int, int, int]]:
+    """(w, lo, hi, e) for each rung w of the precision ladder from start
+    (clipped to the working limit) up to working_limit(cap), where
+    [lo, hi] * 2**e is zeta(m, form, w, cap).
 
     Successive enclosures nest, so a caller that resumes from a rung it
     already holds only ever narrows its enclosure.  This is the one ladder
     over form values.
     """
+    if len(m) != form.r + 1:
+        raise ValueError(f"expected {form.r + 1} coordinates, got {len(m)}")
     limit = working_limit(cap)
     for w in precision_ladder(min(start, limit), limit):
-        yield w, zeta(m, form, w, cap)
+        yield (w,) + _dot(m, form, w, cap)
 
 
 def best_m0(tail: Sequence[int], form: LinearForm,
@@ -119,37 +164,21 @@ def best_m0(tail: Sequence[int], form: LinearForm,
     if not any(tail):
         raise ValueError("tail must not be all zero")
     start = START_PRECISION + sum(map(abs, tail)).bit_length()
-    for w, value in form_values((0,) + tuple(tail), form, start, cap):
+    for w, lo, hi, e in form_values((0,) + tuple(tail), form, start, cap):
         try:
-            n, residual = nearest_integer(value)
+            n, r_lo, r_hi = round_scaled(lo, hi, -e)
         except (AmbiguousRounding, WidthTooLarge):
             continue
-        if residual.sign() == 0:
+        if r_lo == r_hi == 0:
             # an exact integer combination is a certified rational dependence
             raise DependenceSuspected(
                 f"tail {tuple(tail)} combines to an exact integer",
                 witness=tuple(tail))
-        return -n, residual, w
+        return -n, DyadicInterval(Dyadic(r_lo, e), Dyadic(r_hi, e)), w
     raise DependenceSuspected(
         f"residual of tail {tuple(tail)} cannot be rounded at "
         f"cap {cap}; exact 0 or 1/2 suspected",
         witness=tuple(tail))
-
-
-def canonicalize_sign(m: Sequence[int], form: LinearForm,
-                      cap: int = PRECISION_CAP) -> IntVector:
-    """Return m or -m, whichever has a certified positive form value."""
-    m = tuple(m)
-    for _, value in form_values(m, form, START_PRECISION, cap):
-        s = value.sign()
-        if s == 1:
-            return m
-        if s == -1:
-            return tuple(-c for c in m)
-        if s == 0:
-            break
-    raise DependenceSuspected(
-        f"form value of {m} has no certifiable sign", witness=m)
 
 
 # ---------------------------------------------------------------------------

@@ -709,20 +709,30 @@ def nearest_integer(x: DyadicInterval) -> tuple[int, DyadicInterval]:
     lo, hi = x.lo, x.hi
     # endpoints as integer multiples of 2**e; e <= -2 puts 1/4 on the grid
     e = min(lo.exp, hi.exp, -2)
-    a = lo.man << (lo.exp - e)
-    b = hi.man << (hi.exp - e)
-    q = -e  # 1 == 2**q grid steps
-    if b - a >= 1 << (q - 2):
+    n, r_lo, r_hi = round_scaled(lo.man << (lo.exp - e),
+                                 hi.man << (hi.exp - e), -e)
+    return n, DyadicInterval(Dyadic(r_lo, e), Dyadic(r_hi, e))
+
+
+def round_scaled(lo: int, hi: int, q: int) -> tuple[int, int, int]:
+    """Nearest integer n to every point of [lo, hi] * 2**-q (q >= 2), and
+    the residual endpoints lo - n * 2**q and hi - n * 2**q on that scale.
+
+    The one rounding rule: raises WidthTooLarge when the interval is 1/4
+    wide or wider, and AmbiguousRounding when an endpoint lies on a
+    half-integer or the endpoints round to different integers.
+    """
+    if hi - lo >= 1 << (q - 2):
         raise WidthTooLarge("interval wider than 1/4")
     half = 1 << (q - 1)
     mask = (1 << q) - 1
-    if not (a + half) & mask or not (b + half) & mask:
+    if not (lo + half) & mask or not (hi + half) & mask:
         raise AmbiguousRounding("endpoint lies exactly on a half-integer")
-    n = (a + half) >> q
-    if n != (b + half) >> q:
+    n = (lo + half) >> q
+    if n != (hi + half) >> q:
         raise AmbiguousRounding("interval straddles a half-integer")
     step = n << q
-    return n, DyadicInterval(Dyadic(a - step, e), Dyadic(b - step, e))
+    return n, lo - step, hi - step
 
 
 # ---------------------------------------------------------------------------

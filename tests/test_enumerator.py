@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bachain import enumerator
+from bachain import enumerator, linform
 from bachain.enumerator import (
     brute_force_oracle,
     canonical_shell_tails,
@@ -21,7 +21,7 @@ from bachain.realnum import (
     root,
     working_limit,
 )
-from bachain.cli import parse_expr
+from bachain.cli import parse_expr, serialize_chain
 
 
 class TestShellTails:
@@ -134,7 +134,8 @@ class TestOracle:
 
     def test_independent_of_scan_kernel(self, monkeypatch):
         # the cross-check is worthless if the oracle runs the enumerator's
-        # residual kernel, so it must work with that kernel unavailable
+        # residual kernel, so it must work with that kernel unavailable,
+        # both where the scan imports it and where it is defined
         def alphas():
             return (parse_expr("root(7,2)"), parse_expr("root(11,3)"))
 
@@ -143,8 +144,9 @@ class TestOracle:
         def unavailable(*args, **kwargs):
             raise AssertionError("scan kernel reached")
 
-        monkeypatch.setattr(enumerator, "scaled_residual", unavailable)
-        monkeypatch.setattr(enumerator, "scaled_constants", unavailable)
+        for module in (enumerator, linform):
+            monkeypatch.setattr(module, "scaled_residual", unavailable)
+            monkeypatch.setattr(module, "scaled_constants", unavailable)
         with pytest.raises(AssertionError, match="scan kernel reached"):
             enumerate_chain(LinearForm(alphas()), 12)
         got = brute_force_oracle(LinearForm(alphas()), 12)
@@ -198,6 +200,21 @@ def seed_coarse(monkeypatch, pad_exp):
     monkeypatch.setattr(enumerator, "best_m0", coarse)
 
 
+def record_rungs(monkeypatch):
+    """The rung of every oracle candidate's first enclosure, in order of
+    evaluation; wraps whatever ``enumerator.best_m0`` is bound to."""
+    rungs = []
+    inner = enumerator.best_m0
+
+    def recorded(tail, form, cap=PRECISION_CAP):
+        got = inner(tail, form, cap)
+        rungs.append(got[2])
+        return got
+
+    monkeypatch.setattr(enumerator, "best_m0", recorded)
+    return rungs
+
+
 def records(chain):
     return [(r.index, r.m, r.M) for r in chain.records]
 
@@ -218,6 +235,27 @@ class TestOracleRefinement:
         seed_coarse(monkeypatch, -1)
         assert records(brute_force_oracle(form, 25)) == want
         assert climbs["sign"] > 0
+
+    @pytest.mark.parametrize("cap", [2048, PRECISION_CAP])
+    def test_precision_used_is_the_top_rung(self, monkeypatch, climbs,
+                                            sqrt2_form, cap):
+        # the highest rung any candidate reached, not the cap
+        rungs = record_rungs(monkeypatch)
+        chain = brute_force_oracle(sqrt2_form, 50, cap=cap)
+        assert chain.precision_used == max(rungs + [climbs["top"]])
+        assert chain.precision_used <= working_limit(cap)
+        text = serialize_chain(chain, cap)
+        assert f"# precision-cap {cap}\n" in text
+        assert f"# precision-used {chain.precision_used}\n" in text
+
+    def test_precision_used_counts_climbs(self, monkeypatch, climbs):
+        # a losing candidate's climb counts as much as a record's
+        form = LinearForm((parse_expr("root(7,2)"), parse_expr("root(11,3)")))
+        seed_coarse(monkeypatch, -3)
+        rungs = record_rungs(monkeypatch)
+        chain = brute_force_oracle(form, 12, cap=2048)
+        assert climbs["top"] > max(rungs)
+        assert chain.precision_used == climbs["top"]
 
     def test_tie_at_cap(self, climbs):
         # |1/3| and |2/3 - 1| tie exactly; 1/3 hides behind a root node

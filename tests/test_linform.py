@@ -4,23 +4,34 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bachain.cli import parse_expr
-from bachain.errors import AmbiguousRounding, DependenceSuspected
+from bachain.errors import (
+    AmbiguousRounding,
+    BachainError,
+    DependenceSuspected,
+    PrecisionExhausted,
+    WidthTooLarge,
+)
 from bachain.linform import (
     LinearForm,
     abs_bounds,
     best_m0,
-    canonicalize_sign,
+    endpoint_table,
+    form_values,
     scaled_constants,
     scaled_residual,
     zeta,
 )
 from bachain.realnum import (
     PRECISION_CAP,
+    START_PRECISION,
     Dyadic,
     DyadicInterval,
     eval_interval,
+    nearest_integer,
+    precision_ladder,
     rational,
     root,
+    working_limit,
 )
 from conftest import sqrt_digits
 
@@ -123,6 +134,22 @@ class TestBestM0:
         form = LinearForm((root(4) / 2,))  # value exactly 1
         with pytest.raises(DependenceSuspected):
             best_m0((1,), form, cap=2048)
+
+
+def canonicalize_sign(m, form, cap=PRECISION_CAP):
+    """m or -m, whichever has a certified positive form value: the sign
+    normalization that the scan and the oracle each apply themselves,
+    kept as a reference over ``form_values``."""
+    m = tuple(m)
+    for _, lo, hi, _ in form_values(m, form, START_PRECISION, cap):
+        if lo > 0:
+            return m
+        if hi < 0:
+            return tuple(-c for c in m)
+        if lo == hi == 0:
+            break
+    raise DependenceSuspected(
+        f"form value of {m} has no certifiable sign", witness=m)
 
 
 class TestCanonicalizeSign:
@@ -298,3 +325,137 @@ def test_zeta_matches_interval_chain(texts, m0, coeffs, precision, cap):
     want = _zeta_reference(m, form, precision, cap)
     assert (got.lo.man, got.lo.exp) == (want.lo.man, want.lo.exp)
     assert (got.hi.man, got.hi.exp) == (want.hi.man, want.hi.exp)
+
+
+# --- the Dyadic path that the endpoint table replaced ----------------------
+
+
+def _zeta_dyadic_reference(m, form, precision, cap=PRECISION_CAP):
+    """zeta as a per-call sum: one eval_interval per nonzero coefficient,
+    the terms aligned on their finest exponent, and a Dyadic build."""
+    if len(m) != form.r + 1:
+        raise ValueError(f"expected {form.r + 1} coordinates, got {len(m)}")
+    terms = []  # (coeff, lower endpoint, upper endpoint) of coeff * a_j
+    e = 0
+    for coeff, alpha in zip(m[1:], form.alphas):
+        if coeff:
+            iv = eval_interval(alpha, precision, cap)
+            lo, hi = (iv.lo, iv.hi) if coeff > 0 else (iv.hi, iv.lo)
+            terms.append((coeff, lo, hi))
+            e = min(e, lo.exp, hi.exp)
+    s_lo = s_hi = m[0] << -e
+    for coeff, lo, hi in terms:
+        s_lo += (coeff * lo.man) << (lo.exp - e)
+        s_hi += (coeff * hi.man) << (hi.exp - e)
+    return DyadicInterval(Dyadic(s_lo, e), Dyadic(s_hi, e))
+
+
+def _best_m0_reference(tail, form, cap=PRECISION_CAP):
+    """best_m0 over the Dyadic path: the same rungs, each enclosure built
+    by ``_zeta_dyadic_reference`` and rounded by ``nearest_integer``."""
+    if len(tail) != form.r:
+        raise ValueError(f"expected {form.r} tail coordinates, got {len(tail)}")
+    if not any(tail):
+        raise ValueError("tail must not be all zero")
+    start = START_PRECISION + sum(map(abs, tail)).bit_length()
+    limit = working_limit(cap)
+    for w in precision_ladder(min(start, limit), limit):
+        value = _zeta_dyadic_reference((0,) + tuple(tail), form, w, cap)
+        try:
+            n, residual = nearest_integer(value)
+        except (AmbiguousRounding, WidthTooLarge):
+            continue
+        if residual.sign() == 0:
+            raise DependenceSuspected(
+                f"tail {tuple(tail)} combines to an exact integer",
+                witness=tuple(tail))
+        return -n, residual, w
+    raise DependenceSuspected(
+        f"residual of tail {tuple(tail)} cannot be rounded at "
+        f"cap {cap}; exact 0 or 1/2 suspected",
+        witness=tuple(tail))
+
+
+def _bits(x):
+    """A result as plain data: intervals by mantissa and exponent, errors
+    by type, message and witness."""
+    if isinstance(x, DyadicInterval):
+        return (x.lo.man, x.lo.exp, x.hi.man, x.hi.exp)
+    if isinstance(x, tuple):
+        return tuple(map(_bits, x))
+    return x
+
+
+def _outcome(fn, *args):
+    try:
+        return _bits(fn(*args))
+    except (BachainError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+# root(4,2) is exactly 2 (an exact-integer tail (1,)), root(9/16,2) is
+# exactly 3/4 (tail (2,) sits on 3/2 at every rung: cap exhaustion)
+_REFERENCE_TEXTS = _ALPHA_TEXTS + ("root(7,3)", "root(43,2)")
+
+
+@given(st.lists(st.sampled_from(_REFERENCE_TEXTS), min_size=1, max_size=3),
+       st.integers(min_value=-(1 << 20), max_value=1 << 20),
+       st.lists(st.one_of(st.just(0),
+                          st.integers(min_value=-300, max_value=300)),
+                min_size=3, max_size=3),
+       st.integers(min_value=1, max_value=140),
+       st.sampled_from([2048, PRECISION_CAP]))
+@example(["root(4,2)"], 0, [1, 0, 0], 64, 2048)
+@example(["root(9/16,2)"], 0, [2, 0, 0], 64, 2048)
+@example(["root(2,2)", "root(4,2)"], 5, [0, 3, 0], 64, PRECISION_CAP)
+@example(["root(2,2)", "root(3,3)/5", "(1+root(5,2))/2"], -7, [0, 0, 0], 9,
+         PRECISION_CAP)
+@settings(max_examples=200, deadline=None)
+def test_integer_path_matches_dyadic_path(texts, m0, coeffs, precision, cap):
+    form = LinearForm(tuple(parse_expr(t) for t in texts))
+    tail = tuple(coeffs[:form.r])
+    m = (m0,) + tail
+    assert _outcome(zeta, m, form, precision, cap) == \
+        _outcome(_zeta_dyadic_reference, m, form, precision, cap)
+    assert _outcome(best_m0, tail, form, cap) == \
+        _outcome(_best_m0_reference, tail, form, cap)
+
+
+class TestIntegerPath:
+    def test_reference_errors(self):
+        # the exact-integer and cap-exhaustion dependences, on both paths
+        for text, tail, match in (("root(4,2)", (1,), "exact integer"),
+                                  ("root(9/16,2)", (2,), "cannot be rounded")):
+            form = LinearForm((parse_expr(text),))
+            got = _outcome(best_m0, tail, form, 2048)
+            assert got == _outcome(_best_m0_reference, tail, form, 2048)
+            assert got[0] is DependenceSuspected and match in got[1]
+
+    def test_table_is_exact_and_memoised(self, cbrt_pair):
+        e, los, his, missing = endpoint_table(cbrt_pair, 90)
+        assert e <= -2 and missing == ()
+        for alpha, lo, hi in zip(cbrt_pair.alphas, los, his):
+            iv = eval_interval(alpha, 90)
+            assert (Dyadic(lo, e), Dyadic(hi, e)) == (iv.lo, iv.hi)
+        assert endpoint_table(cbrt_pair, 90) is endpoint_table(cbrt_pair, 90)
+
+    def test_unevaluable_constant_raises_only_where_used(self):
+        # 2**1500 * sqrt(2) is 2**-548 wide at the 2048-bit rung, so it has
+        # no enclosure of width 2**-600 under that cap; a vector that does
+        # not use it never asks for one
+        form = LinearForm((root(3), root(2) * (1 << 1500)))
+        for m in ((3, 1, 0), (3, 0, 0), (3, 0, 1), (0, 2, -1)):
+            want = _outcome(_zeta_dyadic_reference, m, form, 600, 2048)
+            assert _outcome(zeta, m, form, 600, 2048) == want
+            assert (want[0] is PrecisionExhausted) == bool(m[2])
+        assert endpoint_table(form, 600, 2048)[3] == (1,)
+
+    def test_form_values_wrap_to_zeta(self, cbrt_pair):
+        m = (4, -3, 11)
+        for w, lo, hi, e in form_values(m, cbrt_pair, 64, 1024):
+            assert DyadicInterval(Dyadic(lo, e), Dyadic(hi, e)) == \
+                zeta(m, cbrt_pair, w, 1024)
+
+    def test_form_values_wrong_length(self, cbrt_pair):
+        with pytest.raises(ValueError):
+            next(form_values((1, 2), cbrt_pair, 64))

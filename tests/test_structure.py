@@ -190,3 +190,59 @@ def test_detects_a_fraction_on_the_integer_path(tmp_path):
                      "    return term(0), Dyadic(a).as_fraction()\n")
     assert sorted(named_calls(probe, "_atanh_series", FRACTION_CALLS)) == \
         ["Fraction", "as_fraction"]
+
+
+#: The oracle's path, which must stay independent of the scans: a fault in
+#: the residual kernel would otherwise show in both and cancel out.
+ORACLE_PATH = ("zeta", "form_values", "best_m0", "_Candidate", "_smaller",
+               "brute_force_oracle")
+
+#: The exhaustive scans' residual kernel.
+SCAN_KERNEL = {"scaled_residual", "scaled_constants"}
+
+
+def kernel_reach(paths, roots, kernel=SCAN_KERNEL) -> dict[str, list[str]]:
+    """For each root, the call chains by which it reaches a ``kernel``
+    name, following calls to the functions and classes defined at the top
+    level of ``paths`` (a class counts with all of its methods)."""
+    defs = {}
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defs.update((node.name, node) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+    found = {}
+    for root in roots:
+        chains, seen, todo = [], {root}, [(root,)]
+        while todo:
+            chain = todo.pop()
+            for name in map(call_name, ast.walk(defs[chain[-1]])):
+                if name in kernel:
+                    chains.append(" -> ".join(chain + (name,)))
+                elif name in defs and name not in seen:
+                    seen.add(name)
+                    todo.append(chain + (name,))
+        found[root] = sorted(chains)
+    return found
+
+
+def test_oracle_path_never_reaches_the_scan_kernel():
+    paths = (SRC / "linform.py", SRC / "enumerator.py")
+    assert kernel_reach(paths, ORACLE_PATH) == \
+        {root: [] for root in ORACLE_PATH}
+
+
+def test_detects_a_kernel_call_behind_a_helper(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def zeta(m):\n"
+                     "    return _dot(m)\n"
+                     "def _dot(m):\n"
+                     "    return linform.scaled_residual(m, 0, 0, 4)\n"
+                     "class _Candidate:\n"
+                     "    def refine(self):\n"
+                     "        return scaled_constants(self.m, 64)\n"
+                     "def clean(m):\n"
+                     "    return zeta\n")
+    assert kernel_reach([probe], ("zeta", "_Candidate", "clean")) == {
+        "zeta": ["zeta -> _dot -> scaled_residual"],
+        "_Candidate": ["_Candidate -> scaled_constants"],
+        "clean": []}
