@@ -14,8 +14,12 @@ import json
 import sys
 import time
 
-from bachain import enumerate_chain, load_experiment_config, monte_carlo
-from bachain.cli import parse_expr
+from bachain import (
+    enumerate_chain,
+    load_experiment_config,
+    monte_carlo,
+    parse_expr,
+)
 from bachain.linform import LinearForm
 
 

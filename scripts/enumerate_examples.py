@@ -8,8 +8,8 @@ window determinants, and the convergence-diagnostic partial sums.
 import sys
 import time
 
-from bachain import analysis, enumerate_chain
-from bachain.cli import parse_expr, render_chain_text
+from bachain import analysis, enumerate_chain, parse_expr
+from bachain.cli import render_chain_text
 from bachain.linform import LinearForm
 
 EXAMPLES = [

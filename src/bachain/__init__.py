@@ -12,17 +12,14 @@ from .errors import (
     WidthTooLarge,
 )
 from .realnum import (
-    GREATER,
-    LESS,
     PRECISION_CAP,
     Dyadic,
     DyadicInterval,
     RealExpr,
-    Undecided,
-    compare,
     eval_interval,
     ln_interval,
     nearest_integer,
+    parse_expr,
     rational,
     root,
 )
@@ -31,7 +28,6 @@ from .enumerator import (
     BAChain,
     BestApprox,
     brute_force_oracle,
-    cf_convergents,
     convergent_denominators,
     enumerate_chain,
 )
@@ -56,7 +52,6 @@ from .extension import (
     ExperimentConfig,
     ExtensionReport,
     MonteCarloResult,
-    PaddedVector,
     compare_extended,
     degeneracy_criterion,
     lattice_inv_norm_sum,

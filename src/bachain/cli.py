@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import random
-import re
 import sys
 from fractions import Fraction
 from itertools import zip_longest
@@ -45,8 +44,7 @@ from .realnum import (
     DyadicInterval,
     RealExpr,
     expr_to_text,
-    rational,
-    root,
+    parse_expr,
 )
 
 EXIT_OK = 0
@@ -58,139 +56,6 @@ EXIT_BUDGET = 5
 
 CHAIN_MAGIC = "# bachain-chain v1"
 REPORT_MAGIC = "bachain-report v1"
-
-
-# ---------------------------------------------------------------------------
-# Expression grammar
-# ---------------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(r"\s*(\d+|root|[()+\-*/,])")
-
-
-#: Most levels of the tree one constant expression may build; deeper
-#: input is a usage error, never a recursion overflow.
-MAX_EXPR_DEPTH = 100
-
-
-class ExprSyntaxError(ValueError):
-    pass
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ExprSyntaxError(
-                    f"unexpected character {text[pos:].strip()[0]!r}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
-
-
-def parse_expr(text: str) -> RealExpr:
-    """Parse the constant grammar: integers, + - * /, parentheses, and
-    root(x, n) for the n-th root of x.
-
-    The tree built may be at most MAX_EXPR_DEPTH nodes high, and brackets,
-    roots and minus signs may nest at most MAX_EXPR_DEPTH + 1 deep, so
-    nothing recurses past the bound.  The extra level is the bracket that
-    ``expr_to_text`` puts around a negative fraction, so every accepted
-    tree reads back from its own text.
-    """
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek() -> Optional[str]:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expected: Optional[str] = None) -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ExprSyntaxError("unexpected end of expression")
-        tok = tokens[pos]
-        if expected is not None and tok != expected:
-            raise ExprSyntaxError(f"expected {expected!r}, found {tok!r}")
-        pos += 1
-        return tok
-
-    def check(levels: int, bound: int = MAX_EXPR_DEPTH) -> int:
-        if levels > bound:
-            raise ExprSyntaxError(
-                f"expression nests deeper than {MAX_EXPR_DEPTH} levels")
-        return levels
-
-    def opened(nest: int) -> int:
-        return check(nest + 1, MAX_EXPR_DEPTH + 1)
-
-    # Each parser takes the number of brackets, roots and minus signs open
-    # around it and returns its node with the node's height.
-    def parse_sum(nest: int) -> tuple[RealExpr, int]:
-        node, height = parse_product(nest)
-        while peek() in ("+", "-"):
-            op = take()
-            rhs, rhs_height = parse_product(nest)
-            height = check(1 + max(height, rhs_height))
-            node = node + rhs if op == "+" else node - rhs
-        return node, height
-
-    def parse_product(nest: int) -> tuple[RealExpr, int]:
-        node, height = parse_unary(nest)
-        while peek() in ("*", "/"):
-            op = take()
-            rhs, rhs_height = parse_unary(nest)
-            if op == "/" and node.is_rational_literal() \
-                    and rhs.is_rational_literal():
-                # fold so that literals like 1/2 or -3/7 round-trip as
-                # single rational nodes
-                if rhs.value == 0:
-                    raise ExprSyntaxError("division by zero")
-                node, height = rational(node.value / rhs.value), 1
-                continue
-            height = check(1 + max(height, rhs_height))
-            node = node * rhs if op == "*" else node / rhs
-        return node, height
-
-    def parse_unary(nest: int) -> tuple[RealExpr, int]:
-        if peek() == "-":
-            take()
-            inner, height = parse_unary(opened(nest))
-            if inner.is_rational_literal():
-                return rational(-inner.value), 1
-            return -inner, check(height + 1)
-        return parse_atom(nest)
-
-    def parse_atom(nest: int) -> tuple[RealExpr, int]:
-        tok = peek()
-        if tok is None:
-            raise ExprSyntaxError("unexpected end of expression")
-        if tok == "(":
-            take()
-            node, height = parse_sum(opened(nest))
-            take(")")
-            return node, height
-        if tok == "root":
-            take()
-            take("(")
-            radicand, height = parse_sum(opened(nest))
-            take(",")
-            index = take()
-            if not index.isdigit():
-                raise ExprSyntaxError("root index must be an integer")
-            take(")")
-            return root(radicand, int(index)), check(height + 1)
-        if tok.isdigit():
-            take()
-            return rational(int(tok)), 1
-        raise ExprSyntaxError(f"unexpected token {tok!r}")
-
-    node, _ = parse_sum(0)
-    if pos != len(tokens):
-        raise ExprSyntaxError(f"trailing input from token {tokens[pos]!r}")
-    return node
 
 
 # ---------------------------------------------------------------------------
@@ -213,26 +78,16 @@ def serialize_chain(chain: BAChain, precision_cap: int = PRECISION_CAP) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: Header keys whose value is one integer; each appears at most once.
+#: Header keys whose value is one integer.
 _INT_HEADERS = ("r", "search-bound", "precision-cap", "precision-used")
 
 
-def _parse_int(text: str) -> int:
-    """Only the text ``str`` writes for an integer parses, so a parsed
-    chain serializes back to the same bytes."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or str(value) != text:
-        raise ValueError(f"malformed integer: {text!r}")
-    return value
-
-
 def parse_chain(text: str) -> BAChain:
-    """Read a chain file.  Only the exact text ``serialize_chain`` writes
-    for the file's own ``precision-cap`` is accepted, so a chain read back
-    is the chain the file states, byte for byte."""
+    """Read a chain file.  One rule decides what is accepted: the exact
+    text ``serialize_chain`` writes for the file's own ``precision-cap``,
+    so a chain read back is the chain the file states, byte for byte.
+    Values are read leniently and the final round trip rejects every
+    other spelling, repeated or unknown header and stray byte."""
     lines = text.splitlines()
     if not lines or lines[0] != CHAIN_MAGIC:
         raise ValueError(f"not a chain file (missing {CHAIN_MAGIC!r})")
@@ -245,10 +100,7 @@ def parse_chain(text: str) -> BAChain:
             if key == "alpha":
                 alphas.append(parse_expr(val))
             elif key in _INT_HEADERS:
-                if key in header:
-                    raise ValueError(f"chain header {key!r} given twice")
-                header[key] = _parse_int(val)
-            # other keys are never written: the round trip below rejects them
+                header[key] = int(val)
         else:
             body.append(ln)
     try:
@@ -266,9 +118,9 @@ def parse_chain(text: str) -> BAChain:
         fields = ln.split()
         if len(fields) != r + 5:
             raise ValueError(f"malformed record line: {ln!r}")
-        index = _parse_int(fields[0])
-        m = tuple(_parse_int(x) for x in fields[1:r + 2])
-        M = _parse_int(fields[r + 2])
+        index = int(fields[0])
+        m = tuple(int(x) for x in fields[1:r + 2])
+        M = int(fields[r + 2])
         zeta = DyadicInterval(Dyadic.from_hex(fields[r + 3]),
                               Dyadic.from_hex(fields[r + 4]))
         records.append(BestApprox(index=index, m=m, M=M, zeta=zeta))
@@ -401,8 +253,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    selected = ({c for c in args.checks.split(",") if c}
-                if args.checks else None)
+    selected = (None if args.checks is None
+                else {c for c in args.checks.split(",") if c})
+    if selected == set():
+        raise ValueError(f"--checks {args.checks!r} names no check")
     # with --checks, --psi and --k come exactly with the checks they feed
     for check, flag, value in (("psi", "--psi", args.psi),
                                ("series", "--k", args.k)):
@@ -477,10 +331,9 @@ def _render_extension_text(result) -> str:
         out.append(f"extra records {data['extra_records']}")
         out.append(f"missing base indices {data['missing_base_indices']}")
         out.append(f"match horizon {data['match_horizon']}")
-    for nu, pair in data["omega_bounds"].items():
-        lo = float(Dyadic.from_hex(pair[0]))
-        hi = float(Dyadic.from_hex(pair[1]))
-        out.append(f"omega bound nu={nu}: [{lo:.6g}, {hi:.6g}]")
+    for nu, iv in sorted(result.omega_table.items()):
+        out.append(f"omega bound nu={nu}: "
+                   f"[{float(iv.lo):.6g}, {float(iv.hi):.6g}]")
     out.append(f"regime: {data['regime_note']}")
     return "\n".join(out)
 
@@ -594,7 +447,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SearchTooLarge as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ExprSyntaxError, DomainError, ValueError, OSError) as exc:
+    except (DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

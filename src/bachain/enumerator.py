@@ -10,14 +10,14 @@ DependenceSuspected because it witnesses a rational dependence among
 
 ``brute_force_oracle`` reproduces the same contract through a deliberately
 separate code path (per-tail residuals via the interval API, explicit
-prefix minima) and exists for cross-validation.  ``cf_convergents`` gives
-the classical r = 1 ground truth.
+prefix minima) and exists for cross-validation.
+``convergent_denominators`` gives the classical r = 1 ground truth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, islice, product
+from itertools import count, product
 from typing import Iterator, Optional
 
 from .errors import AmbiguousRounding, DependenceSuspected, PrecisionExhausted
@@ -80,9 +80,6 @@ class BAChain:
         for i, rec in enumerate(self.records, start=1):
             if rec.index != i:
                 raise ValueError("record indices must be consecutive from 1")
-
-    def __len__(self) -> int:
-        return len(self.records)
 
     @property
     def r(self) -> int:
@@ -374,14 +371,6 @@ def _convergents(alpha: RealExpr, cap: int) -> Iterator[tuple[int, int]]:
         q_prev, q_curr = q_curr, n * q_curr + q_prev
         yield p_curr, q_curr
         a, b, c, d = c, d, a - n * c, b - n * d
-
-
-def cf_convergents(alpha: RealExpr, count: int,
-                   cap: int = PRECISION_CAP) -> list[tuple[int, int]]:
-    """First ``count`` continued-fraction convergents p/q of alpha."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return list(islice(_convergents(alpha, cap), count))
 
 
 def convergent_denominators(alpha: RealExpr, up_to: int,

@@ -23,7 +23,6 @@ from typing import Iterator, Optional
 
 from .enumerator import (
     BAChain,
-    BestApprox,
     canonical_shell_tails,
     enumerate_chain,
 )
@@ -60,7 +59,7 @@ LATTICE_BITS = 64  # bits of each square root in the lattice sum
 class ExperimentConfig:
     """Parsed experiment description.
 
-    Constants stay as grammar text here (the CLI owns expression parsing);
+    Constants stay as grammar text here (``parse_expr`` reads them);
     everything a run needs is explicit, so a config file plus a seed fully
     reproduces an experiment.
     """
@@ -127,25 +126,12 @@ def load_experiment_config(text: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PaddedVector:
-    """A base record extended by k zero coordinates."""
-
-    base: BestApprox
-    k: int
-    vector: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.vector != self.base.m + (0,) * self.k:
-            raise ValueError("padded vector must be the base plus k zeros")
-
-
-def pad_chain(chain: BAChain, k: int) -> list[PaddedVector]:
-    """Extend every record by k zero coordinates, order preserved."""
+def pad_chain(chain: BAChain, k: int) -> list[tuple[int, ...]]:
+    """Every record's vector extended by k zero coordinates, in record
+    order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return [PaddedVector(base=rec, k=k, vector=rec.m + (0,) * k)
-            for rec in chain.records]
+    return [rec.m + (0,) * k for rec in chain.records]
 
 
 # ---------------------------------------------------------------------------
@@ -474,20 +460,20 @@ def _align(form: LinearForm, base_chain: BAChain, beta: BetaSample,
     ext_chain = enumerate_chain(ext_form, M_max, cap)
 
     padded = pad_chain(base_chain, beta.k)
-    padded_vectors = {pv.vector for pv in padded}
+    padded_vectors = set(padded)
     ext_vectors = {rec.m for rec in ext_chain.records}
 
     extras = [rec.m for rec in ext_chain.records
               if rec.m not in padded_vectors]
-    missing = [pv.base.index for pv in padded
-               if pv.vector not in ext_vectors]
+    missing = [rec.index for rec, v in zip(base_chain.records, padded)
+               if v not in ext_vectors]
 
     max_extra_norm = max((max(abs(c) for c in v[1:]) for v in extras),
                          default=0)
     bad_pad = max(missing, default=0)
     nu_match: Optional[int] = None
-    for s, pv in enumerate(padded, start=1):
-        if s > bad_pad and pv.base.M > max_extra_norm:
+    for s, rec in enumerate(base_chain.records, start=1):
+        if s > bad_pad and rec.M > max_extra_norm:
             nu_match = s
             break
 

@@ -12,11 +12,15 @@ one expression and skips the rungs that cannot evaluate it.  Because
 dyadic grids nest, the interval computed at a higher working precision is
 always contained in the one computed at a lower precision, which makes
 every certificate monotone under refinement.
+
+The textual grammar for constants lives here too: ``parse_expr`` reads
+it and ``expr_to_text`` writes it.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
@@ -108,9 +112,6 @@ class Dyadic:
     def mul_int(self, n: int) -> "Dyadic":
         return Dyadic(self.man * n, self.exp)
 
-    def __abs__(self) -> "Dyadic":
-        return Dyadic(abs(self.man), self.exp)
-
     # -- exact comparisons ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -137,9 +138,6 @@ class Dyadic:
     def __gt__(self, other: "Dyadic") -> bool:
         return other < self
 
-    def __ge__(self, other: "Dyadic") -> bool:
-        return other <= self
-
     def cmp_int(self, n: int) -> int:
         """Sign of self - n, computed exactly."""
         d = self - Dyadic(n)
@@ -161,9 +159,6 @@ class Dyadic:
     def floor_int(self) -> int:
         return self.floor_scaled(0)
 
-    def ceil_int(self) -> int:
-        return self.ceil_scaled(0)
-
     def is_integer(self) -> bool:
         return self.exp >= 0
 
@@ -176,16 +171,13 @@ class Dyadic:
 
     @classmethod
     def from_hex(cls, text: str) -> "Dyadic":
-        """Inverse of ``to_hex``.  Only the exact text it writes parses, so
-        a parsed value serializes back to the same bytes."""
+        """Inverse of ``to_hex``; other spellings of the value may parse,
+        so a reader that needs the exact text compares it itself."""
         try:
             man_hex, exp_dec = text.replace("0x", "", 1).split("p")
-            d = cls(int(man_hex, 16), int(exp_dec))
+            return cls(int(man_hex, 16), int(exp_dec))
         except ValueError:
-            d = None
-        if d is None or d.to_hex() != text:
-            raise ValueError(f"malformed dyadic literal: {text!r}")
-        return d
+            raise ValueError(f"malformed dyadic literal: {text!r}") from None
 
     def __repr__(self) -> str:
         return f"Dyadic({self.man}, {self.exp})"
@@ -429,7 +421,7 @@ class RealExpr:
     """Immutable expression tree for an exact real constant.
 
     Construct through the module helpers (:func:`rational`, :func:`root`)
-    or the arithmetic operators; int and Fraction operands coerce.
+    or the arithmetic operators; an int or Fraction right operand coerces.
     """
 
     __slots__ = ("kind", "value", "index", "children", "_cache",
@@ -459,26 +451,14 @@ class RealExpr:
     def __add__(self, other) -> "RealExpr":
         return RealExpr(_ADD, children=(self, RealExpr.coerce(other)))
 
-    def __radd__(self, other) -> "RealExpr":
-        return RealExpr(_ADD, children=(RealExpr.coerce(other), self))
-
     def __sub__(self, other) -> "RealExpr":
         return RealExpr(_SUB, children=(self, RealExpr.coerce(other)))
-
-    def __rsub__(self, other) -> "RealExpr":
-        return RealExpr(_SUB, children=(RealExpr.coerce(other), self))
 
     def __mul__(self, other) -> "RealExpr":
         return RealExpr(_MUL, children=(self, RealExpr.coerce(other)))
 
-    def __rmul__(self, other) -> "RealExpr":
-        return RealExpr(_MUL, children=(RealExpr.coerce(other), self))
-
     def __truediv__(self, other) -> "RealExpr":
         return _make_quotient(self, RealExpr.coerce(other))
-
-    def __rtruediv__(self, other) -> "RealExpr":
-        return _make_quotient(RealExpr.coerce(other), self)
 
     def __neg__(self) -> "RealExpr":
         return RealExpr(_SUB, children=(rational(0), self))
@@ -532,9 +512,6 @@ class RealExpr:
         for c in self.children:
             found |= c.square_root_radicands()
         return found
-
-    def eval(self, precision: int, cap: int = PRECISION_CAP) -> DyadicInterval:
-        return eval_interval(self, precision, cap)
 
     def __repr__(self) -> str:
         return f"RealExpr<{expr_to_text(self)}>"
@@ -664,40 +641,6 @@ def eval_interval(expr: RealExpr, precision: int,
             return iv
     raise PrecisionExhausted(
         f"width <= 2^-{precision} not reached for {expr!r}", cap)
-
-
-LESS = -1
-GREATER = 1
-
-
-class Undecided:
-    """Comparison outcome when intervals never separated; records the
-    working precision at which refinement stopped."""
-
-    __slots__ = ("precision",)
-
-    def __init__(self, precision: int):
-        self.precision = precision
-
-    def __repr__(self) -> str:
-        return f"Undecided(precision={self.precision})"
-
-
-def compare(a: RealExpr, b: RealExpr,
-            max_precision: int = PRECISION_CAP) -> Union[int, Undecided]:
-    """Certified order of two constants: LESS (-1) or GREATER (+1) once
-    enclosures are disjoint, Undecided if they never separate within the
-    precision budget (equal values can never separate)."""
-    if max_precision < 1:
-        raise ValueError("max_precision must be positive")
-    # a - b encloses as [a.lo - b.hi, a.hi - b.lo]: sign-definite exactly
-    # when the two enclosures are disjoint
-    for _, iv in enclosures(a - b, min(START_PRECISION, max_precision),
-                            max_precision):
-        s = iv.sign()
-        if s in (LESS, GREATER):
-            return s
-    return Undecided(max_precision)
 
 
 def nearest_integer(x: DyadicInterval) -> tuple[int, DyadicInterval]:
@@ -849,8 +792,135 @@ def pow_rational(x: DyadicInterval, a: Fraction, p: int) -> DyadicInterval:
 
 
 # ---------------------------------------------------------------------------
-# Expression grammar text (inverse of the CLI parser)
+# Expression grammar: parse_expr and its inverse expr_to_text
 # ---------------------------------------------------------------------------
+
+_TOKEN_RE = re.compile(r"\s*(\d+|root|[()+\-*/,])")
+
+#: Most levels of the tree one constant expression may build; deeper
+#: input is a usage error, never a recursion overflow.
+MAX_EXPR_DEPTH = 100
+
+
+class ExprSyntaxError(ValueError):
+    pass
+
+
+def _tokenize(text: str) -> list[str]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise ExprSyntaxError(
+                    f"unexpected character {text[pos:].strip()[0]!r}")
+            break
+        tokens.append(m.group(1))
+        pos = m.end()
+    return tokens
+
+
+def parse_expr(text: str) -> RealExpr:
+    """Parse the constant grammar: integers, + - * /, parentheses, and
+    root(x, n) for the n-th root of x.
+
+    The tree built may be at most MAX_EXPR_DEPTH nodes high, and brackets,
+    roots and minus signs may nest at most MAX_EXPR_DEPTH + 1 deep, so
+    nothing recurses past the bound.  The extra level is the bracket that
+    ``expr_to_text`` puts around a negative fraction, so every accepted
+    tree reads back from its own text.
+    """
+    tokens = _tokenize(text)
+    pos = 0
+
+    def peek() -> Optional[str]:
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take(expected: Optional[str] = None) -> str:
+        nonlocal pos
+        if pos >= len(tokens):
+            raise ExprSyntaxError("unexpected end of expression")
+        tok = tokens[pos]
+        if expected is not None and tok != expected:
+            raise ExprSyntaxError(f"expected {expected!r}, found {tok!r}")
+        pos += 1
+        return tok
+
+    def check(levels: int, bound: int = MAX_EXPR_DEPTH) -> int:
+        if levels > bound:
+            raise ExprSyntaxError(
+                f"expression nests deeper than {MAX_EXPR_DEPTH} levels")
+        return levels
+
+    def opened(nest: int) -> int:
+        return check(nest + 1, MAX_EXPR_DEPTH + 1)
+
+    # Each parser takes the number of brackets, roots and minus signs open
+    # around it and returns its node with the node's height.
+    def parse_sum(nest: int) -> tuple[RealExpr, int]:
+        node, height = parse_product(nest)
+        while peek() in ("+", "-"):
+            op = take()
+            rhs, rhs_height = parse_product(nest)
+            height = check(1 + max(height, rhs_height))
+            node = node + rhs if op == "+" else node - rhs
+        return node, height
+
+    def parse_product(nest: int) -> tuple[RealExpr, int]:
+        node, height = parse_unary(nest)
+        while peek() in ("*", "/"):
+            op = take()
+            rhs, rhs_height = parse_unary(nest)
+            if op == "/" and node.is_rational_literal() \
+                    and rhs.is_rational_literal():
+                # fold so that literals like 1/2 or -3/7 round-trip as
+                # single rational nodes
+                if rhs.value == 0:
+                    raise ExprSyntaxError("division by zero")
+                node, height = rational(node.value / rhs.value), 1
+                continue
+            height = check(1 + max(height, rhs_height))
+            node = node * rhs if op == "*" else node / rhs
+        return node, height
+
+    def parse_unary(nest: int) -> tuple[RealExpr, int]:
+        if peek() == "-":
+            take()
+            inner, height = parse_unary(opened(nest))
+            if inner.is_rational_literal():
+                return rational(-inner.value), 1
+            return -inner, check(height + 1)
+        return parse_atom(nest)
+
+    def parse_atom(nest: int) -> tuple[RealExpr, int]:
+        tok = peek()
+        if tok is None:
+            raise ExprSyntaxError("unexpected end of expression")
+        if tok == "(":
+            take()
+            node, height = parse_sum(opened(nest))
+            take(")")
+            return node, height
+        if tok == "root":
+            take()
+            take("(")
+            radicand, height = parse_sum(opened(nest))
+            take(",")
+            index = take()
+            if not index.isdigit():
+                raise ExprSyntaxError("root index must be an integer")
+            take(")")
+            return root(radicand, int(index)), check(height + 1)
+        if tok.isdigit():
+            take()
+            return rational(int(tok)), 1
+        raise ExprSyntaxError(f"unexpected token {tok!r}")
+
+    node, _ = parse_sum(0)
+    if pos != len(tokens):
+        raise ExprSyntaxError(f"trailing input from token {tokens[pos]!r}")
+    return node
 
 
 def expr_to_text(expr: RealExpr) -> str:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from bachain import LinearForm, brute_force_oracle, enumerate_chain
-from bachain.cli import parse_expr
+from bachain import parse_expr
 
 R1_ALPHA_TEXTS = {
     "sqrt2": "root(2,2)",

@@ -21,6 +21,7 @@ from bachain.enumerator import (
     enumerate_chain,
 )
 from bachain.linform import LinearForm
+from bachain.realnum import eval_interval
 from conftest import R1_ALPHA_TEXTS
 
 
@@ -206,7 +207,7 @@ def test_criterion_7_criterion_vs_enumeration(sqrt2_form):
             pair_form = LinearForm(tuple(sqrt2_form.alphas) + beta.values)
             pair_records = {r.m for r in
                             brute_force_oracle(pair_form, 60).records}
-            beta_iv = beta.values[0].eval(180)
+            beta_iv = eval_interval(beta.values[0], 180)
             beta_f = (mpmath.mpf(beta_iv.lo.man)
                       * mpmath.mpf(2) ** beta_iv.lo.exp)
             for nu, verdict in rep.criterion_verdicts.items():

@@ -6,10 +6,17 @@ import pytest
 
 from bachain import cli
 from bachain.enumerator import enumerate_chain
-from bachain.realnum import Dyadic, expr_to_text, root
+from bachain.realnum import (
+    MAX_EXPR_DEPTH,
+    Dyadic,
+    ExprSyntaxError,
+    expr_to_text,
+    parse_expr,
+    root,
+)
 
 
-DEPTH = cli.MAX_EXPR_DEPTH
+DEPTH = MAX_EXPR_DEPTH
 
 #: What ``parse_chain`` says of a file that ``serialize_chain`` did not write.
 LAYOUT = "chain file line {} is not as serialize_chain writes it"
@@ -44,22 +51,22 @@ class TestExprParser:
         ("12/3/2", Fraction(2)),
     ])
     def test_rational_values(self, text, value):
-        assert cli.parse_expr(text).exact_fraction() == value
+        assert parse_expr(text).exact_fraction() == value
 
     def test_root_expressions(self):
-        e = cli.parse_expr("root(2,3)+root(4,3)")
+        e = parse_expr("root(2,3)+root(4,3)")
         assert e.kind == "add"
-        assert cli.parse_expr("root( 2 , 2 )") == root(2)
+        assert parse_expr("root( 2 , 2 )") == root(2)
 
     @pytest.mark.parametrize("bad", [
         "", "root(2)", "1 +", "(1", "root(2,x)", "1 @ 2", "2 2"])
     def test_syntax_errors(self, bad):
-        with pytest.raises(cli.ExprSyntaxError):
-            cli.parse_expr(bad)
+        with pytest.raises(ExprSyntaxError):
+            parse_expr(bad)
 
     def test_division_by_zero_literal(self):
-        with pytest.raises(cli.ExprSyntaxError):
-            cli.parse_expr("1/0")
+        with pytest.raises(ExprSyntaxError):
+            parse_expr("1/0")
 
     # trees exactly DEPTH high whose deepest leaf is a negative fraction
     # (expr_to_text brackets it), and the deepest bracket nesting accepted
@@ -70,8 +77,8 @@ class TestExprParser:
         "(" * (DEPTH + 1) + "1" + ")" * (DEPTH + 1),
     ], ids=["left-chain", "right-chain", "roots", "brackets"])
     def test_depth_bound_accepted_and_round_trips(self, text):
-        e = cli.parse_expr(text)
-        assert cli.parse_expr(expr_to_text(e)) == e
+        e = parse_expr(text)
+        assert parse_expr(expr_to_text(e)) == e
 
     @pytest.mark.parametrize("text", [
         "1" + "+1" * DEPTH,
@@ -79,14 +86,14 @@ class TestExprParser:
         "(" * (DEPTH + 2) + "1" + ")" * (DEPTH + 2),
     ], ids=["chain", "minus-signs", "brackets"])
     def test_depth_bound_exceeded(self, text):
-        with pytest.raises(cli.ExprSyntaxError, match="nests deeper"):
-            cli.parse_expr(text)
+        with pytest.raises(ExprSyntaxError, match="nests deeper"):
+            parse_expr(text)
 
     def test_round_trip_fixture_expressions(self):
         for text in ["root(2,2)", "(1+root(5,2))/2 - 1", "root(5,2)-2",
                      "root(3,2)-1", "2*root(6,2)-4"]:
-            e = cli.parse_expr(text)
-            assert cli.parse_expr(expr_to_text(e)) == e
+            e = parse_expr(text)
+            assert parse_expr(expr_to_text(e)) == e
 
 
 class TestChainFile:
@@ -112,6 +119,22 @@ class TestChainFile:
     def test_rejects_incomplete_header(self):
         with pytest.raises(ValueError):
             cli.parse_chain(cli.CHAIN_MAGIC + "\n# r 1\n")
+
+    # each names a dyadic, but not in the text to_hex writes
+    @pytest.mark.parametrize("text", [
+        "0x-5p3", "0xap3", "0x5_0p3", "0x5p+3", "0x5p 3",
+        "0x05p3", "0x5Ap3", "0X5p3", "0x5p03", "0x5p-0", "-0x0p0",
+        " 0x5p3", "5p3"])
+    def test_rejects_noncanonical_dyadic(self, sqrt2_chain, text):
+        # the last record with both endpoints 0x5p3 reads; with the lower
+        # one spelled otherwise it does not
+        lines = cli.serialize_chain(sqrt2_chain).splitlines()
+        fields = lines[-1].split()
+        canonical = lines[:-1] + [" ".join(fields[:4] + ["0x5p3", "0x5p3"])]
+        cli.parse_chain("\n".join(canonical) + "\n")
+        fields[4:] = [text, "0x5p3"]
+        with pytest.raises(ValueError):
+            cli.parse_chain("\n".join(lines[:-1] + [" ".join(fields)]) + "\n")
 
 
 class TestPsiSpecParsing:
@@ -320,8 +343,11 @@ class TestCommands:
         ["--psi", "log:r=1,zz=3"],
         ["--checks", "monotnic"],
         ["--psi", "power:r=1,coeff=1/2,exp=1/2,exp=3", "--checks", "psi"],
+        ["--checks", ""],
+        ["--checks", ","],
     ], ids=["psi-without-r", "psi-divides-by-zero", "psi-unknown-key",
-            "unknown-check", "psi-repeated-key"])
+            "unknown-check", "psi-repeated-key", "empty-checks",
+            "comma-checks"])
     def test_verify_malformed_input(self, tmp_path, capsys, extra):
         rec = tmp_path / "c.rec"
         cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "5",
@@ -393,18 +419,18 @@ class TestCommands:
         assert cli.main([command, str(rec)] + extra) == cli.EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: malformed dyadic literal")
+        assert captured.err == f"error: {LAYOUT.format(9)}\n"
 
-    # record 2 and a header integer, each spelled otherwise
-    @pytest.mark.parametrize("old,new", [
-        ("\n2 3 -2 2 ", "\n+2 3 -2 2 "),
-        ("\n2 3 -2 2 ", "\n2 3 -2 02 "),
-        ("\n2 3 -2 2 ", "\n2 3 -0_2 2 "),
-        ("\n# search-bound 5\n", "\n# search-bound 05\n"),
+    # record 2 (line 8) and a header integer (line 4), each spelled otherwise
+    @pytest.mark.parametrize("old,new,line", [
+        ("\n2 3 -2 2 ", "\n+2 3 -2 2 ", 8),
+        ("\n2 3 -2 2 ", "\n2 3 -2 02 ", 8),
+        ("\n2 3 -2 2 ", "\n2 3 -0_2 2 ", 8),
+        ("\n# search-bound 5\n", "\n# search-bound 05\n", 4),
     ], ids=["plus-sign", "leading-zero", "underscore", "padded-header"])
     @pytest.mark.parametrize("command", ["verify", "extend", "report"])
     def test_noncanonical_integer_is_usage_error(self, tmp_path, capsys,
-                                                 old, new, command):
+                                                 old, new, line, command):
         rec = tmp_path / "c.rec"
         cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "5",
                   "--out", str(rec)])
@@ -416,7 +442,7 @@ class TestCommands:
         assert cli.main([command, str(rec)] + extra) == cli.EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: malformed integer")
+        assert captured.err == f"error: {LAYOUT.format(line)}\n"
 
     @pytest.mark.parametrize("key", ["r", "search-bound", "precision-cap",
                                      "precision-used"])
@@ -431,7 +457,7 @@ class TestCommands:
         assert cli.main(["verify", str(rec)]) == cli.EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: chain header {key!r} given twice\n"
+        assert captured.err == f"error: {LAYOUT.format(10)}\n"
 
     # layouts serialize_chain never writes, each keeping every value
     @pytest.mark.parametrize("edit,message", [

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +7,6 @@ from bachain import enumerator, linform
 from bachain.enumerator import (
     brute_force_oracle,
     canonical_shell_tails,
-    cf_convergents,
     convergent_denominators,
     enumerate_chain,
 )
@@ -21,7 +20,8 @@ from bachain.realnum import (
     root,
     working_limit,
 )
-from bachain.cli import parse_expr, serialize_chain
+from bachain import parse_expr
+from bachain.cli import serialize_chain
 
 
 class TestShellTails:
@@ -265,6 +265,11 @@ class TestOracleRefinement:
         assert info.value.witness == ((1,), (2,))
         assert climbs["argmin"] > 0
         assert climbs["top"] == working_limit(2048)
+
+
+def cf_convergents(alpha, count, cap=PRECISION_CAP):
+    """The first ``count`` convergents p/q of alpha, in order."""
+    return list(islice(enumerator._convergents(alpha, cap), count))
 
 
 class TestContinuedFractions:

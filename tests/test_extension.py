@@ -23,7 +23,7 @@ from bachain.realnum import (
     eval_interval,
     root,
 )
-from bachain.cli import parse_expr
+from bachain import parse_expr
 
 
 def lattice_sum_reference(M, k):
@@ -60,13 +60,13 @@ def make_chain(form, rows):
 class TestPadChain:
     def test_single_zero(self, sqrt2_chain):
         padded = ext.pad_chain(sqrt2_chain, 1)
-        assert padded[0].vector == (-1, 1, 0)
-        assert [p.vector[-1] for p in padded] == [0] * len(padded)
+        assert padded[0] == (-1, 1, 0)
+        assert [v[-1] for v in padded] == [0] * len(padded)
 
     def test_three_zeros(self, cbrt_pair_form):
         chain = enumerate_chain(cbrt_pair_form, 3)
         padded = ext.pad_chain(chain, 3)
-        assert padded[0].vector == (3, -1, -1, 0, 0, 0)
+        assert padded[0] == (3, -1, -1, 0, 0, 0)
 
     def test_empty_chain(self, sqrt2_form):
         empty = BAChain(form=sqrt2_form, records=(), search_bound=1,
@@ -74,15 +74,17 @@ class TestPadChain:
         assert ext.pad_chain(empty, 2) == []
 
     def test_norm_preserved(self, sqrt2_chain):
-        for p in ext.pad_chain(sqrt2_chain, 2):
-            assert tail_norm(p.vector[1:]) == p.base.M
+        padded = ext.pad_chain(sqrt2_chain, 2)
+        for rec, v in zip(sqrt2_chain.records, padded, strict=True):
+            assert tail_norm(v[1:]) == rec.M
 
     def test_value_preserved_under_extension(self, sqrt2_form, sqrt2_chain):
         beta = ext.sample_betas(sqrt2_form, 1, seed=3)
         ext_form = LinearForm(tuple(sqrt2_form.alphas) + beta.values)
-        for p in ext.pad_chain(sqrt2_chain, 1):
-            via_ext = zeta(p.vector, ext_form, 80)
-            via_base = zeta(p.base.m, sqrt2_form, 80)
+        padded = ext.pad_chain(sqrt2_chain, 1)
+        for rec, v in zip(sqrt2_chain.records, padded, strict=True):
+            via_ext = zeta(v, ext_form, 80)
+            via_base = zeta(rec.m, sqrt2_form, 80)
             assert via_ext == via_base  # zero coefficients kill the extension
 
     def test_k_validation(self, sqrt2_chain):
@@ -289,12 +291,12 @@ class TestCompareExtended:
         oracle = brute_force_oracle(pair, 30)
         assert [(r.m, r.M) for r in rep.extended_chain.records] == \
                [(r.m, r.M) for r in oracle.records]
-        padded = {p.vector for p in ext.pad_chain(rep.base_chain, 1)}
+        padded = ext.pad_chain(rep.base_chain, 1)
         oracle_set = {r.m for r in oracle.records}
-        assert set(rep.extras) == oracle_set - padded
+        assert set(rep.extras) == oracle_set - set(padded)
         assert set(rep.missing) == {
-            p.base.index for p in ext.pad_chain(rep.base_chain, 1)
-            if p.vector not in oracle_set}
+            rec.index for rec, v in zip(rep.base_chain.records, padded)
+            if v not in oracle_set}
 
     def test_criterion_pass_implies_membership(self):
         # base with both passing and failing indices across seeds

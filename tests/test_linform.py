@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bachain.cli import parse_expr
+from bachain import parse_expr
 from bachain.errors import (
     AmbiguousRounding,
     BachainError,

@@ -246,3 +246,69 @@ def test_detects_a_kernel_call_behind_a_helper(tmp_path):
         "zeta": ["zeta -> _dot -> scaled_residual"],
         "_Candidate": ["_Candidate -> scaled_constants"],
         "clean": []}
+
+
+#: Every public name of the package.  A name joins on purpose, and one
+#: that nothing uses any more leaves here and from ``__init__`` together.
+PUBLIC_NAMES = {
+    "AmbiguousRounding", "BAChain", "BachainError", "BestApprox",
+    "BetaSample", "ChainReport", "ChainTooShort", "CriterionVerdict",
+    "DependenceSuspected", "DomainError", "Dyadic", "DyadicInterval",
+    "ExperimentConfig", "ExtensionReport", "HypothesisUnmet", "LinearForm",
+    "MonteCarloResult", "PRECISION_CAP", "PrecisionExhausted", "PsiSpec",
+    "RealExpr", "SearchTooLarge", "Verdict", "WidthTooLarge",
+    "best_m0", "brute_force_oracle", "check_growth", "check_minkowski",
+    "check_monotonic", "check_norm_gap", "check_polytope_bound",
+    "check_psi_singular", "compare_extended", "convergent_denominators",
+    "degeneracy_criterion", "determinant", "enumerate_chain",
+    "eval_interval", "lattice_inv_norm_sum", "ln_interval",
+    "load_experiment_config", "monte_carlo", "nearest_integer",
+    "omega_bound", "pad_chain", "parse_expr", "rational", "root",
+    "run_checks", "sample_betas", "series_partial_sums", "tail_rank",
+    "zeta",
+    # submodules, bound by the imports in __init__
+    "analysis", "enumerator", "errors", "extension", "linform", "realnum",
+}
+
+
+def test_public_names_are_the_listed_set():
+    import bachain
+    assert sorted(bachain.__all__) == sorted(PUBLIC_NAMES)
+
+
+#: The constant grammar, kept in ``realnum`` beside its inverse
+#: ``expr_to_text``.
+GRAMMAR_NAMES = {"_TOKEN_RE", "MAX_EXPR_DEPTH", "ExprSyntaxError",
+                 "_tokenize", "parse_expr"}
+
+
+def top_level_names(path: Path) -> set[str]:
+    """Names that ``path`` binds at its top level by def, class or
+    assignment; imported names do not count."""
+    names = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_cli_defines_none_of_the_grammar():
+    assert GRAMMAR_NAMES <= top_level_names(SRC / "realnum.py")
+    assert top_level_names(SRC / "cli.py") & GRAMMAR_NAMES == set()
+
+
+def test_detects_a_grammar_definition(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .realnum import parse_expr\n"
+                     "MAX_EXPR_DEPTH = 100\n"
+                     "class ExprSyntaxError(ValueError):\n"
+                     "    pass\n"
+                     "def _tokenize(text):\n"
+                     "    return []\n")
+    assert top_level_names(probe) & GRAMMAR_NAMES == \
+        {"MAX_EXPR_DEPTH", "ExprSyntaxError", "_tokenize"}
