@@ -6,7 +6,6 @@ from .errors import (
     ChainTooShort,
     DependenceSuspected,
     DomainError,
-    HypothesisUnmet,
     PrecisionExhausted,
     SearchTooLarge,
     WidthTooLarge,
@@ -38,13 +37,12 @@ from .analysis import (
     check_growth,
     check_minkowski,
     check_monotonic,
-    check_norm_gap,
-    check_polytope_bound,
+    check_polytope,
     check_psi_singular,
-    determinant,
     run_checks,
     series_partial_sums,
     tail_rank,
+    window_determinants,
 )
 from .extension import (
     BetaSample,

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .enumerator import BAChain
-from .errors import ChainTooShort, DomainError, HypothesisUnmet
+from .errors import ChainTooShort, DomainError
 from .realnum import (
     PRECISION_CAP,
     DyadicInterval,
@@ -189,17 +189,9 @@ def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
     return det if rank == n else 0
 
 
-def window_matrix(chain: BAChain, nu: int) -> list[tuple[int, ...]]:
-    """Coordinate rows of records nu .. nu+r (1-based indices)."""
-    r = chain.r
-    if nu < 1 or nu + r > len(chain.records):
-        raise ChainTooShort(
-            f"window {nu}..{nu + r} outside chain of length {len(chain.records)}")
-    return [chain.records[i - 1].m for i in range(nu, nu + r + 1)]
-
-
-def determinant(chain: BAChain, nu: int) -> int:
-    """Exact determinant of the (r+1)x(r+1) window starting at record nu.
+def window_determinants(chain: BAChain) -> dict[int, int]:
+    """Exact determinant of each (r+1)x(r+1) window of consecutive
+    records, keyed by the 1-based index nu of its first record.
 
     For r = 1 the positive-value normalization fixes the sign: with form
     values z, det_nu = z_nu * m1^(nu+1) - m1^(nu) * z_(nu+1), and since
@@ -207,7 +199,10 @@ def determinant(chain: BAChain, nu: int) -> int:
     in record nu+1, namely s * (-1)**(nu-1) with s = +1 when
     frac(alpha) > 1/2 and s = -1 when frac(alpha) < 1/2.
     """
-    return det_bareiss(window_matrix(chain, nu))
+    rows = [rec.m for rec in chain.records]
+    r = chain.r
+    return {nu: det_bareiss(rows[nu - 1:nu + r])
+            for nu in range(1, len(rows) - r + 1)}
 
 
 def rank_rational(rows: Sequence[Sequence[int]]) -> int:
@@ -223,40 +218,26 @@ def tail_rank(chain: BAChain, nu_0: int) -> int:
     return rank_rational([rec.m for rec in chain.records[nu_0 - 1:]])
 
 
-def check_polytope_bound(chain: BAChain, nu: int) -> Verdict:
-    """zeta_nu * (r+1)! * M_{nu+r}**r >= 1 on a window of full rank;
-    degenerate windows are reported as skipped, not failed."""
-    r = chain.r
-    rows = window_matrix(chain, nu)
-    if det_bareiss(rows) == 0:
-        return Verdict("polytope", SKIPPED, witness_index=nu,
-                       detail="degenerate window (zero determinant)")
-    rec = chain.records[nu - 1]
-    m_far = chain.records[nu - 1 + r].M
-    scale = math.factorial(r + 1) * m_far ** r
-    product = rec.zeta.mul_int(scale)
-    if product.lo.cmp_int(1) >= 0:
-        return Verdict("polytope", PASS, witness_index=nu, margin=product)
-    return Verdict("polytope", FAIL, witness_index=nu, margin=product,
-                   detail=f"zeta_{nu} * {scale} < 1")
-
-
-def check_polytope_all(chain: BAChain) -> Verdict:
-    """Aggregate polytope verdict over every available window."""
+def check_polytope(chain: BAChain, dets: dict[int, int]) -> Verdict:
+    """zeta_nu * (r+1)! * M_{nu+r}**r >= 1 on every window of full rank
+    among ``dets`` (as ``window_determinants`` gives them); degenerate
+    windows are counted as skipped, not failed."""
     r = chain.r
     if len(chain.records) < r + 1:
         raise ChainTooShort(f"need at least {r + 1} records")
     skipped = 0
     worst: Optional[DyadicInterval] = None
-    for nu in range(1, len(chain.records) - r + 1):
-        v = check_polytope_bound(chain, nu)
-        if v.status == FAIL:
-            return v
-        if v.status == SKIPPED:
+    for nu, det in dets.items():
+        if det == 0:
             skipped += 1
             continue
-        if worst is None or v.margin.lo < worst.lo:
-            worst = v.margin
+        scale = math.factorial(r + 1) * chain.records[nu - 1 + r].M ** r
+        product = chain.records[nu - 1].zeta.mul_int(scale)
+        if product.lo.cmp_int(1) < 0:
+            return Verdict("polytope", FAIL, witness_index=nu, margin=product,
+                           detail=f"zeta_{nu} * {scale} < 1")
+        if worst is None or product.lo < worst.lo:
+            worst = product
     detail = f"{skipped} degenerate window(s) skipped" if skipped else "all windows full rank"
     return Verdict("polytope", PASS, margin=worst, detail=detail)
 
@@ -377,7 +358,14 @@ def check_psi_singular(chain: BAChain, psi: PsiSpec) -> Verdict:
                                margin=psi_iv,
                                detail=f"zeta_{rec.index} > psi({y}) certified; "
                                       f"{psi.describe()}")
-        else:
+            if rec.zeta.lo <= psi_iv.lo and psi_iv.hi <= rec.zeta.hi:
+                # psi(y) is in the stored enclosure: no rung can certify a
+                # fail, and a pass needs a lower endpoint equal to psi(y) =
+                # zeta.hi.  Log and loglog ones come from upper bounds on
+                # the transcendental log y, so fall short; a power one is
+                # exact only if every rung is a point, as the pass test saw.
+                break  # undecided at this index
+        if psi_iv.lo < rec.zeta.hi:
             return Verdict("psi-singular", UNDECIDED,
                            witness_index=rec.index,
                            detail="enclosures never separated")
@@ -410,33 +398,26 @@ def series_partial_sums(chain: BAChain, k: int) -> list[DyadicInterval]:
     return sums
 
 
-def check_norm_gap(chain: BAChain, psi: PsiSpec) -> Verdict:
+def _norm_gap(chain: BAChain, k: int, dets: dict[int, int]) -> Verdict:
     """Eventual norm gap M_{nu+r}**r >= M_{nu+1}**(r+k) under the loglog
-    psi-singularity and full-rank-window hypotheses.
+    psi-singularity (certified by the caller) and full-rank windows.
 
     The exponent inequality M_{nu+r} >= M_{nu+1}**(1 + k/r) is checked in
     the equivalent integer form, and the smallest index from which it
     holds through the end of the chain is reported.
     """
     r = chain.r
-    k = psi.k
     if len(chain.records) < r + 1:
-        raise HypothesisUnmet(f"need at least {r + 1} records")
-    psi_verdict = check_psi_singular(chain, psi)
-    if not psi_verdict.passed:
-        raise HypothesisUnmet(
-            f"chain is not singular for {psi.describe()}: {psi_verdict}")
-    for nu in range(1, len(chain.records) - r + 1):
-        if determinant(chain, nu) == 0:
-            raise HypothesisUnmet(f"window {nu} is degenerate")
+        return Verdict("norm-gap", SKIPPED,
+                       detail=f"need at least {r + 1} records")
     last_fail = 0
-    applicable = range(1, len(chain.records) - r + 1)
-    for nu in applicable:
-        m_far = chain.records[nu - 1 + r].M
-        m_next = chain.records[nu].M
-        if m_far ** r < m_next ** (r + k):
+    for nu, det in dets.items():
+        if det == 0:
+            return Verdict("norm-gap", SKIPPED,
+                           detail=f"window {nu} is degenerate")
+        if chain.records[nu - 1 + r].M ** r < chain.records[nu].M ** (r + k):
             last_fail = nu
-    if last_fail >= applicable[-1]:
+    if last_fail >= len(dets):
         return Verdict("norm-gap", FAIL, witness_index=last_fail,
                        detail="gap inequality fails through the end")
     return Verdict("norm-gap", PASS,
@@ -507,25 +488,20 @@ def run_checks(chain: BAChain, psi: Optional[PsiSpec] = None,
         run("minkowski", lambda: check_minkowski(chain))
     if wanted("growth"):
         run("growth", lambda: check_growth(chain))
+    run_psi = psi is not None and wanted("psi")
+    dets = window_determinants(chain) if (
+        wanted("polytope") or wanted("determinants") or run_psi) else {}
     if wanted("polytope"):
-        run("polytope", lambda: check_polytope_all(chain))
+        run("polytope", lambda: check_polytope(chain, dets))
     if wanted("determinants"):
-        r = chain.r
-        for nu in range(1, len(chain.records) - r + 1):
-            report.determinants[nu] = determinant(chain, nu)
+        report.determinants = dets
     if wanted("ranks"):
         for nu0 in range(1, len(chain.records) + 1):
             report.tail_ranks[nu0] = tail_rank(chain, nu0)
-    if psi is not None and wanted("psi"):
+    if run_psi:
         run("psi-singular", lambda: check_psi_singular(chain, psi))
-        if "psi-singular" in report.verdicts and \
-                report.verdicts["psi-singular"].passed:
-            try:
-                report.verdicts["norm-gap"] = \
-                    check_norm_gap(chain, psi)
-            except HypothesisUnmet as exc:
-                report.verdicts["norm-gap"] = Verdict(
-                    "norm-gap", SKIPPED, detail=str(exc))
+        if report.verdicts["psi-singular"].passed:
+            report.verdicts["norm-gap"] = _norm_gap(chain, psi.k, dets)
     if series_k is not None and wanted("series"):
         try:
             report.series_sums = series_partial_sums(chain, series_k)

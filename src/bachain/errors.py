@@ -50,10 +50,5 @@ class ChainTooShort(BachainError):
     """The chain has too few records for the requested check."""
 
 
-class HypothesisUnmet(BachainError):
-    """A conditional check was invoked on a chain that does not satisfy
-    its hypotheses."""
-
-
 class SearchTooLarge(BachainError):
     """An exhaustive scan would exceed the configured budget."""

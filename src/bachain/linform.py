@@ -74,8 +74,7 @@ def endpoint_table(form: LinearForm, precision: int,
     plus the indices j whose constant cannot be evaluated there (their
     endpoints are 0).
 
-    Memoised on the form under (precision, cap), like the enclosures on
-    the constants.
+    Memoised on the form under (precision, cap).
     """
     table = form._tables.get((precision, cap))
     if table is not None:

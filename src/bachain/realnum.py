@@ -424,8 +424,7 @@ class RealExpr:
     or the arithmetic operators; an int or Fraction right operand coerces.
     """
 
-    __slots__ = ("kind", "value", "index", "children", "_cache",
-                 "_enclosures")
+    __slots__ = ("kind", "value", "index", "children", "_cache")
 
     def __init__(self, kind: str, value: Optional[Fraction] = None,
                  index: Optional[int] = None,
@@ -435,8 +434,6 @@ class RealExpr:
         self.index = index
         self.children = children
         self._cache: dict[int, DyadicInterval] = {}
-        # eval_interval results, keyed by (precision, cap)
-        self._enclosures: dict[tuple[int, int], DyadicInterval] = {}
 
     # -- constructors --------------------------------------------------------
 
@@ -624,20 +621,13 @@ def eval_interval(expr: RealExpr, precision: int,
     """Certified enclosure of the exact value with width <= 2**-precision.
 
     Deterministic for fixed (expr, precision, cap): the precision ladder
-    is fixed, so repeated calls return identical intervals.  The result is
-    memoised on the node under (precision, cap); the cap is part of the
-    key because it clips the ladder, so it can change which rung is the
-    first narrow enough.
+    is fixed, so repeated calls return identical intervals, and a repeat
+    call climbs rungs whose evaluations the node already caches.
     """
     if precision < 1:
         raise ValueError("precision must be positive")
-    key = (precision, cap)
-    iv = expr._enclosures.get(key)
-    if iv is not None:
-        return iv
     for _, iv in enclosures(expr, min(START_PRECISION, cap), cap):
         if iv.width_le(precision):
-            expr._enclosures[key] = iv
             return iv
     raise PrecisionExhausted(
         f"width <= 2^-{precision} not reached for {expr!r}", cap)

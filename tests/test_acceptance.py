@@ -79,8 +79,8 @@ def _r1_start_sign(name: str) -> int:
 def test_criterion_2_unimodularity(name, r1_chains_10k):
     chain = r1_chains_10k[name]
     start = _r1_start_sign(name)
-    dets = {nu: an.determinant(chain, nu)
-            for nu in range(1, len(chain.records))}
+    dets = an.window_determinants(chain)
+    assert list(dets) == list(range(1, len(chain.records)))
     expected = {nu: start * (-1) ** (nu - 1) for nu in dets}
     ok = dets == expected
     _line(2, f"unimodularity[{name}]", ok,
@@ -166,13 +166,11 @@ def test_criterion_6_polytope(r1_chains_10k, cbrt_pair_chain_200,
     ok = True
     windows = 0
     for label, chain in chains.items():
-        r = chain.r
-        for nu in range(1, len(chain.records) - r + 1):
-            verdict = an.check_polytope_bound(chain, nu)
-            assert verdict.status != an.FAIL, f"{label} nu={nu}: {verdict}"
-            if verdict.status == an.PASS:
-                windows += 1
-            ok = ok and verdict.status in (an.PASS, an.SKIPPED)
+        dets = an.window_determinants(chain)
+        verdict = an.check_polytope(chain, dets)
+        assert verdict.passed, f"{label}: {verdict}"
+        windows += sum(1 for det in dets.values() if det)
+        ok = ok and verdict.passed
     _line(6, "polytope volume bound", ok, f"{windows} full-rank windows")
     assert ok
 

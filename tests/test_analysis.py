@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bachain import analysis as an
 from bachain.enumerator import BAChain, BestApprox
-from bachain.errors import ChainTooShort, DomainError, HypothesisUnmet
+from bachain.errors import ChainTooShort, DomainError
 from bachain.linform import LinearForm, tail_norm
 from bachain.realnum import Dyadic, DyadicInterval, root
 
@@ -154,20 +154,25 @@ class TestDeterminants:
 
     def test_r1_alternation(self, r1_chains_10k):
         for chain in r1_chains_10k.values():
-            dets = [an.determinant(chain, nu)
-                    for nu in range(1, len(chain.records))]
+            dets = list(an.window_determinants(chain).values())
+            assert len(dets) == len(chain.records) - 1
             assert all(abs(d) == 1 for d in dets)
             assert all(a == -b for a, b in zip(dets, dets[1:]))
 
     def test_r2_against_cofactor(self, cbrt_pair_chain_200):
         chain = cbrt_pair_chain_200
-        for nu in range(1, len(chain.records) - 1):
-            rows = an.window_matrix(chain, nu)
-            assert an.det_bareiss(rows) == det_cofactor(rows)
+        dets = an.window_determinants(chain)
+        assert list(dets) == list(range(1, len(chain.records) - 1))
+        for nu, det in dets.items():
+            rows = [rec.m for rec in chain.records[nu - 1:nu + 2]]
+            assert det == det_cofactor(rows)
 
-    def test_window_out_of_range(self, sqrt2_chain):
-        with pytest.raises(ChainTooShort):
-            an.determinant(sqrt2_chain, len(sqrt2_chain.records))
+    def test_window_out_of_range(self, sqrt2_chain, r2_form):
+        # windows stop at the last full one; a short chain has none
+        assert max(an.window_determinants(sqrt2_chain)) == \
+            len(sqrt2_chain.records) - 1
+        rows = [((1, 2, 0), "1/8", "1/8"), ((1, 3, 1), "1/16", "1/16")]
+        assert an.window_determinants(make_chain(r2_form, rows)) == {}
 
     @given(st.integers(min_value=1, max_value=5).flatmap(
         lambda n: st.one_of(
@@ -216,21 +221,27 @@ class TestTailRank:
 
 class TestPolytope:
     def test_pass_on_chains(self, sqrt2_chain, cbrt_pair_chain_200):
-        assert an.check_polytope_all(sqrt2_chain).passed
-        assert an.check_polytope_all(cbrt_pair_chain_200).passed
+        for chain in (sqrt2_chain, cbrt_pair_chain_200):
+            assert an.check_polytope(chain,
+                                     an.window_determinants(chain)).passed
 
     def test_degenerate_window_skipped(self, r2_form):
         rows = [((1, 1, 0), "1/2", "1/2"),
                 ((2, 2, 0), "1/4", "1/4"),
                 ((3, 3, 0), "1/8", "1/8")]
         chain = make_chain(r2_form, rows)
-        verdict = an.check_polytope_bound(chain, 1)
-        assert verdict.status == an.SKIPPED
+        dets = an.window_determinants(chain)
+        assert dets == {1: 0}
+        verdict = an.check_polytope(chain, dets)
+        assert verdict.passed and verdict.margin is None
+        assert verdict.detail == "1 degenerate window(s) skipped"
 
     def test_specific_window_value(self, sqrt2_chain):
         # zeta_1 * 2! * M_2 = 0.414... * 2 * 2 > 1
-        verdict = an.check_polytope_bound(sqrt2_chain, 1)
+        dets = an.window_determinants(sqrt2_chain)
+        verdict = an.check_polytope(sqrt2_chain, {1: dets[1]})
         assert verdict.passed
+        assert verdict.margin == sqrt2_chain.records[0].zeta.mul_int(4)
         assert verdict.margin.lo.cmp_int(1) >= 0
 
 
@@ -278,12 +289,7 @@ class TestPsi:
                      * mpmath.log(mpmath.log(50)) ** mpmath.mpf("1.1")))
         assert iv.lo.as_fraction() <= oracle <= iv.hi.as_fraction()
 
-    def test_undecided_after_the_top_rung(self, r1_form, monkeypatch):
-        # psi = 83/200 lies inside zeta_1's enclosure, so no rung decides
-        rows = [((-1, 1), "0.41", "0.42"), ((3, -2), "0.17", "0.172")]
-        chain = make_chain(r1_form, rows)
-        psi = an.PsiSpec(family="power", r=1, coeff=Fraction(83, 200),
-                         power_exp=Fraction(0))
+    def _rungs(self, chain, psi, monkeypatch):
         rungs = []
         value = an.PsiSpec.value
 
@@ -295,6 +301,27 @@ class TestPsi:
         verdict = an.check_psi_singular(chain, psi)
         assert verdict.status == an.UNDECIDED
         assert verdict.witness_index == 1
+        return rungs
+
+    def test_undecided_after_the_top_rung(self, r1_form, monkeypatch):
+        # psi = 83/200 lies inside zeta_1's enclosure, so no rung decides,
+        # and the first rung that shows it ends the climb
+        rows = [((-1, 1), "0.41", "0.42"), ((3, -2), "0.17", "0.172")]
+        chain = make_chain(r1_form, rows)
+        psi = an.PsiSpec(family="power", r=1, coeff=Fraction(83, 200),
+                         power_exp=Fraction(0))
+        assert self._rungs(chain, psi, monkeypatch) == [96]
+
+    def test_straddling_enclosure_climbs_every_rung(self, r1_form,
+                                                     monkeypatch):
+        # psi(M_2) = 3/6 = zeta_1.hi, and the enclosure of 1/6 * 3 holds
+        # 1/2 strictly inside at every rung, so it always reaches past
+        # zeta_1.hi and the ladder runs to its top
+        rows = [((-1, 1), "0.4", "0.5"), ((3, -3), "0.1", "0.2")]
+        chain = make_chain(r1_form, rows)
+        psi = an.PsiSpec(family="power", r=1, coeff=Fraction(1, 6),
+                         power_exp=Fraction(-1))
+        rungs = self._rungs(chain, psi, monkeypatch)
         assert rungs == [96 << i for i in range(9)] + [32768]
         assert rungs[-2] == 24576
 
@@ -346,7 +373,7 @@ class TestSeries:
 
 
 class TestNormGap:
-    def _singular_chain(self, r2_form):
+    def _singular_rows(self):
         # norms square at each step (2, 4, 16, 256, 65536) and form values
         # decay fast enough to sit below the loglog target at every index
         ms = [2, 4, 16, 256, 65536]
@@ -354,25 +381,39 @@ class TestNormGap:
         for i, m in enumerate(ms, start=1):
             z = Fraction(1, 2 ** (5 * 2 ** i))
             rows.append(((1, m, i), z, z))
-        return make_chain(r2_form, rows)
+        return rows
+
+    PSI = an.PsiSpec(family="loglog", r=2, k=2, eps=Fraction(1, 10))
+
+    def _verdicts(self, chain):
+        return an.run_checks(chain, psi=self.PSI, selected={"psi"}).verdicts
 
     def test_engineered_pass(self, r2_form):
-        chain = self._singular_chain(r2_form)
-        psi = an.PsiSpec(family="loglog", r=2, k=2, eps=Fraction(1, 10))
-        verdict = an.check_norm_gap(chain, psi)
-        assert verdict.passed
-        assert "nu >= 1" in verdict.detail
+        verdicts = self._verdicts(make_chain(r2_form, self._singular_rows()))
+        assert verdicts["psi-singular"].passed
+        assert verdicts["norm-gap"].passed
+        assert "nu >= 1" in verdicts["norm-gap"].detail
 
     def test_generic_chain_unmet(self, cbrt_pair_chain_200):
-        psi = an.PsiSpec(family="loglog", r=2, k=1, eps=Fraction(1, 10))
-        with pytest.raises(HypothesisUnmet):
-            an.check_norm_gap(cbrt_pair_chain_200, psi)
+        # the singularity hypothesis fails, so the gap is not reported
+        verdicts = self._verdicts(cbrt_pair_chain_200)
+        assert verdicts["psi-singular"].status == an.FAIL
+        assert "norm-gap" not in verdicts
 
     def test_short_chain_unmet(self, r2_form):
-        rows = [((1, 2, 0), "1/8", "1/8")]
-        psi = an.PsiSpec(family="loglog", r=2, k=1, eps=Fraction(1, 10))
-        with pytest.raises(HypothesisUnmet):
-            an.check_norm_gap(make_chain(r2_form, rows), psi)
+        verdicts = self._verdicts(
+            make_chain(r2_form, self._singular_rows()[:2]))
+        assert verdicts["psi-singular"].passed
+        assert verdicts["norm-gap"].status == an.SKIPPED
+        assert verdicts["norm-gap"].detail == "need at least 3 records"
+
+    def test_degenerate_window_unmet(self, r2_form):
+        # every record ends in 1, so every window is degenerate
+        rows = [((1, m[1], 1), lo, hi) for m, lo, hi in self._singular_rows()]
+        verdicts = self._verdicts(make_chain(r2_form, rows))
+        assert verdicts["psi-singular"].passed
+        assert verdicts["norm-gap"].status == an.SKIPPED
+        assert verdicts["norm-gap"].detail == "window 1 is degenerate"
 
 
 class TestRunChecks:
@@ -389,6 +430,33 @@ class TestRunChecks:
         assert d["version"] == 1
         assert set(d["verdicts"]) >= {"monotonic", "minkowski", "growth",
                                       "polytope", "psi-singular"}
+
+    def test_each_fact_computed_once(self, sqrt2_chain, monkeypatch):
+        # a passing psi verdict brings in the norm gap, which reads the
+        # same window determinants as the polytope check and the table
+        windows, psi_calls = [], []
+        det_bareiss, check_psi = an.det_bareiss, an.check_psi_singular
+
+        def count_det(rows):
+            windows.append(tuple(rows))
+            return det_bareiss(rows)
+
+        def count_psi(chain, psi):
+            psi_calls.append(psi)
+            return check_psi(chain, psi)
+
+        monkeypatch.setattr(an, "det_bareiss", count_det)
+        monkeypatch.setattr(an, "check_psi_singular", count_psi)
+        psi = an.PsiSpec(family="power", r=1, coeff=Fraction(1),
+                         power_exp=Fraction(0))
+        report = an.run_checks(sqrt2_chain, psi=psi, series_k=2)
+        records = sqrt2_chain.records
+        assert windows == [(a.m, b.m) for a, b in zip(records, records[1:])]
+        assert psi_calls == [psi]
+        assert report.verdicts["polytope"].passed
+        assert report.verdicts["psi-singular"].passed
+        assert "norm-gap" in report.verdicts
+        assert list(report.determinants) == list(range(1, len(records)))
 
     def test_selected_subset(self, sqrt2_chain):
         report = an.run_checks(sqrt2_chain, selected={"monotonic"})

@@ -257,7 +257,7 @@ class TestNearestInteger:
 
 
 class TestEnclosureMemo:
-    """eval_interval memoises per node under (precision, cap)."""
+    """eval_interval answers per (precision, cap), the same every call."""
 
     TEXT = "root(2,2) + root(3,3)"
 
@@ -277,28 +277,6 @@ class TestEnclosureMemo:
                 assert eval_interval(e, 72) == want[cap]
             else:
                 assert eval_interval(e, 72, cap=cap) == want[cap]
-        assert set(e._enclosures) == {(72, 100), (72, PRECISION_CAP)}
-
-    def test_repeat_call_skips_the_ladder(self, monkeypatch):
-        e = parse_expr(self.TEXT)
-        first = eval_interval(e, 90)
-
-        def no_climb(expr, w):
-            raise AssertionError("memoised enclosure re-evaluated")
-
-        monkeypatch.setattr(realnum, "_eval_at", no_climb)
-        assert eval_interval(e, 90) is first
-
-    def test_fresh_tree_starts_empty(self):
-        eval_interval(parse_expr(self.TEXT), 40)
-        e = parse_expr(self.TEXT)
-        stack = [e]
-        while stack:
-            node = stack.pop()
-            assert node._enclosures == {}
-            stack.extend(node.children)
-        eval_interval(e, 40)
-        assert set(e._enclosures) == {(40, PRECISION_CAP)}
 
 
 # --- the Dyadic-object formulations the integer fast paths replaced ---------

@@ -254,18 +254,18 @@ PUBLIC_NAMES = {
     "AmbiguousRounding", "BAChain", "BachainError", "BestApprox",
     "BetaSample", "ChainReport", "ChainTooShort", "CriterionVerdict",
     "DependenceSuspected", "DomainError", "Dyadic", "DyadicInterval",
-    "ExperimentConfig", "ExtensionReport", "HypothesisUnmet", "LinearForm",
+    "ExperimentConfig", "ExtensionReport", "LinearForm",
     "MonteCarloResult", "PRECISION_CAP", "PrecisionExhausted", "PsiSpec",
     "RealExpr", "SearchTooLarge", "Verdict", "WidthTooLarge",
     "best_m0", "brute_force_oracle", "check_growth", "check_minkowski",
-    "check_monotonic", "check_norm_gap", "check_polytope_bound",
-    "check_psi_singular", "compare_extended", "convergent_denominators",
-    "degeneracy_criterion", "determinant", "enumerate_chain",
+    "check_monotonic", "check_polytope", "check_psi_singular",
+    "compare_extended", "convergent_denominators", "degeneracy_criterion",
+    "enumerate_chain",
     "eval_interval", "lattice_inv_norm_sum", "ln_interval",
     "load_experiment_config", "monte_carlo", "nearest_integer",
     "omega_bound", "pad_chain", "parse_expr", "rational", "root",
     "run_checks", "sample_betas", "series_partial_sums", "tail_rank",
-    "zeta",
+    "window_determinants", "zeta",
     # submodules, bound by the imports in __init__
     "analysis", "enumerator", "errors", "extension", "linform", "realnum",
 }
