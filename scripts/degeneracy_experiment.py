@@ -31,7 +31,8 @@ def main(argv) -> int:
         cfg = load_experiment_config(fh.read())
     out_path = argv[2] if len(argv) > 2 else None
 
-    form = LinearForm(tuple(parse_expr(t) for t in cfg.alphas))
+    form = LinearForm(tuple(parse_expr(t, cfg.precision_cap)
+                            for t in cfg.alphas))
     t0 = time.time()
     chain = enumerate_chain(form, cfg.max_norm, cap=cfg.precision_cap)
     result = monte_carlo(form, chain, k=cfg.k, samples=cfg.samples,

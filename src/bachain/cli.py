@@ -40,11 +40,13 @@ from .extension import (
 from .linform import LinearForm
 from .realnum import (
     PRECISION_CAP,
+    START_PRECISION,
     Dyadic,
     DyadicInterval,
-    RealExpr,
+    checked_cap,
     expr_to_text,
     parse_expr,
+    working_limit,
 )
 
 EXIT_OK = 0
@@ -87,18 +89,19 @@ def parse_chain(text: str) -> BAChain:
     text ``serialize_chain`` writes for the file's own ``precision-cap``,
     so a chain read back is the chain the file states, byte for byte.
     Values are read leniently and the final round trip rejects every
-    other spelling, repeated or unknown header and stray byte."""
+    other spelling, repeated or unknown header and stray byte.  Caps and
+    endpoints must first lie in the ranges the scan writes."""
     lines = text.splitlines()
     if not lines or lines[0] != CHAIN_MAGIC:
         raise ValueError(f"not a chain file (missing {CHAIN_MAGIC!r})")
-    alphas: list[RealExpr] = []
+    alpha_texts: list[str] = []
     header: dict[str, int] = {}
     body: list[str] = []
     for ln in lines[1:]:
         if ln.startswith("#"):
             key, _, val = ln[1:].strip().partition(" ")
             if key == "alpha":
-                alphas.append(parse_expr(val))
+                alpha_texts.append(val)
             elif key in _INT_HEADERS:
                 header[key] = int(val)
         else:
@@ -106,13 +109,17 @@ def parse_chain(text: str) -> BAChain:
     try:
         r = header["r"]
         search_bound = header["search-bound"]
-        precision_cap = header["precision-cap"]
+        precision_cap = checked_cap(header["precision-cap"])
         precision_used = header["precision-used"]
     except KeyError:
         raise ValueError("chain file header incomplete") from None
-    if len(alphas) != r:
-        raise ValueError(f"header lists {len(alphas)} constants, r = {r}")
-    form = LinearForm(tuple(alphas))
+    if not START_PRECISION <= precision_used <= working_limit(precision_cap):
+        raise ValueError(f"precision-used {precision_used} outside "
+                         f"[{START_PRECISION}, {working_limit(precision_cap)}]")
+    grid = precision_used + 2
+    if len(alpha_texts) != r:
+        raise ValueError(f"header lists {len(alpha_texts)} constants, r = {r}")
+    form = LinearForm(tuple(parse_expr(t, precision_cap) for t in alpha_texts))
     records = []
     for ln in body:
         fields = ln.split()
@@ -121,9 +128,14 @@ def parse_chain(text: str) -> BAChain:
         index = int(fields[0])
         m = tuple(int(x) for x in fields[1:r + 2])
         M = int(fields[r + 2])
-        zeta = DyadicInterval(Dyadic.from_hex(fields[r + 3]),
-                              Dyadic.from_hex(fields[r + 4]))
-        records.append(BestApprox(index=index, m=m, M=M, zeta=zeta))
+        lo, hi = map(Dyadic.from_hex, fields[r + 3:])
+        for d in (lo, hi):
+            # as the scan writes them, so ordering shifts <= grid bits
+            if d.man and (d.exp < -grid or d.man.bit_length() + d.exp >= 0):
+                raise ValueError(f"record endpoint {d.to_hex()} is off the "
+                                 f"2^-{grid} grid or not below 1/2")
+        records.append(BestApprox(index=index, m=m, M=M,
+                                  zeta=DyadicInterval(lo, hi)))
     chain = BAChain(form=form, records=tuple(records),
                     search_bound=search_bound, precision_used=precision_used)
     written = serialize_chain(chain, precision_cap)
@@ -239,8 +251,8 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    alphas = tuple(parse_expr(a) for a in args.alpha)
-    form = LinearForm(alphas)
+    form = LinearForm(tuple(parse_expr(a, args.precision_cap)
+                            for a in args.alpha))
     # one scan visits one tail per +-pair of the nonzero box points
     tails = ((2 * args.max_norm + 1) ** form.r - 1) // 2
     if tails > args.budget:
@@ -286,7 +298,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
                              "runs, not to --beta")
         if len(args.beta) != args.k:
             raise ValueError(f"expected {args.k} --beta expressions")
-        values = tuple(parse_expr(b) for b in args.beta)
+        values = tuple(parse_expr(b, args.precision_cap) for b in args.beta)
         beta = BetaSample(values=values, seed=None,
                           recipe="explicit: " + ", ".join(args.beta))
         result = compare_extended(form, beta, m_max, base_chain=chain,
@@ -437,6 +449,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             and args.k < 1:
         parser.error("--k must be >= 1")
     try:
+        if "precision_cap" in args:
+            checked_cap(args.precision_cap)
         return args.func(args)
     except DependenceSuspected as exc:
         print(f"dependence suspected: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import count, product
 from typing import Iterator, Optional
 
-from .errors import AmbiguousRounding, DependenceSuspected, PrecisionExhausted
+from .errors import AmbiguousRounding, DependenceSuspected
 from .linform import (
     LinearForm,
     abs_bounds,
@@ -346,7 +346,7 @@ def _convergents(alpha: RealExpr, cap: int) -> Iterator[tuple[int, int]]:
     x_i = (a*alpha + b) / (c*alpha + d); each partial quotient is the
     certified floor of that quotient, refined on the shared enclosure of
     alpha.  A floor that never certifies (a rational alpha) raises
-    PrecisionExhausted.
+    PrecisionExhausted from ``enclosures``.
     """
     a, b, c, d = 1, 0, 0, 1
     p_prev, p_curr = 0, 1  # seeds p_{-2} = 0, p_{-1} = 1
@@ -354,17 +354,14 @@ def _convergents(alpha: RealExpr, cap: int) -> Iterator[tuple[int, int]]:
     w = START_PRECISION
     for step in count():
         # each step resumes at the rung the previous one certified on
-        for w, iv in enclosures(alpha, w, cap):
+        for w, iv in enclosures(alpha, w, cap, f"partial quotient {step} "
+                                "(rational value suspected)"):
             den = iv.mul_int(c).add_int(d)
             if den.sign() is None:
                 continue  # the divisor straddles zero at this rung
             n = iv.mul_int(a).add_int(b).divide(den, w).certified_floor()
             if n is not None:
                 break
-        else:
-            raise PrecisionExhausted(
-                f"partial quotient {step} does not certify "
-                "(rational value suspected)", cap)
         if step > 0 and n < 1:
             raise AssertionError("partial quotients must be positive")
         p_prev, p_curr = p_curr, n * p_curr + p_prev

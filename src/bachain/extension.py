@@ -36,10 +36,9 @@ from .linform import LinearForm, abs_bounds, scaled_constants, scaled_residual
 from .realnum import (
     PRECISION_CAP,
     START_PRECISION,
-    Dyadic,
     DyadicInterval,
     RealExpr,
-    enclosures,
+    checked_cap,
     precision_ladder,
     rational,
     root,
@@ -114,7 +113,8 @@ def load_experiment_config(text: str) -> ExperimentConfig:
             samples=int(fields["samples"]),
             seed=int(fields["seed"]),
             max_norm=int(fields["max-norm"]),
-            precision_cap=int(fields.get("precision-cap", PRECISION_CAP)),
+            precision_cap=checked_cap(
+                int(fields.get("precision-cap", PRECISION_CAP))),
             budget=int(fields.get("budget", DEFAULT_BUDGET)),
         )
     except KeyError as exc:
@@ -163,25 +163,7 @@ def _primes() -> Iterator[int]:
         n += 1
 
 
-def _certified_floor(expr: RealExpr, cap: int = PRECISION_CAP) -> int:
-    for _, iv in enclosures(expr, START_PRECISION, cap):
-        n = iv.certified_floor()
-        if n is not None:
-            return n
-    raise PrecisionExhausted("floor does not certify", cap)
-
-
-def _certify_unit_interval(expr: RealExpr, cap: int) -> None:
-    """Refine until the enclosure lies strictly inside (0, 1)."""
-    for _, iv in enclosures(expr, START_PRECISION, cap):
-        if iv.lo.man > 0 and iv.hi < Dyadic(1):
-            return
-    raise PrecisionExhausted(
-        "sampled constant does not certify inside (0, 1)", cap)
-
-
-def sample_betas(form: LinearForm, k: int, seed: int,
-                 cap: int = PRECISION_CAP) -> BetaSample:
+def sample_betas(form: LinearForm, k: int, seed: int) -> BetaSample:
     """Seeded constants b_i = frac(u_i * sqrt(p_i)) with rational u_i and
     distinct primes p_i.
 
@@ -201,11 +183,12 @@ def sample_betas(form: LinearForm, k: int, seed: int,
         p = next(gen)
         if any(rad % p == 0 for rad in radicands):
             continue
-        u = Fraction(2 * rng.randrange(1, 1 << 20) + 1, 1 << 21)
-        x = rational(u) * root(p)
-        beta = x - rational(_certified_floor(x, cap))
-        _certify_unit_interval(beta, cap)
-        values.append(beta)
+        a = 2 * rng.randrange(1, 1 << 20) + 1
+        u = Fraction(a, 1 << 21)
+        # floor(u * sqrt(p)) = floor(sqrt(a*a*p) / 2**21), exactly; u *
+        # sqrt(p) is irrational, so its fractional part lies in (0, 1)
+        floor = isqrt(a * a * p) >> 21
+        values.append(rational(u) * root(p) - rational(floor))
         picked.append((u, p))
     recipe = "frac(u*sqrt(p)) with " + ", ".join(
         f"u={u} p={p}" for u, p in picked)
@@ -567,7 +550,7 @@ def monte_carlo(form: LinearForm, chain: BAChain, k: int, samples: int,
     base = _resolve_base(form, k, M_max, chain, budget, cap)
     rng = random.Random(seed)
     sample_seeds = [rng.randrange(1 << 30) for _ in range(samples)]
-    betas = (sample_betas(form, k, s, cap) for s in sample_seeds)
+    betas = (sample_betas(form, k, s) for s in sample_seeds)
     horizons = [_align(form, base, b, M_max, cap).nu_match for b in betas]
     matched_beyond = {
         nu: sum(1 for h in horizons if h is not None and h <= nu)

@@ -8,7 +8,8 @@ decided sign or comparison is a certificate, never a float artifact.
 
 Refinement climbs a fixed doubling ladder of working precisions
 64, 128, 256, ... bits (``precision_ladder``); ``enclosures`` walks it for
-one expression and skips the rungs that cannot evaluate it.  Because
+one expression up to the caller's cap, skips the rungs that cannot
+evaluate it and raises PrecisionExhausted when it runs out.  Because
 dyadic grids nest, the interval computed at a higher working precision is
 always contained in the one computed at a lower precision, which makes
 every certificate monotone under refinement.
@@ -49,6 +50,14 @@ def precision_ladder(start: int, limit: int) -> Iterator[int]:
     yield max(start, limit)
 
 
+def checked_cap(cap: int) -> int:
+    """cap, when a run may take it and a chain file may state it."""
+    if not START_PRECISION <= cap <= PRECISION_CAP:
+        raise ValueError(f"precision cap {cap} outside "
+                         f"[{START_PRECISION}, {PRECISION_CAP}]")
+    return cap
+
+
 def working_limit(cap: int) -> int:
     """Top rung for callers that request enclosure widths: half the cap,
     so evaluation keeps headroom for its own outward rounding."""
@@ -80,11 +89,6 @@ class Dyadic:
                 exp += shift
         self.man = man
         self.exp = exp
-
-    def as_fraction(self) -> Fraction:
-        if self.exp >= 0:
-            return Fraction(self.man << self.exp)
-        return Fraction(self.man, 1 << -self.exp)
 
     def sign(self) -> int:
         return (self.man > 0) - (self.man < 0)
@@ -529,39 +533,29 @@ def root(radicand: Union[RealExpr, int, Fraction], index: int = 2,
     if index < 2:
         raise ValueError("root index must be >= 2")
     radicand = RealExpr.coerce(radicand)
-    _certify_nonnegative(radicand, cap)
+    exact = radicand.exact_fraction()
+    if exact is None:
+        for _, iv in enclosures(radicand, START_PRECISION, cap,
+                                "radicand >= 0"):
+            if iv.lo.man >= 0:
+                break
+            if iv.hi.man < 0:
+                raise DomainError("radicand is certifiably negative")
+    elif exact < 0:
+        raise DomainError("radicand is negative")
     return RealExpr(_ROOT, index=index, children=(radicand,))
 
 
 def _make_quotient(num: RealExpr, den: RealExpr, cap: int = PRECISION_CAP) -> RealExpr:
-    _certify_nonzero(den, cap)
+    exact = den.exact_fraction()
+    if exact is None:
+        for _, iv in enclosures(den, START_PRECISION, cap,
+                                "denominator != 0"):
+            if iv.sign() in (1, -1):
+                break
+    elif exact == 0:
+        raise DomainError("denominator is exactly zero")
     return RealExpr(_DIV, children=(num, den))
-
-
-def _certify_nonnegative(expr: RealExpr, cap: int) -> None:
-    exact = expr.exact_fraction()
-    if exact is not None:
-        if exact < 0:
-            raise DomainError("radicand is negative")
-        return
-    for _, iv in enclosures(expr, min(START_PRECISION, cap), cap):
-        if iv.lo.man >= 0:
-            return
-        if iv.hi.man < 0:
-            raise DomainError("radicand is certifiably negative")
-    raise PrecisionExhausted("cannot certify radicand >= 0", cap)
-
-
-def _certify_nonzero(expr: RealExpr, cap: int) -> None:
-    exact = expr.exact_fraction()
-    if exact is not None:
-        if exact == 0:
-            raise DomainError("denominator is exactly zero")
-        return
-    for _, iv in enclosures(expr, min(START_PRECISION, cap), cap):
-        if iv.sign() in (1, -1):
-            return
-    raise PrecisionExhausted("cannot certify denominator != 0", cap)
 
 
 # ---------------------------------------------------------------------------
@@ -599,21 +593,23 @@ def _eval_at(expr: RealExpr, w: int) -> DyadicInterval:
     return iv
 
 
-def enclosures(expr: RealExpr, start: int,
-               limit: int) -> Iterator[tuple[int, DyadicInterval]]:
+def enclosures(expr: RealExpr, start: int, cap: int,
+               what: str) -> Iterator[tuple[int, DyadicInterval]]:
     """(w, enclosure at working precision w) for each rung of
-    ``precision_ladder(start, limit)`` whose evaluation is conclusive.
-
-    A rung that cannot certify a fact the evaluation needs (a divisor's
-    sign) is skipped: it only asks for more precision.  This is the one
-    place that decides what an inconclusive rung means.
+    ``precision_ladder(min(start, cap), cap)`` whose evaluation is
+    conclusive, skipping a rung that cannot certify a fact the evaluation
+    needs (a divisor's sign).  A caller that takes the top rung without
+    deciding ``what`` it certifies gets PrecisionExhausted; one that stops
+    early closes the generator.  The one refinement driver for a constant.
     """
-    for w in precision_ladder(start, limit):
+    for w in precision_ladder(min(start, cap), cap):
         try:
             iv = _eval_at(expr, w)
         except _Inconclusive:
             continue
         yield w, iv
+    raise PrecisionExhausted(
+        f"cannot certify {what} for {expr_to_text(expr)}", cap)
 
 
 def eval_interval(expr: RealExpr, precision: int,
@@ -626,11 +622,10 @@ def eval_interval(expr: RealExpr, precision: int,
     """
     if precision < 1:
         raise ValueError("precision must be positive")
-    for _, iv in enclosures(expr, min(START_PRECISION, cap), cap):
+    for _, iv in enclosures(expr, START_PRECISION, cap,
+                            f"width <= 2^-{precision}"):
         if iv.width_le(precision):
             return iv
-    raise PrecisionExhausted(
-        f"width <= 2^-{precision} not reached for {expr!r}", cap)
 
 
 def nearest_integer(x: DyadicInterval) -> tuple[int, DyadicInterval]:
@@ -811,9 +806,10 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def parse_expr(text: str) -> RealExpr:
+def parse_expr(text: str, cap: int = PRECISION_CAP) -> RealExpr:
     """Parse the constant grammar: integers, + - * /, parentheses, and
-    root(x, n) for the n-th root of x.
+    root(x, n) for the n-th root of x; radicands and divisors certify
+    up to cap.
 
     The tree built may be at most MAX_EXPR_DEPTH nodes high, and brackets,
     roots and minus signs may nest at most MAX_EXPR_DEPTH + 1 deep, so
@@ -871,7 +867,7 @@ def parse_expr(text: str) -> RealExpr:
                 node, height = rational(node.value / rhs.value), 1
                 continue
             height = check(1 + max(height, rhs_height))
-            node = node * rhs if op == "*" else node / rhs
+            node = node * rhs if op == "*" else _make_quotient(node, rhs, cap)
         return node, height
 
     def parse_unary(nest: int) -> tuple[RealExpr, int]:
@@ -901,7 +897,7 @@ def parse_expr(text: str) -> RealExpr:
             if not index.isdigit():
                 raise ExprSyntaxError("root index must be an integer")
             take(")")
-            return root(radicand, int(index)), check(height + 1)
+            return root(radicand, int(index), cap), check(height + 1)
         if tok.isdigit():
             take()
             return rational(int(tok)), 1

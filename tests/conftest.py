@@ -17,6 +17,13 @@ R1_ALPHA_TEXTS = {
 }
 
 
+def as_fraction(d) -> Fraction:
+    """The exact value of a ``Dyadic`` man * 2**exp as a Fraction."""
+    if d.exp >= 0:
+        return Fraction(d.man << d.exp)
+    return Fraction(d.man, 1 << -d.exp)
+
+
 def sqrt_digits(n: int, digits: int) -> Fraction:
     """floor(sqrt(n) * 10**digits) / 10**digits via integer arithmetic."""
     import math

@@ -22,7 +22,7 @@ from bachain.enumerator import (
 )
 from bachain.linform import LinearForm
 from bachain.realnum import eval_interval
-from conftest import R1_ALPHA_TEXTS
+from conftest import R1_ALPHA_TEXTS, as_fraction
 
 
 def _line(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -272,8 +272,8 @@ def test_criterion_9_series_diagnostics(r1_chains_10k):
                 running += term
                 oracle = _mpf_fraction(running)
                 enclosure = sums[i]
-                inside = (enclosure.lo.as_fraction() - slack <= oracle
-                          <= enclosure.hi.as_fraction() + slack)
+                inside = (as_fraction(enclosure.lo) - slack <= oracle
+                          <= as_fraction(enclosure.hi) + slack)
                 ok = ok and inside
                 assert inside, f"k={k} S_{i + 1}"
             for a, b in zip(sums, sums[1:]):

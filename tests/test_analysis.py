@@ -9,6 +9,7 @@ from bachain.enumerator import BAChain, BestApprox
 from bachain.errors import ChainTooShort, DomainError
 from bachain.linform import LinearForm, tail_norm
 from bachain.realnum import Dyadic, DyadicInterval, root
+from conftest import as_fraction
 
 
 def det_cofactor(rows):
@@ -268,7 +269,7 @@ class TestPsi:
         assert an.check_psi_singular(chain, psi).passed
 
     def test_family_values_against_oracle(self):
-        def as_fraction(x):
+        def mpf_fraction(x):
             sign, man, exp, _ = x._mpf_
             f = Fraction(man) * Fraction(2) ** exp
             return -f if sign else f
@@ -276,18 +277,18 @@ class TestPsi:
         log_spec = an.PsiSpec(family="log", r=2, k=1, eps=Fraction(1, 10))
         iv = log_spec.value(50, 128)
         with mpmath.workprec(200):
-            oracle = as_fraction(
+            oracle = mpf_fraction(
                 1 / (mpmath.mpf(50) ** 3
                      * mpmath.log(50) ** mpmath.mpf("2.1")))
-        assert iv.lo.as_fraction() <= oracle <= iv.hi.as_fraction()
+        assert as_fraction(iv.lo) <= oracle <= as_fraction(iv.hi)
 
         ll_spec = an.PsiSpec(family="loglog", r=2, k=2, eps=Fraction(1, 10))
         iv = ll_spec.value(50, 128)
         with mpmath.workprec(200):
-            oracle = as_fraction(
+            oracle = mpf_fraction(
                 1 / (mpmath.mpf(50) ** 4
                      * mpmath.log(mpmath.log(50)) ** mpmath.mpf("1.1")))
-        assert iv.lo.as_fraction() <= oracle <= iv.hi.as_fraction()
+        assert as_fraction(iv.lo) <= oracle <= as_fraction(iv.hi)
 
     def _rungs(self, chain, psi, monkeypatch):
         rungs = []
@@ -359,7 +360,7 @@ class TestSeries:
         with mpmath.workprec(120):
             sign, man, exp, _ = (mpmath.log(2) / 2)._mpf_
         oracle = Fraction(man) * Fraction(2) ** exp
-        assert s1.lo.as_fraction() <= oracle <= s1.hi.as_fraction()
+        assert as_fraction(s1.lo) <= oracle <= as_fraction(s1.hi)
 
     def test_strictly_increasing(self, sqrt2_chain):
         for k in (1, 2):

@@ -14,6 +14,7 @@ from bachain.realnum import (
     parse_expr,
     root,
 )
+from conftest import as_fraction
 
 
 DEPTH = MAX_EXPR_DEPTH
@@ -126,15 +127,59 @@ class TestChainFile:
         "0x05p3", "0x5Ap3", "0X5p3", "0x5p03", "0x5p-0", "-0x0p0",
         " 0x5p3", "5p3"])
     def test_rejects_noncanonical_dyadic(self, sqrt2_chain, text):
-        # the last record with both endpoints 0x5p3 reads; with the lower
-        # one spelled otherwise it does not
+        # the last record with both endpoints 0x5p-5 reads; with the lower
+        # one spelled otherwise it does not (a value of 1/2 or more fails
+        # the endpoint range before the layout check)
         lines = cli.serialize_chain(sqrt2_chain).splitlines()
         fields = lines[-1].split()
-        canonical = lines[:-1] + [" ".join(fields[:4] + ["0x5p3", "0x5p3"])]
+        canonical = lines[:-1] + [" ".join(fields[:4] + ["0x5p-5", "0x5p-5"])]
         cli.parse_chain("\n".join(canonical) + "\n")
-        fields[4:] = [text, "0x5p3"]
+        fields[4:] = [text, "0x5p-5"]
         with pytest.raises(ValueError):
             cli.parse_chain("\n".join(lines[:-1] + [" ".join(fields)]) + "\n")
+
+    # the header and record values the scan writes: a cap in [64, 2^16], a
+    # rung in [64, working_limit(cap)], endpoints on the 2^-(rung+2) grid
+    # and below 1/2
+    @pytest.mark.parametrize("cap,used,lo,hi,message", [
+        (32, None, None, None, "precision cap 32 outside [64, 65536]"),
+        (65537, None, None, None, "precision cap 65537 outside [64, 65536]"),
+        (None, 63, None, None, "precision-used 63 outside [64, 32768]"),
+        (4096, 2049, None, None, "precision-used 2049 outside [64, 2048]"),
+        (None, None, "0x1p-{g1}", None,
+         "record endpoint 0x1p-{g1} is off the 2^-{g} grid or not below 1/2"),
+        (None, None, None, "0x1p-1",
+         "record endpoint 0x1p-1 is off the 2^-{g} grid or not below 1/2"),
+    ], ids=["cap-low", "cap-high", "used-low", "used-high", "off-grid",
+            "half"])
+    def test_rejects_values_the_scan_never_writes(self, sqrt2_chain, cap,
+                                                  used, lo, hi, message):
+        g = sqrt2_chain.precision_used + 2
+        used = sqrt2_chain.precision_used if used is None else used
+        lines = cli.serialize_chain(sqrt2_chain, cap or 65536).splitlines()
+        lines[lines.index(f"# precision-used {sqrt2_chain.precision_used}")] \
+            = f"# precision-used {used}"
+        fields = lines[-1].split()
+        fields[4] = fields[4] if lo is None else lo.format(g1=g + 1)
+        fields[5] = fields[5] if hi is None else hi
+        lines[-1] = " ".join(fields)
+        with pytest.raises(ValueError) as info:
+            cli.parse_chain("\n".join(lines) + "\n")
+        assert str(info.value) == message.format(g=g, g1=g + 1)
+
+    def test_accepts_the_bounds_themselves(self, sqrt2_chain):
+        # chains enumerated at the lowest and the highest cap, and
+        # endpoints on the finest grid point and just below 1/2, read back
+        g = sqrt2_chain.precision_used + 2
+        for cap in (64, 65536):
+            chain = enumerate_chain(sqrt2_chain.form, 30, cap=cap)
+            text = cli.serialize_chain(chain, cap)
+            assert cli.serialize_chain(cli.parse_chain(text), cap) == text
+        lines = cli.serialize_chain(sqrt2_chain).splitlines()
+        fields = lines[-1].split()
+        fields[4:] = [f"0x1p-{g}", "0x7fp-8"]
+        text = "\n".join(lines[:-1] + [" ".join(fields)]) + "\n"
+        assert cli.serialize_chain(cli.parse_chain(text)) == text
 
 
 class TestPsiSpecParsing:
@@ -168,6 +213,61 @@ class TestCommands:
     def test_enumerate_rational_alpha_exit_code(self, capsys):
         code = cli.main(["enumerate", "--alpha", "1/2", "--max-norm", "10"])
         assert code == cli.EXIT_DEPENDENCE
+
+    @pytest.mark.parametrize("source", ["alpha", "beta", "chain-header"])
+    def test_constant_certified_at_the_given_cap(self, tmp_path, capsys,
+                                                 source):
+        # the divisor is exactly zero: refinement stops at the cap given
+        # with the constant, here 128 bits
+        zero_divisor = "1/(root(2,2)-root(2,2))"
+        rec = tmp_path / "c.rec"
+        cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "5",
+                  "--precision-cap", "128", "--out", str(rec)])
+        capsys.readouterr()
+        if source == "alpha":
+            argv = ["enumerate", "--alpha", zero_divisor, "--max-norm", "5",
+                    "--precision-cap", "128"]
+        elif source == "beta":
+            argv = ["extend", str(rec), "--k", "1", "--beta", zero_divisor,
+                    "--precision-cap", "128"]
+        else:
+            rec.write_text(rec.read_text().replace(
+                "# alpha root(2, 2)", f"# alpha {zero_divisor}"))
+            argv = ["verify", str(rec)]
+        assert cli.main(argv) == cli.EXIT_PRECISION
+        assert capsys.readouterr().err == (
+            "precision exhausted: cannot certify denominator != 0 for "
+            "(root(2, 2) - root(2, 2)) (precision cap 128 bits reached)\n")
+
+    @pytest.mark.parametrize("command,cap", [
+        ("enumerate", "63"), ("enumerate", "65537"), ("extend", "32")])
+    def test_precision_cap_out_of_range(self, tmp_path, capsys, command, cap):
+        rec = tmp_path / "c.rec"
+        cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "5",
+                  "--out", str(rec)])
+        capsys.readouterr()
+        argv = (["enumerate", "--alpha", "root(2,2)", "--max-norm", "5"]
+                if command == "enumerate" else
+                ["extend", str(rec), "--k", "1", "--seed", "1"])
+        assert cli.main(argv + ["--precision-cap", cap]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: precision cap {cap} outside [64, 65536]\n"
+
+    def test_forged_exponent_is_usage_error(self, tmp_path, capsys):
+        # reading the record once cost time and memory linear in the
+        # exponent's value, and verify then passed
+        rec = tmp_path / "c.rec"
+        cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "30",
+                  "--out", str(rec)])
+        lines = rec.read_text().splitlines()
+        fields = lines[-1].split()
+        fields[4] = "0x1p-100000000"
+        rec.write_text("\n".join(lines[:-1] + [" ".join(fields)]) + "\n")
+        capsys.readouterr()
+        assert cli.main(["verify", str(rec)]) == cli.EXIT_USAGE
+        assert "record endpoint 0x1p-100000000" in capsys.readouterr().err
 
     def test_enumerate_requires_alpha(self):
         with pytest.raises(SystemExit) as info:
@@ -399,7 +499,13 @@ class TestCommands:
         lambda h, e: f"0x{h[0]}_{h[1:]}p{e}",
         lambda h, e: f"0x0{h}p{e}",
         lambda h, e: f"0x{h.upper()}p{e}",
-    ], ids=["even-mantissa", "underscore", "leading-zero", "upper-case"])
+        lambda h, e: f"0X{h}p{e}",
+        lambda h, e: f"0x+{h}p{e}",
+        lambda h, e: f"0x{h}p-0{-e}",
+        lambda h, e: f"{h}p{e}",
+    ], ids=["even-mantissa", "underscore", "leading-zero", "upper-case",
+            "upper-prefix", "plus-mantissa", "exponent-leading-zero",
+            "no-prefix"])
     @pytest.mark.parametrize("command", ["verify", "extend", "report"])
     def test_noncanonical_dyadic_is_usage_error(self, tmp_path, capsys,
                                                 respell, command):
@@ -410,9 +516,9 @@ class TestCommands:
         fields = lines[-1].split()
         lo = Dyadic.from_hex(fields[4])
         fields[4] = respell(f"{lo.man:x}", lo.exp)
-        man_hex, exp_dec = fields[4][2:].split("p")
+        man_hex, exp_dec = fields[4].lower().removeprefix("0x").split("p")
         assert Fraction(int(man_hex, 16)) * Fraction(2) ** int(exp_dec) \
-            == lo.as_fraction()
+            == as_fraction(lo)
         rec.write_text("\n".join(lines[:-1] + [" ".join(fields)]) + "\n")
         capsys.readouterr()
         extra = ["--k", "1", "--seed", "1"] if command == "extend" else []

@@ -1,8 +1,10 @@
+import re
 from fractions import Fraction
 from math import isqrt
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bachain import extension as ext
 from bachain.enumerator import (
@@ -21,9 +23,11 @@ from bachain.realnum import (
     Dyadic,
     DyadicInterval,
     eval_interval,
+    rational,
     root,
 )
 from bachain import parse_expr
+from conftest import as_fraction
 
 
 def lattice_sum_reference(M, k):
@@ -41,8 +45,8 @@ def lattice_sum_reference(M, k):
                 hi_terms.append(Fraction(1, s))
             else:
                 rt = DyadicInterval.point(n).nth_root(2, ext.LATTICE_BITS)
-                lo_terms.append(1 / rt.hi.as_fraction())
-                hi_terms.append(1 / rt.lo.as_fraction())
+                lo_terms.append(1 / as_fraction(rt.hi))
+                hi_terms.append(1 / as_fraction(rt.lo))
     # canonical tails cover one of each +-pair
     return 2 * ext._tree_sum(lo_terms), 2 * ext._tree_sum(hi_terms)
 
@@ -101,6 +105,22 @@ class TestBetaSample:
             iv = eval_interval(v, 40)
             assert iv.lo.man > 0
             assert iv.hi < Dyadic(1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, (1 << 30) - 1))
+    def test_integer_floor_matches_mpmath(self, sqrt2_form, seed):
+        beta = ext.sample_betas(sqrt2_form, 2, seed=seed)
+        picked = re.findall(r"u=(\d+/\d+) p=(\d+)", beta.recipe)
+        for value, (u_text, p_text) in zip(beta.values, picked,
+                                           strict=True):
+            u, p = Fraction(u_text), int(p_text)
+            with mpmath.workdps(50):
+                floor = int(mpmath.floor(
+                    mpmath.mpf(u.numerator) / u.denominator * mpmath.sqrt(p)))
+            assert value == rational(u) * root(p) - rational(floor)
+            for w in (64, 256, 4096):
+                iv = eval_interval(value, w)
+                assert iv.lo.man > 0 and iv.hi < Dyadic(1)
 
     def test_distinct_seeds_differ(self, sqrt2_form):
         b1 = ext.sample_betas(sqrt2_form, 1, seed=1)
@@ -256,8 +276,8 @@ class TestOmegaBound:
                                           90)
         iv = ext.omega_bound(z, 1, 1, 1)
         # 2*(1+1+1) * 1 * (1/100) * 3**2 * 2*H_1 = 27/25
-        assert iv.lo.as_fraction() <= Fraction(27, 25) <= iv.hi.as_fraction()
-        assert (iv.hi - iv.lo).as_fraction() < Fraction(1, 10 ** 12)
+        assert as_fraction(iv.lo) <= Fraction(27, 25) <= as_fraction(iv.hi)
+        assert as_fraction(iv.hi - iv.lo) < Fraction(1, 10 ** 12)
 
     def test_monotone_in_bound(self, sqrt2_chain):
         z = sqrt2_chain.records[0].zeta
@@ -376,6 +396,11 @@ budget 500000
         with pytest.raises(ValueError, match="'seed'"):
             ext.load_experiment_config(self.CONFIG + "seed 9\n")
 
+    @pytest.mark.parametrize("cap", [63, 65537])
+    def test_precision_cap_out_of_range(self, cap):
+        with pytest.raises(ValueError, match=f"precision cap {cap} outside"):
+            ext.load_experiment_config(self.CONFIG + f"precision-cap {cap}\n")
+
 
 class TestMonteCarlo:
     def test_deterministic(self, sqrt2_form):
@@ -409,7 +434,7 @@ class TestMonteCarlo:
         res = ext.monte_carlo(sqrt2_form, chain, k=1, samples=4, seed=6,
                               M_max=30)
         for nu, iv in res.omega_table.items():
-            allowed = max(Fraction(0), 1 - iv.hi.as_fraction())
+            allowed = max(Fraction(0), 1 - as_fraction(iv.hi))
             fraction = Fraction(res.matched_beyond[nu], res.samples)
             assert fraction >= allowed
 

@@ -33,7 +33,7 @@ from bachain.realnum import (
     root,
     working_limit,
 )
-from conftest import sqrt_digits
+from conftest import as_fraction, sqrt_digits
 
 
 @pytest.fixture(scope="module")
@@ -71,14 +71,14 @@ class TestZeta:
         iv = zeta((-1, 1), sqrt2, 30)
         oracle = sqrt_digits(2, 30) - 1
         slack = Fraction(1, 10 ** 28)
-        assert iv.lo.as_fraction() - slack <= oracle <= iv.hi.as_fraction()
-        assert Fraction("0.41421") < iv.lo.as_fraction()
-        assert iv.hi.as_fraction() < Fraction("0.41422")
+        assert as_fraction(iv.lo) - slack <= oracle <= as_fraction(iv.hi)
+        assert Fraction("0.41421") < as_fraction(iv.lo)
+        assert as_fraction(iv.hi) < Fraction("0.41422")
 
     def test_cbrt_pair_value(self, cbrt_pair):
         iv = zeta((-2, 1, 1), cbrt_pair, 30)
-        assert Fraction("0.84732") < iv.lo.as_fraction()
-        assert iv.hi.as_fraction() < Fraction("0.84733")
+        assert Fraction("0.84732") < as_fraction(iv.lo)
+        assert as_fraction(iv.hi) < Fraction("0.84733")
 
     def test_wrong_length(self, sqrt2):
         with pytest.raises(ValueError):
@@ -86,7 +86,7 @@ class TestZeta:
 
     def test_width_scales_with_coefficients(self, sqrt2):
         iv = zeta((0, 1000), sqrt2, 40)
-        assert (iv.hi - iv.lo).as_fraction() <= Fraction(1001, 2 ** 40)
+        assert as_fraction(iv.hi - iv.lo) <= Fraction(1001, 2 ** 40)
 
 
 class TestScaledKernel:
@@ -98,8 +98,8 @@ class TestScaledKernel:
         n, r_lo, r_hi = scaled_residual(tail, los, his, grid)
         iv = zeta((0,) + tail, cbrt_pair, w)
         scale = Fraction(1, 2 ** grid)
-        assert n + r_lo * scale <= iv.lo.as_fraction()
-        assert iv.hi.as_fraction() <= n + r_hi * scale
+        assert n + r_lo * scale <= as_fraction(iv.lo)
+        assert as_fraction(iv.hi) <= n + r_hi * scale
         # n is the nearest integer: the residual stays inside (-1/2, 1/2)
         assert -(1 << (grid - 1)) < r_lo <= r_hi < 1 << (grid - 1)
         # width 2**-w per unit coefficient, plus one grid step per rounded
@@ -123,8 +123,8 @@ class TestBestM0:
     def test_sqrt2_examples(self, sqrt2, tail, m0, res_lo, res_hi):
         got_m0, residual, _ = best_m0(tail, sqrt2)
         assert got_m0 == m0
-        assert Fraction(res_lo) <= residual.lo.as_fraction()
-        assert residual.hi.as_fraction() <= Fraction(res_hi)
+        assert Fraction(res_lo) <= as_fraction(residual.lo)
+        assert as_fraction(residual.hi) <= Fraction(res_hi)
 
     def test_zero_tail_rejected(self, sqrt2):
         with pytest.raises(ValueError):
@@ -186,8 +186,8 @@ _pair_tails = st.lists(st.integers(min_value=-20, max_value=20),
 def test_residual_strictly_inside_half_unit(tail):
     form = LinearForm((root(2),))
     _, residual, _ = best_m0(tail, form)
-    assert residual.lo.as_fraction() > Fraction(-1, 2)
-    assert residual.hi.as_fraction() < Fraction(1, 2)
+    assert as_fraction(residual.lo) > Fraction(-1, 2)
+    assert as_fraction(residual.hi) < Fraction(1, 2)
 
 
 @given(_pair_tails)

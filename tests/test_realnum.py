@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import pytest
@@ -30,7 +31,7 @@ from bachain.realnum import (
 )
 from bachain import realnum
 from bachain.enumerator import _convergents
-from conftest import cbrt_digits, sqrt_digits
+from conftest import as_fraction, cbrt_digits, sqrt_digits
 
 
 def mpf_to_fraction(x) -> Fraction:
@@ -63,10 +64,10 @@ class TestDyadic:
 
     def test_arithmetic_exact(self):
         a, b = Dyadic(3, -2), Dyadic(5, -4)
-        assert (a + b).as_fraction() == Fraction(3, 4) + Fraction(5, 16)
-        assert (a - b).as_fraction() == Fraction(3, 4) - Fraction(5, 16)
-        assert (a * b).as_fraction() == Fraction(15, 64)
-        assert (-a).as_fraction() == -Fraction(3, 4)
+        assert as_fraction(a + b) == Fraction(3, 4) + Fraction(5, 16)
+        assert as_fraction(a - b) == Fraction(3, 4) - Fraction(5, 16)
+        assert as_fraction(a * b) == Fraction(15, 64)
+        assert as_fraction(-a) == -Fraction(3, 4)
 
     def test_comparisons(self):
         assert Dyadic(1, -1) < Dyadic(3, -2)
@@ -76,10 +77,10 @@ class TestDyadic:
     def test_grid_rounding(self):
         d = dyadic_from_ratio(1, 3, 8, round_up=False)
         u = dyadic_from_ratio(1, 3, 8, round_up=True)
-        assert d.as_fraction() <= Fraction(1, 3) <= u.as_fraction()
-        assert (u - d).as_fraction() == Fraction(1, 256)
+        assert as_fraction(d) <= Fraction(1, 3) <= as_fraction(u)
+        assert as_fraction(u - d) == Fraction(1, 256)
         exact = dyadic_from_ratio(5, 8, 2, round_up=True)
-        assert exact.as_fraction() == Fraction(5, 8)
+        assert as_fraction(exact) == Fraction(5, 8)
 
     def test_hex_round_trip(self):
         for man, exp in [(3, -1), (-7, 12), (0, 0), (12345, -200)]:
@@ -103,7 +104,7 @@ class TestDyadic:
         # on or finer than the value's own grid the scaling is exact
         for d in (Dyadic(7, -2), Dyadic(-7, -2), Dyadic(5, 3), Dyadic(0)):
             for p in (2, 5):
-                exact = d.as_fraction() * 2 ** p
+                exact = as_fraction(d) * 2 ** p
                 assert d.floor_scaled(p) == d.ceil_scaled(p) == exact
 
 
@@ -129,20 +130,45 @@ class TestEnclosures:
         p, q = next((p, q) for p, q in _convergents(root(2), PRECISION_CAP)
                     if q > 1 << 34)
         den = root(2) - rational(p, q)
-        [(w, iv)] = enclosures(den, 64, 64)
+        w, iv = next(enclosures(den, 64, 64, "probe"))
         assert w == 64 and iv.sign() is None
         e = rational(1) / den
-        got = list(enclosures(e, 64, 1024))
+        got = list(islice(enclosures(e, 64, 1024, "probe"), 4))
         assert [w for w, _ in got] == [128, 256, 512, 1024]
         with mpmath.workprec(2048):
             value = 1 / (mpmath.sqrt(2) - mpmath.mpf(p) / q)
             for _, iv in got:
-                assert iv.lo.as_fraction() <= mpf_to_fraction(value) \
-                    <= iv.hi.as_fraction()
+                assert as_fraction(iv.lo) <= mpf_to_fraction(value) \
+                    <= as_fraction(iv.hi)
 
     def test_rungs_follow_the_ladder(self):
-        assert [w for w, _ in enclosures(root(3), 70, 300)] == \
-            [70, 140, 280, 300]
+        assert [w for w, _ in islice(enclosures(root(3), 70, 300, "x"), 4)] \
+            == [70, 140, 280, 300]
+
+    def test_start_is_clipped_to_the_cap(self):
+        walk = enclosures(root(3), 64, 48, "x")
+        assert next(walk)[0] == 48
+        with pytest.raises(PrecisionExhausted):
+            next(walk)
+
+    def test_exhausting_the_ladder_raises(self):
+        # root(4) - 2 is exactly zero: no rung decides its sign
+        walk = enclosures(root(4) - 2, 64, 256, "its sign")
+        assert [w for w, _ in islice(walk, 3)] == [64, 128, 256]
+        with pytest.raises(PrecisionExhausted) as info:
+            next(walk)
+        assert info.value.precision == 256
+        assert str(info.value) == ("cannot certify its sign for "
+                                   "(root(4, 2) - 2) (precision cap 256 "
+                                   "bits reached)")
+
+    def test_an_early_stop_does_not_raise(self):
+        for w, _ in enclosures(root(2), 64, 256, "probe"):
+            break
+        assert w == 64
+        walk = enclosures(root(2), 64, 256, "probe")
+        next(walk)
+        walk.close()
 
 
 class TestCertifiedFloor:
@@ -194,17 +220,17 @@ class TestEval:
         assert iv.width_le(20)
         oracle = sqrt_digits(2, 30)  # floor value: true sqrt(2) is above it
         slack = Fraction(1, 10 ** 28)
-        assert iv.lo.as_fraction() - slack <= oracle <= iv.hi.as_fraction()
-        assert Fraction("1.41421") < iv.lo.as_fraction()
-        assert iv.hi.as_fraction() < Fraction("1.41422")
+        assert as_fraction(iv.lo) - slack <= oracle <= as_fraction(iv.hi)
+        assert Fraction("1.41421") < as_fraction(iv.lo)
+        assert as_fraction(iv.hi) < Fraction("1.41422")
 
     def test_cbrt_sum_digits(self):
         iv = eval_interval(root(2, 3) + root(4, 3), 16)
         oracle = cbrt_digits(2, 30) + cbrt_digits(4, 30)
         slack = Fraction(1, 10 ** 28)
-        assert iv.lo.as_fraction() - slack <= oracle <= iv.hi.as_fraction()
-        assert Fraction("2.84732") < iv.lo.as_fraction()
-        assert iv.hi.as_fraction() < Fraction("2.84733")
+        assert as_fraction(iv.lo) - slack <= oracle <= as_fraction(iv.hi)
+        assert Fraction("2.84732") < as_fraction(iv.lo)
+        assert as_fraction(iv.hi) < Fraction("2.84733")
 
     def test_nonneg_radicand_enforced(self):
         with pytest.raises(DomainError):
@@ -236,14 +262,14 @@ class TestNearestInteger:
     def test_forced_rounding(self):
         n, res = nearest_integer(self._iv("0.617", "0.619"))
         assert n == 1
-        assert Fraction("-0.384") < res.lo.as_fraction()
-        assert res.hi.as_fraction() < Fraction("-0.380")
+        assert Fraction("-0.384") < as_fraction(res.lo)
+        assert as_fraction(res.hi) < Fraction("-0.380")
 
     def test_near_integer(self):
         n, res = nearest_integer(self._iv("2.999", "3.001"))
         assert n == 3
-        assert res.lo.as_fraction() >= Fraction("-0.0011")
-        assert res.hi.as_fraction() <= Fraction("0.0011")
+        assert as_fraction(res.lo) >= Fraction("-0.0011")
+        assert as_fraction(res.hi) <= Fraction("0.0011")
 
     def test_straddles_half(self):
         with pytest.raises(AmbiguousRounding):
@@ -391,15 +417,15 @@ class TestLn:
         with mpmath.workprec(200):
             oracle = mpf_to_fraction(mpmath.log(n))
         slack = Fraction(1, 2 ** 150)
-        assert iv.lo.as_fraction() - slack <= oracle <= iv.hi.as_fraction() + slack
+        assert as_fraction(iv.lo) - slack <= oracle <= as_fraction(iv.hi) + slack
         assert iv.width_le(90)
 
     def test_interval_argument(self):
         x = DyadicInterval(Dyadic(2), Dyadic(3))
         iv = ln_interval(x, 64)
         with mpmath.workprec(120):
-            assert iv.lo.as_fraction() <= mpf_to_fraction(mpmath.log(2))
-            assert iv.hi.as_fraction() >= mpf_to_fraction(mpmath.log(3))
+            assert as_fraction(iv.lo) <= mpf_to_fraction(mpmath.log(2))
+            assert as_fraction(iv.hi) >= mpf_to_fraction(mpmath.log(3))
 
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
@@ -440,7 +466,7 @@ def _round_fraction_reference(value: Fraction, p: int,
 
 
 def _ln_dyadic_bounds_reference(d: Dyadic, p: int) -> tuple[Fraction, Fraction]:
-    f = d.as_fraction()
+    f = as_fraction(d)
     e = d.man.bit_length() - 1 + d.exp
     x = f / (Fraction(2) ** e)
     s_lo, s_hi = _atanh_series_reference((x - 1) / (x + 1), p)
@@ -538,8 +564,8 @@ def test_ln_matches_fraction_reference_at_edges(x, p):
 
 def _reciprocal_reference(x: DyadicInterval, p: int) -> DyadicInterval:
     return DyadicInterval(
-        _round_fraction_reference(1 / x.hi.as_fraction(), p, round_up=False),
-        _round_fraction_reference(1 / x.lo.as_fraction(), p, round_up=True))
+        _round_fraction_reference(1 / as_fraction(x.hi), p, round_up=False),
+        _round_fraction_reference(1 / as_fraction(x.lo), p, round_up=True))
 
 
 _magnitudes = st.builds(
@@ -560,12 +586,12 @@ class TestPowRational:
     def test_half_power(self):
         iv = pow_rational(DyadicInterval.point(2), Fraction(3, 2), 64)
         oracle = sqrt_digits(8, 30)
-        assert iv.lo.as_fraction() <= oracle + Fraction(1, 10 ** 28)
-        assert iv.hi.as_fraction() >= oracle
+        assert as_fraction(iv.lo) <= oracle + Fraction(1, 10 ** 28)
+        assert as_fraction(iv.hi) >= oracle
 
     def test_negative_exponent(self):
         iv = pow_rational(DyadicInterval.point(4), Fraction(-1, 2), 64)
-        assert iv.lo.as_fraction() <= Fraction(1, 2) <= iv.hi.as_fraction()
+        assert as_fraction(iv.lo) <= Fraction(1, 2) <= as_fraction(iv.hi)
 
 
 # --- property-based coverage -------------------------------------------------
@@ -609,7 +635,7 @@ def test_enclosure_soundness(expr, p):
     with mpmath.workprec(300):
         oracle = mpf_to_fraction(mp_eval(expr))
     slack = Fraction(1, 2 ** 250)
-    assert iv.lo.as_fraction() - slack <= oracle <= iv.hi.as_fraction() + slack
+    assert as_fraction(iv.lo) - slack <= oracle <= as_fraction(iv.hi) + slack
 
 
 @given(st.fractions(max_denominator=1000), st.integers(min_value=2, max_value=400))
@@ -618,8 +644,8 @@ def test_grid_rounding_brackets(value, p):
     num, den = value.numerator, value.denominator
     lo = dyadic_from_ratio(num, den, p, round_up=False)
     hi = dyadic_from_ratio(num, den, p, round_up=True)
-    assert lo.as_fraction() <= value <= hi.as_fraction()
-    assert (hi - lo).as_fraction() <= Fraction(1, 2 ** p)
+    assert as_fraction(lo) <= value <= as_fraction(hi)
+    assert as_fraction(hi - lo) <= Fraction(1, 2 ** p)
 
 
 @given(_exprs)

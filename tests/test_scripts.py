@@ -3,7 +3,10 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from bachain import cli
+from bachain.errors import PrecisionExhausted
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -31,3 +34,14 @@ def test_degeneracy_experiment_matches_cli(tmp_path, capsys):
                      "--out", str(cli_out)]) == cli.EXIT_OK
     assert script_out.read_bytes() == cli_out.read_bytes()
     assert f"wrote {script_out}" in capsys.readouterr().out
+
+
+def test_degeneracy_experiment_certifies_at_the_config_cap(tmp_path):
+    # the divisor is exactly zero: refinement stops at the config's cap
+    cfg = tmp_path / "experiment.cfg"
+    cfg.write_text("version 1\nalpha 1/(root(2,2)-root(2,2))\nk 1\n"
+                   "samples 1\nseed 4\nmax-norm 5\nprecision-cap 128\n")
+    script = load_script("degeneracy_experiment")
+    with pytest.raises(PrecisionExhausted) as info:
+        script.main(["degeneracy_experiment.py", str(cfg)])
+    assert info.value.precision == 128

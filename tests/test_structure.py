@@ -60,15 +60,15 @@ LADDER_SITES = {
 }
 
 
-def ladder_calls(path: Path) -> list[str]:
-    """Names of the functions in ``path`` that call ``precision_ladder``
-    (``<module>`` for a call outside any function)."""
+def callers(path: Path, name: str) -> list[str]:
+    """Names of the functions in ``path`` that call ``name`` (``<module>``
+    for a call outside any function)."""
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if call_name(node) == "precision_ladder":
+        if call_name(node) == name:
             found.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -79,7 +79,7 @@ def ladder_calls(path: Path) -> list[str]:
 
 def test_precision_ladder_called_only_at_its_sites():
     calls = {(p.name, fn) for p in SRC.glob("*.py") if p.name != "realnum.py"
-             for fn in ladder_calls(p)}
+             for fn in callers(p, "precision_ladder")}
     assert calls - LADDER_SITES == set()
 
 
@@ -90,7 +90,34 @@ def test_detects_a_ladder_call(tmp_path):
                      "        return list(realnum.precision_ladder(64, 128))\n"
                      "    return [w for w in precision_ladder(64, 128)]\n"
                      "precision_ladder(1, 2)\n")
-    assert ladder_calls(probe) == ["g", "f", "<module>"]
+    assert callers(probe, "precision_ladder") == ["g", "f", "<module>"]
+
+
+#: The functions that may give up a refinement: ``enclosures`` for every
+#: walk over one constant's enclosures, and the criterion scan, whose
+#: ladder is over a whole tail set.  Every other refinement stops early
+#: or lets ``enclosures`` raise.
+EXHAUSTION_SITES = {
+    ("realnum.py", "enclosures"),
+    ("extension.py", "degeneracy_criterion"),
+}
+
+
+def test_precision_exhausted_raised_only_at_its_sites():
+    sites = {(p.name, fn) for p in SRC.glob("*.py")
+             for fn in callers(p, "PrecisionExhausted")}
+    assert sites == EXHAUSTION_SITES
+
+
+def test_detects_a_precision_exhausted_site(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def _certified_floor(expr, cap):\n"
+                     "    for _, iv in enclosures(expr, 64, cap, 'floor'):\n"
+                     "        pass\n"
+                     "    raise errors.PrecisionExhausted('floor', cap)\n"
+                     "def ok(exc):\n"
+                     "    raise exc\n")
+    assert callers(probe, "PrecisionExhausted") == ["_certified_floor"]
 
 
 #: The exhaustive scans, whose every rounding to the nearest integer must
