@@ -26,8 +26,7 @@ from .realnum import (
     DyadicInterval,
     ln_interval,
     pow_rational,
-    precision_ladder,
-    working_limit,
+    widths,
 )
 
 PASS = "pass"
@@ -335,7 +334,9 @@ def check_psi_singular(chain: BAChain, psi: PsiSpec) -> Verdict:
 
     Most chains fail this: singularity at a prescribed rate is a property
     of special tuples, so a first-violation report is the informative
-    outcome, not a defect.
+    outcome, not a defect.  psi is evaluated on
+    ``widths(CHECK_PRECISION, PRECISION_CAP)``, 96 to 32768 bits, whatever
+    cap the chain names: psi values do not involve the chain's constants.
     """
     if psi.r != chain.r:
         raise ValueError(f"psi spec r={psi.r} does not match the chain's "
@@ -348,8 +349,7 @@ def check_psi_singular(chain: BAChain, psi: PsiSpec) -> Verdict:
         if y < psi.y_min:
             skipped += 1
             continue
-        for p in precision_ladder(CHECK_PRECISION,
-                                  working_limit(PRECISION_CAP)):
+        for p in widths(CHECK_PRECISION, PRECISION_CAP):
             psi_iv = psi.value(y, p)
             if rec.zeta.hi <= psi_iv.lo:
                 break  # certified pass at this index

@@ -37,8 +37,7 @@ from .realnum import (
     DyadicInterval,
     RealExpr,
     enclosures,
-    precision_ladder,
-    working_limit,
+    widths,
 )
 
 
@@ -203,9 +202,7 @@ def enumerate_chain(form: LinearForm, M_max: int,
     """
     if M_max < 1:
         raise ValueError("M_max must be >= 1")
-    limit = working_limit(cap)
-    start = min(START_PRECISION + (form.r * M_max).bit_length(), limit)
-    for w in precision_ladder(start, limit):
+    for w in widths(START_PRECISION + (form.r * M_max).bit_length(), cap):
         try:
             raw = _shell_scan(form, M_max, w, cap)
         except _Rescan as exc:

@@ -29,6 +29,7 @@ from .enumerator import (
 from .errors import (
     AmbiguousRounding,
     ChainTooShort,
+    DependenceSuspected,
     PrecisionExhausted,
     SearchTooLarge,
 )
@@ -39,10 +40,9 @@ from .realnum import (
     DyadicInterval,
     RealExpr,
     checked_cap,
-    precision_ladder,
     rational,
     root,
-    working_limit,
+    widths,
 )
 
 DEFAULT_BUDGET = 10 ** 7
@@ -266,8 +266,7 @@ def degeneracy_criterion(chain: BAChain, beta: BetaSample, nu: int,
     exprs = tuple(chain.form.alphas) + beta.values
     m0_cap = (r + k + 1) * bound
 
-    start = START_PRECISION + (2 * (r + k) * bound).bit_length()
-    for w in precision_ladder(start, working_limit(cap)):
+    for w in widths(START_PRECISION + (2 * (r + k) * bound).bit_length(), cap):
         grid, a_lo, a_hi = scaled_constants(exprs, w, cap)
         # zeta bounds on the same scale, rounded away from the comparison
         z_lo = rec.zeta.lo.floor_scaled(grid)
@@ -277,7 +276,7 @@ def degeneracy_criterion(chain: BAChain, beta: BetaSample, nu: int,
             try:
                 n, r_lo, r_hi = scaled_residual(tail, a_lo, a_hi, grid)
             except AmbiguousRounding:
-                ambiguous = tail
+                ambiguous, rounding = tail, True
                 break
             m0 = min(m0_cap, max(-m0_cap, n))
             shift = (n - m0) << grid
@@ -289,12 +288,15 @@ def degeneracy_criterion(chain: BAChain, beta: BetaSample, nu: int,
                                         witness=(-m0,) + tail,
                                         detail="form value certifiably below "
                                                f"zeta_{nu}")
-            ambiguous = tail
+            ambiguous, rounding = tail, False
             break
         if ambiguous is None:
             return CriterionVerdict(nu=nu, passed=True,
                                     detail=f"scan bound {bound}, "
                                            f"{mixed_scan_volume(r, k, bound)} vectors")
+    if rounding:  # a form value on a half-integer: a rational dependence
+        raise DependenceSuspected(f"criterion at nu={nu}: vector {ambiguous}"
+                                  " cannot be rounded at cap", witness=ambiguous)
     raise PrecisionExhausted(
         f"criterion at nu={nu}: vector {ambiguous} does not separate "
         "from zeta", cap)

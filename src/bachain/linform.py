@@ -29,9 +29,8 @@ from .realnum import (
     DyadicInterval,
     RealExpr,
     eval_interval,
-    precision_ladder,
     round_scaled,
-    working_limit,
+    widths,
 )
 
 
@@ -134,8 +133,7 @@ def tail_norm(tail: Sequence[int]) -> int:
 def form_values(m: Sequence[int], form: LinearForm, start: int,
                 cap: int = PRECISION_CAP
                 ) -> Iterator[tuple[int, int, int, int]]:
-    """(w, lo, hi, e) for each rung w of the precision ladder from start
-    (clipped to the working limit) up to working_limit(cap), where
+    """(w, lo, hi, e) for each rung w of ``widths(start, cap)``, where
     [lo, hi] * 2**e is zeta(m, form, w, cap).
 
     Successive enclosures nest, so a caller that resumes from a rung it
@@ -144,8 +142,7 @@ def form_values(m: Sequence[int], form: LinearForm, start: int,
     """
     if len(m) != form.r + 1:
         raise ValueError(f"expected {form.r + 1} coordinates, got {len(m)}")
-    limit = working_limit(cap)
-    for w in precision_ladder(min(start, limit), limit):
+    for w in widths(start, cap):
         yield (w,) + _dot(m, form, w, cap)
 
 

@@ -6,13 +6,13 @@ produces dyadic intervals (endpoints = integer mantissa * 2**exponent) that
 are guaranteed to contain the exact value; all rounding is outward, so a
 decided sign or comparison is a certificate, never a float artifact.
 
-Refinement climbs a fixed doubling ladder of working precisions
-64, 128, 256, ... bits (``precision_ladder``); ``enclosures`` walks it for
-one expression up to the caller's cap, skips the rungs that cannot
-evaluate it and raises PrecisionExhausted when it runs out.  Because
-dyadic grids nest, the interval computed at a higher working precision is
-always contained in the one computed at a lower precision, which makes
-every certificate monotone under refinement.
+Refinement climbs one doubling ladder of working precisions (64, 128,
+256, ... bits) by two generators: ``enclosures`` walks it for one expression
+up to the caller's cap and raises PrecisionExhausted when it runs out;
+``widths`` gives the rungs of every width refinement, up to half the cap.
+Because dyadic grids nest, the interval computed at a higher working
+precision is always contained in the one computed at a lower precision,
+which makes every certificate monotone under refinement.
 
 The textual grammar for constants lives here too: ``parse_expr`` reads
 it and ``expr_to_text`` writes it.
@@ -40,14 +40,14 @@ PRECISION_CAP = 1 << 16
 START_PRECISION = 64
 
 
-def precision_ladder(start: int, limit: int) -> Iterator[int]:
-    """Working precisions start, 2*start, 4*start, ..., clipped to and
-    ending at limit; only start itself when start >= limit."""
-    w = start
-    while w < limit:
+def _ladder(start: int, top: int) -> Iterator[int]:
+    """Working precisions min(start, top), then doubling, clipped to and
+    ending at top."""
+    w = min(start, top)
+    while w < top:
         yield w
         w *= 2
-    yield max(start, limit)
+    yield top
 
 
 def checked_cap(cap: int) -> int:
@@ -62,6 +62,12 @@ def working_limit(cap: int) -> int:
     """Top rung for callers that request enclosure widths: half the cap,
     so evaluation keeps headroom for its own outward rounding."""
     return max(START_PRECISION, cap // 2)
+
+
+def widths(start: int, cap: int) -> Iterator[int]:
+    """Rungs for a refinement that requests enclosure widths 2**-w:
+    from min(start, working_limit(cap)) up to working_limit(cap)."""
+    return _ladder(start, working_limit(cap))
 
 
 # ---------------------------------------------------------------------------
@@ -595,14 +601,14 @@ def _eval_at(expr: RealExpr, w: int) -> DyadicInterval:
 
 def enclosures(expr: RealExpr, start: int, cap: int,
                what: str) -> Iterator[tuple[int, DyadicInterval]]:
-    """(w, enclosure at working precision w) for each rung of
-    ``precision_ladder(min(start, cap), cap)`` whose evaluation is
-    conclusive, skipping a rung that cannot certify a fact the evaluation
-    needs (a divisor's sign).  A caller that takes the top rung without
-    deciding ``what`` it certifies gets PrecisionExhausted; one that stops
-    early closes the generator.  The one refinement driver for a constant.
+    """(w, enclosure at working precision w) for each rung from
+    min(start, cap) up to cap whose evaluation is conclusive, skipping a
+    rung that cannot certify a fact the evaluation needs (a divisor's
+    sign).  A caller that takes the top rung without deciding ``what`` it
+    certifies gets PrecisionExhausted; one that stops early closes the
+    generator.  The one refinement loop for a constant.
     """
-    for w in precision_ladder(min(start, cap), cap):
+    for w in _ladder(start, cap):
         try:
             iv = _eval_at(expr, w)
         except _Inconclusive:

@@ -327,6 +327,22 @@ class TestCommands:
         assert "criterion nu=1: fail" in out
         assert "omega bound" in out
 
+    def test_extend_at_a_low_cap_matches_cap_128(self, tmp_path, capsys):
+        # the criterion's start sits above working_limit(64) = 64; it runs
+        # at the limit, the rung the chain was enumerated at
+        rec = tmp_path / "c.rec"
+        assert cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm",
+                         "30", "--precision-cap", "64", "--out", str(rec)]) \
+            == cli.EXIT_OK
+        outputs = []
+        for cap in ("64", "128"):
+            assert cli.main(["extend", str(rec), "--k", "1",
+                             "--beta", "root(3,2)-1",
+                             "--precision-cap", cap]) == cli.EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "criterion nu=1: fail" in outputs[0]
+
     def test_extend_sampled_machine(self, tmp_path, capsys):
         rec = tmp_path / "c.rec"
         cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "20",

@@ -15,6 +15,7 @@ from bachain.enumerator import (
 )
 from bachain.errors import (
     ChainTooShort,
+    DependenceSuspected,
     PrecisionExhausted,
     SearchTooLarge,
 )
@@ -200,6 +201,16 @@ class TestDegeneracyCriterion:
                               seed=None, recipe="x")
         with pytest.raises(PrecisionExhausted):
             ext.degeneracy_criterion(chain, beta, 1, cap=4096)
+
+    def test_half_integer_value_suspects_dependence(self, sqrt2_chain):
+        # beta = root(4,2)/4 is exactly 1/2: the vector (0, 1) rounds
+        # ambiguously on every rung, as in the shell scan, and is never
+        # compared with zeta
+        beta = ext.BetaSample(values=(parse_expr("root(4,2)/4"),),
+                              seed=None, recipe="x")
+        with pytest.raises(DependenceSuspected) as info:
+            ext.degeneracy_criterion(sqrt2_chain, beta, 1, cap=1024)
+        assert info.value.witness == (0, 1)
 
 
 class TestLatticeSum:

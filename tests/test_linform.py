@@ -28,7 +28,6 @@ from bachain.realnum import (
     DyadicInterval,
     eval_interval,
     nearest_integer,
-    precision_ladder,
     rational,
     root,
     working_limit,
@@ -357,9 +356,13 @@ def _best_m0_reference(tail, form, cap=PRECISION_CAP):
         raise ValueError(f"expected {form.r} tail coordinates, got {len(tail)}")
     if not any(tail):
         raise ValueError("tail must not be all zero")
-    start = START_PRECISION + sum(map(abs, tail)).bit_length()
     limit = working_limit(cap)
-    for w in precision_ladder(min(start, limit), limit):
+    w = min(START_PRECISION + sum(map(abs, tail)).bit_length(), limit)
+    rungs = []
+    while w < limit:
+        rungs.append(w)
+        w *= 2
+    for w in rungs + [limit]:
         value = _zeta_dyadic_reference((0,) + tuple(tail), form, w, cap)
         try:
             n, residual = nearest_integer(value)

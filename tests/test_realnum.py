@@ -25,9 +25,10 @@ from bachain.realnum import (
     nearest_integer,
     parse_expr,
     pow_rational,
-    precision_ladder,
     rational,
     root,
+    widths,
+    working_limit,
 )
 from bachain import realnum
 from bachain.enumerator import _convergents
@@ -108,19 +109,60 @@ class TestDyadic:
                 assert d.floor_scaled(p) == d.ceil_scaled(p) == exact
 
 
-@pytest.mark.parametrize("start,limit,rungs", [
+@pytest.mark.parametrize("start,top,rungs", [
     (64, 32768, [64 << i for i in range(10)]),
     (70, 300, [70, 140, 280, 300]),
-    # start at or above the limit: that one rung only
-    (100, 64, [100]),
-    (96, 1, [96]),
+    # start at or above the top: the top rung only
+    (100, 64, [64]),
+    (96, 1, [1]),
     # eval_interval's rungs, min(64, cap) up to cap, for caps 32, 64, 100
     (32, 32, [32]),
     (64, 64, [64]),
     (64, 100, [64, 100]),
 ])
-def test_precision_ladder(start, limit, rungs):
-    assert list(precision_ladder(start, limit)) == rungs
+def test_precision_ladder(start, top, rungs):
+    assert list(realnum._ladder(start, top)) == rungs
+
+
+@pytest.mark.parametrize("start,cap,rungs", [
+    (64, PRECISION_CAP, [64 << i for i in range(10)]),
+    # the psi check's rungs
+    (96, PRECISION_CAP, [96 << i for i in range(9)] + [32768]),
+    (70, 600, [70, 140, 280, 300]),
+    (64, 300, [64, 128, 150]),
+    # the limit is never below 64: caps 64 and 100 both stop there
+    (64, 64, [64]),
+    (64, 100, [64]),
+    # start above the limit: the limit only
+    (69, 128, [64]),
+    (100, 64, [64]),
+    (40000, PRECISION_CAP, [32768]),
+])
+def test_widths(start, cap, rungs):
+    assert list(widths(start, cap)) == rungs
+
+
+def reference_ladder(start, limit):
+    """The ladder as it stood before the width ladder clipped its start:
+    start, 2*start, ..., clipped to and ending at limit; only start
+    itself when start >= limit."""
+    w = start
+    while w < limit:
+        yield w
+        w *= 2
+    yield max(start, limit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(64, PRECISION_CAP), st.integers(1, PRECISION_CAP // 2))
+def test_widths_keep_every_start_below_the_limit(cap, start):
+    # every rung sequence a caller could see before stays as it was
+    limit = working_limit(cap)
+    if start > limit:
+        assert list(widths(start, cap)) == [limit]
+    else:
+        assert list(widths(start, cap)) == \
+            list(reference_ladder(start, limit))
 
 
 class TestEnclosures:

@@ -49,15 +49,14 @@ def function_def(path: Path, function: str):
                  and node.name == function), None)
 
 
-#: The functions outside ``realnum`` that may climb the precision ladder
-#: themselves; every other refinement takes its rungs from
-#: ``realnum.enclosures`` or ``linform.form_values``.
-LADDER_SITES = {
-    ("linform.py", "form_values"),
-    ("enumerator.py", "enumerate_chain"),
-    ("extension.py", "degeneracy_criterion"),
-    ("analysis.py", "check_psi_singular"),
-}
+#: The functions outside ``realnum`` that may climb the private ladder
+#: themselves: none.  Every refinement takes its rungs from
+#: ``realnum.enclosures`` or ``realnum.widths``.
+LADDER_SITES = set()
+
+#: The functions outside ``realnum`` that may ask for the working limit:
+#: only the chain-file reader, which bounds ``precision-used`` by it.
+WORKING_LIMIT_SITES = {("cli.py", "parse_chain")}
 
 
 def callers(path: Path, name: str) -> list[str]:
@@ -77,20 +76,27 @@ def callers(path: Path, name: str) -> list[str]:
     return found
 
 
+def calls_outside_realnum(name: str) -> set[tuple[str, str]]:
+    return {(p.name, fn) for p in SRC.glob("*.py") if p.name != "realnum.py"
+            for fn in callers(p, name)}
+
+
 def test_precision_ladder_called_only_at_its_sites():
-    calls = {(p.name, fn) for p in SRC.glob("*.py") if p.name != "realnum.py"
-             for fn in callers(p, "precision_ladder")}
-    assert calls - LADDER_SITES == set()
+    assert calls_outside_realnum("_ladder") == LADDER_SITES
+
+
+def test_working_limit_called_only_at_its_sites():
+    assert calls_outside_realnum("working_limit") == WORKING_LIMIT_SITES
 
 
 def test_detects_a_ladder_call(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("def f(m):\n"
                      "    def g():\n"
-                     "        return list(realnum.precision_ladder(64, 128))\n"
-                     "    return [w for w in precision_ladder(64, 128)]\n"
-                     "precision_ladder(1, 2)\n")
-    assert callers(probe, "precision_ladder") == ["g", "f", "<module>"]
+                     "        return list(realnum._ladder(64, 128))\n"
+                     "    return [w for w in _ladder(64, 128)]\n"
+                     "_ladder(1, 2)\n")
+    assert callers(probe, "_ladder") == ["g", "f", "<module>"]
 
 
 #: The functions that may give up a refinement: ``enclosures`` for every
