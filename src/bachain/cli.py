@@ -5,7 +5,8 @@ chain file), ``extend`` (dimension-extension experiments), ``report``
 (pretty-print a chain or report file).  Chain files are line-oriented so
 they stream and diff cleanly; interval endpoints are serialized as exact
 hex dyadics, never decimal floats, so parse(serialize(x)) is the identity
-bit for bit.
+bit for bit; the reader recomputes each record's enclosure from its
+vector, as the scan wrote it, and never parses an endpoint.
 
 Exit codes are stable for scripting:
   0 success            3 suspected rational dependence
@@ -26,6 +27,7 @@ from typing import Optional, Sequence
 from . import analysis
 from .enumerator import BAChain, BestApprox, enumerate_chain
 from .errors import (
+    AmbiguousRounding,
     DependenceSuspected,
     DomainError,
     PrecisionExhausted,
@@ -37,11 +39,10 @@ from .extension import (
     compare_extended,
     monte_carlo,
 )
-from .linform import LinearForm
+from .linform import LinearForm, record_enclosure, scaled_constants
 from .realnum import (
     PRECISION_CAP,
     START_PRECISION,
-    Dyadic,
     DyadicInterval,
     checked_cap,
     expr_to_text,
@@ -89,8 +90,10 @@ def parse_chain(text: str) -> BAChain:
     text ``serialize_chain`` writes for the file's own ``precision-cap``,
     so a chain read back is the chain the file states, byte for byte.
     Values are read leniently and the final round trip rejects every
-    other spelling, repeated or unknown header and stray byte.  Caps and
-    endpoints must first lie in the ranges the scan writes."""
+    other spelling, repeated or unknown header and stray byte.  Each
+    record's enclosure is recomputed from its vector by the scan's rule,
+    ``linform.record_enclosure``, so the round trip also certifies its
+    form value, m0 and sign; a record missing after the last goes unseen."""
     lines = text.splitlines()
     if not lines or lines[0] != CHAIN_MAGIC:
         raise ValueError(f"not a chain file (missing {CHAIN_MAGIC!r})")
@@ -116,26 +119,27 @@ def parse_chain(text: str) -> BAChain:
     if not START_PRECISION <= precision_used <= working_limit(precision_cap):
         raise ValueError(f"precision-used {precision_used} outside "
                          f"[{START_PRECISION}, {working_limit(precision_cap)}]")
-    grid = precision_used + 2
     if len(alpha_texts) != r:
         raise ValueError(f"header lists {len(alpha_texts)} constants, r = {r}")
     form = LinearForm(tuple(parse_expr(t, precision_cap) for t in alpha_texts))
+    grid, los, his = scaled_constants(form.alphas, precision_used,
+                                      precision_cap)
     records = []
     for ln in body:
         fields = ln.split()
         if len(fields) != r + 5:
             raise ValueError(f"malformed record line: {ln!r}")
-        index = int(fields[0])
-        m = tuple(int(x) for x in fields[1:r + 2])
-        M = int(fields[r + 2])
-        lo, hi = map(Dyadic.from_hex, fields[r + 3:])
-        for d in (lo, hi):
-            # as the scan writes them, so ordering shifts <= grid bits
-            if d.man and (d.exp < -grid or d.man.bit_length() + d.exp >= 0):
-                raise ValueError(f"record endpoint {d.to_hex()} is off the "
-                                 f"2^-{grid} grid or not below 1/2")
-        records.append(BestApprox(index=index, m=m, M=M,
-                                  zeta=DyadicInterval(lo, hi)))
+        index, *m, M = map(int, fields[:-2])
+        try:
+            zeta = record_enclosure(m, los, his, grid)
+            records.append(BestApprox(index, tuple(m), M, zeta))
+        except (AmbiguousRounding, ValueError) as exc:
+            raise ValueError(f"record {index}: {exc}") from None
+    if not records:  # shell 1 always gives record 1
+        raise ValueError("chain file has no records")
+    if search_bound < records[-1].M:
+        raise ValueError(f"search-bound {search_bound} is below record "
+                         f"{records[-1].index}'s M = {records[-1].M}")
     chain = BAChain(form=form, records=tuple(records),
                     search_bound=search_bound, precision_used=precision_used)
     written = serialize_chain(chain, precision_cap)

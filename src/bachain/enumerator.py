@@ -26,6 +26,7 @@ from .linform import (
     abs_bounds,
     best_m0,
     form_values,
+    record_enclosure,
     scaled_constants,
     scaled_residual,
     tail_norm,
@@ -53,7 +54,7 @@ class BestApprox:
 
     def __post_init__(self):
         if self.zeta.lo.man <= 0:
-            raise ValueError("record form value must be certified positive")
+            raise ValueError("form value must be certified positive")
         if tail_norm(self.m[1:]) != self.M:
             raise ValueError("stored norm disagrees with coordinates")
 
@@ -139,8 +140,9 @@ def _normed(M: int, length: int) -> Iterator[tuple[int, ...]]:
     yield from product((M,), *rest)
 
 
-def _shell_scan(form: LinearForm, M_max: int, w: int, cap: int) -> list[dict]:
-    """One full scan at working precision w.  Returns record dicts or
+def _shell_scan(form: LinearForm, M_max: int, w: int,
+                cap: int) -> list[BestApprox]:
+    """One full scan at working precision w.  Returns the records or
     raises _Rescan when certification fails at this precision."""
     r = form.r
     grid, a_lo, a_hi = scaled_constants(form.alphas, w, cap)
@@ -148,7 +150,7 @@ def _shell_scan(form: LinearForm, M_max: int, w: int, cap: int) -> list[dict]:
     running_lo: Optional[int] = None  # certified |residual| bounds of last record
     running_hi: Optional[int] = None
     running_tail: Optional[tuple[int, ...]] = None
-    records: list[dict] = []
+    records: list[BestApprox] = []
 
     for M in range(1, M_max + 1):
         best = None  # (abs_lo, abs_hi, tail, n, r_lo, r_hi)
@@ -174,19 +176,12 @@ def _shell_scan(form: LinearForm, M_max: int, w: int, cap: int) -> list[dict]:
             if abs_hi >= running_lo:
                 raise _Rescan("tie", (running_tail, tail))
         # new record: strict drop certified; need a sign-definite residual
-        if r_lo > 0:
-            m = (-n,) + tail
-            z_lo, z_hi = r_lo, r_hi
-        elif r_hi < 0:
-            m = (n,) + tuple(-c for c in tail)
-            z_lo, z_hi = -r_hi, -r_lo
-        else:
+        if r_lo <= 0 <= r_hi:
             raise _Rescan("sign", tail)
-        records.append({
-            "m": m,
-            "M": M,
-            "zeta": DyadicInterval(Dyadic(z_lo, -grid), Dyadic(z_hi, -grid)),
-        })
+        m = (-n,) + tail if r_lo > 0 else (n,) + tuple(-c for c in tail)
+        records.append(BestApprox(
+            index=len(records) + 1, m=m, M=M,
+            zeta=record_enclosure(m, a_lo, a_hi, grid)))
         running_lo, running_hi, running_tail = abs_lo, abs_hi, tail
 
     return records
@@ -204,15 +199,12 @@ def enumerate_chain(form: LinearForm, M_max: int,
         raise ValueError("M_max must be >= 1")
     for w in widths(START_PRECISION + (form.r * M_max).bit_length(), cap):
         try:
-            raw = _shell_scan(form, M_max, w, cap)
+            records = _shell_scan(form, M_max, w, cap)
         except _Rescan as exc:
             # below the cap an ambiguity is just a request for more precision
             failed = exc
             continue
-        records = tuple(
-            BestApprox(index=i + 1, m=rec["m"], M=rec["M"], zeta=rec["zeta"])
-            for i, rec in enumerate(raw))
-        return BAChain(form=form, records=records, search_bound=M_max,
+        return BAChain(form=form, records=tuple(records), search_bound=M_max,
                        precision_used=w)
     # an ambiguity (tie, half-integer, zero straddle) that survives the cap
     # witnesses a rational dependence

@@ -6,9 +6,10 @@ This module evaluates form values as integer dot products over one table
 of constant endpoints per (form, precision, cap), climbs the one ladder
 over them, and picks the optimal free coefficient m_0 for a given tail.
 It also holds the scaled-integer residual kernel that both exhaustive
-scans (the chain enumerator and the degeneracy criterion) run per tail;
-the form-value path above never calls it, so the brute-force oracle
-built on that path stays an independent check of the scans.
+scans (the chain enumerator and the degeneracy criterion) run per tail,
+and the chain-record rule built on it; the form-value path above never
+calls them, so the brute-force oracle built on that path stays an
+independent check of the scans.
 """
 
 from __future__ import annotations
@@ -219,6 +220,19 @@ def scaled_residual(tail: Sequence[int], los: Sequence[int],
     if r_lo == -half or r_hi >= half:
         raise AmbiguousRounding("endpoint on or across a half-integer")
     return n, r_lo, r_hi
+
+
+def record_enclosure(m: Sequence[int], los: Sequence[int],
+                     his: Sequence[int], grid: int) -> DyadicInterval:
+    """[r_lo, r_hi] * 2**-grid, the residual ``scaled_residual`` gives
+    for the tail of m = (m_0, tail); m_0 must be minus the tail's nearest
+    integer.  The one rule for a chain record's enclosure, for the scan
+    that writes it and the reader that recomputes it."""
+    n, r_lo, r_hi = scaled_residual(m[1:], los, his, grid)
+    if m[0] != -n:
+        raise ValueError(f"m0 is {m[0]}, but minus the nearest integer to "
+                         f"the tail's value is {-n}")
+    return DyadicInterval(Dyadic(r_lo, -grid), Dyadic(r_hi, -grid))
 
 
 def abs_bounds(lo: int, hi: int) -> tuple[int, int]:

@@ -179,16 +179,6 @@ class Dyadic:
         sign = "-" if self.man < 0 else ""
         return f"{sign}0x{abs(self.man):x}p{self.exp}"
 
-    @classmethod
-    def from_hex(cls, text: str) -> "Dyadic":
-        """Inverse of ``to_hex``; other spellings of the value may parse,
-        so a reader that needs the exact text compares it itself."""
-        try:
-            man_hex, exp_dec = text.replace("0x", "", 1).split("p")
-            return cls(int(man_hex, 16), int(exp_dec))
-        except ValueError:
-            raise ValueError(f"malformed dyadic literal: {text!r}") from None
-
     def __repr__(self) -> str:
         return f"Dyadic({self.man}, {self.exp})"
 

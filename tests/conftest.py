@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bachain import LinearForm, brute_force_oracle, enumerate_chain
+from bachain import Dyadic, LinearForm, brute_force_oracle, enumerate_chain
 from bachain import parse_expr
 
 R1_ALPHA_TEXTS = {
@@ -22,6 +22,16 @@ def as_fraction(d) -> Fraction:
     if d.exp >= 0:
         return Fraction(d.man << d.exp)
     return Fraction(d.man, 1 << -d.exp)
+
+
+def dyadic_from_hex(text: str):
+    """Inverse of ``Dyadic.to_hex``; other spellings of the value may
+    parse too."""
+    try:
+        man_hex, exp_dec = text.replace("0x", "", 1).split("p")
+        return Dyadic(int(man_hex, 16), int(exp_dec))
+    except ValueError:
+        raise ValueError(f"malformed dyadic literal: {text!r}") from None
 
 
 def sqrt_digits(n: int, digits: int) -> Fraction:

@@ -8,13 +8,12 @@ from bachain import cli
 from bachain.enumerator import enumerate_chain
 from bachain.realnum import (
     MAX_EXPR_DEPTH,
-    Dyadic,
     ExprSyntaxError,
     expr_to_text,
     parse_expr,
     root,
 )
-from conftest import as_fraction
+from conftest import as_fraction, dyadic_from_hex
 
 
 DEPTH = MAX_EXPR_DEPTH
@@ -127,59 +126,60 @@ class TestChainFile:
         "0x05p3", "0x5Ap3", "0X5p3", "0x5p03", "0x5p-0", "-0x0p0",
         " 0x5p3", "5p3"])
     def test_rejects_noncanonical_dyadic(self, sqrt2_chain, text):
-        # the last record with both endpoints 0x5p-5 reads; with the lower
-        # one spelled otherwise it does not (a value of 1/2 or more fails
-        # the endpoint range before the layout check)
+        # the file as written reads; with the last record's lower endpoint
+        # spelled otherwise it does not, at that record's line (a spelling
+        # with a space in it splits into one field too many)
         lines = cli.serialize_chain(sqrt2_chain).splitlines()
+        cli.parse_chain("\n".join(lines) + "\n")
         fields = lines[-1].split()
-        canonical = lines[:-1] + [" ".join(fields[:4] + ["0x5p-5", "0x5p-5"])]
-        cli.parse_chain("\n".join(canonical) + "\n")
-        fields[4:] = [text, "0x5p-5"]
-        with pytest.raises(ValueError):
-            cli.parse_chain("\n".join(lines[:-1] + [" ".join(fields)]) + "\n")
+        fields[4] = text
+        forged = " ".join(fields)
+        with pytest.raises(ValueError) as info:
+            cli.parse_chain("\n".join(lines[:-1] + [forged]) + "\n")
+        assert str(info.value) == (
+            f"malformed record line: {forged!r}" if len(forged.split()) != 6
+            else LAYOUT.format(len(lines)))
 
-    # the header and record values the scan writes: a cap in [64, 2^16], a
-    # rung in [64, working_limit(cap)], endpoints on the 2^-(rung+2) grid
-    # and below 1/2
+    # the header values the scan writes: a cap in [64, 2^16] and a rung in
+    # [64, working_limit(cap)]; record endpoints are never read, only
+    # compared with the ones recomputed from the record's vector, so an
+    # endpoint off the grid, at 1/2, on the finest grid point or just below
+    # 1/2 fails at its line
     @pytest.mark.parametrize("cap,used,lo,hi,message", [
         (32, None, None, None, "precision cap 32 outside [64, 65536]"),
         (65537, None, None, None, "precision cap 65537 outside [64, 65536]"),
         (None, 63, None, None, "precision-used 63 outside [64, 32768]"),
         (4096, 2049, None, None, "precision-used 2049 outside [64, 2048]"),
-        (None, None, "0x1p-{g1}", None,
-         "record endpoint 0x1p-{g1} is off the 2^-{g} grid or not below 1/2"),
-        (None, None, None, "0x1p-1",
-         "record endpoint 0x1p-1 is off the 2^-{g} grid or not below 1/2"),
+        (None, None, "0x1p-{g1}", None, LAYOUT.format(11)),
+        (None, None, None, "0x1p-1", LAYOUT.format(11)),
+        (None, None, "0x1p-{g}", "0x7fp-8", LAYOUT.format(11)),
     ], ids=["cap-low", "cap-high", "used-low", "used-high", "off-grid",
-            "half"])
+            "half", "finest-and-below-half"])
     def test_rejects_values_the_scan_never_writes(self, sqrt2_chain, cap,
                                                   used, lo, hi, message):
         g = sqrt2_chain.precision_used + 2
         used = sqrt2_chain.precision_used if used is None else used
         lines = cli.serialize_chain(sqrt2_chain, cap or 65536).splitlines()
+        assert len(lines) == 11
         lines[lines.index(f"# precision-used {sqrt2_chain.precision_used}")] \
             = f"# precision-used {used}"
         fields = lines[-1].split()
-        fields[4] = fields[4] if lo is None else lo.format(g1=g + 1)
+        fields[4] = fields[4] if lo is None else lo.format(g=g, g1=g + 1)
         fields[5] = fields[5] if hi is None else hi
         lines[-1] = " ".join(fields)
         with pytest.raises(ValueError) as info:
             cli.parse_chain("\n".join(lines) + "\n")
-        assert str(info.value) == message.format(g=g, g1=g + 1)
+        assert str(info.value) == message
 
     def test_accepts_the_bounds_themselves(self, sqrt2_chain):
-        # chains enumerated at the lowest and the highest cap, and
-        # endpoints on the finest grid point and just below 1/2, read back
-        g = sqrt2_chain.precision_used + 2
+        # chains enumerated at the lowest and the highest cap read back,
+        # each record with the endpoints its vector gives
         for cap in (64, 65536):
             chain = enumerate_chain(sqrt2_chain.form, 30, cap=cap)
             text = cli.serialize_chain(chain, cap)
-            assert cli.serialize_chain(cli.parse_chain(text), cap) == text
-        lines = cli.serialize_chain(sqrt2_chain).splitlines()
-        fields = lines[-1].split()
-        fields[4:] = [f"0x1p-{g}", "0x7fp-8"]
-        text = "\n".join(lines[:-1] + [" ".join(fields)]) + "\n"
-        assert cli.serialize_chain(cli.parse_chain(text)) == text
+            parsed = cli.parse_chain(text)
+            assert parsed.records == chain.records
+            assert cli.serialize_chain(parsed, cap) == text
 
 
 class TestPsiSpecParsing:
@@ -257,7 +257,8 @@ class TestCommands:
 
     def test_forged_exponent_is_usage_error(self, tmp_path, capsys):
         # reading the record once cost time and memory linear in the
-        # exponent's value, and verify then passed
+        # exponent's value, and verify then passed; the endpoint is
+        # never parsed, only compared at its line
         rec = tmp_path / "c.rec"
         cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "30",
                   "--out", str(rec)])
@@ -267,7 +268,9 @@ class TestCommands:
         rec.write_text("\n".join(lines[:-1] + [" ".join(fields)]) + "\n")
         capsys.readouterr()
         assert cli.main(["verify", str(rec)]) == cli.EXIT_USAGE
-        assert "record endpoint 0x1p-100000000" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {LAYOUT.format(len(lines))}\n"
 
     def test_enumerate_requires_alpha(self):
         with pytest.raises(SystemExit) as info:
@@ -530,7 +533,7 @@ class TestCommands:
                   "--out", str(rec)])
         lines = rec.read_text().splitlines()
         fields = lines[-1].split()
-        lo = Dyadic.from_hex(fields[4])
+        lo = dyadic_from_hex(fields[4])
         fields[4] = respell(f"{lo.man:x}", lo.exp)
         man_hex, exp_dec = fields[4].lower().removeprefix("0x").split("p")
         assert Fraction(int(man_hex, 16)) * Fraction(2) ** int(exp_dec) \
@@ -565,6 +568,41 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {LAYOUT.format(line)}\n"
+
+    # files enumerate never writes, on the sqrt(2) chain to M=30 (records
+    # at M = 1, 2, 5, 12, 29; record 5 on line 11): each record's
+    # enclosure is recomputed from its vector, and the header must admit
+    # the records
+    @pytest.mark.parametrize("forge,message", [
+        (lambda t: t.replace("\n4 17 -12 12 ", "\n4 22 -12 12 "),
+         "record 4: m0 is 22, but minus the nearest integer to the tail's "
+         "value is 17"),
+        (lambda t: t.replace("\n3 -7 5 5 ", "\n3 7 -5 5 "),
+         "record 3: form value must be certified positive"),
+        (lambda t: t.rsplit(" ", 2)[0] + " 0x1p-10 0x1p-9\n",
+         LAYOUT.format(11)),
+        (lambda t: t.replace("\n# search-bound 30\n", "\n# search-bound 3\n"),
+         "search-bound 3 is below record 5's M = 29"),
+        (lambda t: "".join(ln for ln in t.splitlines(True)
+                           if ln.startswith("#")),
+         "chain file has no records"),
+    ], ids=["forged-m0", "negated-vector", "forged-enclosure",
+            "low-search-bound", "no-records"])
+    @pytest.mark.parametrize("command", ["verify", "extend", "report"])
+    def test_forged_record_is_usage_error(self, tmp_path, capsys, forge,
+                                          message, command):
+        rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], 30)
+        text = rec.read_text()
+        assert len(text.splitlines()) == 11
+        forged = forge(text)
+        assert forged != text
+        rec.write_text(forged)
+        capsys.readouterr()
+        extra = ["--k", "1", "--seed", "1"] if command == "extend" else []
+        assert cli.main([command, str(rec)] + extra) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("key", ["r", "search-bound", "precision-cap",
                                      "precision-used"])

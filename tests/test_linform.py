@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bachain import parse_expr
+from bachain import enumerate_chain, parse_expr
 from bachain.errors import (
     AmbiguousRounding,
     BachainError,
@@ -17,6 +17,7 @@ from bachain.linform import (
     best_m0,
     endpoint_table,
     form_values,
+    record_enclosure,
     scaled_constants,
     scaled_residual,
     zeta,
@@ -291,6 +292,72 @@ def test_scaled_residual_matches_fraction_reference(case):
             scaled_residual(tail, los, his, grid)
     else:
         assert scaled_residual(tail, los, his, grid) == want
+
+
+# --- the record rule --------------------------------------------------------
+
+
+@given(_kernel_cases())
+@example(((1,), [2], [2], 2))      # exactly 1/2
+@example(((1,), [1], [1], 2))      # 1/4
+@example(((3, -2), [5, 7], [6, 7], 3))
+@settings(max_examples=300, deadline=None)
+def test_record_enclosure_is_the_kernel_residual(case):
+    # with m0 minus the nearest integer, the enclosure is the kernel's
+    # residual on the 2^-grid scale; another m0 is refused, and negating
+    # the vector negates the enclosure exactly (the scan's sign
+    # normalisation rests on it)
+    tail, los, his, grid = case
+    want = _residual_reference(tail, los, his, grid)
+    if want is None:
+        with pytest.raises(AmbiguousRounding):
+            record_enclosure((0,) + tail, los, his, grid)
+        return
+    n, r_lo, r_hi = want
+    iv = record_enclosure((-n,) + tail, los, his, grid)
+    assert (as_fraction(iv.lo), as_fraction(iv.hi)) == \
+        (r_lo / (1 << grid), r_hi / (1 << grid))
+    assert record_enclosure((n,) + tuple(-c for c in tail),
+                            los, his, grid) == -iv
+    for m0 in (-n - 1, -n + 1):
+        with pytest.raises(ValueError, match=f"m0 is {m0}, but minus the "
+                           f"nearest integer to the tail's value is {-n}"):
+            record_enclosure((m0,) + tail, los, his, grid)
+
+
+#: Chains of r = 1..3 at the default cap, built once per session.
+DEFAULT_CAP_CHAINS = ("sqrt2_chain", "cbrt_pair_chain_200",
+                      "sqrt23_chain_200", "sqrt235_chain_60")
+
+
+def _assert_records_follow_the_rule(chain, cap):
+    grid, los, his = scaled_constants(chain.form.alphas,
+                                      chain.precision_used, cap)
+    assert chain.records
+    for rec in chain.records:
+        assert rec.zeta == record_enclosure(rec.m, los, his, grid)
+
+
+@pytest.mark.parametrize("fixture", DEFAULT_CAP_CHAINS)
+def test_fixture_records_follow_the_record_rule(request, fixture):
+    _assert_records_follow_the_rule(request.getfixturevalue(fixture),
+                                    PRECISION_CAP)
+
+
+def test_r1_fixture_records_follow_the_record_rule(r1_chains_10k):
+    for chain in r1_chains_10k.values():
+        _assert_records_follow_the_rule(chain, PRECISION_CAP)
+
+
+@pytest.mark.parametrize("texts,M_max", [
+    (("root(2,2)",), 1000),
+    (("root(2,3)", "root(4,3)"), 40),
+    (("root(2,2)", "root(3,2)", "root(5,2)"), 12),
+], ids=["r1", "r2", "r3"])
+@pytest.mark.parametrize("cap", [64, 4096])
+def test_low_cap_records_follow_the_record_rule(texts, M_max, cap):
+    form = LinearForm(tuple(parse_expr(t, cap) for t in texts))
+    _assert_records_follow_the_rule(enumerate_chain(form, M_max, cap), cap)
 
 
 # --- the DyadicInterval chain that the exact-sum zeta replaced --------------

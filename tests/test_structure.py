@@ -126,6 +126,29 @@ def test_detects_a_precision_exhausted_site(tmp_path):
     assert callers(probe, "PrecisionExhausted") == ["_certified_floor"]
 
 
+#: The functions that may decide a chain record's enclosure: the scan
+#: that writes it and the reader that recomputes it, by one rule.
+RECORD_SITES = {("enumerator.py", "_shell_scan"), ("cli.py", "parse_chain")}
+
+
+def test_record_enclosure_called_only_at_its_sites():
+    sites = {(p.name, fn) for p in SRC.glob("*.py")
+             for fn in callers(p, "record_enclosure")}
+    assert sites == RECORD_SITES
+
+
+def test_detects_a_record_enclosure_call(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("class Reader:\n"
+                     "    def read(self, m):\n"
+                     "        return linform.record_enclosure(m, [], [], 4)\n"
+                     "def record_enclosure(m, los, his, grid):\n"
+                     "    return m\n"
+                     "def zeta_of(m):\n"
+                     "    return [record_enclosure(m, [], [], 4)]\n")
+    assert callers(probe, "record_enclosure") == ["read", "zeta_of"]
+
+
 #: The exhaustive scans, whose every rounding to the nearest integer must
 #: come from the one call to ``linform.scaled_residual``.
 SCAN_SITES = {
@@ -230,8 +253,8 @@ def test_detects_a_fraction_on_the_integer_path(tmp_path):
 ORACLE_PATH = ("zeta", "form_values", "best_m0", "_Candidate", "_smaller",
                "brute_force_oracle")
 
-#: The exhaustive scans' residual kernel.
-SCAN_KERNEL = {"scaled_residual", "scaled_constants"}
+#: The exhaustive scans' residual kernel, with the record rule built on it.
+SCAN_KERNEL = {"scaled_residual", "scaled_constants", "record_enclosure"}
 
 
 def kernel_reach(paths, roots, kernel=SCAN_KERNEL) -> dict[str, list[str]]:
@@ -273,11 +296,15 @@ def test_detects_a_kernel_call_behind_a_helper(tmp_path):
                      "class _Candidate:\n"
                      "    def refine(self):\n"
                      "        return scaled_constants(self.m, 64)\n"
+                     "def best_m0(t):\n"
+                     "    return record_enclosure((0,) + t, [], [], 4)\n"
                      "def clean(m):\n"
                      "    return zeta\n")
-    assert kernel_reach([probe], ("zeta", "_Candidate", "clean")) == {
+    assert kernel_reach([probe], ("zeta", "_Candidate", "best_m0",
+                                  "clean")) == {
         "zeta": ["zeta -> _dot -> scaled_residual"],
         "_Candidate": ["_Candidate -> scaled_constants"],
+        "best_m0": ["best_m0 -> record_enclosure"],
         "clean": []}
 
 
