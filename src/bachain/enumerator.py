@@ -9,8 +9,8 @@ DependenceSuspected because it witnesses a rational dependence among
 1, a_1, ..., a_r.
 
 ``brute_force_oracle`` reproduces the same contract through a deliberately
-separate code path (per-tail residuals via the interval API, explicit
-prefix minima) and exists for cross-validation.
+separate code path (per-tail residuals from the form-value dot product,
+explicit running minima) and exists for cross-validation.
 ``convergent_denominators`` gives the classical r = 1 ground truth.
 """
 
@@ -20,11 +20,13 @@ from dataclasses import dataclass
 from itertools import count, product
 from typing import Iterator, Optional
 
-from .errors import AmbiguousRounding, DependenceSuspected
+from .errors import AmbiguousRounding, DependenceSuspected, WidthTooLarge
 from .linform import (
     LinearForm,
     abs_bounds,
     best_m0,
+    dot_bounds,
+    endpoint_table,
     form_values,
     record_enclosure,
     scaled_constants,
@@ -38,6 +40,7 @@ from .realnum import (
     DyadicInterval,
     RealExpr,
     enclosures,
+    round_scaled,
     widths,
 )
 
@@ -219,16 +222,35 @@ def enumerate_chain(form: LinearForm, M_max: int,
 
 
 class _Candidate:
-    """One tail's full vector (m_0, tail), its signed form-value enclosure
-    with the enclosure's absolute value, and the rung of the form-value
-    ladder that enclosure came from."""
+    """One tail's full vector (m_0, tail), its signed form value enclosed
+    as [lo, hi] * 2**e, bounds size_lo <= |value| <= size_hi on the same
+    scale, and the rung of the form-value ladder the enclosure came
+    from."""
 
-    __slots__ = ("m", "value", "size", "rung")
+    __slots__ = ("m", "lo", "hi", "e", "size_lo", "size_hi", "rung")
 
-    def __init__(self, tail: tuple[int, ...], form: LinearForm, cap: int):
-        m0, self.value, self.rung = best_m0(tail, form, cap)
-        self.size = self.value.abs()
-        self.m = (m0,) + tail
+    def __init__(self, m: tuple[int, ...], lo: int, hi: int, e: int,
+                 rung: int):
+        self.m, self.rung = m, rung
+        self._enclose(lo, hi, e)
+
+    @classmethod
+    def from_best_m0(cls, tail: tuple[int, ...], form: LinearForm,
+                     cap: int) -> "_Candidate":
+        """The candidate ``best_m0`` certifies on its full ladder."""
+        m0, value, rung = best_m0(tail, form, cap)
+        lo, hi = value.lo, value.hi
+        e = min(lo.exp, hi.exp)
+        return cls((m0,) + tail, lo.man << (lo.exp - e),
+                   hi.man << (hi.exp - e), e, rung)
+
+    def _enclose(self, lo: int, hi: int, e: int) -> None:
+        self.lo, self.hi, self.e = lo, hi, e
+        self.size_lo, self.size_hi = max(lo, -hi, 0), max(-lo, hi)
+
+    @property
+    def value(self) -> DyadicInterval:
+        return DyadicInterval(Dyadic(self.lo, self.e), Dyadic(self.hi, self.e))
 
     def refine(self, form: LinearForm, cap: int) -> bool:
         """Climb to the next rung above the candidate's own; the enclosure
@@ -236,8 +258,8 @@ class _Candidate:
         w, lo, hi, e = next(form_values(self.m, form, 2 * self.rung, cap))
         if w <= self.rung:
             return False
-        value = DyadicInterval(Dyadic(lo, e), Dyadic(hi, e))
-        self.rung, self.value, self.size = w, value, value.abs()
+        self.rung = w
+        self._enclose(lo, hi, e)
         return True
 
 
@@ -245,28 +267,56 @@ def brute_force_oracle(form: LinearForm, M_max: int,
                        cap: int = PRECISION_CAP) -> BAChain:
     """Same contract as enumerate_chain, computed independently.
 
-    Every canonical tail's residual is evaluated through the interval API
-    (``best_m0`` per tail, no shared scan state), shell minima are
-    selected by certified comparison, and the global minimum at every norm
-    level is recomputed from the stored shell minima.  A comparison or a
-    sign that the enclosures cannot decide refines the candidates
-    involved, each climbing from its own rung, so enclosures only narrow
-    and every decision taken stays certified by the final ones, which
-    the records carry; ``precision_used`` is the highest rung any
-    candidate reached.  Intended for tests at small M_max.
+    Every canonical tail's residual is rounded from one integer dot
+    product over the form's endpoint table at the rung ``best_m0`` would
+    start from (no shared scan state).  A tail that the shell's minimum
+    so far certifiably beats is dropped there; any other becomes a
+    candidate, and a tail whose first rung cannot decide its nearest
+    integer takes ``best_m0``'s full ladder.  Shell minima are selected
+    by certified comparison, and a running minimum over them gives the
+    global minimum at every norm level.  A comparison or a sign that the
+    enclosures cannot decide refines the candidates involved, each
+    climbing from its own rung, so enclosures only narrow and every
+    decision taken stays certified by the final ones, which the records
+    carry; ``precision_used`` is the highest rung any tail reached.
+    Intended for tests at small M_max.
     """
     if M_max < 1:
         raise ValueError("M_max must be >= 1")
 
-    # per-shell argmin, each tail evaluated from scratch; a candidate's
-    # rung only climbs, so the top rung is read off each one that loses
-    # a comparison or is kept to the end
+    # per-shell argmin.  A candidate's rung only climbs, so the top rung
+    # is read off the first rungs, each candidate that loses a comparison
+    # and each one kept to the end
+    first_rungs = {}  # ladder start -> (rung, e, los, his, missing)
     top = 0
     shell_minima: list[_Candidate] = []
     for M in range(1, M_max + 1):
         best = None
         for tail in canonical_shell_tails(form.r, M):
-            cand = _Candidate(tail, form, cap)
+            start = START_PRECISION + sum(map(abs, tail)).bit_length()
+            table = first_rungs.get(start)
+            if table is None:
+                w = next(widths(start, cap))
+                table = first_rungs[start] = \
+                    (w,) + endpoint_table(form, w, cap)
+                top = max(top, w)
+            w, e, los, his, missing = table
+            cand = None
+            if not missing:
+                s_lo, s_hi = dot_bounds(tail, los, his)
+                try:
+                    n, lo, hi = round_scaled(s_lo, s_hi, -e)
+                except (AmbiguousRounding, WidthTooLarge):
+                    lo = hi = 0
+                if lo or hi:
+                    if best is not None and \
+                            _below(best.size_hi, best.e, max(lo, -hi, 0), e):
+                        continue  # certifiably beaten at its first rung
+                    cand = _Candidate((-n,) + tail, lo, hi, e, w)
+            if cand is None:
+                # undecided, exactly zero or a constant missing at the
+                # first rung: best_m0's ladder decides or raises
+                cand = _Candidate.from_best_m0(tail, form, cap)
             if best is None:
                 best = cand
                 continue
@@ -275,17 +325,17 @@ def brute_force_oracle(form: LinearForm, M_max: int,
             best = winner
         shell_minima.append(best)
 
-    # global minimum at every level, recomputed as an explicit prefix pass
+    # global minimum at every level, as a running minimum: a comparison
+    # once separated stays so, since enclosures only narrow
     found: list[tuple[int, _Candidate]] = []
-    for level in range(1, M_max + 1):
-        best = shell_minima[0]
-        for cand in shell_minima[1:level]:
-            best = _smaller(best, cand, form, cap)
+    best = None
+    for level, cand in enumerate(shell_minima, start=1):
+        best = cand if best is None else _smaller(best, cand, form, cap)
         if found and found[-1][1] is best:
             continue
         if tail_norm(best.m[1:]) != level:
             raise AssertionError("oracle: new global minimum off its shell")
-        while best.value.sign() not in (1, -1):
+        while not (best.lo > 0 or best.hi < 0):
             if not best.refine(form, cap):
                 raise DependenceSuspected(
                     f"oracle: sign of tail {best.m[1:]} undecidable",
@@ -294,7 +344,7 @@ def brute_force_oracle(form: LinearForm, M_max: int,
 
     records = []
     for index, (level, cand) in enumerate(found, start=1):
-        s = cand.value.sign()  # +-1, certified above; narrowing keeps it
+        s = 1 if cand.lo > 0 else -1  # certified above; narrowing keeps it
         records.append(BestApprox(
             index=index, m=tuple(s * c for c in cand.m), M=level,
             zeta=cand.value if s == 1 else -cand.value))
@@ -306,14 +356,21 @@ def brute_force_oracle(form: LinearForm, M_max: int,
                    search_bound=M_max, precision_used=top)
 
 
+def _below(x: int, ex: int, y: int, ey: int) -> bool:
+    """x * 2**ex < y * 2**ey, exactly."""
+    if ex >= ey:
+        return (x << (ex - ey)) < y
+    return x < (y << (ey - ex))
+
+
 def _smaller(a: _Candidate, b: _Candidate, form: LinearForm,
              cap: int) -> _Candidate:
     """Certified argmin of |form value| over two candidates, refining
     both until their enclosures separate."""
     while True:
-        if a.size.hi < b.size.lo:
+        if _below(a.size_hi, a.e, b.size_lo, b.e):
             return a
-        if b.size.hi < a.size.lo:
+        if _below(b.size_hi, b.e, a.size_lo, a.e):
             return b
         climbed_a = a.refine(form, cap)
         climbed_b = b.refine(form, cap)

@@ -98,22 +98,30 @@ def endpoint_table(form: LinearForm, precision: int,
 def _dot(m: Sequence[int], form: LinearForm, precision: int,
          cap: int) -> tuple[int, int, int]:
     """Endpoints lo, hi and exponent e of m_0 + sum m_j*a_j enclosed as
-    [lo, hi] * 2**e: one integer dot product over ``endpoint_table``,
-    taking per constant the endpoint that bounds coeff * a_j from below
-    (above)."""
+    [lo, hi] * 2**e: one integer dot product over ``endpoint_table``."""
     e, los, his, missing = endpoint_table(form, precision, cap)
     for j in missing:
         if m[j + 1]:
             eval_interval(form.alphas[j], precision, cap)  # raises again
-    s_lo = s_hi = m[0] << -e
-    for c, al, ah in zip(m[1:], los, his):
+    s_lo, s_hi = dot_bounds(m[1:], los, his)
+    base = m[0] << -e
+    return base + s_lo, base + s_hi, e
+
+
+def dot_bounds(tail: Sequence[int], los: Sequence[int],
+               his: Sequence[int]) -> tuple[int, int]:
+    """Bounds s_lo <= sum tail_j * a_j <= s_hi for every a_j in
+    [los[j], his[j]]: per constant, the endpoint that bounds
+    tail_j * a_j from below (above)."""
+    s_lo = s_hi = 0
+    for c, al, ah in zip(tail, los, his):
         if c > 0:
             s_lo += c * al
             s_hi += c * ah
         elif c < 0:
             s_lo += c * ah
             s_hi += c * al
-    return s_lo, s_hi, e
+    return s_lo, s_hi
 
 
 def zeta(m: Sequence[int], form: LinearForm, precision: int,

@@ -8,6 +8,10 @@ import pytest
 
 from bachain import Dyadic, LinearForm, brute_force_oracle, enumerate_chain
 from bachain import parse_expr
+from bachain.enumerator import BAChain, BestApprox, canonical_shell_tails
+from bachain.errors import DependenceSuspected
+from bachain.linform import best_m0, form_values, tail_norm
+from bachain.realnum import PRECISION_CAP, DyadicInterval
 
 R1_ALPHA_TEXTS = {
     "sqrt2": "root(2,2)",
@@ -32,6 +36,95 @@ def dyadic_from_hex(text: str):
         return Dyadic(int(man_hex, 16), int(exp_dec))
     except ValueError:
         raise ValueError(f"malformed dyadic literal: {text!r}") from None
+
+
+class _ReferenceCandidate:
+    """One tail's full vector (m_0, tail), its signed form-value enclosure
+    with the enclosure's absolute value, and the rung of the form-value
+    ladder that enclosure came from."""
+
+    __slots__ = ("m", "value", "size", "rung")
+
+    def __init__(self, tail, form, cap, first):
+        m0, self.value, self.rung = first(tail, form, cap)
+        self.size = self.value.abs()
+        self.m = (m0,) + tail
+
+    def refine(self, form, cap) -> bool:
+        """Climb to the next rung above the candidate's own; the enclosure
+        only narrows.  False when the candidate already holds the top."""
+        w, lo, hi, e = next(form_values(self.m, form, 2 * self.rung, cap))
+        if w <= self.rung:
+            return False
+        value = DyadicInterval(Dyadic(lo, e), Dyadic(hi, e))
+        self.rung, self.value, self.size = w, value, value.abs()
+        return True
+
+
+def reference_oracle(form, M_max, cap=PRECISION_CAP, first=best_m0):
+    """``brute_force_oracle`` as one ``best_m0`` call per tail (or
+    ``first``, which takes best_m0's arguments and returns what it
+    returns), a candidate object per tail and the global minimum at
+    every level recomputed over all shell minima below it.  Slow; the
+    package's oracle must match its bytes and its errors."""
+    if M_max < 1:
+        raise ValueError("M_max must be >= 1")
+    top = 0
+    shell_minima = []
+    for M in range(1, M_max + 1):
+        best = None
+        for tail in canonical_shell_tails(form.r, M):
+            cand = _ReferenceCandidate(tail, form, cap, first)
+            if best is None:
+                best = cand
+                continue
+            winner = _reference_smaller(best, cand, form, cap)
+            top = max(top, best.rung, cand.rung)
+            best = winner
+        shell_minima.append(best)
+
+    found = []
+    for level in range(1, M_max + 1):
+        best = shell_minima[0]
+        for cand in shell_minima[1:level]:
+            best = _reference_smaller(best, cand, form, cap)
+        if found and found[-1][1] is best:
+            continue
+        if tail_norm(best.m[1:]) != level:
+            raise AssertionError("oracle: new global minimum off its shell")
+        while best.value.sign() not in (1, -1):
+            if not best.refine(form, cap):
+                raise DependenceSuspected(
+                    f"oracle: sign of tail {best.m[1:]} undecidable",
+                    witness=best.m[1:])
+        found.append((level, best))
+
+    records = []
+    for index, (level, cand) in enumerate(found, start=1):
+        s = cand.value.sign()
+        records.append(BestApprox(
+            index=index, m=tuple(s * c for c in cand.m), M=level,
+            zeta=cand.value if s == 1 else -cand.value))
+    for prev, rec in zip(records, records[1:]):
+        if not rec.zeta.hi < prev.zeta.lo:
+            raise AssertionError("oracle: consecutive records do not separate")
+    top = max([top] + [cand.rung for cand in shell_minima])
+    return BAChain(form=form, records=tuple(records),
+                   search_bound=M_max, precision_used=top)
+
+
+def _reference_smaller(a, b, form, cap):
+    while True:
+        if a.size.hi < b.size.lo:
+            return a
+        if b.size.hi < a.size.lo:
+            return b
+        climbed_a = a.refine(form, cap)
+        climbed_b = b.refine(form, cap)
+        if not (climbed_a or climbed_b):
+            raise DependenceSuspected(
+                f"oracle: residual tie between {a.m[1:]} and {b.m[1:]}",
+                witness=(a.m[1:], b.m[1:]))
 
 
 def sqrt_digits(n: int, digits: int) -> Fraction:

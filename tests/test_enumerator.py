@@ -1,7 +1,7 @@
 from itertools import islice, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bachain import enumerator, linform
 from bachain.enumerator import (
@@ -10,7 +10,11 @@ from bachain.enumerator import (
     convergent_denominators,
     enumerate_chain,
 )
-from bachain.errors import DependenceSuspected, PrecisionExhausted
+from bachain.errors import (
+    BachainError,
+    DependenceSuspected,
+    PrecisionExhausted,
+)
 from bachain.linform import LinearForm, best_m0, tail_norm
 from bachain.realnum import (
     PRECISION_CAP,
@@ -18,10 +22,12 @@ from bachain.realnum import (
     DyadicInterval,
     rational,
     root,
+    round_scaled,
     working_limit,
 )
 from bachain import parse_expr
 from bachain.cli import serialize_chain
+from conftest import reference_oracle
 
 
 class TestShellTails:
@@ -187,30 +193,53 @@ def climbs(monkeypatch):
     return counts
 
 
-def seed_coarse(monkeypatch, pad_exp):
-    """Start every oracle candidate from its rung's enclosure widened by
-    2**pad_exp on both sides: still an enclosure, but coarser than any
-    rung gives, so decisions must climb."""
+def coarse_best_m0(pad_exp):
+    """``best_m0`` with its residual enclosure widened by 2**pad_exp on
+    both sides: still an enclosure, but coarser than any rung gives."""
     pad = Dyadic(1, pad_exp)
 
     def coarse(tail, form, cap=PRECISION_CAP):
         m0, value, rung = best_m0(tail, form, cap)
         return m0, DyadicInterval(value.lo - pad, value.hi + pad), rung
 
-    monkeypatch.setattr(enumerator, "best_m0", coarse)
+    return coarse
+
+
+def seed_coarse(monkeypatch, pad_exp):
+    """Start every oracle candidate from its first enclosure widened by
+    2**pad_exp on both sides, so decisions must climb.  Widens both ways
+    a tail gets its first enclosure: the residual ``round_scaled`` gives
+    at the tail's first rung, and ``best_m0``'s answer for a tail that
+    rung cannot round."""
+
+    def coarse_rounding(lo, hi, q):
+        n, r_lo, r_hi = round_scaled(lo, hi, q)
+        pad = 1 << (q + pad_exp)  # 2**pad_exp on the 2**-q scale
+        return n, r_lo - pad, r_hi + pad
+
+    monkeypatch.setattr(enumerator, "round_scaled", coarse_rounding)
+    monkeypatch.setattr(enumerator, "best_m0", coarse_best_m0(pad_exp))
 
 
 def record_rungs(monkeypatch):
-    """The rung of every oracle candidate's first enclosure, in order of
-    evaluation; wraps whatever ``enumerator.best_m0`` is bound to."""
+    """The first rungs the oracle evaluates tails at: the rung of every
+    endpoint table it takes for a first rounding, and the rung
+    ``best_m0`` answers at for a tail that cannot round there; wraps
+    whatever ``enumerator.endpoint_table`` and ``enumerator.best_m0``
+    are bound to."""
     rungs = []
-    inner = enumerator.best_m0
+    table, inner = enumerator.endpoint_table, enumerator.best_m0
+
+    def recorded_table(form, precision, cap=PRECISION_CAP):
+        rungs.append(precision)
+        return table(form, precision, cap)
 
     def recorded(tail, form, cap=PRECISION_CAP):
         got = inner(tail, form, cap)
         rungs.append(got[2])
         return got
 
+    monkeypatch.setattr(enumerator, "endpoint_table", recorded_table)
     monkeypatch.setattr(enumerator, "best_m0", recorded)
     return rungs
 
@@ -342,3 +371,98 @@ def test_oracle_equivalence_r2(i, j, m_max):
     except DependenceSuspected:
         return  # pool contains rationally dependent pairs (e.g. sqrt2, sqrt2/2)
     assert [(r.m, r.M) for r in a.records] == [(r.m, r.M) for r in b.records]
+
+
+# --- the oracle against its per-tail reference ----------------------------
+
+
+def oracle_outcome(oracle, form, m_max, cap):
+    """The chain file an oracle's chain serialises to, or the error it
+    raises with its witness."""
+    try:
+        return serialize_chain(oracle(form, m_max, cap), cap)
+    except BachainError as exc:
+        return (type(exc), str(exc), getattr(exc, "witness", None))
+
+
+_REFERENCE_BOUNDS = {1: 60, 2: 10, 3: 4}
+
+
+@given(st.lists(st.integers(min_value=0, max_value=len(_ALPHA_POOL) - 1),
+                min_size=1, max_size=3, unique=True),
+       st.integers(min_value=1, max_value=60),
+       st.sampled_from([2048, PRECISION_CAP]))
+@settings(max_examples=40, deadline=None)
+# in these two, a tail that loses at its first rung holds the top rung
+@example([0, 1], 2, 2048)
+@example([0, 1], 8, PRECISION_CAP)
+def test_oracle_matches_reference_bytes(indices, m_max, cap):
+    # the whole file: enclosures and precision-used, not only the vectors
+    form = LinearForm(tuple(parse_expr(_ALPHA_POOL[i]) for i in indices))
+    m_max = min(m_max, _REFERENCE_BOUNDS[form.r])
+    assert oracle_outcome(brute_force_oracle, form, m_max, cap) == \
+        oracle_outcome(reference_oracle, form, m_max, cap)
+
+
+@pytest.mark.parametrize("texts,m_max,pad_exp", [
+    (("root(7,2)", "root(11,3)"), 12, -3),
+    (("(1+root(5,2))/2 - 1",), 25, -1),
+])
+def test_coarse_seeded_oracle_matches_reference(monkeypatch, texts, m_max,
+                                                pad_exp):
+    form = LinearForm(tuple(parse_expr(t) for t in texts))
+
+    def coarse_reference(form, m_max, cap):
+        return reference_oracle(form, m_max, cap,
+                                first=coarse_best_m0(pad_exp))
+
+    want = oracle_outcome(coarse_reference, form, m_max, 2048)
+    seed_coarse(monkeypatch, pad_exp)
+    assert oracle_outcome(brute_force_oracle, form, m_max, 2048) == want
+
+
+@pytest.mark.parametrize("alphas,m_max", [
+    ((root(2) - 1, rational(2) - root(2)), 2),
+    ((root(2), root(2) / 2), 5),
+    ((root(9) / 9,), 2),
+    ((root(9) / 3,), 3),
+])
+def test_oracle_and_reference_witness_the_same_dependence(alphas, m_max):
+    form = LinearForm(alphas)
+    got = oracle_outcome(brute_force_oracle, form, m_max, 2048)
+    assert got[0] is DependenceSuspected and got[2] is not None
+    assert got == oracle_outcome(reference_oracle, form, m_max, 2048)
+
+
+def near_half(bits):
+    """1/2 + sqrt(2) - p/q for the first Pell convergent p/q of sqrt(2)
+    with q >= 2**bits: within about 2**-(2 * bits) of 1/2, so its nearest
+    integer needs a rung that fine."""
+    p, q = 1, 1
+    while q < 1 << bits:
+        p, q = p + 2 * q, p + q
+    return rational(1, 2) + (root(2) - rational(p, q))
+
+
+@pytest.mark.parametrize("alphas,m_max,cap", [
+    ((near_half(200),), 6, PRECISION_CAP),
+    ((near_half(200), root(3)), 6, PRECISION_CAP),
+    ((near_half(200), root(2, 3), root(5)), 3, PRECISION_CAP),
+    ((near_half(200), root(3)), 4, 256),
+    # the second constant has no enclosure at the first rung
+    ((root(3), root(2) * (1 << 2000)), 2, 2048),
+])
+def test_tails_the_first_rung_cannot_decide_take_best_m0(monkeypatch, alphas,
+                                                         m_max, cap):
+    form = LinearForm(alphas)
+    want = oracle_outcome(reference_oracle, form, m_max, cap)
+    ladders = []
+    inner = enumerator.best_m0
+
+    def counted(tail, form, cap=PRECISION_CAP):
+        ladders.append(tail)
+        return inner(tail, form, cap)
+
+    monkeypatch.setattr(enumerator, "best_m0", counted)
+    assert oracle_outcome(brute_force_oracle, form, m_max, cap) == want
+    assert ladders

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,6 +16,7 @@ from bachain.linform import (
     LinearForm,
     abs_bounds,
     best_m0,
+    dot_bounds,
     endpoint_table,
     form_values,
     record_enclosure,
@@ -525,6 +527,19 @@ class TestIntegerPath:
         for w, lo, hi, e in form_values(m, cbrt_pair, 64, 1024):
             assert DyadicInterval(Dyadic(lo, e), Dyadic(hi, e)) == \
                 zeta(m, cbrt_pair, w, 1024)
+
+    @given(st.lists(st.tuples(st.integers(-50, 50),
+                              st.integers(-10 ** 6, 10 ** 6),
+                              st.integers(0, 10 ** 6)),
+                    min_size=1, max_size=4))
+    def test_dot_bounds_are_the_extreme_corners(self, terms):
+        # the tightest bounds on sum c_j * a_j over a_j in [lo_j, hi_j]
+        tail = [c for c, _, _ in terms]
+        los = [lo for _, lo, _ in terms]
+        his = [lo + width for _, lo, width in terms]
+        corners = [sum(c * a for c, a in zip(tail, pick))
+                   for pick in product(*zip(los, his))]
+        assert dot_bounds(tail, los, his) == (min(corners), max(corners))
 
     def test_form_values_wrong_length(self, cbrt_pair):
         with pytest.raises(ValueError):

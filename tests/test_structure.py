@@ -250,7 +250,8 @@ def test_detects_a_fraction_on_the_integer_path(tmp_path):
 
 #: The oracle's path, which must stay independent of the scans: a fault in
 #: the residual kernel would otherwise show in both and cancel out.
-ORACLE_PATH = ("zeta", "form_values", "best_m0", "_Candidate", "_smaller",
+ORACLE_PATH = ("zeta", "form_values", "best_m0", "endpoint_table",
+               "dot_bounds", "_Candidate", "_below", "_smaller",
                "brute_force_oracle")
 
 #: The exhaustive scans' residual kernel, with the record rule built on it.
