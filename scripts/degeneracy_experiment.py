@@ -5,21 +5,17 @@ Usage:
     python scripts/degeneracy_experiment.py experiment.cfg [out.json]
 
 The config format is line-oriented ``key value`` (see README); the run is
-fully reproducible from the file contents.  Writes the aggregate as JSON
-and prints a short text summary including the per-index measure-bound
-table and the padded-chain match counts.
+fully reproducible from the file contents.  Every scan the run makes is
+checked against the config's ``budget`` before any work.  Writes the
+aggregate as JSON and prints a short text summary including the
+per-index measure-bound table and the padded-chain match counts.
 """
 
 import json
 import sys
 import time
 
-from bachain import (
-    enumerate_chain,
-    load_experiment_config,
-    monte_carlo,
-    parse_expr,
-)
+from bachain import load_experiment_config, monte_carlo, parse_expr
 from bachain.linform import LinearForm
 
 
@@ -34,13 +30,15 @@ def main(argv) -> int:
     form = LinearForm(tuple(parse_expr(t, cfg.precision_cap)
                             for t in cfg.alphas))
     t0 = time.time()
-    chain = enumerate_chain(form, cfg.max_norm, cap=cfg.precision_cap)
-    result = monte_carlo(form, chain, k=cfg.k, samples=cfg.samples,
+    # no chain given: monte_carlo checks every scan against the budget,
+    # then enumerates the base chain to max-norm
+    result = monte_carlo(form, None, k=cfg.k, samples=cfg.samples,
                          seed=cfg.seed, M_max=cfg.max_norm,
                          budget=cfg.budget, cap=cfg.precision_cap)
     elapsed = time.time() - t0
 
-    print(f"base chain: {len(chain.records)} records up to norm "
+    # matched_beyond has one entry per base record
+    print(f"base chain: {len(result.matched_beyond)} records up to norm "
           f"{cfg.max_norm}; {cfg.samples} samples in {elapsed:.1f}s")
     print(f"match horizons: {result.horizons}")
     for nu, count in sorted(result.matched_beyond.items()):

@@ -25,7 +25,7 @@ from itertools import zip_longest
 from typing import Optional, Sequence
 
 from . import analysis
-from .enumerator import BAChain, BestApprox, enumerate_chain
+from .enumerator import BAChain, BestApprox, enumerate_chain, scan_volume
 from .errors import (
     AmbiguousRounding,
     DependenceSuspected,
@@ -257,12 +257,8 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     form = LinearForm(tuple(parse_expr(a, args.precision_cap)
                             for a in args.alpha))
-    # one scan visits one tail per +-pair of the nonzero box points
-    tails = ((2 * args.max_norm + 1) ** form.r - 1) // 2
-    if tails > args.budget:
-        raise SearchTooLarge(
-            f"scan to max-norm {args.max_norm} in dimension {form.r} "
-            f"visits {tails} tails > budget {args.budget}")
+    SearchTooLarge.check(scan_volume(form.r, args.max_norm), args.budget,
+                         f"scan in dimension {form.r} to max-norm {args.max_norm}")
     chain = enumerate_chain(form, args.max_norm, cap=args.precision_cap)
     _emit(serialize_chain(chain, args.precision_cap), args.out)
     return EXIT_OK

@@ -143,6 +143,11 @@ def _normed(M: int, length: int) -> Iterator[tuple[int, ...]]:
     yield from product((M,), *rest)
 
 
+def scan_volume(r: int, M: int) -> int:
+    """Tails ``canonical_shell_tails`` yields over shells 1..M: a scan's visits."""
+    return ((2 * M + 1) ** r - 1) // 2
+
+
 def _shell_scan(form: LinearForm, M_max: int, w: int,
                 cap: int) -> list[BestApprox]:
     """One full scan at working precision w.  Returns the records or

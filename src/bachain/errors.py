@@ -51,4 +51,9 @@ class ChainTooShort(BachainError):
 
 
 class SearchTooLarge(BachainError):
-    """An exhaustive scan would exceed the configured budget."""
+    """A scan would exceed the budget; ``check`` refuses it before any work."""
+
+    @staticmethod
+    def check(visits: int, budget: int, scan: str) -> None:
+        if visits > budget:
+            raise SearchTooLarge(f"{scan} needs {visits} evaluations > budget {budget}")

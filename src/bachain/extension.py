@@ -25,6 +25,7 @@ from .enumerator import (
     BAChain,
     canonical_shell_tails,
     enumerate_chain,
+    scan_volume,
 )
 from .errors import (
     AmbiguousRounding,
@@ -235,10 +236,8 @@ def _mixed_tails(r: int, k: int, bound: int):
 
 
 def mixed_scan_volume(r: int, k: int, bound: int) -> int:
-    """Number of canonical mixed vectors the criterion scan visits."""
-    ext = (2 * bound + 1) ** k - 1
-    base_nonzero = ((2 * bound + 1) ** r - 1) // 2
-    return ext // 2 + base_nonzero * ext
+    """Vectors the criterion scan visits: those with a nonzero extension part."""
+    return scan_volume(r + k, bound) - scan_volume(r, bound)
 
 
 def degeneracy_criterion(chain: BAChain, beta: BetaSample, nu: int,
@@ -259,10 +258,8 @@ def degeneracy_criterion(chain: BAChain, beta: BetaSample, nu: int,
     k = beta.k
     bound = chain.records[nu].M  # M_{nu+1}, successor norm
     rec = chain.records[nu - 1]
-    if mixed_scan_volume(r, k, bound) > budget:
-        raise SearchTooLarge(
-            f"criterion scan at nu={nu} needs "
-            f"{mixed_scan_volume(r, k, bound)} evaluations > budget {budget}")
+    volume = mixed_scan_volume(r, k, bound)
+    SearchTooLarge.check(volume, budget, f"criterion scan at nu={nu}")
     exprs = tuple(chain.form.alphas) + beta.values
     m0_cap = (r + k + 1) * bound
 
@@ -292,8 +289,7 @@ def degeneracy_criterion(chain: BAChain, beta: BetaSample, nu: int,
             break
         if ambiguous is None:
             return CriterionVerdict(nu=nu, passed=True,
-                                    detail=f"scan bound {bound}, "
-                                           f"{mixed_scan_volume(r, k, bound)} vectors")
+                                    detail=f"scan bound {bound}, {volume} vectors")
     if rounding:  # a form value on a half-integer: a rational dependence
         raise DependenceSuspected(f"criterion at nu={nu}: vector {ambiguous}"
                                   " cannot be rounded at cap", witness=ambiguous)
@@ -334,9 +330,8 @@ def lattice_inv_norm_sum(M: int, k: int, budget: int = DEFAULT_BUDGET
     """
     if M < 1 or k < 1:
         raise ValueError("M and k must be >= 1")
-    count = (2 * M + 1) ** k - 1
-    if count > budget:
-        raise SearchTooLarge(f"{count} lattice points > budget {budget}")
+    SearchTooLarge.check(scan_volume(k, M), budget,
+                         f"lattice sum in dimension {k} to max-norm {M}")
     classes = Counter(sum(c * c for c in tail)
                       for shell in range(1, M + 1)
                       for tail in canonical_shell_tails(k, shell))
@@ -426,14 +421,15 @@ class ExtensionReport:
 def _resolve_base(form: LinearForm, k: int, M_max: int,
                   base_chain: Optional[BAChain], budget: int,
                   cap: int) -> BAChain:
-    """Budget-check the extended enumeration, then return ``base_chain``,
-    or a fresh base chain to M_max when it stops short of M_max."""
-    if (2 * M_max + 1) ** (form.r + k) > budget:
-        raise SearchTooLarge(
-            f"extended enumeration in dimension {form.r + k} at bound {M_max} "
-            f"exceeds budget {budget}")
+    """Check the extended scan and the largest omega row, then return
+    ``base_chain``, or a fresh chain to M_max, whose scans the first check covers."""
+    SearchTooLarge.check(scan_volume(form.r + k, M_max), budget,
+                         f"extended scan in dimension {form.r + k} to max-norm {M_max}")
     if base_chain is None or base_chain.search_bound < M_max:
-        base_chain = enumerate_chain(form, M_max, cap)
+        return enumerate_chain(form, M_max, cap)
+    row = max((rec.M for rec in base_chain.records[1:]), default=0)
+    SearchTooLarge.check(scan_volume(k, row), budget,
+                         f"omega row in dimension {k} to max-norm {row}")
     return base_chain
 
 
@@ -537,12 +533,13 @@ class MonteCarloResult:
         }
 
 
-def monte_carlo(form: LinearForm, chain: BAChain, k: int, samples: int,
-                seed: int, M_max: int, budget: int = DEFAULT_BUDGET,
+def monte_carlo(form: LinearForm, chain: Optional[BAChain], k: int,
+                samples: int, seed: int, M_max: int, budget: int = DEFAULT_BUDGET,
                 cap: int = PRECISION_CAP) -> MonteCarloResult:
     """Align ``samples`` seeded extensions against the padded base chain
     and aggregate how many match it from each index on; the omega table
-    is built once, and no criterion scan runs.
+    is built once, and no criterion scan runs.  With ``chain`` None the
+    base chain is enumerated to M_max, after the budget check.
 
     Fully deterministic for a fixed seed: per-sample seeds derive from one
     generator, and every numeric step is exact or certified.

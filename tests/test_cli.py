@@ -1,10 +1,11 @@
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from bachain import cli
+from bachain import cli, extension
 from bachain.enumerator import enumerate_chain
 from bachain.realnum import (
     MAX_EXPR_DEPTH,
@@ -372,6 +373,50 @@ class TestCommands:
         code = cli.main(["extend", str(rec), "--k", "1", "--samples", "1",
                          "--seed", "1", "--budget", "10"])
         assert code == cli.EXIT_BUDGET
+
+    @pytest.mark.parametrize("budget,code", [(839, cli.EXIT_BUDGET),
+                                             (840, cli.EXIT_OK)])
+    def test_extend_budget_counts_visits(self, tmp_path, capsys, budget,
+                                         code):
+        # the extended scan of root(2,2) and one sampled constant to M = 20
+        # is the 2-D scan of test_enumerate_budget: 840 tails
+        rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], 20)
+        argv = ["extend", str(rec), "--k", "1", "--samples", "1",
+                "--seed", "1"]
+        assert cli.main(argv) == cli.EXIT_OK
+        default = capsys.readouterr().out
+        assert cli.main(argv + ["--budget", str(budget)]) == code
+        captured = capsys.readouterr()
+        if code == cli.EXIT_OK:
+            assert captured.out == default
+        else:
+            assert captured.out == ""
+            assert "extended scan in dimension 2 to max-norm 20 needs 840 " \
+                   "evaluations > budget 839" in captured.err
+
+    @pytest.mark.parametrize("mode", [
+        ["--samples", "1", "--seed", "5"],
+        ["--beta", "root(3,2)-1", "--beta", "root(5,2)-2"],
+    ], ids=["sampled", "explicit-beta"])
+    def test_extend_over_budget_does_no_work(self, tmp_path, capsys,
+                                             monkeypatch, mode):
+        # the chain to 100 ends at M = 70, far beyond --max-norm 5: the
+        # extended scan visits 665 vectors, the last omega row 9,940
+        rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], 100)
+        calls = Counter()
+        for name in ("sample_betas", "enumerate_chain",
+                     "degeneracy_criterion", "lattice_inv_norm_sum"):
+            def counting(*args, _name=name,
+                         _real=getattr(extension, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(extension, name, counting)
+        code = cli.main(["extend", str(rec), "--k", "2", "--max-norm", "5",
+                         "--budget", "5000"] + mode)
+        assert code == cli.EXIT_BUDGET
+        assert calls == Counter()
+        assert "omega row in dimension 2 to max-norm 70 needs 9940 " \
+               "evaluations > budget 5000" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bound", ["0", "-3"])
     def test_extend_max_norm_below_one(self, tmp_path, capsys, bound):

@@ -9,6 +9,7 @@ from bachain.enumerator import (
     canonical_shell_tails,
     convergent_denominators,
     enumerate_chain,
+    scan_volume,
 )
 from bachain.errors import (
     BachainError,
@@ -62,6 +63,14 @@ class TestShellTails:
              if any(t) and max(map(abs, t)) == M and t[leading_zeros(t)] > 0),
             key=lambda t: (leading_zeros(t), t))
         assert list(canonical_shell_tails(r, M)) == listing
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("M", range(7))
+    def test_scan_volume_counts_the_generator(self, r, M):
+        # the count every budget check charges a scan with
+        yielded = sum(1 for shell in range(1, M + 1)
+                      for _ in canonical_shell_tails(r, shell))
+        assert scan_volume(r, M) == yielded
 
 
 class TestEnumerate:

@@ -238,6 +238,16 @@ class TestLatticeSum:
         with pytest.raises(SearchTooLarge):
             ext.lattice_inv_norm_sum(10 ** 4, 2, budget=10 ** 6)
 
+    @pytest.mark.parametrize("M,k", [(1, 1), (7, 1), (3, 2), (10, 2), (2, 3)])
+    def test_budget_counts_visits(self, M, k):
+        # the sum visits one canonical tail per +-pair of nonzero points
+        visits = ((2 * M + 1) ** k - 1) // 2
+        assert ext.lattice_inv_norm_sum(M, k, budget=visits) == \
+            ext.lattice_inv_norm_sum(M, k)
+        with pytest.raises(SearchTooLarge, match=f"needs {visits} evaluations "
+                                                 f"> budget {visits - 1}$"):
+            ext.lattice_inv_norm_sum(M, k, budget=visits - 1)
+
     @pytest.mark.parametrize("M,k", [
         (1, 1), (2, 1), (10, 1),
         (1, 2), (2, 2), (3, 2), (13, 2), (34, 2),
@@ -482,6 +492,14 @@ class TestMonteCarlo:
             assert rep.omega_table == res.omega_table
             assert rep.regime_note == res.regime_note
             assert rep.nu_match == horizon
+
+    def test_no_chain_enumerates_the_base(self, sqrt2_form):
+        chain = enumerate_chain(sqrt2_form, 20)
+        given = ext.monte_carlo(sqrt2_form, chain, k=1, samples=2, seed=4,
+                                M_max=20)
+        fresh = ext.monte_carlo(sqrt2_form, None, k=1, samples=2, seed=4,
+                                M_max=20)
+        assert fresh.to_dict() == given.to_dict()
 
     def test_matched_beyond_spans_resolved_base(self):
         # M_max beyond the given chain's bound re-enumerates the base chain;

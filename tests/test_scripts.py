@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from bachain import cli
-from bachain.errors import PrecisionExhausted
+import bachain
+from bachain import cli, extension
+from bachain.errors import PrecisionExhausted, SearchTooLarge
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -45,3 +46,27 @@ def test_degeneracy_experiment_certifies_at_the_config_cap(tmp_path):
     with pytest.raises(PrecisionExhausted) as info:
         script.main(["degeneracy_experiment.py", str(cfg)])
     assert info.value.precision == 128
+
+
+def test_degeneracy_experiment_refuses_before_enumerating(tmp_path,
+                                                          monkeypatch):
+    # 840 vectors in the extended scan to max-norm 20: refused before the
+    # base chain is enumerated
+    cfg = tmp_path / "experiment.cfg"
+    cfg.write_text("version 1\nalpha root(2,2)\nk 1\nsamples 1\nseed 4\n"
+                   "max-norm 20\nbudget 10\n")
+    calls = []
+    real = extension.enumerate_chain
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    # through the package's name or through monte_carlo's
+    for module in (bachain, extension):
+        monkeypatch.setattr(module, "enumerate_chain", counting)
+    script = load_script("degeneracy_experiment")
+    with pytest.raises(SearchTooLarge, match="needs 840 evaluations > "
+                                             "budget 10$"):
+        script.main(["degeneracy_experiment.py", str(cfg)])
+    assert calls == []

@@ -126,6 +126,33 @@ def test_detects_a_precision_exhausted_site(tmp_path):
     assert callers(probe, "PrecisionExhausted") == ["_certified_floor"]
 
 
+#: The one function that may build ``SearchTooLarge``: every budget
+#: refusal, whatever the scan, goes through ``SearchTooLarge.check``, so
+#: ``--budget`` counts one thing and is refused in one wording.
+BUDGET_SITES = {("errors.py", "check")}
+
+
+def test_search_too_large_raised_only_at_its_site():
+    sites = {(p.name, fn) for p in SRC.glob("*.py")
+             for fn in callers(p, "SearchTooLarge")}
+    assert sites == BUDGET_SITES
+
+
+def test_detects_a_second_search_too_large_site(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("class SearchTooLarge(Exception):\n"
+                     "    @staticmethod\n"
+                     "    def check(visits, budget, scan):\n"
+                     "        if visits > budget:\n"
+                     "            raise SearchTooLarge(scan)\n"
+                     "def lattice_inv_norm_sum(M, k, budget):\n"
+                     "    SearchTooLarge.check(M, budget, 'lattice sum')\n"
+                     "    if (2 * M + 1) ** k - 1 > budget:\n"
+                     "        raise errors.SearchTooLarge('lattice points')\n")
+    assert callers(probe, "SearchTooLarge") == ["check",
+                                                "lattice_inv_norm_sum"]
+
+
 #: The functions that may decide a chain record's enclosure: the scan
 #: that writes it and the reader that recomputes it, by one rule.
 RECORD_SITES = {("enumerator.py", "_shell_scan"), ("cli.py", "parse_chain")}
