@@ -47,13 +47,11 @@ from .analysis import (
 from .extension import (
     BetaSample,
     CriterionVerdict,
-    ExperimentConfig,
     ExtensionReport,
     MonteCarloResult,
     compare_extended,
     degeneracy_criterion,
     lattice_inv_norm_sum,
-    load_experiment_config,
     monte_carlo,
     omega_bound,
     pad_chain,

@@ -17,6 +17,7 @@ Exit codes are stable for scripting:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -290,7 +291,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_extend(args: argparse.Namespace) -> int:
     with open(args.chain) as fh:
         chain = parse_chain(fh.read())
-    form = chain.form
     m_max = chain.search_bound if args.max_norm is None else args.max_norm
     if args.beta:
         if args.samples is not None or args.seed is not None:
@@ -301,15 +301,15 @@ def cmd_extend(args: argparse.Namespace) -> int:
         values = tuple(parse_expr(b, args.precision_cap) for b in args.beta)
         beta = BetaSample(values=values, seed=None,
                           recipe="explicit: " + ", ".join(args.beta))
-        result = compare_extended(form, beta, m_max, base_chain=chain,
-                                  budget=args.budget, cap=args.precision_cap)
+        result = compare_extended(chain, beta, m_max, budget=args.budget,
+                                  cap=args.precision_cap)
     else:
         seed = args.seed
         if seed is None:
             seed = random.SystemRandom().randrange(1 << 30)
             print(f"generated seed {seed}", file=sys.stderr)
         samples = 1 if args.samples is None else args.samples
-        result = monte_carlo(form, chain, k=args.k, samples=samples,
+        result = monte_carlo(chain, k=args.k, samples=samples,
                              seed=seed, M_max=m_max, budget=args.budget,
                              cap=args.precision_cap)
     if args.format == "machine":
@@ -389,7 +389,10 @@ def _add_options(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument(f"--{name}", **_OPTIONS[name])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process; parsing leaves it as
+    it was."""
     parser = argparse.ArgumentParser(
         prog="bachain",
         description="best-approximation chains of linear forms: "

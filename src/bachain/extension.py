@@ -40,7 +40,6 @@ from .realnum import (
     START_PRECISION,
     DyadicInterval,
     RealExpr,
-    checked_cap,
     rational,
     root,
     widths,
@@ -48,78 +47,6 @@ from .realnum import (
 
 DEFAULT_BUDGET = 10 ** 7
 LATTICE_BITS = 64  # bits of each square root in the lattice sum
-
-
-# ---------------------------------------------------------------------------
-# Experiment configuration files
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Parsed experiment description.
-
-    Constants stay as grammar text here (``parse_expr`` reads them);
-    everything a run needs is explicit, so a config file plus a seed fully
-    reproduces an experiment.
-    """
-
-    version: int
-    alphas: tuple[str, ...]
-    k: int
-    samples: int
-    seed: int
-    max_norm: int
-    precision_cap: int = PRECISION_CAP
-    budget: int = DEFAULT_BUDGET
-
-
-#: Keys a config may give once each; ``alpha`` is the one that repeats.
-_CONFIG_KEYS = ("version", "k", "samples", "seed", "max-norm",
-                "precision-cap", "budget")
-
-
-def load_experiment_config(text: str) -> ExperimentConfig:
-    """Parse the line-oriented ``key value`` config format ('#' comments).
-
-    Required keys: version (must be 1), alpha (repeatable), k, samples,
-    seed, max-norm.  Optional: precision-cap, budget.  An unknown key, or
-    any key but alpha given twice, is an error.
-    """
-    fields: dict = {"alpha": []}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, value = line.partition(" ")
-        value = value.strip()
-        if not value:
-            raise ValueError(f"config line needs a value: {raw!r}")
-        if key == "alpha":
-            fields["alpha"].append(value)
-        elif key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        elif key in fields:
-            raise ValueError(f"config key {key!r} given twice")
-        else:
-            fields[key] = value
-    try:
-        version = int(fields["version"])
-        if version != 1:
-            raise ValueError(f"unsupported config version {version}")
-        return ExperimentConfig(
-            version=version,
-            alphas=tuple(fields["alpha"]),
-            k=int(fields["k"]),
-            samples=int(fields["samples"]),
-            seed=int(fields["seed"]),
-            max_norm=int(fields["max-norm"]),
-            precision_cap=checked_cap(
-                int(fields.get("precision-cap", PRECISION_CAP))),
-            budget=int(fields.get("budget", DEFAULT_BUDGET)),
-        )
-    except KeyError as exc:
-        raise ValueError(f"config missing key {exc.args[0]!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -418,26 +345,26 @@ class ExtensionReport:
         }
 
 
-def _resolve_base(form: LinearForm, k: int, M_max: int,
-                  base_chain: Optional[BAChain], budget: int,
+def _resolve_base(base: BAChain, k: int, M_max: int, budget: int,
                   cap: int) -> BAChain:
     """Check the extended scan and the largest omega row, then return
-    ``base_chain``, or a fresh chain to M_max, whose scans the first check covers."""
-    SearchTooLarge.check(scan_volume(form.r + k, M_max), budget,
-                         f"extended scan in dimension {form.r + k} to max-norm {M_max}")
-    if base_chain is None or base_chain.search_bound < M_max:
-        return enumerate_chain(form, M_max, cap)
-    row = max((rec.M for rec in base_chain.records[1:]), default=0)
+    ``base``, or its form's chain re-enumerated to M_max when ``base``
+    stops short of it, whose scans the first check covers."""
+    SearchTooLarge.check(scan_volume(base.r + k, M_max), budget,
+                         f"extended scan in dimension {base.r + k} to max-norm {M_max}")
+    if base.search_bound < M_max:
+        return enumerate_chain(base.form, M_max, cap)
+    row = max((rec.M for rec in base.records[1:]), default=0)
     SearchTooLarge.check(scan_volume(k, row), budget,
                          f"omega row in dimension {k} to max-norm {row}")
-    return base_chain
+    return base
 
 
-def _align(form: LinearForm, base_chain: BAChain, beta: BetaSample,
-           M_max: int, cap: int) -> ExtensionReport:
+def _align(base_chain: BAChain, beta: BetaSample, M_max: int,
+           cap: int) -> ExtensionReport:
     """Enumerate the extended form's chain to M_max and align it against
     the padded base chain; the per-sample half of an extension run."""
-    ext_form = LinearForm(tuple(form.alphas) + beta.values)
+    ext_form = LinearForm(tuple(base_chain.form.alphas) + beta.values)
     ext_chain = enumerate_chain(ext_form, M_max, cap)
 
     padded = pad_chain(base_chain, beta.k)
@@ -478,19 +405,19 @@ def _omega_table(chain: BAChain, k: int,
         "than a proof of eventual matching.")
 
 
-def compare_extended(form: LinearForm, beta: BetaSample, M_max: int,
-                     base_chain: Optional[BAChain] = None,
+def compare_extended(chain: BAChain, beta: BetaSample, M_max: int,
                      budget: int = DEFAULT_BUDGET,
                      cap: int = PRECISION_CAP) -> ExtensionReport:
-    """Enumerate the extended form's chain, align it against the padded
-    base chain, and run the per-index criterion scans.
+    """Enumerate the chain of ``chain.form`` extended by ``beta``, align
+    it against the padded base chain, and run the per-index criterion
+    scans.
 
     The match horizon is the smallest base index from which the two
     sequences agree exactly through the search bound (None when no suffix
     agrees).
     """
-    base_chain = _resolve_base(form, beta.k, M_max, base_chain, budget, cap)
-    report = _align(form, base_chain, beta, M_max, cap)
+    base_chain = _resolve_base(chain, beta.k, M_max, budget, cap)
+    report = _align(base_chain, beta, M_max, cap)
     for nu in range(1, len(base_chain.records)):
         try:
             report.criterion_verdicts[nu] = degeneracy_criterion(
@@ -533,24 +460,23 @@ class MonteCarloResult:
         }
 
 
-def monte_carlo(form: LinearForm, chain: Optional[BAChain], k: int,
-                samples: int, seed: int, M_max: int, budget: int = DEFAULT_BUDGET,
+def monte_carlo(chain: BAChain, k: int, samples: int, seed: int, M_max: int,
+                budget: int = DEFAULT_BUDGET,
                 cap: int = PRECISION_CAP) -> MonteCarloResult:
-    """Align ``samples`` seeded extensions against the padded base chain
-    and aggregate how many match it from each index on; the omega table
-    is built once, and no criterion scan runs.  With ``chain`` None the
-    base chain is enumerated to M_max, after the budget check.
+    """Align ``samples`` seeded extensions of ``chain.form`` against the
+    padded base chain and aggregate how many match it from each index on;
+    the omega table is built once, and no criterion scan runs.
 
     Fully deterministic for a fixed seed: per-sample seeds derive from one
     generator, and every numeric step is exact or certified.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    base = _resolve_base(form, k, M_max, chain, budget, cap)
+    base = _resolve_base(chain, k, M_max, budget, cap)
     rng = random.Random(seed)
     sample_seeds = [rng.randrange(1 << 30) for _ in range(samples)]
-    betas = (sample_betas(form, k, s) for s in sample_seeds)
-    horizons = [_align(form, base, b, M_max, cap).nu_match for b in betas]
+    betas = (sample_betas(base.form, k, s) for s in sample_seeds)
+    horizons = [_align(base, b, M_max, cap).nu_match for b in betas]
     matched_beyond = {
         nu: sum(1 for h in horizons if h is not None and h <= nu)
         for nu in range(1, len(base.records) + 1)

@@ -183,10 +183,12 @@ class Dyadic:
         return f"Dyadic({self.man}, {self.exp})"
 
     def __float__(self) -> float:
-        return self.man * 2.0 ** self.exp
+        # int true division rounds once, correctly, whatever the sizes
+        if self.exp < 0:
+            return self.man / (1 << -self.exp)
+        return float(self.man << self.exp)
 
 
-ZERO = Dyadic(0)
 ONE = Dyadic(1)
 
 
@@ -328,13 +330,6 @@ class DyadicInterval:
         d = Dyadic(n)
         return DyadicInterval(self.lo + d, self.hi + d)
 
-    def abs(self) -> "DyadicInterval":
-        if self.lo.man >= 0:
-            return self
-        if self.hi.man <= 0:
-            return -self
-        return DyadicInterval(ZERO, max(-self.lo, self.hi))
-
     def pow_int(self, n: int) -> "DyadicInterval":
         """self**n for n >= 0; requires lo >= 0 when n has even/odd mix
         concerns, which is all we need (nonnegative bases)."""
@@ -453,9 +448,6 @@ class RealExpr:
 
     def __mul__(self, other) -> "RealExpr":
         return RealExpr(_MUL, children=(self, RealExpr.coerce(other)))
-
-    def __truediv__(self, other) -> "RealExpr":
-        return _make_quotient(self, RealExpr.coerce(other))
 
     def __neg__(self) -> "RealExpr":
         return RealExpr(_SUB, children=(rational(0), self))

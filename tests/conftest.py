@@ -11,7 +11,8 @@ from bachain import parse_expr
 from bachain.enumerator import BAChain, BestApprox, canonical_shell_tails
 from bachain.errors import DependenceSuspected
 from bachain.linform import best_m0, form_values, tail_norm
-from bachain.realnum import PRECISION_CAP, DyadicInterval
+from bachain.realnum import PRECISION_CAP, DyadicInterval, RealExpr, \
+    _make_quotient
 
 R1_ALPHA_TEXTS = {
     "sqrt2": "root(2,2)",
@@ -26,6 +27,21 @@ def as_fraction(d) -> Fraction:
     if d.exp >= 0:
         return Fraction(d.man << d.exp)
     return Fraction(d.man, 1 << -d.exp)
+
+
+def quotient(num, den) -> RealExpr:
+    """The expression num / den, built as ``parse_expr`` builds its
+    quotients; an int or Fraction operand coerces."""
+    return _make_quotient(RealExpr.coerce(num), RealExpr.coerce(den))
+
+
+def interval_abs(iv: DyadicInterval) -> DyadicInterval:
+    """The enclosure {|x| : x in iv}."""
+    if iv.lo.man >= 0:
+        return iv
+    if iv.hi.man <= 0:
+        return -iv
+    return DyadicInterval(Dyadic(0), max(-iv.lo, iv.hi))
 
 
 def dyadic_from_hex(text: str):
@@ -47,7 +63,7 @@ class _ReferenceCandidate:
 
     def __init__(self, tail, form, cap, first):
         m0, self.value, self.rung = first(tail, form, cap)
-        self.size = self.value.abs()
+        self.size = interval_abs(self.value)
         self.m = (m0,) + tail
 
     def refine(self, form, cap) -> bool:
@@ -57,7 +73,7 @@ class _ReferenceCandidate:
         if w <= self.rung:
             return False
         value = DyadicInterval(Dyadic(lo, e), Dyadic(hi, e))
-        self.rung, self.value, self.size = w, value, value.abs()
+        self.rung, self.value, self.size = w, value, interval_abs(value)
         return True
 
 

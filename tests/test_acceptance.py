@@ -201,7 +201,7 @@ def test_criterion_7_criterion_vs_enumeration(sqrt2_form):
         ok = True
         for seed in range(5):
             beta = ext.sample_betas(sqrt2_form, 1, seed=seed)
-            rep = ext.compare_extended(sqrt2_form, beta, 60, base_chain=chain)
+            rep = ext.compare_extended(chain, beta, 60)
             pair_form = LinearForm(tuple(sqrt2_form.alphas) + beta.values)
             pair_records = {r.m for r in
                             brute_force_oracle(pair_form, 60).records}

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 from collections import Counter
@@ -6,9 +7,11 @@ from fractions import Fraction
 import pytest
 
 from bachain import cli, extension
-from bachain.enumerator import enumerate_chain
+from bachain.enumerator import BAChain, BestApprox, enumerate_chain
+from bachain.linform import record_enclosure, scaled_constants
 from bachain.realnum import (
     MAX_EXPR_DEPTH,
+    PRECISION_CAP,
     ExprSyntaxError,
     expr_to_text,
     parse_expr,
@@ -418,6 +421,31 @@ class TestCommands:
         assert "omega row in dimension 2 to max-norm 70 needs 9940 " \
                "evaluations > budget 5000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", [
+        ["--samples", "1", "--seed", "5"],
+        ["--beta", "root(3,2)-1"],
+    ], ids=["sampled", "explicit-beta"])
+    def test_extend_refused_before_the_base_is_enumerated(
+            self, tmp_path, capsys, monkeypatch, mode):
+        # --max-norm beyond the chain's search bound 10 re-enumerates the
+        # base chain, but only after the extended scan passes the budget
+        rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], 10)
+        calls = []
+        real = extension.enumerate_chain
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(extension, "enumerate_chain", counting)
+        code = cli.main(["extend", str(rec), "--k", "1", "--max-norm", "20",
+                         "--budget", "10"] + mode)
+        assert code == cli.EXIT_BUDGET
+        assert calls == []
+        assert capsys.readouterr().err == (
+            "budget exceeded: extended scan in dimension 2 to max-norm 20 "
+            "needs 840 evaluations > budget 10\n")
+
     @pytest.mark.parametrize("bound", ["0", "-3"])
     def test_extend_max_norm_below_one(self, tmp_path, capsys, bound):
         rec = tmp_path / "c.rec"
@@ -813,6 +841,63 @@ class TestCommands:
         f = tmp_path / "x"
         f.write_text("mystery\n")
         assert cli.main(["report", str(f)]) == cli.EXIT_USAGE
+
+
+def wide_record_chain(path, used):
+    """A sqrt(2) chain to M=1000 whose records are recomputed by the
+    scan's rule at ``precision-used`` ``used``: every endpoint has a
+    mantissa of about ``used`` bits, which no float holds."""
+    chain = cli.parse_chain(enumerate_to(path, ["root(2,2)"], 1000)
+                            .read_text())
+    grid, los, his = scaled_constants(chain.form.alphas, used, PRECISION_CAP)
+    records = tuple(BestApprox(r.index, r.m, r.M,
+                               record_enclosure(r.m, los, his, grid))
+                    for r in chain.records)
+    path.write_text(cli.serialize_chain(BAChain(
+        form=chain.form, records=records, search_bound=chain.search_bound,
+        precision_used=used)))
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["report"],
+    ["extend", "--k", "1", "--samples", "1", "--seed", "1",
+     "--max-norm", "30"],
+], ids=["verify", "report", "extend"])
+def test_wide_records_print(tmp_path, capsys, argv):
+    # the text output prints each enclosure as a float; a chain file the
+    # reader accepts prints, whatever its mantissas' size, what the chain
+    # at the scan's own precision prints
+    rec = wide_record_chain(tmp_path / "c.rec", 2048)
+    narrow = enumerate_to(tmp_path / "n.rec", ["root(2,2)"], 1000)
+    capsys.readouterr()
+    outputs = []
+    for path in (rec, narrow):
+        assert cli.main([argv[0], str(path)] + argv[1:]) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+
+
+def test_main_builds_one_parser(tmp_path, capsys, monkeypatch):
+    rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], 10)
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        if kwargs.get("prog") == "bachain":
+            built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(2):
+        assert cli.main(["report", str(rec)]) == cli.EXIT_OK
+    assert len(built) <= 1
+    assert cli.main(["verify", str(rec), "--checks", "monotonic"]) == \
+        cli.EXIT_OK
+    assert len(built) <= 1
 
 
 class TestReproducibility:

@@ -28,7 +28,7 @@ from bachain.realnum import (
 )
 from bachain import parse_expr
 from bachain.cli import serialize_chain
-from conftest import reference_oracle
+from conftest import interval_abs, quotient, reference_oracle
 
 
 class TestShellTails:
@@ -119,7 +119,8 @@ class TestEnumerate:
 
 class TestDependenceDetection:
     def test_hidden_rational_single(self):
-        form = LinearForm((root(4) / 2,))  # exactly 1 behind a root node
+        # exactly 1 behind a root node
+        form = LinearForm((quotient(root(4), 2),))
         with pytest.raises(DependenceSuspected):
             enumerate_chain(form, 3, cap=2048)
 
@@ -134,7 +135,8 @@ class TestDependenceDetection:
 
     def test_oracle_detects_dependence_too(self):
         with pytest.raises(DependenceSuspected):
-            brute_force_oracle(LinearForm((root(9) / 3,)), 3, cap=2048)
+            brute_force_oracle(LinearForm((quotient(root(9), 3),)), 3,
+                               cap=2048)
 
 
 class TestOracle:
@@ -297,7 +299,7 @@ class TestOracleRefinement:
 
     def test_tie_at_cap(self, climbs):
         # |1/3| and |2/3 - 1| tie exactly; 1/3 hides behind a root node
-        form = LinearForm((root(9) / 9,))
+        form = LinearForm((quotient(root(9), 9),))
         with pytest.raises(DependenceSuspected, match="tie") as info:
             brute_force_oracle(form, 2, cap=2048)
         assert info.value.witness == ((1,), (2,))
@@ -326,7 +328,7 @@ class TestContinuedFractions:
 
     def test_rational_rejected(self):
         with pytest.raises(PrecisionExhausted):
-            cf_convergents(root(4) / 2, 3, cap=1024)
+            cf_convergents(quotient(root(4), 2), 3, cap=1024)
 
     def test_denominators_deduplicate(self):
         qs = convergent_denominators(parse_expr("(1+root(5,2))/2 - 1"), 25)
@@ -340,7 +342,7 @@ class TestContinuedFractions:
         form = LinearForm((alpha,))
         prev = None
         for p, q in convs:
-            iv = _zeta((-p, q), form, 80).abs()
+            iv = interval_abs(_zeta((-p, q), form, 80))
             if prev is not None:
                 assert iv.hi < prev.lo
             prev = iv
@@ -432,9 +434,9 @@ def test_coarse_seeded_oracle_matches_reference(monkeypatch, texts, m_max,
 
 @pytest.mark.parametrize("alphas,m_max", [
     ((root(2) - 1, rational(2) - root(2)), 2),
-    ((root(2), root(2) / 2), 5),
-    ((root(9) / 9,), 2),
-    ((root(9) / 3,), 3),
+    ((root(2), quotient(root(2), 2)), 5),
+    ((quotient(root(9), 9),), 2),
+    ((quotient(root(9), 3),), 3),
 ])
 def test_oracle_and_reference_witness_the_same_dependence(alphas, m_max):
     form = LinearForm(alphas)

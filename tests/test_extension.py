@@ -325,7 +325,8 @@ class TestCompareExtended:
     def test_explicit_beta_cross_checked(self, sqrt2_form):
         beta = ext.BetaSample(values=(parse_expr("(1+root(5,2))/2 - 1"),),
                               seed=None, recipe="explicit")
-        rep = ext.compare_extended(sqrt2_form, beta, 30)
+        chain = enumerate_chain(sqrt2_form, 30)
+        rep = ext.compare_extended(chain, beta, 30)
         # independent scan of the pair confirms every alignment field
         from bachain.enumerator import brute_force_oracle
         pair = LinearForm(tuple(sqrt2_form.alphas) + beta.values)
@@ -345,7 +346,7 @@ class TestCompareExtended:
         chain = enumerate_chain(form, 99)
         for seed in range(4):
             beta = ext.sample_betas(form, 1, seed=seed)
-            rep = ext.compare_extended(form, beta, 99, base_chain=chain)
+            rep = ext.compare_extended(chain, beta, 99)
             ext_set = {r.m for r in rep.extended_chain.records}
             for nu, verdict in rep.criterion_verdicts.items():
                 if verdict.passed:
@@ -366,80 +367,46 @@ class TestCompareExtended:
     def test_match_horizon_none_when_everything_differs(self, sqrt2_form):
         beta = ext.BetaSample(values=(parse_expr("root(3,2)-1"),),
                               seed=None, recipe="x")
-        rep = ext.compare_extended(sqrt2_form, beta, 30)
+        chain = enumerate_chain(sqrt2_form, 30)
+        rep = ext.compare_extended(chain, beta, 30)
         assert rep.missing  # sqrt2 base records do not survive
         assert rep.nu_match is None
 
-    def test_budget_guard(self, sqrt2_form):
+    def test_extends_the_chain_form(self, sqrt2_form):
+        # the form comes from the chain; a short chain is re-enumerated
+        beta = ext.BetaSample(values=(parse_expr("root(3,2)-1"),),
+                              seed=None, recipe="x")
+        short = enumerate_chain(sqrt2_form, 5)
+        rep = ext.compare_extended(short, beta, 20)
+        assert rep.extended_chain.form.alphas == \
+            tuple(sqrt2_form.alphas) + beta.values
+        assert rep.base_chain.search_bound == 20
+        full = ext.compare_extended(enumerate_chain(sqrt2_form, 20), beta, 20)
+        assert rep.to_dict() == full.to_dict()
+
+    def test_budget_guard(self, sqrt2_chain):
         beta = ext.BetaSample(values=(root(3) - 1,), seed=None, recipe="x")
         with pytest.raises(SearchTooLarge):
-            ext.compare_extended(sqrt2_form, beta, 10 ** 5, budget=10 ** 4)
-
-
-class TestExperimentConfig:
-    CONFIG = """\
-# doubling experiment
-version 1
-alpha root(2,2)
-alpha root(3,2)
-k 2
-samples 5
-seed 7
-max-norm 40
-budget 500000
-"""
-
-    def test_parse(self):
-        cfg = ext.load_experiment_config(self.CONFIG)
-        assert cfg.alphas == ("root(2,2)", "root(3,2)")
-        assert cfg.k == 2
-        assert cfg.samples == 5
-        assert cfg.seed == 7
-        assert cfg.max_norm == 40
-        assert cfg.budget == 500000
-        assert cfg.precision_cap == 1 << 16  # default
-
-    def test_missing_key(self):
-        with pytest.raises(ValueError):
-            ext.load_experiment_config("version 1\nk 1\n")
-
-    def test_wrong_version(self):
-        with pytest.raises(ValueError):
-            ext.load_experiment_config(
-                self.CONFIG.replace("version 1", "version 2"))
-
-    @pytest.mark.parametrize("line", ["budgett 10", "precision_cap 64"])
-    def test_unknown_key_rejected(self, line):
-        with pytest.raises(ValueError, match=line.split()[0]):
-            ext.load_experiment_config(self.CONFIG + line + "\n")
-
-    def test_repeated_key_rejected(self):
-        with pytest.raises(ValueError, match="'seed'"):
-            ext.load_experiment_config(self.CONFIG + "seed 9\n")
-
-    @pytest.mark.parametrize("cap", [63, 65537])
-    def test_precision_cap_out_of_range(self, cap):
-        with pytest.raises(ValueError, match=f"precision cap {cap} outside"):
-            ext.load_experiment_config(self.CONFIG + f"precision-cap {cap}\n")
+            ext.compare_extended(sqrt2_chain, beta, 10 ** 5, budget=10 ** 4)
 
 
 class TestMonteCarlo:
     def test_deterministic(self, sqrt2_form):
         chain = enumerate_chain(sqrt2_form, 30)
-        a = ext.monte_carlo(sqrt2_form, chain, k=1, samples=3, seed=11,
+        a = ext.monte_carlo(chain, k=1, samples=3, seed=11,
                             M_max=30)
-        b = ext.monte_carlo(sqrt2_form, chain, k=1, samples=3, seed=11,
+        b = ext.monte_carlo(chain, k=1, samples=3, seed=11,
                             M_max=30)
         assert a.to_dict() == b.to_dict()
 
     def test_sample_count_validation(self, sqrt2_form, sqrt2_chain):
         with pytest.raises(ValueError):
-            ext.monte_carlo(sqrt2_form, sqrt2_chain, k=1, samples=0, seed=1,
+            ext.monte_carlo(sqrt2_chain, k=1, samples=0, seed=1,
                             M_max=10)
 
     def test_aggregate_counts_consistent(self, sqrt2_form):
         chain = enumerate_chain(sqrt2_form, 30)
-        res = ext.monte_carlo(sqrt2_form, chain, k=1, samples=4, seed=2,
+        res = ext.monte_carlo(chain, k=1, samples=4, seed=2,
                               M_max=30)
         assert len(res.horizons) == 4
         for nu, count in res.matched_beyond.items():
@@ -452,7 +419,7 @@ class TestMonteCarlo:
         # table permits; all bundled constants sit in the bounds > 1
         # regime, where the inequality is vacuously wide
         chain = enumerate_chain(sqrt2_form, 30)
-        res = ext.monte_carlo(sqrt2_form, chain, k=1, samples=4, seed=6,
+        res = ext.monte_carlo(chain, k=1, samples=4, seed=6,
                               M_max=30)
         for nu, iv in res.omega_table.items():
             allowed = max(Fraction(0), 1 - as_fraction(iv.hi))
@@ -476,7 +443,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(ext, "lattice_inv_norm_sum", counting)
         monkeypatch.setattr(ext, "compare_extended", forbidden)
         monkeypatch.setattr(ext, "degeneracy_criterion", forbidden)
-        res = ext.monte_carlo(sqrt2_form, chain, k=2, samples=samples,
+        res = ext.monte_carlo(chain, k=2, samples=samples,
                               seed=3, M_max=8)
         assert len(res.horizons) == samples
         # one lattice sum per index, whatever the sample count
@@ -484,21 +451,21 @@ class TestMonteCarlo:
 
     def test_omega_table_matches_compare_extended(self, sqrt2_form):
         chain = enumerate_chain(sqrt2_form, 20)
-        res = ext.monte_carlo(sqrt2_form, chain, k=1, samples=3, seed=8,
+        res = ext.monte_carlo(chain, k=1, samples=3, seed=8,
                               M_max=20)
         for s, horizon in zip(res.sample_seeds, res.horizons):
             beta = ext.sample_betas(sqrt2_form, 1, s)
-            rep = ext.compare_extended(sqrt2_form, beta, 20, base_chain=chain)
+            rep = ext.compare_extended(chain, beta, 20)
             assert rep.omega_table == res.omega_table
             assert rep.regime_note == res.regime_note
             assert rep.nu_match == horizon
 
-    def test_no_chain_enumerates_the_base(self, sqrt2_form):
+    def test_short_chain_enumerates_the_base(self, sqrt2_form):
+        # a chain that stops short of M_max is re-enumerated from its form
         chain = enumerate_chain(sqrt2_form, 20)
-        given = ext.monte_carlo(sqrt2_form, chain, k=1, samples=2, seed=4,
-                                M_max=20)
-        fresh = ext.monte_carlo(sqrt2_form, None, k=1, samples=2, seed=4,
-                                M_max=20)
+        short = enumerate_chain(sqrt2_form, 5)
+        given = ext.monte_carlo(chain, k=1, samples=2, seed=4, M_max=20)
+        fresh = ext.monte_carlo(short, k=1, samples=2, seed=4, M_max=20)
         assert fresh.to_dict() == given.to_dict()
 
     def test_matched_beyond_spans_resolved_base(self):
@@ -508,7 +475,7 @@ class TestMonteCarlo:
         short = enumerate_chain(form, 10)
         base = enumerate_chain(form, 60)
         assert len(base.records) > len(short.records)
-        res = ext.monte_carlo(form, short, k=1, samples=1, seed=3, M_max=60)
+        res = ext.monte_carlo(short, k=1, samples=1, seed=3, M_max=60)
         assert sorted(res.matched_beyond) == list(
             range(1, len(base.records) + 1))
         assert sorted(res.omega_table) == list(range(1, len(base.records)))

@@ -35,7 +35,7 @@ from bachain.realnum import (
     root,
     working_limit,
 )
-from conftest import as_fraction, sqrt_digits
+from conftest import as_fraction, quotient, sqrt_digits
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,7 @@ class TestConstruction:
 
     def test_root_carrying_rational_slips_through(self):
         # exactly 1, but not provably rational without evaluating the root
-        LinearForm((root(4) / 2,))
+        LinearForm((quotient(root(4), 2),))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -133,7 +133,7 @@ class TestBestM0:
             best_m0((0,), sqrt2)
 
     def test_dependence_on_exact_integer_combination(self):
-        form = LinearForm((root(4) / 2,))  # value exactly 1
+        form = LinearForm((quotient(root(4), 2),))  # value exactly 1
         with pytest.raises(DependenceSuspected):
             best_m0((1,), form, cap=2048)
 

@@ -32,7 +32,13 @@ from bachain.realnum import (
 )
 from bachain import realnum
 from bachain.enumerator import _convergents
-from conftest import as_fraction, cbrt_digits, dyadic_from_hex, sqrt_digits
+from conftest import (
+    as_fraction,
+    cbrt_digits,
+    dyadic_from_hex,
+    quotient,
+    sqrt_digits,
+)
 
 
 def mpf_to_fraction(x) -> Fraction:
@@ -109,6 +115,32 @@ class TestDyadic:
                 assert d.floor_scaled(p) == d.ceil_scaled(p) == exact
 
 
+@pytest.mark.parametrize("man,exp", [
+    ((1 << 2100) + 1, -2100),  # a mantissa no float holds, a value near 1
+    ((1 << 3000) - 1, -3100),
+    (3, -1075),  # below the least subnormal: rounds to it or to zero
+    (1, -1074),
+    (-5, 1020),
+], ids=["wide-near-1", "wide-small", "below-subnormal", "least-subnormal",
+        "large"])
+def test_float_is_the_value_rounded_once(man, exp):
+    d = Dyadic(man, exp)
+    assert float(d) == float(as_fraction(d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(1 << 4000), 1 << 4000), st.integers(-8000, 40))
+def test_float_matches_fraction(man, exp):
+    d = Dyadic(man, exp)
+    try:
+        want = float(as_fraction(d))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            float(d)
+    else:
+        assert float(d) == want
+
+
 @pytest.mark.parametrize("start,top,rungs", [
     (64, 32768, [64 << i for i in range(10)]),
     (70, 300, [70, 140, 280, 300]),
@@ -174,7 +206,7 @@ class TestEnclosures:
         den = root(2) - rational(p, q)
         w, iv = next(enclosures(den, 64, 64, "probe"))
         assert w == 64 and iv.sign() is None
-        e = rational(1) / den
+        e = quotient(1, den)
         got = list(islice(enclosures(e, 64, 1024, "probe"), 4))
         assert [w for w, _ in got] == [128, 256, 512, 1024]
         with mpmath.workprec(2048):
@@ -283,9 +315,9 @@ class TestEval:
 
     def test_zero_denominator(self):
         with pytest.raises(DomainError):
-            rational(1) / rational(0)
+            quotient(1, 0)
         with pytest.raises(DomainError):
-            rational(1) / (rational(1, 3) + rational(2, 3) - 1)
+            quotient(1, rational(1, 3) + rational(2, 3) - 1)
 
     def test_undecidable_denominator_hits_cap(self):
         with pytest.raises(PrecisionExhausted):
@@ -293,7 +325,7 @@ class TestEval:
             _make_quotient(rational(1), root(4) - 2, cap=1024)
 
     def test_deterministic(self):
-        e = (root(2) + 1) / root(3)
+        e = quotient(root(2) + 1, root(3))
         assert eval_interval(e, 40) == eval_interval(e, 40)
 
 

@@ -1,13 +1,7 @@
-"""The scripts under ``scripts/`` run through their ``main(argv)``."""
+"""The scripts under ``scripts/`` run through their ``main()``."""
 
 import importlib.util
 from pathlib import Path
-
-import pytest
-
-import bachain
-from bachain import cli, extension
-from bachain.errors import PrecisionExhausted, SearchTooLarge
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -19,54 +13,15 @@ def load_script(name: str):
     return module
 
 
-def test_degeneracy_experiment_matches_cli(tmp_path, capsys):
-    cfg = tmp_path / "experiment.cfg"
-    cfg.write_text("version 1\nalpha root(2,2)\nk 1\nsamples 2\nseed 4\n"
-                   "max-norm 20\n")
-    script_out = tmp_path / "script.json"
-    script = load_script("degeneracy_experiment")
-    assert script.main(["degeneracy_experiment.py", str(cfg),
-                        str(script_out)]) == 0
-    chain, cli_out = tmp_path / "c.rec", tmp_path / "cli.json"
-    assert cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "20",
-                     "--out", str(chain)]) == cli.EXIT_OK
-    assert cli.main(["extend", str(chain), "--k", "1", "--samples", "2",
-                     "--seed", "4", "--format", "machine",
-                     "--out", str(cli_out)]) == cli.EXIT_OK
-    assert script_out.read_bytes() == cli_out.read_bytes()
-    assert f"wrote {script_out}" in capsys.readouterr().out
-
-
-def test_degeneracy_experiment_certifies_at_the_config_cap(tmp_path):
-    # the divisor is exactly zero: refinement stops at the config's cap
-    cfg = tmp_path / "experiment.cfg"
-    cfg.write_text("version 1\nalpha 1/(root(2,2)-root(2,2))\nk 1\n"
-                   "samples 1\nseed 4\nmax-norm 5\nprecision-cap 128\n")
-    script = load_script("degeneracy_experiment")
-    with pytest.raises(PrecisionExhausted) as info:
-        script.main(["degeneracy_experiment.py", str(cfg)])
-    assert info.value.precision == 128
-
-
-def test_degeneracy_experiment_refuses_before_enumerating(tmp_path,
-                                                          monkeypatch):
-    # 840 vectors in the extended scan to max-norm 20: refused before the
-    # base chain is enumerated
-    cfg = tmp_path / "experiment.cfg"
-    cfg.write_text("version 1\nalpha root(2,2)\nk 1\nsamples 1\nseed 4\n"
-                   "max-norm 20\nbudget 10\n")
-    calls = []
-    real = extension.enumerate_chain
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    # through the package's name or through monte_carlo's
-    for module in (bachain, extension):
-        monkeypatch.setattr(module, "enumerate_chain", counting)
-    script = load_script("degeneracy_experiment")
-    with pytest.raises(SearchTooLarge, match="needs 840 evaluations > "
-                                             "budget 10$"):
-        script.main(["degeneracy_experiment.py", str(cfg)])
-    assert calls == []
+def test_enumerate_examples_runs(monkeypatch, capsys):
+    script = load_script("enumerate_examples")
+    monkeypatch.setattr(script, "EXAMPLES", [
+        ("sqrt(2)", ["root(2,2)"], 30),
+        ("sqrt(2), sqrt(3)", ["root(2,2)", "root(3,2)"], 8),
+    ])
+    assert script.main() == 0
+    out = capsys.readouterr().out
+    assert out.count("=" * 72) == 2
+    assert "sqrt(2): bound 30, 5 records" in out
+    assert "chain: r=2," in out
+    assert "series (k=1) S_" in out

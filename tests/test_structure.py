@@ -342,7 +342,7 @@ PUBLIC_NAMES = {
     "AmbiguousRounding", "BAChain", "BachainError", "BestApprox",
     "BetaSample", "ChainReport", "ChainTooShort", "CriterionVerdict",
     "DependenceSuspected", "DomainError", "Dyadic", "DyadicInterval",
-    "ExperimentConfig", "ExtensionReport", "LinearForm",
+    "ExtensionReport", "LinearForm",
     "MonteCarloResult", "PRECISION_CAP", "PrecisionExhausted", "PsiSpec",
     "RealExpr", "SearchTooLarge", "Verdict", "WidthTooLarge",
     "best_m0", "brute_force_oracle", "check_growth", "check_minkowski",
@@ -350,7 +350,7 @@ PUBLIC_NAMES = {
     "compare_extended", "convergent_denominators", "degeneracy_criterion",
     "enumerate_chain",
     "eval_interval", "lattice_inv_norm_sum", "ln_interval",
-    "load_experiment_config", "monte_carlo", "nearest_integer",
+    "monte_carlo", "nearest_integer",
     "omega_bound", "pad_chain", "parse_expr", "rational", "root",
     "run_checks", "sample_betas", "series_partial_sums", "tail_rank",
     "window_determinants", "zeta",
