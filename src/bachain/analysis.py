@@ -37,9 +37,6 @@ UNDECIDED = "undecided"
 #: Checks that are theorems about every chain: a failure fails the build.
 THEOREM_CHECKS = ("monotonic", "minkowski", "growth", "polytope")
 
-#: Every name ``run_checks`` accepts in its ``selected`` set.
-CHECK_NAMES = THEOREM_CHECKS + ("determinants", "ranks", "psi", "series")
-
 #: Working precision, in bits, of psi values and logarithms: the series
 #: sums are computed at it, and the psi test starts its ladder there.
 CHECK_PRECISION = 96
@@ -462,18 +459,12 @@ class ChainReport:
 
 
 def run_checks(chain: BAChain, psi: Optional[PsiSpec] = None,
-               series_k: Optional[int] = None,
-               selected: Optional[set[str]] = None) -> ChainReport:
-    """Run the selected checks (default: all applicable) and collect the
-    evidence tables."""
-    unknown = sorted(set(selected or ()) - set(CHECK_NAMES))
-    if unknown:
-        raise ValueError(f"unknown check(s) {', '.join(unknown)}; "
-                         f"choose from {','.join(CHECK_NAMES)}")
+               series_k: Optional[int] = None) -> ChainReport:
+    """Run every applicable check and collect the evidence tables: the
+    four theorem checks, the window determinants and the tail ranks
+    always; the psi test, and the norm gap after a passing psi verdict,
+    when ``psi`` is given; the series partial sums when ``series_k`` is."""
     report = ChainReport()
-
-    def wanted(name: str) -> bool:
-        return selected is None or name in selected
 
     def run(name: str, fn) -> None:
         try:
@@ -482,27 +473,18 @@ def run_checks(chain: BAChain, psi: Optional[PsiSpec] = None,
             report.verdicts[name] = Verdict(name, SKIPPED, detail=str(exc))
             report.notes.append(f"{name}: {exc}")
 
-    if wanted("monotonic"):
-        run("monotonic", lambda: check_monotonic(chain))
-    if wanted("minkowski"):
-        run("minkowski", lambda: check_minkowski(chain))
-    if wanted("growth"):
-        run("growth", lambda: check_growth(chain))
-    run_psi = psi is not None and wanted("psi")
-    dets = window_determinants(chain) if (
-        wanted("polytope") or wanted("determinants") or run_psi) else {}
-    if wanted("polytope"):
-        run("polytope", lambda: check_polytope(chain, dets))
-    if wanted("determinants"):
-        report.determinants = dets
-    if wanted("ranks"):
-        for nu0 in range(1, len(chain.records) + 1):
-            report.tail_ranks[nu0] = tail_rank(chain, nu0)
-    if run_psi:
+    run("monotonic", lambda: check_monotonic(chain))
+    run("minkowski", lambda: check_minkowski(chain))
+    run("growth", lambda: check_growth(chain))
+    report.determinants = dets = window_determinants(chain)
+    run("polytope", lambda: check_polytope(chain, dets))
+    report.tail_ranks = {nu0: tail_rank(chain, nu0)
+                         for nu0 in range(1, len(chain.records) + 1)}
+    if psi is not None:
         run("psi-singular", lambda: check_psi_singular(chain, psi))
         if report.verdicts["psi-singular"].passed:
             report.verdicts["norm-gap"] = _norm_gap(chain, psi.k, dets)
-    if series_k is not None and wanted("series"):
+    if series_k is not None:
         try:
             report.series_sums = series_partial_sums(chain, series_k)
             report.series_k = series_k

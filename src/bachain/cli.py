@@ -6,7 +6,7 @@ chain file), ``extend`` (dimension-extension experiments), ``report``
 they stream and diff cleanly; interval endpoints are serialized as exact
 hex dyadics, never decimal floats, so parse(serialize(x)) is the identity
 bit for bit; the reader recomputes each record's enclosure from its
-vector, as the scan wrote it, and never parses an endpoint.
+vector, as the scan wrote it, and takes no endpoint from the file.
 
 Exit codes are stable for scripting:
   0 success            3 suspected rational dependence
@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from itertools import zip_longest
@@ -44,6 +45,7 @@ from .linform import LinearForm, record_enclosure, scaled_constants
 from .realnum import (
     PRECISION_CAP,
     START_PRECISION,
+    Dyadic,
     DyadicInterval,
     checked_cap,
     expr_to_text,
@@ -85,6 +87,8 @@ def serialize_chain(chain: BAChain, precision_cap: int = PRECISION_CAP) -> str:
 #: Header keys whose value is one integer.
 _INT_HEADERS = ("r", "search-bound", "precision-cap", "precision-used")
 
+_LAYOUT = "chain file line {} is not as serialize_chain writes it"
+
 
 def parse_chain(text: str) -> BAChain:
     """Read a chain file.  One rule decides what is accepted: the exact
@@ -100,8 +104,8 @@ def parse_chain(text: str) -> BAChain:
         raise ValueError(f"not a chain file (missing {CHAIN_MAGIC!r})")
     alpha_texts: list[str] = []
     header: dict[str, int] = {}
-    body: list[str] = []
-    for ln in lines[1:]:
+    body: list[tuple[int, str]] = []
+    for number, ln in enumerate(lines[1:], 2):
         if ln.startswith("#"):
             key, _, val = ln[1:].strip().partition(" ")
             if key == "alpha":
@@ -109,7 +113,7 @@ def parse_chain(text: str) -> BAChain:
             elif key in _INT_HEADERS:
                 header[key] = int(val)
         else:
-            body.append(ln)
+            body.append((number, ln))
     try:
         r = header["r"]
         search_bound = header["search-bound"]
@@ -123,14 +127,20 @@ def parse_chain(text: str) -> BAChain:
     if len(alpha_texts) != r:
         raise ValueError(f"header lists {len(alpha_texts)} constants, r = {r}")
     form = LinearForm(tuple(parse_expr(t, precision_cap) for t in alpha_texts))
-    grid, los, his = scaled_constants(form.alphas, precision_used,
-                                      precision_cap)
-    records = []
-    for ln in body:
+    rows = []
+    for number, ln in body:
         fields = ln.split()
         if len(fields) != r + 5:
             raise ValueError(f"malformed record line: {ln!r}")
         index, *m, M = map(int, fields[:-2])
+        # bounded before any constant is evaluated at the stated rung
+        if _too_wide(m[1:], *fields[-2:], precision_used + 2):
+            raise ValueError(_LAYOUT.format(number))
+        rows.append((index, m, M))
+    grid, los, his = scaled_constants(form.alphas, precision_used,
+                                      precision_cap)
+    records = []
+    for index, m, M in rows:
         try:
             zeta = record_enclosure(m, los, his, grid)
             records.append(BestApprox(index, tuple(m), M, zeta))
@@ -146,10 +156,27 @@ def parse_chain(text: str) -> BAChain:
     written = serialize_chain(chain, precision_cap)
     if written != text:
         pairs = zip_longest(text.splitlines(True), written.splitlines(True))
-        line = next(i for i, (got, want) in enumerate(pairs, 1) if got != want)
-        raise ValueError(f"chain file line {line} is not as "
-                         "serialize_chain writes it")
+        raise ValueError(_LAYOUT.format(next(
+            i for i, (got, want) in enumerate(pairs, 1) if got != want)))
     return chain
+
+
+#: A record endpoint as ``Dyadic.to_hex`` writes it: below 1/2, with an
+#: exponent short enough to shift at once; the round trip judges the rest.
+_ENDPOINT = re.compile(r"(-?0x[0-9a-f]+)p(0|-[1-9][0-9]{0,5})")
+
+
+def _too_wide(tail: Sequence[int], lo: str, hi: str, grid: int) -> bool:
+    """Whether [lo, hi] is wider than ``record_enclosure`` makes it for
+    ``tail`` on the 2**-grid scale, where ``eval_interval`` encloses each
+    constant within 4 steps and ``scaled_constants``' floor and ceil add
+    under a step at each end: fewer than 6 * sum |m_j| steps in all."""
+    ends = [_ENDPOINT.fullmatch(t) for t in (lo, hi)]
+    if not all(ends):
+        return False
+    lo, hi = (Dyadic(int(e[1], 16), int(e[2])) for e in ends)
+    return (hi.ceil_scaled(grid) - lo.floor_scaled(grid)
+            > 6 * sum(map(abs, tail)))
 
 
 # ---------------------------------------------------------------------------
@@ -157,35 +184,34 @@ def parse_chain(text: str) -> BAChain:
 # ---------------------------------------------------------------------------
 
 
-#: Keys each psi family accepts, with their defaults ("" for required).
-_PSI_KEYS = {
-    "power": {"r": "1", "k": "1", "coeff": "1", "exp": "0"},
-    "log": {"r": "", "k": "1", "eps": "1/10"},
-    "loglog": {"r": "", "k": "1", "eps": "1/10"},
-}
+#: Keys each psi family accepts besides r, with their defaults.
+_PSI_KEYS = {"power": {"k": "1", "coeff": "1", "exp": "0"},
+             "log": {"k": "1", "eps": "1/10"},
+             "loglog": {"k": "1", "eps": "1/10"}}
 
 
-def parse_psi(text: str) -> analysis.PsiSpec:
-    """Parse 'family:key=value,...', e.g. 'log:r=2,k=1,eps=1/10' or
-    'power:r=1,coeff=1/2,exp=1'."""
+def parse_psi(text: str, r: int) -> analysis.PsiSpec:
+    """Parse 'family:key=value,...', e.g. 'log:k=1,eps=1/10' or
+    'power:coeff=1/2,exp=1', for a chain of dimension ``r``; a spec
+    without ``r=`` takes that r."""
     if ":" not in text:
         raise ValueError("psi spec must look like family:key=value,...")
     family, _, rest = text.partition(":")
-    keys = _PSI_KEYS.get(family)
-    if keys is None:
+    if family not in _PSI_KEYS:
         raise ValueError(f"unknown psi family {family!r}")
-    given: dict[str, str] = {}
+    kv = {"r": str(r)} | _PSI_KEYS[family]
+    given: set[str] = set()
     for part in rest.split(","):
         if not part:
             continue
         key, _, val = (s.strip() for s in part.partition("="))
-        if key not in keys:
+        if key not in kv:
             raise ValueError(f"unknown psi key {key!r} for family {family!r}; "
-                             f"expected {', '.join(keys)}")
+                             f"expected {', '.join(kv)}")
         if key in given:
             raise ValueError(f"psi key {key!r} given twice")
-        given[key] = val
-    kv = {key: val for key, val in keys.items() if val} | given
+        given.add(key)
+        kv[key] = val
     try:
         if family == "power":
             return analysis.PsiSpec(
@@ -193,9 +219,6 @@ def parse_psi(text: str) -> analysis.PsiSpec:
                 coeff=Fraction(kv["coeff"]), power_exp=Fraction(kv["exp"]))
         return analysis.PsiSpec(family=family, r=int(kv["r"]),
                                 k=int(kv["k"]), eps=Fraction(kv["eps"]))
-    except KeyError as exc:
-        raise ValueError(f"psi family {family!r} needs {exc.args[0]}") \
-            from None
     except ZeroDivisionError:
         raise ValueError(f"psi spec {text!r} divides by zero") from None
 
@@ -222,9 +245,7 @@ def render_chain_text(chain: BAChain) -> str:
 
 
 def render_report_text(report: analysis.ChainReport) -> str:
-    out = [REPORT_MAGIC]
-    for name, verdict in report.verdicts.items():
-        out.append(f"check {verdict}")
+    out = [REPORT_MAGIC] + [f"check {v}" for v in report.verdicts.values()]
     if report.determinants:
         table = " ".join(f"{nu}:{d}" for nu, d in
                          sorted(report.determinants.items()))
@@ -266,20 +287,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    selected = (None if args.checks is None
-                else {c for c in args.checks.split(",") if c})
-    if selected == set():
-        raise ValueError(f"--checks {args.checks!r} names no check")
-    # with --checks, --psi and --k come exactly with the checks they feed
-    for check, flag, value in (("psi", "--psi", args.psi),
-                               ("series", "--k", args.k)):
-        if selected is not None and (value is None) == (check in selected):
-            raise ValueError(f"--checks {check} and {flag} go together")
     with open(args.chain) as fh:
         chain = parse_chain(fh.read())
-    psi = None if args.psi is None else parse_psi(args.psi)
-    report = analysis.run_checks(chain, psi=psi, series_k=args.k,
-                                 selected=selected)
+    psi = None if args.psi is None else parse_psi(args.psi, chain.r)
+    report = analysis.run_checks(chain, psi=psi, series_k=args.k)
     if args.format == "machine":
         _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True),
               args.out)
@@ -410,12 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run checks on a chain file")
     p_verify.add_argument("chain", help="chain file from 'enumerate'")
-    p_verify.add_argument("--checks",
-                          help="comma list: monotonic,minkowski,growth,"
-                               "polytope,determinants,ranks,psi,series "
-                               "(default: all)")
-    p_verify.add_argument("--psi", help="psi spec, e.g. 'log:r=2,k=1,eps=1/10' "
-                                        "or 'power:r=1,coeff=1/2,exp=1'")
+    p_verify.add_argument("--psi", help="psi spec, e.g. 'log:k=1,eps=1/10' "
+                                        "or 'power:coeff=1/2,exp=1'")
     p_verify.add_argument("--k", type=int,
                           help="series diagnostic extension count")
     _add_options(p_verify, "out", "format")
@@ -448,8 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "k", None) is not None and args.command == "extend" \
-            and args.k < 1:
+    if args.command == "extend" and args.k < 1:
         parser.error("--k must be >= 1")
     try:
         if "precision_cap" in args:

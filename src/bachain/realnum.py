@@ -331,8 +331,7 @@ class DyadicInterval:
         return DyadicInterval(self.lo + d, self.hi + d)
 
     def pow_int(self, n: int) -> "DyadicInterval":
-        """self**n for n >= 0; requires lo >= 0 when n has even/odd mix
-        concerns, which is all we need (nonnegative bases)."""
+        """self**n, exactly, for n >= 0 and a nonnegative interval."""
         if n == 0:
             return DyadicInterval.point(1)
         if self.lo.man < 0:

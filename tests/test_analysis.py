@@ -387,7 +387,7 @@ class TestNormGap:
     PSI = an.PsiSpec(family="loglog", r=2, k=2, eps=Fraction(1, 10))
 
     def _verdicts(self, chain):
-        return an.run_checks(chain, psi=self.PSI, selected={"psi"}).verdicts
+        return an.run_checks(chain, psi=self.PSI).verdicts
 
     def test_engineered_pass(self, r2_form):
         verdicts = self._verdicts(make_chain(r2_form, self._singular_rows()))
@@ -458,10 +458,6 @@ class TestRunChecks:
         assert report.verdicts["psi-singular"].passed
         assert "norm-gap" in report.verdicts
         assert list(report.determinants) == list(range(1, len(records)))
-
-    def test_selected_subset(self, sqrt2_chain):
-        report = an.run_checks(sqrt2_chain, selected={"monotonic"})
-        assert list(report.verdicts) == ["monotonic"]
 
     def test_short_chain_degrades_to_skips(self, r1_form):
         rows = [((-1, 1), "0.41", "0.42")]

@@ -5,10 +5,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bachain import cli, extension
 from bachain.enumerator import BAChain, BestApprox, enumerate_chain
-from bachain.linform import record_enclosure, scaled_constants
+from bachain.linform import LinearForm, record_enclosure, scaled_constants
 from bachain.realnum import (
     MAX_EXPR_DEPTH,
     PRECISION_CAP,
@@ -145,10 +146,10 @@ class TestChainFile:
             else LAYOUT.format(len(lines)))
 
     # the header values the scan writes: a cap in [64, 2^16] and a rung in
-    # [64, working_limit(cap)]; record endpoints are never read, only
-    # compared with the ones recomputed from the record's vector, so an
-    # endpoint off the grid, at 1/2, on the finest grid point or just below
-    # 1/2 fails at its line
+    # [64, working_limit(cap)]; record endpoints are never taken from the
+    # file, only bounded and compared with the ones recomputed from the
+    # record's vector, so an endpoint off the grid, at 1/2, on the finest
+    # grid point or just below 1/2 fails at its line
     @pytest.mark.parametrize("cap,used,lo,hi,message", [
         (32, None, None, None, "precision cap 32 outside [64, 65536]"),
         (65537, None, None, None, "precision cap 65537 outside [64, 65536]"),
@@ -185,24 +186,75 @@ class TestChainFile:
             assert parsed.records == chain.records
             assert cli.serialize_chain(parsed, cap) == text
 
+    def test_finer_rung_rejected_before_any_constant(self, tmp_path,
+                                                     monkeypatch):
+        # records written at the scan's rung, with a header naming the
+        # finest rung the cap admits: each enclosure is far wider than
+        # that rung gives, so the reader refuses at record 1's line
+        # without evaluating a constant at 32768 bits
+        rec = enumerate_to(tmp_path / "c.rec",
+                           ["root(2,2)", "root(3,2)", "root(5,2)"], 30)
+        chain = cli.parse_chain(rec.read_text())
+        used = f"# precision-used {chain.precision_used}\n"
+        assert used in rec.read_text() and chain.precision_used < 32768
+        rec.write_text(rec.read_text().replace(used,
+                                               "# precision-used 32768\n"))
+        evaluated = []
+        monkeypatch.setattr(cli, "scaled_constants",
+                            lambda *args: evaluated.append(args))
+        with pytest.raises(ValueError) as info:
+            cli.parse_chain(rec.read_text())
+        assert str(info.value) == LAYOUT.format(9)
+        assert evaluated == []
+
+
+#: Square roots of distinct primes: with 1, any set of them is linearly
+#: independent over the rationals.
+SQRT_PRIMES = ("root(2,2)", "root(3,2)", "root(5,2)", "root(7,2)",
+               "root(11,2)", "root(13,2)")
+
+#: Largest max-norm per r that keeps one example cheap.
+PROPERTY_NORMS = {1: 400, 2: 25, 3: 8}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda r: st.tuples(
+           st.lists(st.sampled_from(SQRT_PRIMES), min_size=r, max_size=r,
+                    unique=True),
+           st.integers(1, PROPERTY_NORMS[r]))),
+       st.sampled_from([64, 65536]))
+def test_written_chains_pass_the_width_bound(form_and_norm, cap):
+    alphas, max_norm = form_and_norm
+    form = LinearForm(tuple(parse_expr(a, cap) for a in alphas))
+    chain = enumerate_chain(form, max_norm, cap=cap)
+    grid = chain.precision_used + 2
+    for rec in chain.records:
+        assert not cli._too_wide(
+            rec.m[1:], rec.zeta.lo.to_hex(), rec.zeta.hi.to_hex(), grid)
+
 
 class TestPsiSpecParsing:
     def test_log_family(self):
-        psi = cli.parse_psi("log:r=2,k=1,eps=1/10")
+        psi = cli.parse_psi("log:r=2,k=1,eps=1/10", 2)
         assert psi.family == "log"
         assert psi.eps == Fraction(1, 10)
         assert psi.delta_k == 1
 
     def test_power_family(self):
-        psi = cli.parse_psi("power:r=1,coeff=1/2,exp=1")
+        psi = cli.parse_psi("power:r=1,coeff=1/2,exp=1", 1)
         assert psi.coeff == Fraction(1, 2)
         assert psi.power_exp == Fraction(1)
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):
-            cli.parse_psi("nolog")
+            cli.parse_psi("nolog", 1)
         with pytest.raises(ValueError):
-            cli.parse_psi("gauss:r=1")
+            cli.parse_psi("gauss:r=1", 1)
+
+    @pytest.mark.parametrize("family", ["power", "log", "loglog"])
+    def test_r_defaults_to_the_chain(self, family):
+        assert cli.parse_psi(f"{family}:k=2", 3).r == 3
+        assert cli.parse_psi(f"{family}:r=1,k=2", 3).r == 1
 
 
 class TestCommands:
@@ -262,7 +314,7 @@ class TestCommands:
     def test_forged_exponent_is_usage_error(self, tmp_path, capsys):
         # reading the record once cost time and memory linear in the
         # exponent's value, and verify then passed; the endpoint is
-        # never parsed, only compared at its line
+        # never taken from the file, only compared at its line
         rec = tmp_path / "c.rec"
         cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "30",
                   "--out", str(rec)])
@@ -307,6 +359,28 @@ class TestCommands:
         assert data["version"] == 1
         assert data["verdicts"]["monotonic"]["status"] == "pass"
         assert data["determinants"]["1"] in (-1, 1)
+
+    # the theorem checks, determinants and tail ranks always run; the
+    # psi test with --psi and the series with --k
+    @pytest.mark.parametrize("extra,psi,series", [
+        ([], False, False),
+        (["--psi", "power:coeff=1/2,exp=1"], True, False),
+        (["--k", "2"], False, True),
+        (["--psi", "power:coeff=1/2,exp=1", "--k", "2"], True, True),
+    ], ids=["none", "psi", "k", "psi-and-k"])
+    def test_verify_runs_every_applicable_check(self, tmp_path, capsys,
+                                                extra, psi, series):
+        rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], 30)
+        capsys.readouterr()
+        assert cli.main(["verify", str(rec), "--format", "machine"]
+                        + extra) == cli.EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert set(data["verdicts"]) == {"monotonic", "minkowski", "growth",
+                                         "polytope"} | (
+            {"psi-singular"} if psi else set())
+        assert list(data["determinants"]) == ["1", "2", "3", "4"]
+        assert list(data["tail_ranks"]) == ["1", "2", "3", "4", "5"]
+        assert ("series_k" in data) == series
 
     def test_verify_detects_tampering(self, tmp_path, capsys):
         rec = tmp_path / "c.rec"
@@ -519,6 +593,7 @@ class TestCommands:
          "--format", "machine"],
         ["verify", "CHAIN", "--precision-cap", "1"],
         ["verify", "CHAIN", "--budget", "1"],
+        ["verify", "CHAIN", "--checks", "monotonic"],
     ])
     def test_unread_flags_rejected(self, tmp_path, capsys, extra):
         rec = tmp_path / "c.rec"
@@ -530,16 +605,10 @@ class TestCommands:
         assert info.value.code == cli.EXIT_USAGE
 
     @pytest.mark.parametrize("extra", [
-        ["--psi", "log:k=1"],
         ["--psi", "log:r=1,eps=1/0"],
         ["--psi", "log:r=1,zz=3"],
-        ["--checks", "monotnic"],
-        ["--psi", "power:r=1,coeff=1/2,exp=1/2,exp=3", "--checks", "psi"],
-        ["--checks", ""],
-        ["--checks", ","],
-    ], ids=["psi-without-r", "psi-divides-by-zero", "psi-unknown-key",
-            "unknown-check", "psi-repeated-key", "empty-checks",
-            "comma-checks"])
+        ["--psi", "power:r=1,coeff=1/2,exp=1/2,exp=3"],
+    ], ids=["psi-divides-by-zero", "psi-unknown-key", "psi-repeated-key"])
     def test_verify_malformed_input(self, tmp_path, capsys, extra):
         rec = tmp_path / "c.rec"
         cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "5",
@@ -549,41 +618,6 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
-
-    # each flag asks for a check that the selection leaves out, or a
-    # selected check lacks the flag it reads
-    @pytest.mark.parametrize("extra,message", [
-        (["--psi", "power:r=1,coeff=1/2,exp=1", "--checks", "monotonic"],
-         "--checks psi and --psi go together"),
-        (["--k", "1", "--checks", "ranks"],
-         "--checks series and --k go together"),
-        (["--checks", "psi"], "--checks psi and --psi go together"),
-        (["--checks", "series"], "--checks series and --k go together"),
-    ], ids=["psi-unselected", "k-unselected", "psi-without-spec",
-            "series-without-k"])
-    def test_verify_flag_and_check_go_together(self, tmp_path, capsys, extra,
-                                               message):
-        rec = tmp_path / "c.rec"
-        cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "5",
-                  "--out", str(rec)])
-        capsys.readouterr()
-        assert cli.main(["verify", str(rec)] + extra) == cli.EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
-
-    def test_verify_selected_flag_checks_run(self, tmp_path, capsys):
-        rec = tmp_path / "c.rec"
-        cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "30",
-                  "--out", str(rec)])
-        capsys.readouterr()
-        cli.main(["verify", str(rec), "--checks", "psi,series", "--k", "1",
-                  "--psi", "power:r=1,coeff=1/2,exp=1", "--format", "machine"])
-        data = json.loads(capsys.readouterr().out)
-        assert set(data["verdicts"]) == {"psi-singular"}
-        assert data["series_k"] == 1
-        assert data["series_partial_sums"]
-        assert data["determinants"] == {} and data["tail_ranks"] == {}
 
     # the same value as the record's lower endpoint, spelled otherwise
     @pytest.mark.parametrize("respell", [
@@ -801,33 +835,36 @@ class TestCommands:
         assert "Traceback" not in captured.err
 
     # the chain's r is 1 for root(2,2) and 2 for the cube-root pair; a
-    # power spec without r has r=1
+    # spec that names another r is refused
     @pytest.mark.parametrize("alphas,spec,chain_r", [
         (["root(2,2)"], "log:r=3,k=1,eps=1/2", 1),
         (["root(2,2)"], "loglog:r=2,k=1,eps=1/2", 1),
         (["root(2,2)"], "power:r=2,coeff=1/2,exp=1", 1),
         (["root(2,3)", "root(4,3)"], "log:r=1,k=1,eps=1/2", 2),
-        (["root(2,3)", "root(4,3)"], "power:coeff=1/2,exp=1", 2),
     ], ids=["log-r3-on-r1", "loglog-r2-on-r1", "power-r2-on-r1",
-            "log-r1-on-r2", "power-default-on-r2"])
+            "log-r1-on-r2"])
     def test_verify_psi_r_must_match_chain(self, tmp_path, capsys, alphas,
                                            spec, chain_r):
         rec = enumerate_to(tmp_path / "c.rec", alphas, 12)
         capsys.readouterr()
         assert cli.main(["verify", str(rec), "--psi", spec]) == cli.EXIT_USAGE
-        spec_r = cli.parse_psi(spec).r
+        spec_r = cli.parse_psi(spec, chain_r).r
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"error: psi spec r={spec_r} does not match "
                                 f"the chain's r={chain_r}\n")
 
+    # a spec without r takes the chain's, in every family
     @pytest.mark.parametrize("alphas,spec", [
         (["root(2,2)"], "log:r=1,k=1,eps=1/2"),
         (["root(2,2)"], "loglog:r=1,k=1,eps=1/2"),
         (["root(2,2)"], "power:coeff=1/2,exp=1"),
         (["root(2,3)", "root(4,3)"], "log:r=2,k=1,eps=1/2"),
         (["root(2,3)", "root(4,3)"], "power:r=2,coeff=1/2,exp=1"),
-    ], ids=["log-r1", "loglog-r1", "power-default-r1", "log-r2", "power-r2"])
+        (["root(2,2)"], "log:k=1"),
+        (["root(2,3)", "root(4,3)"], "power:coeff=1/2,exp=1"),
+    ], ids=["log-r1", "loglog-r1", "power-default-r1", "log-r2", "power-r2",
+            "psi-without-r", "power-default-on-r2"])
     def test_verify_psi_matching_r_runs(self, tmp_path, capsys, alphas,
                                         spec):
         rec = enumerate_to(tmp_path / "c.rec", alphas, 12)
@@ -895,8 +932,7 @@ def test_main_builds_one_parser(tmp_path, capsys, monkeypatch):
     for _ in range(2):
         assert cli.main(["report", str(rec)]) == cli.EXIT_OK
     assert len(built) <= 1
-    assert cli.main(["verify", str(rec), "--checks", "monotonic"]) == \
-        cli.EXIT_OK
+    assert cli.main(["verify", str(rec)]) == cli.EXIT_OK
     assert len(built) <= 1
 
 

@@ -1,5 +1,6 @@
 """Module-boundary checks over the package source."""
 
+import argparse
 import ast
 from pathlib import Path
 
@@ -362,6 +363,41 @@ PUBLIC_NAMES = {
 def test_public_names_are_the_listed_set():
     import bachain
     assert sorted(bachain.__all__) == sorted(PUBLIC_NAMES)
+
+
+#: The option strings of each subcommand.  An option joins on purpose:
+#: every one multiplies the inputs its command must be right on.
+CLI_OPTIONS = {
+    "enumerate": {"--alpha", "--max-norm", "--precision-cap", "--budget",
+                  "--out"},
+    "verify": {"--psi", "--k", "--out", "--format"},
+    "extend": {"--k", "--beta", "--samples", "--seed", "--max-norm",
+               "--precision-cap", "--budget", "--out", "--format"},
+    "report": {"--out"},
+}
+
+
+def cli_options(parser: argparse.ArgumentParser) -> dict[str, set[str]]:
+    """Option strings, help aside, of each subcommand of ``parser``."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {s for a in p._actions for s in a.option_strings
+                   if s not in ("-h", "--help")}
+            for name, p in sub.choices.items()}
+
+
+def test_cli_options_are_the_listed_set():
+    from bachain import cli
+    assert cli_options(cli.build_parser()) == CLI_OPTIONS
+
+
+def test_detects_an_added_option():
+    parser = argparse.ArgumentParser()
+    p = parser.add_subparsers().add_parser("verify")
+    p.add_argument("chain")
+    p.add_argument("--psi")
+    p.add_argument("--checks")
+    assert cli_options(parser) == {"verify": {"--psi", "--checks"}}
 
 
 #: The constant grammar, kept in ``realnum`` beside its inverse
