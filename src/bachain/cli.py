@@ -457,6 +457,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "extend" and args.k < 1:
         parser.error("--k must be >= 1")
+    if "budget" in args and args.budget < 0:
+        parser.error("--budget must be >= 0")
     try:
         if "precision_cap" in args:
             checked_cap(args.precision_cap)

@@ -38,8 +38,10 @@ from .linform import LinearForm, abs_bounds, scaled_constants, scaled_residual
 from .realnum import (
     PRECISION_CAP,
     START_PRECISION,
+    Dyadic,
     DyadicInterval,
     RealExpr,
+    dyadic_from_ratio,
     rational,
     root,
     widths,
@@ -47,6 +49,7 @@ from .realnum import (
 
 DEFAULT_BUDGET = 10 ** 7
 LATTICE_BITS = 64  # bits of each square root in the lattice sum
+OMEGA_BITS = LATTICE_BITS + 16  # grid of the lattice sum and k**(k/2)
 
 
 # ---------------------------------------------------------------------------
@@ -230,30 +233,55 @@ def degeneracy_criterion(chain: BAChain, beta: BetaSample, nu: int,
 # ---------------------------------------------------------------------------
 
 
-def _tree_sum(terms: list[Fraction]) -> Fraction:
-    """Balanced summation: far fewer large-gcd reductions than a left fold."""
-    if not terms:
-        return Fraction(0)
-    work = terms
-    while len(work) > 1:
-        nxt = [work[i] + work[i + 1] for i in range(0, len(work) - 1, 2)]
-        if len(work) % 2:
-            nxt.append(work[-1])
-        work = nxt
-    return work[0]
+def _ratio_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of num/den over ``terms`` (each den > 0) as one unreduced
+    ratio, by binary splitting: no gcd is ever taken."""
+    if len(terms) == 1:
+        return terms[0]
+    mid = len(terms) // 2
+    n1, d1 = _ratio_sum(terms[:mid])
+    n2, d2 = _ratio_sum(terms[mid:])
+    return n1 * d2 + n2 * d1, d1 * d2
+
+
+def _round_sum(terms: list[tuple[int, int]], p: int,
+               round_up: bool) -> Dyadic:
+    """The sum of num/den over ``terms`` (each den > 0) rounded to the
+    2**-p grid, down or up.
+
+    Each term is floored on a grid g = bitlength(len(terms)) + 32 bits
+    finer, so the exact sum times 2**(p+g) lies in [F, F + len(terms)).
+    When both ends of that range round to the same grid point, that point
+    is the answer; otherwise the exact sum decides, through
+    ``dyadic_from_ratio``.  A sum that is itself a dyadic rational finer
+    than the grid is thus rounded outward on the fast path, where the
+    exact path would return it unrounded; both are enclosures.
+    """
+    g = len(terms).bit_length() + 32
+    q = p + g
+    floors = sum((num << q) // den for num, den in terms)
+    top = floors + len(terms)  # the exact scaled sum lies below top
+    if round_up:
+        first, last = -((-floors) >> g), -((-top) >> g)
+    else:
+        first, last = floors >> g, (top - 1) >> g
+    if first == last:
+        return Dyadic(first, -p)
+    return dyadic_from_ratio(*_ratio_sum(terms), p, round_up)
 
 
 def lattice_inv_norm_sum(M: int, k: int, budget: int = DEFAULT_BUDGET
-                         ) -> tuple[Fraction, Fraction]:
+                         ) -> DyadicInterval:
     """Bounds on sum of 1/sqrt(m_1^2 + ... + m_k^2) over nonzero integer
-    vectors with max-norm <= M, by direct enumeration.
+    vectors with max-norm <= M, by direct enumeration, on the
+    2**-OMEGA_BITS grid.
 
     The points are counted by squared norm n, and each norm class adds one
     term: count/sqrt(n) exactly when n is a perfect square (always, for
     k = 1), otherwise count/sqrt(n) with sqrt(n) rounded outward to the
-    2**-LATTICE_BITS grid.  The sums of these terms are exact, so for k = 1
-    the two returned rationals coincide and equal twice the M-th harmonic
-    number.
+    2**-LATTICE_BITS grid.  The sums of these terms are rounded outward
+    to the output grid in integers (``_round_sum``); for k = 1 the
+    endpoints are twice the M-th harmonic number rounded down and up.
     """
     if M < 1 or k < 1:
         raise ValueError("M and k must be >= 1")
@@ -262,20 +290,21 @@ def lattice_inv_norm_sum(M: int, k: int, budget: int = DEFAULT_BUDGET
     classes = Counter(sum(c * c for c in tail)
                       for shell in range(1, M + 1)
                       for tail in canonical_shell_tails(k, shell))
-    lo_terms: list[Fraction] = []
-    hi_terms: list[Fraction] = []
-    for n, points in classes.items():
+    lo_terms: list[tuple[int, int]] = []
+    hi_terms: list[tuple[int, int]] = []
+    for n, tails in classes.items():
+        points = 2 * tails  # canonical tails cover one of each +-pair
         s = isqrt(n)
         if s * s == n:
-            lo_terms.append(Fraction(points, s))
-            hi_terms.append(lo_terms[-1])
+            lo_terms.append((points, s))
+            hi_terms.append((points, s))
         else:
             # floor(2**p sqrt(n)) < 2**p sqrt(n) < floor + 1, p = LATTICE_BITS
             rt = isqrt(n << 2 * LATTICE_BITS)
-            lo_terms.append(Fraction(points << LATTICE_BITS, rt + 1))
-            hi_terms.append(Fraction(points << LATTICE_BITS, rt))
-    # canonical tails cover one of each +-pair
-    return 2 * _tree_sum(lo_terms), 2 * _tree_sum(hi_terms)
+            lo_terms.append((points << LATTICE_BITS, rt + 1))
+            hi_terms.append((points << LATTICE_BITS, rt))
+    return DyadicInterval(_round_sum(lo_terms, OMEGA_BITS, round_up=False),
+                          _round_sum(hi_terms, OMEGA_BITS, round_up=True))
 
 
 def omega_bound(zeta_nu: DyadicInterval, M_next: int, r: int, k: int,
@@ -286,19 +315,18 @@ def omega_bound(zeta_nu: DyadicInterval, M_next: int, r: int, k: int,
         2*(k+r+1) * k**(k/2) * zeta_nu * (2*M_next+1)**(r+1)
             * sum over 0 < max|m| <= M_next of 1/sqrt(m_1^2+...+m_k^2)
 
-    with the lattice sum enumerated exactly.  All constants are spelled
-    out; nothing hides in an unspecified factor.
+    with the lattice sum enumerated point by point and rounded outward.
+    All constants are spelled out; nothing hides in an unspecified factor.
     """
     if M_next < 1 or r < 1 or k < 1:
         raise ValueError("inputs must be positive")
     if zeta_nu.lo.man <= 0:
         raise ValueError("zeta must be a certified positive enclosure")
-    s_lo, s_hi = lattice_inv_norm_sum(M_next, k, budget)
-    sum_iv = DyadicInterval.from_fractions(s_lo, s_hi, LATTICE_BITS + 16)
+    sum_iv = lattice_inv_norm_sum(M_next, k, budget)
     if k % 2 == 0:
         k_pow = DyadicInterval.point(k ** (k // 2))
     else:
-        k_pow = DyadicInterval.point(k ** k).nth_root(2, LATTICE_BITS + 16)
+        k_pow = DyadicInterval.point(k ** k).nth_root(2, OMEGA_BITS)
     scale = 2 * (k + r + 1) * (2 * M_next + 1) ** (r + 1)
     return zeta_nu.mul_int(scale) * k_pow * sum_iv
 

@@ -21,7 +21,7 @@ from bachain.enumerator import (
     enumerate_chain,
 )
 from bachain.linform import LinearForm
-from bachain.realnum import eval_interval
+from bachain.realnum import DyadicInterval, eval_interval
 from conftest import R1_ALPHA_TEXTS, as_fraction
 
 
@@ -240,12 +240,14 @@ def test_criterion_8_harmonic_closed_form():
     t0 = time.time()
     ok = True
     for M in (1, 7, 100, 1234, 10 ** 4):
-        lo, hi = ext.lattice_inv_norm_sum(M, 1)
+        iv = ext.lattice_inv_norm_sum(M, 1)
         harmonic = Fraction(0)
         for m in range(1, M + 1):
             harmonic += Fraction(1, m)
-        ok = ok and lo == hi == 2 * harmonic
-        assert lo == hi == 2 * harmonic, f"M={M}"
+        on_grid = DyadicInterval.from_fractions(
+            2 * harmonic, 2 * harmonic, ext.LATTICE_BITS + 16)
+        ok = ok and iv == on_grid
+        assert iv == on_grid, f"M={M}"
     _line(8, "harmonic closed form", ok,
           f"up to M=1e4 in {time.time() - t0:.1f}s")
     assert ok

@@ -588,6 +588,36 @@ class TestCommands:
                          "--budget", str(budget), "--out", str(out)]) == code
         assert out.exists() == (code == cli.EXIT_OK)
 
+    @pytest.mark.parametrize("command", ["enumerate", "extend"])
+    def test_negative_budget_is_usage_error(self, tmp_path, capsys, command):
+        rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], 10)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = {"enumerate": ["enumerate", "--alpha", "root(2,2)",
+                              "--max-norm", "10"],
+                "extend": ["extend", str(rec), "--k", "1", "--seed", "1"]}
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv[command] + ["--budget", "-1", "--out", str(out)])
+        assert info.value.code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--budget must be >= 0" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["enumerate", "extend"])
+    def test_zero_budget_refuses_every_scan(self, tmp_path, capsys, command):
+        rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], 10)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = {"enumerate": ["enumerate", "--alpha", "root(2,2)",
+                              "--max-norm", "1"],
+                "extend": ["extend", str(rec), "--k", "1", "--seed", "1",
+                           "--max-norm", "1"]}
+        assert cli.main(argv[command] + ["--budget", "0", "--out",
+                                         str(out)]) == cli.EXIT_BUDGET
+        assert "evaluations > budget 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra", [
         ["enumerate", "--alpha", "root(2,2)", "--max-norm", "5",
          "--format", "machine"],

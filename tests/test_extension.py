@@ -1,6 +1,7 @@
 import re
+from collections import Counter
 from fractions import Fraction
-from math import isqrt
+from math import ceil, floor, isqrt
 
 import mpmath
 import pytest
@@ -31,11 +32,46 @@ from bachain import parse_expr
 from conftest import as_fraction
 
 
+def tree_sum(terms):
+    """Balanced exact summation of Fractions."""
+    if not terms:
+        return Fraction(0)
+    work = terms
+    while len(work) > 1:
+        nxt = [work[i] + work[i + 1] for i in range(0, len(work) - 1, 2)]
+        if len(work) % 2:
+            nxt.append(work[-1])
+        work = nxt
+    return work[0]
+
+
+def lattice_sum_exact(M, k):
+    """The exact sums of the class terms ``ext.lattice_inv_norm_sum``
+    rounds: count/s for n = s**2, else count * 2**64 over the outward
+    64-bit square root of n, as Fractions.  A test oracle for its integer
+    rounding."""
+    classes = Counter(sum(c * c for c in tail)
+                      for shell in range(1, M + 1)
+                      for tail in canonical_shell_tails(k, shell))
+    lo_terms, hi_terms = [], []
+    for n, points in classes.items():
+        s = isqrt(n)
+        if s * s == n:
+            lo_terms.append(Fraction(points, s))
+            hi_terms.append(lo_terms[-1])
+        else:
+            rt = isqrt(n << 2 * ext.LATTICE_BITS)
+            lo_terms.append(Fraction(points << ext.LATTICE_BITS, rt + 1))
+            hi_terms.append(Fraction(points << ext.LATTICE_BITS, rt))
+    # canonical tails cover one of each +-pair
+    return 2 * tree_sum(lo_terms), 2 * tree_sum(hi_terms)
+
+
 def lattice_sum_reference(M, k):
     """The lattice sum one point at a time: each point's square root from
     ``DyadicInterval.nth_root`` and its reciprocal as its own Fraction
-    term.  A test oracle for ``ext.lattice_inv_norm_sum``, which adds one
-    term per squared norm instead."""
+    term.  A test oracle for ``lattice_sum_exact``, which adds one term
+    per squared norm instead."""
     lo_terms, hi_terms = [], []
     for shell in range(1, M + 1):
         for tail in canonical_shell_tails(k, shell):
@@ -49,7 +85,13 @@ def lattice_sum_reference(M, k):
                 lo_terms.append(1 / as_fraction(rt.hi))
                 hi_terms.append(1 / as_fraction(rt.lo))
     # canonical tails cover one of each +-pair
-    return 2 * ext._tree_sum(lo_terms), 2 * ext._tree_sum(hi_terms)
+    return 2 * tree_sum(lo_terms), 2 * tree_sum(hi_terms)
+
+
+def on_omega_grid(lo, hi):
+    """[lo, hi] rounded outward to the lattice sum's output grid, by the
+    rule of ``DyadicInterval.from_fractions``."""
+    return DyadicInterval.from_fractions(lo, hi, ext.LATTICE_BITS + 16)
 
 
 def make_chain(form, rows):
@@ -216,9 +258,9 @@ class TestDegeneracyCriterion:
 class TestLatticeSum:
     @pytest.mark.parametrize("M", [1, 2, 10, 100])
     def test_k1_harmonic_closed_form(self, M):
-        lo, hi = ext.lattice_inv_norm_sum(M, 1)
+        iv = ext.lattice_inv_norm_sum(M, 1)
         harmonic = sum(Fraction(1, m) for m in range(1, M + 1))
-        assert lo == hi == 2 * harmonic
+        assert iv == on_omega_grid(2 * harmonic, 2 * harmonic)
 
     def test_k2_against_oracle(self):
         with mpmath.workprec(200):
@@ -229,7 +271,8 @@ class TestLatticeSum:
                         oracle += 1 / mpmath.sqrt(a * a + b * b)
         sign, man, exp, _ = oracle._mpf_
         oracle_f = Fraction(man) * Fraction(2) ** exp
-        lo, hi = ext.lattice_inv_norm_sum(3, 2)
+        iv = ext.lattice_inv_norm_sum(3, 2)
+        lo, hi = as_fraction(iv.lo), as_fraction(iv.hi)
         slack = Fraction(1, 2 ** 150)  # oracle's own rounding
         assert lo - slack <= oracle_f <= hi + slack
         assert hi - lo < Fraction(1, 10 ** 9)
@@ -255,9 +298,9 @@ class TestLatticeSum:
         (1, 4), (3, 4),
     ])
     def test_equals_per_point_reference(self, M, k):
-        lo, hi = ext.lattice_inv_norm_sum(M, k)
-        ref_lo, ref_hi = lattice_sum_reference(M, k)
-        assert lo == ref_lo and hi == ref_hi
+        reference = lattice_sum_reference(M, k)
+        assert lattice_sum_exact(M, k) == reference
+        assert ext.lattice_inv_norm_sum(M, k) == on_omega_grid(*reference)
 
     def test_k3_against_oracle(self):
         with mpmath.workdps(50):
@@ -269,7 +312,8 @@ class TestLatticeSum:
                             oracle += 1 / mpmath.sqrt(a * a + b * b + c * c)
             sign, man, exp, _ = oracle._mpf_
         oracle_f = Fraction(man) * Fraction(2) ** exp
-        lo, hi = ext.lattice_inv_norm_sum(4, 3)
+        iv = ext.lattice_inv_norm_sum(4, 3)
+        lo, hi = as_fraction(iv.lo), as_fraction(iv.hi)
         slack = Fraction(1, 10 ** 45)  # oracle's own rounding
         assert lo < hi
         assert lo - slack <= oracle_f <= hi + slack
@@ -289,6 +333,57 @@ class TestLatticeSum:
         ext.lattice_inv_norm_sum(M, k)
         assert len(drawn) == ((2 * M + 1) ** k - 1) // 2
         assert len(set(drawn)) == len(drawn)
+
+    @pytest.mark.parametrize("M,total", [(1, 2), (2, 3)])
+    def test_sum_on_the_grid_takes_the_exact_path(self, monkeypatch, M,
+                                                  total):
+        # 2*H_1 = 2 and 2*H_2 = 3 lie on the output grid: the floored terms
+        # bracket the upper end across a grid point, and only the exact
+        # sum can show that it is not above
+        exact = []
+        real = ext.dyadic_from_ratio
+
+        def counting(num, den, p, round_up):
+            exact.append((Fraction(num, den), round_up))
+            return real(num, den, p, round_up)
+
+        monkeypatch.setattr(ext, "dyadic_from_ratio", counting)
+        assert ext.lattice_inv_norm_sum(M, 1) == DyadicInterval.point(total)
+        assert exact == [(total, True)]
+
+    @pytest.mark.parametrize("M", [2, 3, 5, 8, 13, 21, 34, 55, 89])
+    def test_extend_mc_rows_match_the_exact_sum(self, M):
+        # the rows the extend-mc benchmark builds, to the hex digits
+        iv = ext.lattice_inv_norm_sum(M, 2)
+        ref = on_omega_grid(*lattice_sum_exact(M, 2))
+        assert (iv.lo.to_hex(), iv.hi.to_hex()) == \
+            (ref.lo.to_hex(), ref.hi.to_hex())
+
+
+ratio_terms = st.lists(st.tuples(st.integers(0, 1 << 200),
+                                 st.integers(1, 1 << 100)),
+                       min_size=1, max_size=12)
+
+
+@given(terms=ratio_terms, p=st.integers(0, 100), on_grid=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_round_sum_is_the_fraction_floor_and_ceiling(terms, p, on_grid):
+    exact = sum(Fraction(num, den) for num, den in terms)
+    if on_grid:  # one more term moves the sum onto the grid
+        gap = Fraction(ceil(exact * (1 << p)), 1 << p) - exact
+        terms = terms + [(gap.numerator, gap.denominator)]
+        exact += gap
+    down = ext._round_sum(terms, p, round_up=False)
+    up = ext._round_sum(terms, p, round_up=True)
+    floor_d = Dyadic(floor(exact * (1 << p)), -p)
+    ceil_d = Dyadic(ceil(exact * (1 << p)), -p)
+    den = exact.denominator
+    if den & (den - 1) == 0 and den > 1 << p:
+        # a dyadic finer than the grid: rounded, or kept by the exact path
+        kept = Dyadic(exact.numerator, 1 - den.bit_length())
+        assert down in (floor_d, kept) and up in (ceil_d, kept)
+    else:
+        assert (down, up) == (floor_d, ceil_d)
 
 
 class TestOmegaBound:

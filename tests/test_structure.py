@@ -276,6 +276,29 @@ def test_detects_a_fraction_on_the_integer_path(tmp_path):
         ["Fraction", "as_fraction"]
 
 
+#: The lattice sum and the omega bound round their sums in integers; the
+#: exact rationals they stand for live only in the tests.
+LATTICE_PATH = ("_ratio_sum", "_round_sum", "lattice_inv_norm_sum",
+                "omega_bound")
+
+
+def test_lattice_sum_and_omega_bound_build_no_fraction():
+    assert {fn: named_calls(SRC / "extension.py", fn, FRACTION_CALLS)
+            for fn in LATTICE_PATH} == {fn: [] for fn in LATTICE_PATH}
+
+
+def test_detects_a_fraction_on_the_lattice_path(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def _round_sum(terms, p, round_up):\n"
+                     "    return sum(Fraction(n, d) for n, d in terms)\n"
+                     "def omega_bound(zeta_nu, M_next, r, k):\n"
+                     "    lo, hi = lattice_inv_norm_sum(M_next, k)\n"
+                     "    return DyadicInterval.from_fractions(lo, hi, 80)\n")
+    assert {fn: named_calls(probe, fn, FRACTION_CALLS)
+            for fn in ("_round_sum", "omega_bound")} == \
+        {"_round_sum": ["Fraction"], "omega_bound": ["from_fractions"]}
+
+
 #: The oracle's path, which must stay independent of the scans: a fault in
 #: the residual kernel would otherwise show in both and cancel out.
 ORACLE_PATH = ("zeta", "form_values", "best_m0", "endpoint_table",
