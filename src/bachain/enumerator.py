@@ -293,19 +293,20 @@ def brute_force_oracle(form: LinearForm, M_max: int,
     # is read off the first rungs, each candidate that loses a comparison
     # and each one kept to the end
     first_rungs = {}  # ladder start -> (rung, e, los, his, missing)
-    top = 0
+    top = fetched = 0  # fetched: the ladder start of the table in hand
     shell_minima: list[_Candidate] = []
     for M in range(1, M_max + 1):
         best = None
         for tail in canonical_shell_tails(form.r, M):
             start = START_PRECISION + sum(map(abs, tail)).bit_length()
-            table = first_rungs.get(start)
-            if table is None:
-                w = next(widths(start, cap))
-                table = first_rungs[start] = \
-                    (w,) + endpoint_table(form, w, cap)
-                top = max(top, w)
-            w, e, los, his, missing = table
+            if start != fetched:
+                fetched, table = start, first_rungs.get(start)
+                if table is None:
+                    w = next(widths(start, cap))
+                    table = first_rungs[start] = \
+                        (w,) + endpoint_table(form, w, cap)
+                    top = max(top, w)
+                w, e, los, his, missing = table
             cand = None
             if not missing:
                 s_lo, s_hi = dot_bounds(tail, los, his)
@@ -314,9 +315,11 @@ def brute_force_oracle(form: LinearForm, M_max: int,
                 except (AmbiguousRounding, WidthTooLarge):
                     lo = hi = 0
                 if lo or hi:
-                    if best is not None and \
-                            _below(best.size_hi, best.e, max(lo, -hi, 0), e):
-                        continue  # certifiably beaten at its first rung
+                    if best is not None:
+                        low = lo if lo > 0 else -hi if hi < 0 else 0
+                        if (best_hi < low if best_e == e
+                                else _below(best_hi, best_e, low, e)):
+                            continue  # certifiably beaten at its first rung
                     cand = _Candidate((-n,) + tail, lo, hi, e, w)
             if cand is None:
                 # undecided, exactly zero or a constant missing at the
@@ -324,10 +327,12 @@ def brute_force_oracle(form: LinearForm, M_max: int,
                 cand = _Candidate.from_best_m0(tail, form, cap)
             if best is None:
                 best = cand
-                continue
-            winner = _smaller(best, cand, form, cap)
-            top = max(top, best.rung, cand.rung)
-            best = winner
+            else:
+                winner = _smaller(best, cand, form, cap)
+                top = max(top, best.rung, cand.rung)
+                best = winner
+            # the drop test's bound, read again since _smaller may refine
+            best_hi, best_e = best.size_hi, best.e
         shell_minima.append(best)
 
     # global minimum at every level, as a running minimum: a comparison

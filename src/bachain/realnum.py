@@ -189,9 +189,6 @@ class Dyadic:
         return float(self.man << self.exp)
 
 
-ONE = Dyadic(1)
-
-
 def dyadic_from_ratio(num: int, den: int, p: int, round_up: bool) -> Dyadic:
     """Round num/den (den > 0) to the 2**-p grid in the requested direction.
 
@@ -219,14 +216,19 @@ def _inverse_ratio(d: Dyadic) -> tuple[int, int]:
 
 
 def iroot_floor(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 0, k >= 1, by Newton iteration."""
+    """floor(n ** (1/k)) for n >= 0, k >= 1, by Newton iteration from
+    above, started at a float estimate of the root's top 48 bits padded
+    upward (Brent and Zimmermann, Modern Computer Arithmetic, section 1.5)."""
     if n < 0:
         raise ValueError("negative radicand")
-    if n == 0:
-        return 0
-    if k == 1:
+    if k == 1 or n < 2:
         return n
-    x = 1 << (n.bit_length() + k - 1) // k
+    if k == 2:
+        return math.isqrt(n)
+    s = max(0, n.bit_length() // k - 48)  # low root bits the float drops
+    x = int(2 ** (math.log2(n >> k * s) / k) * (1 + 2 ** -40) + 2) << s
+    while x ** k < n:  # a guard: Newton must start at or above the root
+        x *= 2
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -336,12 +338,10 @@ class DyadicInterval:
             return DyadicInterval.point(1)
         if self.lo.man < 0:
             raise ValueError("pow_int requires a nonnegative interval")
+        # int ** squares repeatedly: about log2(n) multiplications
         lo, hi = self.lo, self.hi
-        rlo, rhi = ONE, ONE
-        for _ in range(n):
-            rlo = rlo * lo
-            rhi = rhi * hi
-        return DyadicInterval(rlo, rhi)
+        return DyadicInterval(Dyadic(lo.man ** n, lo.exp * n),
+                              Dyadic(hi.man ** n, hi.exp * n))
 
     # -- outward-rounded operations ------------------------------------------------
 
@@ -637,17 +637,18 @@ def round_scaled(lo: int, hi: int, q: int) -> tuple[int, int, int]:
     wide or wider, and AmbiguousRounding when an endpoint lies on a
     half-integer or the endpoints round to different integers.
     """
-    if hi - lo >= 1 << (q - 2):
-        raise WidthTooLarge("interval wider than 1/4")
     half = 1 << (q - 1)
-    mask = (1 << q) - 1
-    if not (lo + half) & mask or not (hi + half) & mask:
-        raise AmbiguousRounding("endpoint lies exactly on a half-integer")
+    if hi - lo >= half >> 1:
+        raise WidthTooLarge("interval wider than 1/4")
     n = (lo + half) >> q
-    if n != (hi + half) >> q:
-        raise AmbiguousRounding("interval straddles a half-integer")
     step = n << q
-    return n, lo - step, hi - step
+    r_lo, r_hi = lo - step, hi - step
+    # -half <= r_lo <= r_hi < r_lo + half/2: hi rounds to n iff r_hi < half
+    if r_lo == -half or r_hi == half:
+        raise AmbiguousRounding("endpoint lies exactly on a half-integer")
+    if r_hi > half:
+        raise AmbiguousRounding("interval straddles a half-integer")
+    return n, r_lo, r_hi
 
 
 # ---------------------------------------------------------------------------

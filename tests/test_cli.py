@@ -1022,3 +1022,26 @@ def test_verify_machine_report_pinned(tmp_path):
                          "--out", str(out)]) == cli.EXIT_OK
         got[r, spec, k] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert got == REPORT_PINS
+
+
+#: sha256 of ``verify --psi SPEC --format machine`` on the r=1 pin chain.
+#: An exponent 1 + eps takes an exact power and a 1/eps-th root of the
+#: psi value's logarithms: the digests pin both to the last bit.
+EXACT_POWER_PINS = {
+    "loglog:r=1,eps=1/1000":
+        "8e4bd993c55b500b32ed4f071cb1b5f84c109a9b207e5b96597a9de82e9f0bfb",
+    "log:r=1,k=2,eps=1/300":
+        "9d57f8ff456f5bbddfb025b29b58a5f9a9f0ee4a3347773d59f610985e558472",
+}
+
+
+def test_verify_exact_power_report_pinned(tmp_path):
+    rec = enumerate_to(tmp_path / "r1.rec", *PIN_CHAINS[1])
+    got = {}
+    for spec in EXACT_POWER_PINS:
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", str(rec), "--psi", spec,
+                         "--format", "machine",
+                         "--out", str(out)]) == cli.EXIT_OK
+        got[spec] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == EXACT_POWER_PINS

@@ -1,3 +1,4 @@
+import sys
 from itertools import islice, product
 
 import pytest
@@ -16,7 +17,7 @@ from bachain.errors import (
     DependenceSuspected,
     PrecisionExhausted,
 )
-from bachain.linform import LinearForm, best_m0, tail_norm
+from bachain.linform import LinearForm, best_m0, endpoint_table, tail_norm
 from bachain.realnum import (
     PRECISION_CAP,
     Dyadic,
@@ -477,3 +478,25 @@ def test_tails_the_first_rung_cannot_decide_take_best_m0(monkeypatch, alphas,
     monkeypatch.setattr(enumerator, "best_m0", counted)
     assert oracle_outcome(brute_force_oracle, form, m_max, cap) == want
     assert ladders
+
+
+def test_drop_test_compares_across_first_rungs(monkeypatch):
+    # sqrt(5)/8 and sqrt(7)/8 are 2**-67 wide at the 64-bit rung, so
+    # tails with sum |m_j| < 8 take their first table on the 2**-67 grid
+    # and longer ones on the 2**-131 grid: shells 4 to 7 span both
+    form = LinearForm((parse_expr("root(5,2)/8"), parse_expr("root(7,2)/8")))
+    assert endpoint_table(form, 67)[0] != endpoint_table(form, 68)[0]
+    want = oracle_outcome(reference_oracle, form, 8, PRECISION_CAP)
+    exponents = []
+    inner = enumerator._below
+
+    def counted(x, ex, y, ey):
+        if sys._getframe(1).f_code.co_name == "brute_force_oracle":
+            exponents.append((ex, ey))
+        return inner(x, ex, y, ey)
+
+    monkeypatch.setattr(enumerator, "_below", counted)
+    assert oracle_outcome(brute_force_oracle, form, 8, PRECISION_CAP) == want
+    # the drop test reaches _below, and only across exponents
+    assert exponents
+    assert all(ex != ey for ex, ey in exponents)

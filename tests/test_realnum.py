@@ -3,7 +3,7 @@ from itertools import islice
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bachain.errors import (
     AmbiguousRounding,
@@ -271,6 +271,86 @@ class TestIroot:
         assert f ** k <= n < (f + 1) ** k
         c = iroot_ceil(n, k)
         assert (c - 1) ** k < n <= c ** k or (n == 0 and c == 0)
+
+
+def _iroot_floor_reference(n, k):
+    """floor(n ** (1/k)) by Newton iteration from 1 << ceil(bits / k),
+    which can start almost twice above the root and then shrinks by only
+    about (k - 1)/k a step: slow for large k, exact all the same."""
+    if n == 0:
+        return 0
+    if k == 1:
+        return n
+    x = 1 << (n.bit_length() + k - 1) // k
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _check_iroot(n, k):
+    f = iroot_floor(n, k)
+    assert f == _iroot_floor_reference(n, k)
+    assert f ** k <= n < (f + 1) ** k
+    assert iroot_ceil(n, k) == f + (f ** k != n)
+
+
+_root_indices = st.one_of(st.integers(min_value=1, max_value=12),
+                          st.integers(min_value=13, max_value=3000))
+
+
+@given(st.integers(min_value=1, max_value=6000).flatmap(
+           lambda bits: st.integers(min_value=0, max_value=(1 << bits) - 1)),
+       _root_indices)
+@settings(max_examples=100, deadline=None)
+# the radicand and index a loglog eps=1/1000 psi value takes at 96 bits
+@example((1 << 96_000) // 3, 1000)
+@example((1 << 5000) - 1, 3)
+def test_iroot_floor_matches_reference(n, k):
+    _check_iroot(n, k)
+
+
+@given(st.integers(min_value=2, max_value=3000).flatmap(
+           lambda k: st.tuples(
+               st.integers(min_value=1, max_value=1 << max(1, 6000 // k)),
+               st.just(k))),
+       st.sampled_from([-1, 0, 1]))
+@settings(max_examples=100, deadline=None)
+def test_iroot_floor_of_perfect_powers(base_k, offset):
+    # m**k and its neighbours, where a start below the root or an
+    # off-by-one in the floor shows first
+    m, k = base_k
+    n = m ** k + offset
+    _check_iroot(n, k)
+    assert iroot_floor(n, k) == m - (offset < 0)
+
+
+def _pow_int_reference(x, n):
+    """x**n for a nonnegative interval by one multiplication per unit of
+    n: slow for large n, exact all the same."""
+    rlo = rhi = Dyadic(1)
+    for _ in range(n):
+        rlo, rhi = rlo * x.lo, rhi * x.hi
+    return DyadicInterval(rlo, rhi)
+
+
+_nonnegative_dyadics = st.builds(
+    Dyadic, st.integers(min_value=0, max_value=1 << 64),
+    st.integers(min_value=-300, max_value=300))
+
+
+@given(_nonnegative_dyadics, _nonnegative_dyadics,
+       st.integers(min_value=0, max_value=400))
+@settings(max_examples=100, deadline=None)
+def test_pow_int_matches_reference(a, b, n):
+    x = DyadicInterval(min(a, b), max(a, b))
+    assert x.pow_int(n) == _pow_int_reference(x, n)
+
+
+def test_pow_int_rejects_a_negative_interval():
+    with pytest.raises(ValueError, match="nonnegative"):
+        DyadicInterval(Dyadic(-1), Dyadic(1)).pow_int(3)
 
 
 @pytest.mark.parametrize("k", [2, 3])

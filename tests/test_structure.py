@@ -185,21 +185,34 @@ SCAN_SITES = {
 }
 
 
+#: The oracle, whose every rounding is its one ``realnum.round_scaled``
+#: call per tail: a drop test that shifts or divides on its own would be
+#: a second rounding rule.
+ORACLE_SITE = ("enumerator.py", "brute_force_oracle")
+
+#: Calls that round to the nearest integer.
+ROUNDING_CALLS = ("divmod", "scaled_residual", "round_scaled")
+
+#: Operators that round: floor division and the right shift.
+ROUNDING_OPS = {ast.FloorDiv: "//", ast.RShift: ">>"}
+
+
 def rounding_ops(path: Path, function: str):
-    """``divmod``, ``//`` and ``scaled_residual`` uses anywhere inside the
-    function named ``function`` in ``path`` (nested functions included),
-    or None when there is no such function."""
+    """``divmod``, ``//``, ``>>``, ``scaled_residual`` and
+    ``round_scaled`` uses anywhere inside the function named ``function``
+    in ``path`` (nested functions included), or None when there is no
+    such function."""
     body = function_def(path, function)
     if body is None:
         return None
     found = []
     for node in ast.walk(body):
         name = call_name(node)
-        if name in ("divmod", "scaled_residual"):
+        if name in ROUNDING_CALLS:
             found.append(name)
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) \
-                and isinstance(node.op, ast.FloorDiv):
-            found.append("//")
+                and type(node.op) in ROUNDING_OPS:
+            found.append(ROUNDING_OPS[type(node.op)])
     return found
 
 
@@ -209,18 +222,25 @@ def test_scans_round_only_through_scaled_residual():
         {site: ["scaled_residual"] for site in SCAN_SITES}
 
 
+def test_oracle_rounds_only_through_round_scaled():
+    assert rounding_ops(SRC / ORACLE_SITE[0], ORACLE_SITE[1]) == \
+        ["round_scaled"]
+
+
 def test_detects_rounding_in_a_scan(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("def scan(s, t):\n"
                      "    def inner(x):\n"
                      "        return divmod(x, t)\n"
                      "    s //= 2\n"
+                     "    s >>= 1\n"
                      "    n, lo, hi = linform.scaled_residual(s, t, t, 4)\n"
-                     "    return (2 * s + t) // (2 * t), inner(n)\n"
+                     "    m, _, _ = realnum.round_scaled(lo, hi, 4)\n"
+                     "    return (2 * s + t) // (2 * t), inner(n), m >> 2\n"
                      "def other(s):\n"
-                     "    return s // 2\n")
+                     "    return s // 2, s >> 1, round_scaled(s, s, 2)\n")
     assert sorted(rounding_ops(probe, "scan")) == \
-        ["//", "//", "divmod", "scaled_residual"]
+        ["//", "//", ">>", ">>", "divmod", "round_scaled", "scaled_residual"]
     assert rounding_ops(probe, "missing") is None
 
 
