@@ -137,12 +137,11 @@ def parse_chain(text: str) -> BAChain:
         if _too_wide(m[1:], *fields[-2:], precision_used + 2):
             raise ValueError(_LAYOUT.format(number))
         rows.append((index, m, M))
-    grid, los, his = scaled_constants(form.alphas, precision_used,
-                                      precision_cap)
+    binding = scaled_constants(form.alphas, precision_used, precision_cap)
     records = []
     for index, m, M in rows:
         try:
-            zeta = record_enclosure(m, los, his, grid)
+            zeta = record_enclosure(m, binding)
             records.append(BestApprox(index, tuple(m), M, zeta))
         except (AmbiguousRounding, ValueError) as exc:
             raise ValueError(f"record {index}: {exc}") from None

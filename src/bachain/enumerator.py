@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, product
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .errors import AmbiguousRounding, DependenceSuspected, WidthTooLarge
 from .linform import (
@@ -151,46 +151,52 @@ def scan_volume(r: int, M: int) -> int:
 def _shell_scan(form: LinearForm, M_max: int, w: int,
                 cap: int) -> list[BestApprox]:
     """One full scan at working precision w.  Returns the records or
-    raises _Rescan when certification fails at this precision."""
+    raises _Rescan when certification fails at this precision.  Every
+    tail the kernel rounds has |residual| < 1/2, so bounds of 1/2 stand
+    for "no best yet" and "no record yet"."""
     r = form.r
-    grid, a_lo, a_hi = scaled_constants(form.alphas, w, cap)
+    binding = scaled_constants(form.alphas, w, cap)
+    half, mask = binding.half, binding.mask
 
-    running_lo: Optional[int] = None  # certified |residual| bounds of last record
-    running_hi: Optional[int] = None
-    running_tail: Optional[tuple[int, ...]] = None
+    # |residual| bounds and tail of the last record
+    running_lo, running_hi, running_tail = half, half, None
     records: list[BestApprox] = []
 
     for M in range(1, M_max + 1):
-        best = None  # (abs_lo, abs_hi, tail, n, r_lo, r_hi)
+        best_lo, best_hi, best_tail = half, half, None  # the shell's best
+        # offset residuals wholly above up or below down are beaten
+        up, down = mask, 0
         for tail in canonical_shell_tails(r, M):
             try:
-                n, r_lo, r_hi = scaled_residual(tail, a_lo, a_hi, grid)
+                _, o_lo, o_hi = scaled_residual(tail, binding)
             except AmbiguousRounding:
                 raise _Rescan("rounding", tail) from None
-            abs_lo, abs_hi = abs_bounds(r_lo, r_hi)
-            if abs_lo == 0 and abs_hi == 0:
+            if o_lo > up or o_hi < down:
+                continue
+            abs_lo, abs_hi = abs_bounds(o_lo - half, o_hi - half)
+            if abs_hi == 0:
                 raise DependenceSuspected(
                     f"form value of tail {tail} is exactly zero",
                     witness=tail)
-            if best is None or abs_hi < best[0]:
-                best = (abs_lo, abs_hi, tail, n, r_lo, r_hi)
-            elif abs_lo <= best[1]:
-                raise _Rescan("tie", (best[2], tail))
+            if abs_hi >= best_lo:
+                raise _Rescan("tie", (best_tail, tail))
+            best_lo, best_hi, best_tail = abs_lo, abs_hi, tail
+            up, down = half + abs_hi, half - abs_hi
 
-        abs_lo, abs_hi, tail, n, r_lo, r_hi = best
-        if running_lo is not None:
-            if abs_lo > running_hi:
-                continue  # shell minimum certifiably worse: no new record
-            if abs_hi >= running_lo:
-                raise _Rescan("tie", (running_tail, tail))
+        if best_lo > running_hi:
+            continue  # shell minimum certifiably worse: no new record
+        if best_hi >= running_lo:
+            raise _Rescan("tie", (running_tail, best_tail))
         # new record: strict drop certified; need a sign-definite residual
-        if r_lo <= 0 <= r_hi:
-            raise _Rescan("sign", tail)
-        m = (-n,) + tail if r_lo > 0 else (n,) + tuple(-c for c in tail)
+        n, o_lo, o_hi = scaled_residual(best_tail, binding)
+        if o_lo <= half <= o_hi:
+            raise _Rescan("sign", best_tail)
+        m = (-n,) + best_tail if o_lo > half else \
+            (n,) + tuple(-c for c in best_tail)
         records.append(BestApprox(
             index=len(records) + 1, m=m, M=M,
-            zeta=record_enclosure(m, a_lo, a_hi, grid)))
-        running_lo, running_hi, running_tail = abs_lo, abs_hi, tail
+            zeta=record_enclosure(m, binding)))
+        running_lo, running_hi, running_tail = best_lo, best_hi, best_tail
 
     return records
 

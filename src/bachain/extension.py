@@ -194,20 +194,21 @@ def degeneracy_criterion(chain: BAChain, beta: BetaSample, nu: int,
     m0_cap = (r + k + 1) * bound
 
     for w in widths(START_PRECISION + (2 * (r + k) * bound).bit_length(), cap):
-        grid, a_lo, a_hi = scaled_constants(exprs, w, cap)
+        binding = scaled_constants(exprs, w, cap)
+        grid, half = binding.grid, binding.half
         # zeta bounds on the same scale, rounded away from the comparison
         z_lo = rec.zeta.lo.floor_scaled(grid)
         z_hi = rec.zeta.hi.ceil_scaled(grid)
         ambiguous = None
         for tail in _mixed_tails(r, k, bound):
             try:
-                n, r_lo, r_hi = scaled_residual(tail, a_lo, a_hi, grid)
+                n, o_lo, o_hi = scaled_residual(tail, binding)
             except AmbiguousRounding:
                 ambiguous, rounding = tail, True
                 break
             m0 = min(m0_cap, max(-m0_cap, n))
-            shift = (n - m0) << grid
-            abs_lo, abs_hi = abs_bounds(r_lo + shift, r_hi + shift)
+            shift = ((n - m0) << grid) - half
+            abs_lo, abs_hi = abs_bounds(o_lo + shift, o_hi + shift)
             if abs_lo >= z_hi:
                 continue  # certified no smaller than zeta_nu
             if abs_hi < z_lo:

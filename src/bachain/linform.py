@@ -191,56 +191,74 @@ def best_m0(tail: Sequence[int], form: LinearForm,
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
+class Binding:
+    """One rung's constants for ``scaled_residual`` on the 2**-grid
+    lattice: half = 2**(grid - 1), mask = 2**grid - 1 and terms[j] = (lo,
+    hi, hi - lo) for constant j in [lo, hi] * 2**-grid.  Slots, as a tuple
+    subclass unpacks more slowly in the kernel, which reads it per tail."""
+
+    grid: int
+    half: int
+    mask: int
+    terms: tuple[tuple[int, int, int], ...]
+
+
 def scaled_constants(exprs: Sequence[RealExpr], w: int,
-                     cap: int = PRECISION_CAP
-                     ) -> tuple[int, list[int], list[int]]:
-    """Grid exponent g = w + 2 and integer endpoints lo[j], hi[j] on the
-    2**-g lattice enclosing each constant, from enclosures of width
-    <= 2**-w (exact when the grid is as fine as their endpoints)."""
-    grid = w + 2
-    los, his = [], []
-    for e in exprs:
-        iv = eval_interval(e, w, cap)
-        los.append(iv.lo.floor_scaled(grid))
-        his.append(iv.hi.ceil_scaled(grid))
-    return grid, los, his
+                     cap: int = PRECISION_CAP) -> Binding:
+    """The binding for ``exprs`` at precision w: on the grid g = w + 2,
+    integer endpoints on the 2**-g lattice enclosing each constant, from
+    enclosures of width <= 2**-w (exact when the grid is as fine as their
+    endpoints)."""
+    ivs = [eval_interval(e, w, cap) for e in exprs]
+    return bind_endpoints(w + 2, [iv.lo.floor_scaled(w + 2) for iv in ivs],
+                          [iv.hi.ceil_scaled(w + 2) for iv in ivs])
 
 
-def scaled_residual(tail: Sequence[int], los: Sequence[int],
-                    his: Sequence[int], grid: int) -> tuple[int, int, int]:
-    """Nearest integer n to x = sum tail_j * a_j and bounds r_lo <= x - n
-    <= r_hi on the 2**-grid scale of the ``scaled_constants`` endpoints.
+def bind_endpoints(grid: int, los: Sequence[int],
+                   his: Sequence[int]) -> Binding:
+    """The binding for constants in [los[j], his[j]] * 2**-grid."""
+    half = 1 << (grid - 1)
+    return Binding(grid, half, 2 * half - 1, tuple(
+        (lo, hi, hi - lo) for lo, hi in zip(los, his)))
+
+
+def scaled_residual(tail: Sequence[int],
+                    binding: Binding) -> tuple[int, int, int]:
+    """(n, o_lo, o_hi): the nearest integer n to x = sum tail_j * a_j and
+    bounds o_lo <= x - n + half <= o_hi on the binding's 2**-grid scale.
+    So 0 < o_lo <= o_hi <= mask, and x - n is certified positive when
+    o_lo > half, negative when o_hi < half.
     Raises AmbiguousRounding when an endpoint of x's enclosure lies on a
     half-integer or the two endpoints round to different integers."""
-    s_lo = s_hi = 0
-    for c, al, ah in zip(tail, los, his):
+    s, width, mask = binding.half, 0, binding.mask  # s: lower end + half
+    for c, (lo, hi, d) in zip(tail, binding.terms):
         if c > 0:
-            s_lo += c * al
-            s_hi += c * ah
+            s += c * lo
+            width += c * d
         elif c < 0:
-            s_lo += c * ah
-            s_hi += c * al
-    half = 1 << (grid - 1)
-    n = (s_lo + half) >> grid
-    step = n << grid
-    r_lo, r_hi = s_lo - step, s_hi - step
-    # -half <= r_lo <= r_hi; r_hi >= half means s_hi rounds to n + 1 or up
-    if r_lo == -half or r_hi >= half:
+            s += c * hi
+            width -= c * d
+    o_lo = s & mask
+    o_hi = o_lo + width
+    # the lower endpoint is n - 1/2, or the upper one rounds to n + 1 or up
+    if not o_lo or o_hi > mask:
         raise AmbiguousRounding("endpoint on or across a half-integer")
-    return n, r_lo, r_hi
+    return s >> binding.grid, o_lo, o_hi
 
 
-def record_enclosure(m: Sequence[int], los: Sequence[int],
-                     his: Sequence[int], grid: int) -> DyadicInterval:
+def record_enclosure(m: Sequence[int], binding: Binding) -> DyadicInterval:
     """[r_lo, r_hi] * 2**-grid, the residual ``scaled_residual`` gives
     for the tail of m = (m_0, tail); m_0 must be minus the tail's nearest
     integer.  The one rule for a chain record's enclosure, for the scan
     that writes it and the reader that recomputes it."""
-    n, r_lo, r_hi = scaled_residual(m[1:], los, his, grid)
+    n, o_lo, o_hi = scaled_residual(m[1:], binding)
     if m[0] != -n:
         raise ValueError(f"m0 is {m[0]}, but minus the nearest integer to "
                          f"the tail's value is {-n}")
-    return DyadicInterval(Dyadic(r_lo, -grid), Dyadic(r_hi, -grid))
+    grid, half = binding.grid, binding.half
+    return DyadicInterval(Dyadic(o_lo - half, -grid),
+                          Dyadic(o_hi - half, -grid))
 
 
 def abs_bounds(lo: int, hi: int) -> tuple[int, int]:

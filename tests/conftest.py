@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 
 from bachain import Dyadic, LinearForm, brute_force_oracle, enumerate_chain
-from bachain import parse_expr
+from bachain import enumerator, parse_expr
 from bachain.enumerator import BAChain, BestApprox, canonical_shell_tails
-from bachain.errors import DependenceSuspected
-from bachain.linform import best_m0, form_values, tail_norm
+from bachain.errors import AmbiguousRounding, DependenceSuspected
+from bachain.linform import abs_bounds, best_m0, form_values, tail_norm
 from bachain.realnum import PRECISION_CAP, DyadicInterval, RealExpr, \
-    _make_quotient
+    _make_quotient, eval_interval
 
 R1_ALPHA_TEXTS = {
     "sqrt2": "root(2,2)",
@@ -141,6 +141,78 @@ def _reference_smaller(a, b, form, cap):
             raise DependenceSuspected(
                 f"oracle: residual tie between {a.m[1:]} and {b.m[1:]}",
                 witness=(a.m[1:], b.m[1:]))
+
+
+def _reference_residual(tail, los, his, grid):
+    """Nearest integer n to sum tail_j * a_j and bounds r_lo <= x - n <=
+    r_hi on the 2**-grid scale, from endpoint lists; AmbiguousRounding
+    when an endpoint lies on a half-integer or the endpoints round
+    apart.  The residual kernel as the shell scan once called it."""
+    s_lo = s_hi = 0
+    for c, al, ah in zip(tail, los, his):
+        if c > 0:
+            s_lo += c * al
+            s_hi += c * ah
+        elif c < 0:
+            s_lo += c * ah
+            s_hi += c * al
+    half = 1 << (grid - 1)
+    n = (s_lo + half) >> grid
+    step = n << grid
+    r_lo, r_hi = s_lo - step, s_hi - step
+    if r_lo == -half or r_hi >= half:
+        raise AmbiguousRounding("endpoint on or across a half-integer")
+    return n, r_lo, r_hi
+
+
+def reference_shell_scan(form, M_max, w, cap):
+    """``enumerator._shell_scan`` with the nearest integer and both
+    residual bounds per tail, the shell's best as a tuple and |residual|
+    bounds for every tail.  Slow; with it patched in, ``enumerate_chain``
+    must give the package scan's bytes, errors and rescans."""
+    r = form.r
+    grid = w + 2
+    los, his = [], []
+    for alpha in form.alphas:
+        iv = eval_interval(alpha, w, cap)
+        los.append(iv.lo.floor_scaled(grid))
+        his.append(iv.hi.ceil_scaled(grid))
+
+    running_lo = running_hi = running_tail = None
+    records = []
+    for M in range(1, M_max + 1):
+        best = None  # (abs_lo, abs_hi, tail, n, r_lo, r_hi)
+        for tail in canonical_shell_tails(r, M):
+            try:
+                n, r_lo, r_hi = _reference_residual(tail, los, his, grid)
+            except AmbiguousRounding:
+                raise enumerator._Rescan("rounding", tail) from None
+            abs_lo, abs_hi = abs_bounds(r_lo, r_hi)
+            if abs_lo == 0 and abs_hi == 0:
+                raise DependenceSuspected(
+                    f"form value of tail {tail} is exactly zero",
+                    witness=tail)
+            if best is None or abs_hi < best[0]:
+                best = (abs_lo, abs_hi, tail, n, r_lo, r_hi)
+            elif abs_lo <= best[1]:
+                raise enumerator._Rescan("tie", (best[2], tail))
+
+        abs_lo, abs_hi, tail, n, r_lo, r_hi = best
+        if running_lo is not None:
+            if abs_lo > running_hi:
+                continue
+            if abs_hi >= running_lo:
+                raise enumerator._Rescan("tie", (running_tail, tail))
+        if r_lo <= 0 <= r_hi:
+            raise enumerator._Rescan("sign", tail)
+        m = (-n,) + tail if r_lo > 0 else (n,) + tuple(-c for c in tail)
+        n, r_lo, r_hi = _reference_residual(m[1:], los, his, grid)
+        assert m[0] == -n
+        records.append(BestApprox(
+            index=len(records) + 1, m=m, M=M,
+            zeta=DyadicInterval(Dyadic(r_lo, -grid), Dyadic(r_hi, -grid))))
+        running_lo, running_hi, running_tail = abs_lo, abs_hi, tail
+    return records
 
 
 def sqrt_digits(n: int, digits: int) -> Fraction:

@@ -916,9 +916,9 @@ def wide_record_chain(path, used):
     mantissa of about ``used`` bits, which no float holds."""
     chain = cli.parse_chain(enumerate_to(path, ["root(2,2)"], 1000)
                             .read_text())
-    grid, los, his = scaled_constants(chain.form.alphas, used, PRECISION_CAP)
+    binding = scaled_constants(chain.form.alphas, used, PRECISION_CAP)
     records = tuple(BestApprox(r.index, r.m, r.M,
-                               record_enclosure(r.m, los, his, grid))
+                               record_enclosure(r.m, binding))
                     for r in chain.records)
     path.write_text(cli.serialize_chain(BAChain(
         form=chain.form, records=records, search_bound=chain.search_bound,

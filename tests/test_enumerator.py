@@ -29,7 +29,8 @@ from bachain.realnum import (
 )
 from bachain import parse_expr
 from bachain.cli import serialize_chain
-from conftest import interval_abs, quotient, reference_oracle
+from conftest import interval_abs, quotient, reference_oracle, \
+    reference_shell_scan
 
 
 class TestShellTails:
@@ -446,14 +447,24 @@ def test_oracle_and_reference_witness_the_same_dependence(alphas, m_max):
     assert got == oracle_outcome(reference_oracle, form, m_max, 2048)
 
 
-def near_half(bits):
-    """1/2 + sqrt(2) - p/q for the first Pell convergent p/q of sqrt(2)
-    with q >= 2**bits: within about 2**-(2 * bits) of 1/2, so its nearest
-    integer needs a rung that fine."""
+def pell(bits):
+    """The first Pell convergent p/q of sqrt(2) with q >= 2**bits."""
     p, q = 1, 1
     while q < 1 << bits:
         p, q = p + 2 * q, p + q
-    return rational(1, 2) + (root(2) - rational(p, q))
+    return p, q
+
+
+def shifted_sqrt2(bits):
+    """sqrt(2) - p/q for ``pell(bits)``: within about 2**-(2 * bits) of
+    0, so its sign needs a rung that fine."""
+    return root(2) - rational(*pell(bits))
+
+
+def near_half(bits):
+    """1/2 + ``shifted_sqrt2(bits)``: within about 2**-(2 * bits) of 1/2,
+    so its nearest integer needs a rung that fine."""
+    return rational(1, 2) + shifted_sqrt2(bits)
 
 
 @pytest.mark.parametrize("alphas,m_max,cap", [
@@ -500,3 +511,77 @@ def test_drop_test_compares_across_first_rungs(monkeypatch):
     # the drop test reaches _below, and only across exponents
     assert exponents
     assert all(ex != ey for ex, ey in exponents)
+
+
+# --- the shell scan against its reference ---------------------------------
+
+
+def scan_outcome(scan, form, m_max, cap):
+    """The chain file ``enumerate_chain`` writes with ``scan`` as its
+    shell scan, or the error it raises with its witness; and every
+    rescan the scan asked for, as (rung, reason, witness)."""
+    rescans = []
+
+    def spy(form, M_max, w, cap):
+        try:
+            return scan(form, M_max, w, cap)
+        except enumerator._Rescan as exc:
+            rescans.append((w, exc.reason, exc.witness))
+            raise
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumerator, "_shell_scan", spy)
+        try:
+            out = serialize_chain(enumerate_chain(form, m_max, cap), cap)
+        except BachainError as exc:
+            out = (type(exc), str(exc), getattr(exc, "witness", None))
+    return out, rescans
+
+
+_SCAN_REFERENCE_BOUNDS = {1: 2000, 2: 40, 3: 10}
+
+
+@given(st.lists(st.integers(min_value=0, max_value=len(_ALPHA_POOL) - 1),
+                min_size=1, max_size=3, unique=True),
+       st.integers(min_value=1, max_value=2000),
+       st.sampled_from([2048, PRECISION_CAP]))
+@settings(max_examples=40, deadline=None)
+@example([7, 8], 3, 2048)  # a rational dependence: a tie at every rung
+@example([0], 2000, PRECISION_CAP)
+@example([1, 5], 40, 2048)
+@example([2, 6, 9], 10, PRECISION_CAP)
+def test_scan_matches_reference_bytes(indices, m_max, cap):
+    form = LinearForm(tuple(parse_expr(_ALPHA_POOL[i]) for i in indices))
+    m_max = 1 + (m_max - 1) % _SCAN_REFERENCE_BOUNDS[form.r]
+    assert scan_outcome(enumerator._shell_scan, form, m_max, cap) == \
+        scan_outcome(reference_shell_scan, form, m_max, cap)
+
+
+@pytest.mark.parametrize("alphas,m_max,cap,reason,want", [
+    # 1/2 + sqrt(2) - p/q: shell 1 cannot round below 2 * 100 bits
+    ((near_half(100),), 6, PRECISION_CAP, "rounding", 268),
+    ((shifted_sqrt2(100),), 5, PRECISION_CAP, "sign", 268),
+    # a2 = 2**-200 - 2 * a1: tails (1, 0) and (1, 1) of shell 1 have
+    # |form values| 2**-200 apart
+    ((quotient(root(2), 10),
+      rational(1, 1 << 200) - quotient(root(2), 5)), 3, PRECISION_CAP,
+     "tie", 268),
+    # |1/3 + e| and |2/3 + 2e - 1| 3e apart: shell 2's best ties record 1
+    ((rational(1, 3) + quotient(root(2), 1 << 200),), 2, PRECISION_CAP,
+     "tie", 264),
+    # 1 * a1 + 1 * a2 = 1 exactly: the sign never certifies
+    ((root(2) - 1, rational(2) - root(2)), 2, 2048, "sign",
+     (DependenceSuspected, "cannot separate candidates at cap (sign)",
+      (1, 1))),
+])
+def test_rescan_reasons_fire_and_match_reference(alphas, m_max, cap, reason,
+                                                 want):
+    form = LinearForm(alphas)
+    got, rescans = scan_outcome(enumerator._shell_scan, form, m_max, cap)
+    assert (got, rescans) == \
+        scan_outcome(reference_shell_scan, form, m_max, cap)
+    assert rescans and {why for _, why, _ in rescans} == {reason}
+    if isinstance(want, int):
+        assert f"# precision-used {want}\n" in got
+    else:
+        assert got == want

@@ -16,6 +16,7 @@ from bachain.linform import (
     LinearForm,
     abs_bounds,
     best_m0,
+    bind_endpoints,
     dot_bounds,
     endpoint_table,
     form_values,
@@ -95,9 +96,11 @@ class TestScaledKernel:
     @pytest.mark.parametrize("tail", [(1, 0), (0, -3), (2, -5), (-7, 7)])
     def test_dot_encloses_form_value(self, cbrt_pair, tail):
         w = 40
-        grid, los, his = scaled_constants(cbrt_pair.alphas, w)
+        binding = scaled_constants(cbrt_pair.alphas, w)
+        grid, half = binding.grid, binding.half
         assert grid == w + 2
-        n, r_lo, r_hi = scaled_residual(tail, los, his, grid)
+        n, o_lo, o_hi = scaled_residual(tail, binding)
+        r_lo, r_hi = o_lo - half, o_hi - half
         iv = zeta((0,) + tail, cbrt_pair, w)
         scale = Fraction(1, 2 ** grid)
         assert n + r_lo * scale <= as_fraction(iv.lo)
@@ -287,13 +290,17 @@ def _kernel_cases(draw):
 @example(((0, 0), [5, 1], [9, 2], 3))   # the zero tail
 @settings(max_examples=400, deadline=None)
 def test_scaled_residual_matches_fraction_reference(case):
+    # the residual comes back offset by half
     tail, los, his, grid = case
+    binding = bind_endpoints(grid, los, his)
     want = _residual_reference(tail, los, his, grid)
     if want is None:
         with pytest.raises(AmbiguousRounding):
-            scaled_residual(tail, los, his, grid)
+            scaled_residual(tail, binding)
     else:
-        assert scaled_residual(tail, los, his, grid) == want
+        n, r_lo, r_hi = want
+        half = 1 << (grid - 1)
+        assert scaled_residual(tail, binding) == (n, r_lo + half, r_hi + half)
 
 
 # --- the record rule --------------------------------------------------------
@@ -310,21 +317,21 @@ def test_record_enclosure_is_the_kernel_residual(case):
     # the vector negates the enclosure exactly (the scan's sign
     # normalisation rests on it)
     tail, los, his, grid = case
+    binding = bind_endpoints(grid, los, his)
     want = _residual_reference(tail, los, his, grid)
     if want is None:
         with pytest.raises(AmbiguousRounding):
-            record_enclosure((0,) + tail, los, his, grid)
+            record_enclosure((0,) + tail, binding)
         return
     n, r_lo, r_hi = want
-    iv = record_enclosure((-n,) + tail, los, his, grid)
+    iv = record_enclosure((-n,) + tail, binding)
     assert (as_fraction(iv.lo), as_fraction(iv.hi)) == \
         (r_lo / (1 << grid), r_hi / (1 << grid))
-    assert record_enclosure((n,) + tuple(-c for c in tail),
-                            los, his, grid) == -iv
+    assert record_enclosure((n,) + tuple(-c for c in tail), binding) == -iv
     for m0 in (-n - 1, -n + 1):
         with pytest.raises(ValueError, match=f"m0 is {m0}, but minus the "
                            f"nearest integer to the tail's value is {-n}"):
-            record_enclosure((m0,) + tail, los, his, grid)
+            record_enclosure((m0,) + tail, binding)
 
 
 #: Chains of r = 1..3 at the default cap, built once per session.
@@ -333,11 +340,10 @@ DEFAULT_CAP_CHAINS = ("sqrt2_chain", "cbrt_pair_chain_200",
 
 
 def _assert_records_follow_the_rule(chain, cap):
-    grid, los, his = scaled_constants(chain.form.alphas,
-                                      chain.precision_used, cap)
+    binding = scaled_constants(chain.form.alphas, chain.precision_used, cap)
     assert chain.records
     for rec in chain.records:
-        assert rec.zeta == record_enclosure(rec.m, los, his, grid)
+        assert rec.zeta == record_enclosure(rec.m, binding)
 
 
 @pytest.mark.parametrize("fixture", DEFAULT_CAP_CHAINS)

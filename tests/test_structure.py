@@ -178,10 +178,11 @@ def test_detects_a_record_enclosure_call(tmp_path):
 
 
 #: The exhaustive scans, whose every rounding to the nearest integer must
-#: come from the one call to ``linform.scaled_residual``.
+#: come from their calls to ``linform.scaled_residual``: one per tail, and
+#: in the shell scan one more for a shell winner's nearest integer.
 SCAN_SITES = {
-    ("enumerator.py", "_shell_scan"),
-    ("extension.py", "degeneracy_criterion"),
+    ("enumerator.py", "_shell_scan"): ["scaled_residual", "scaled_residual"],
+    ("extension.py", "degeneracy_criterion"): ["scaled_residual"],
 }
 
 
@@ -193,12 +194,14 @@ ORACLE_SITE = ("enumerator.py", "brute_force_oracle")
 #: Calls that round to the nearest integer.
 ROUNDING_CALLS = ("divmod", "scaled_residual", "round_scaled")
 
-#: Operators that round: floor division and the right shift.
-ROUNDING_OPS = {ast.FloorDiv: "//", ast.RShift: ">>"}
+#: Operators that round: floor division, the right shift, and the mask
+#: and remainder that take a residual off a scaled sum.
+ROUNDING_OPS = {ast.FloorDiv: "//", ast.RShift: ">>", ast.BitAnd: "&",
+                ast.Mod: "%"}
 
 
 def rounding_ops(path: Path, function: str):
-    """``divmod``, ``//``, ``>>``, ``scaled_residual`` and
+    """``divmod``, ``//``, ``>>``, ``&``, ``%``, ``scaled_residual`` and
     ``round_scaled`` uses anywhere inside the function named ``function``
     in ``path`` (nested functions included), or None when there is no
     such function."""
@@ -218,8 +221,7 @@ def rounding_ops(path: Path, function: str):
 
 def test_scans_round_only_through_scaled_residual():
     assert {site: rounding_ops(SRC / site[0], site[1])
-            for site in SCAN_SITES} == \
-        {site: ["scaled_residual"] for site in SCAN_SITES}
+            for site in SCAN_SITES} == SCAN_SITES
 
 
 def test_oracle_rounds_only_through_round_scaled():
@@ -234,13 +236,17 @@ def test_detects_rounding_in_a_scan(tmp_path):
                      "        return divmod(x, t)\n"
                      "    s //= 2\n"
                      "    s >>= 1\n"
-                     "    n, lo, hi = linform.scaled_residual(s, t, t, 4)\n"
+                     "    s &= t - 1\n"
+                     "    lo, hi = linform.scaled_residual(s, t)\n"
                      "    m, _, _ = realnum.round_scaled(lo, hi, 4)\n"
-                     "    return (2 * s + t) // (2 * t), inner(n), m >> 2\n"
+                     "    o = (s + t) & (2 * t - 1), hi % t\n"
+                     "    return (2 * s + t) // (2 * t), inner(o), m >> 2\n"
                      "def other(s):\n"
-                     "    return s // 2, s >> 1, round_scaled(s, s, 2)\n")
-    assert sorted(rounding_ops(probe, "scan")) == \
-        ["//", "//", ">>", ">>", "divmod", "round_scaled", "scaled_residual"]
+                     "    t = s & 1\n"
+                     "    return s // 2, s >> 1, round_scaled(s, t, 2)\n")
+    assert sorted(rounding_ops(probe, "scan")) == [
+        "%", "&", "&", "//", "//", ">>", ">>", "divmod", "round_scaled",
+        "scaled_residual"]
     assert rounding_ops(probe, "missing") is None
 
 
@@ -325,8 +331,10 @@ ORACLE_PATH = ("zeta", "form_values", "best_m0", "endpoint_table",
                "dot_bounds", "_Candidate", "_below", "_smaller",
                "brute_force_oracle")
 
-#: The exhaustive scans' residual kernel, with the record rule built on it.
-SCAN_KERNEL = {"scaled_residual", "scaled_constants", "record_enclosure"}
+#: The exhaustive scans' residual kernel and its binding, with the record
+#: rule built on it.
+SCAN_KERNEL = {"scaled_residual", "scaled_constants", "bind_endpoints",
+               "Binding", "record_enclosure"}
 
 
 def kernel_reach(paths, roots, kernel=SCAN_KERNEL) -> dict[str, list[str]]:
