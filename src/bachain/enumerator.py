@@ -155,7 +155,7 @@ def _shell_scan(form: LinearForm, M_max: int, w: int,
     tail the kernel rounds has |residual| < 1/2, so bounds of 1/2 stand
     for "no best yet" and "no record yet"."""
     r = form.r
-    binding = scaled_constants(form.alphas, w, cap)
+    binding = scaled_constants(form.alphas, w, cap, M_max)
     half, mask = binding.half, binding.mask
 
     # |residual| bounds and tail of the last record

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import isqrt
-from typing import Iterator, Optional
+from operator import mul
+from typing import Iterable, Iterator, Optional
 
 from .enumerator import (
     BAChain,
@@ -271,65 +272,86 @@ def _round_sum(terms: list[tuple[int, int]], p: int,
     return dyadic_from_ratio(*_ratio_sum(terms), p, round_up)
 
 
-def lattice_inv_norm_sum(M: int, k: int, budget: int = DEFAULT_BUDGET
-                         ) -> DyadicInterval:
+def lattice_inv_norm_sum(M: int, k: int, rows: Iterable[int] = (),
+                         budget: int = DEFAULT_BUDGET
+                         ) -> dict[int, DyadicInterval]:
     """Bounds on sum of 1/sqrt(m_1^2 + ... + m_k^2) over nonzero integer
-    vectors with max-norm <= M, by direct enumeration, on the
-    2**-OMEGA_BITS grid.
+    vectors with max-norm <= R, on the 2**-OMEGA_BITS grid, for R = M and
+    each R in ``rows`` (1 <= R <= M): one table, by direct enumeration of
+    the shells 1..M.
 
-    The points are counted by squared norm n, and each norm class adds one
-    term: count/sqrt(n) exactly when n is a perfect square (always, for
-    k = 1), otherwise count/sqrt(n) with sqrt(n) rounded outward to the
-    2**-LATTICE_BITS grid.  The sums of these terms are rounded outward
-    to the output grid in integers (``_round_sum``); for k = 1 the
-    endpoints are twice the M-th harmonic number rounded down and up.
+    The points are counted by squared norm n, shell by shell, and each
+    row reads its norm classes off the running counts.  Each class adds
+    one term: count/sqrt(n) exactly when n is a perfect square (always,
+    for k = 1), otherwise count/sqrt(n) with sqrt(n) rounded outward to
+    the 2**-LATTICE_BITS grid; each class's root is taken once per table.
+    The sums of a row's terms are rounded outward to the output grid in
+    integers (``_round_sum``); for k = 1 the endpoints are twice the R-th
+    harmonic number rounded down and up.
     """
     if M < 1 or k < 1:
         raise ValueError("M and k must be >= 1")
+    wanted = {M, *rows}
+    if min(wanted) < 1 or max(wanted) > M:
+        raise ValueError(f"rows must lie in 1..{M}")
     SearchTooLarge.check(scan_volume(k, M), budget,
                          f"lattice sum in dimension {k} to max-norm {M}")
-    classes = Counter(sum(c * c for c in tail)
-                      for shell in range(1, M + 1)
-                      for tail in canonical_shell_tails(k, shell))
-    lo_terms: list[tuple[int, int]] = []
-    hi_terms: list[tuple[int, int]] = []
-    for n, tails in classes.items():
-        points = 2 * tails  # canonical tails cover one of each +-pair
-        s = isqrt(n)
-        if s * s == n:
-            lo_terms.append((points, s))
-            hi_terms.append((points, s))
-        else:
-            # floor(2**p sqrt(n)) < 2**p sqrt(n) < floor + 1, p = LATTICE_BITS
-            rt = isqrt(n << 2 * LATTICE_BITS)
-            lo_terms.append((points << LATTICE_BITS, rt + 1))
-            hi_terms.append((points << LATTICE_BITS, rt))
-    return DyadicInterval(_round_sum(lo_terms, OMEGA_BITS, round_up=False),
-                          _round_sum(hi_terms, OMEGA_BITS, round_up=True))
+    classes: Counter = Counter()  # squared norm -> canonical tails so far
+    roots: dict[int, tuple[int, int, int]] = {}  # n -> shift, lo/hi dens
+    table = {}
+    for shell in range(1, M + 1):
+        classes.update(sum(map(mul, tail, tail))
+                       for tail in canonical_shell_tails(k, shell))
+        if shell not in wanted:
+            continue
+        lo_terms: list[tuple[int, int]] = []
+        hi_terms: list[tuple[int, int]] = []
+        for n, tails in classes.items():
+            root_n = roots.get(n)
+            if root_n is None:
+                # floor(2**p sqrt(n)) <= 2**p sqrt(n) < floor + 1, with
+                # equality exactly when n is a square; p = LATTICE_BITS
+                scaled = n << 2 * LATTICE_BITS
+                rt = isqrt(scaled)
+                if rt * rt == scaled:
+                    s = rt >> LATTICE_BITS
+                    root_n = (0, s, s)
+                else:
+                    root_n = (LATTICE_BITS, rt + 1, rt)
+                roots[n] = root_n
+            shift, lo_den, hi_den = root_n
+            # canonical tails cover one of each +-pair
+            points = 2 * tails << shift
+            lo_terms.append((points, lo_den))
+            hi_terms.append((points, hi_den))
+        table[shell] = DyadicInterval(
+            _round_sum(lo_terms, OMEGA_BITS, round_up=False),
+            _round_sum(hi_terms, OMEGA_BITS, round_up=True))
+    return table
 
 
 def omega_bound(zeta_nu: DyadicInterval, M_next: int, r: int, k: int,
-                budget: int = DEFAULT_BUDGET) -> DyadicInterval:
+                lattice_sum: DyadicInterval) -> DyadicInterval:
     """Explicit union bound on the measure of extension constants that
     violate the criterion at one index:
 
         2*(k+r+1) * k**(k/2) * zeta_nu * (2*M_next+1)**(r+1)
             * sum over 0 < max|m| <= M_next of 1/sqrt(m_1^2+...+m_k^2)
 
-    with the lattice sum enumerated point by point and rounded outward.
-    All constants are spelled out; nothing hides in an unspecified factor.
+    where ``lattice_sum`` encloses that sum: row M_next of
+    ``lattice_inv_norm_sum`` in dimension k.  All constants are spelled
+    out; nothing hides in an unspecified factor.
     """
     if M_next < 1 or r < 1 or k < 1:
         raise ValueError("inputs must be positive")
     if zeta_nu.lo.man <= 0:
         raise ValueError("zeta must be a certified positive enclosure")
-    sum_iv = lattice_inv_norm_sum(M_next, k, budget)
     if k % 2 == 0:
         k_pow = DyadicInterval.point(k ** (k // 2))
     else:
         k_pow = DyadicInterval.point(k ** k).nth_root(2, OMEGA_BITS)
     scale = 2 * (k + r + 1) * (2 * M_next + 1) ** (r + 1)
-    return zeta_nu.mul_int(scale) * k_pow * sum_iv
+    return zeta_nu.mul_int(scale) * k_pow * lattice_sum
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +443,14 @@ def _align(base_chain: BAChain, beta: BetaSample, M_max: int,
 
 def _omega_table(chain: BAChain, k: int,
                  budget: int) -> tuple[dict[int, DyadicInterval], str]:
-    """The omega bound at each index with a successor record, and the
-    regime note read from them; neither depends on the extension constants."""
-    table = {nu: omega_bound(chain.records[nu - 1].zeta,
-                             chain.records[nu].M, chain.r, k, budget=budget)
-             for nu in range(1, len(chain.records))}
+    """The omega bound at each index with a successor record, its lattice
+    sum read off one table to the largest successor norm, and the regime
+    note read from them; neither depends on the extension constants."""
+    rows = [rec.M for rec in chain.records[1:]]
+    sums = lattice_inv_norm_sum(max(rows), k, rows, budget) if rows else {}
+    table = {nu: omega_bound(chain.records[nu - 1].zeta, M, chain.r, k,
+                             sums[M])
+             for nu, M in enumerate(rows, start=1)}
     small = sum(1 for iv in table.values() if iv.hi.cmp_int(1) < 0)
     return table, (
         f"{small} of {len(table)} per-index measure bounds are below 1; "

@@ -15,7 +15,8 @@ independent check of the scans.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from operator import getitem
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     AmbiguousRounding,
@@ -196,31 +197,63 @@ class Binding:
     """One rung's constants for ``scaled_residual`` on the 2**-grid
     lattice: half = 2**(grid - 1), mask = 2**grid - 1 and terms[j] = (lo,
     hi, hi - lo) for constant j in [lo, hi] * 2**-grid.  Slots, as a tuple
-    subclass unpacks more slowly in the kernel, which reads it per tail."""
+    subclass unpacks more slowly in the kernel, which reads it per tail.
+
+    A binding for coordinates bounded by B may also carry contribution
+    tables: tables[j][c], for -B <= c <= B (a negative c indexes from the
+    end), packs constant j's term c * lo (c * hi for c < 0) of the lower
+    endpoint, shifted ``shift`` bits up, with its term |c| * (hi - lo) of
+    the width below, which B * sum(hi - lo) < 2**shift leaves room for;
+    table 0 also holds half, shifted.  wmask = 2**shift - 1 and nshift =
+    shift + grid.  A coordinate beyond B reads a wrong entry or none, so
+    only a scan that visits no such tail may bind a bound."""
 
     grid: int
     half: int
     mask: int
     terms: tuple[tuple[int, int, int], ...]
+    tables: Optional[tuple[list[int], ...]] = None
+    shift: int = 0
+    wmask: int = 0
+    nshift: int = 0
 
 
 def scaled_constants(exprs: Sequence[RealExpr], w: int,
-                     cap: int = PRECISION_CAP) -> Binding:
+                     cap: int = PRECISION_CAP,
+                     bound: Optional[int] = None) -> Binding:
     """The binding for ``exprs`` at precision w: on the grid g = w + 2,
     integer endpoints on the 2**-g lattice enclosing each constant, from
     enclosures of width <= 2**-w (exact when the grid is as fine as their
-    endpoints)."""
+    endpoints).  ``bound`` is the largest |coordinate| of any tail the
+    caller will pass (see ``bind_endpoints``)."""
     ivs = [eval_interval(e, w, cap) for e in exprs]
     return bind_endpoints(w + 2, [iv.lo.floor_scaled(w + 2) for iv in ivs],
-                          [iv.hi.ceil_scaled(w + 2) for iv in ivs])
+                          [iv.hi.ceil_scaled(w + 2) for iv in ivs], bound)
 
 
-def bind_endpoints(grid: int, los: Sequence[int],
-                   his: Sequence[int]) -> Binding:
-    """The binding for constants in [los[j], his[j]] * 2**-grid."""
+def bind_endpoints(grid: int, los: Sequence[int], his: Sequence[int],
+                   bound: Optional[int] = None) -> Binding:
+    """The binding for constants in [los[j], his[j]] * 2**-grid.  With a
+    coordinate bound B, it carries contribution tables when they hold
+    fewer entries, r * (2B + 1), than a scan over that box visits tails,
+    ((2B + 1)**r - 1) / 2: never for r = 1, and for every B >= 2 when
+    r >= 2.  Forced on at r = 1, tables lost: the chains benchmark's
+    r = 1 scan to B = 200,000 made it 11% slower and 47% larger in peak
+    memory (``BENCH_25.json``, ``r1_tables_forced``)."""
     half = 1 << (grid - 1)
-    return Binding(grid, half, 2 * half - 1, tuple(
-        (lo, hi, hi - lo) for lo, hi in zip(los, his)))
+    terms = tuple((lo, hi, hi - lo) for lo, hi in zip(los, his))
+    r = len(terms)
+    side = None if bound is None else 2 * bound + 1  # the box's side
+    if side is None or r * side >= (side ** r - 1) // 2:
+        return Binding(grid, half, 2 * half - 1, terms)
+    shift = (bound * sum(d for _, _, d in terms)).bit_length()
+    bases = [half << shift] + [0] * (r - 1)  # table 0 also holds half
+    tables = tuple(
+        [(c * lo << shift) + c * d + base for c in range(bound + 1)]
+        + [(c * hi << shift) - c * d + base for c in range(-bound, 0)]
+        for base, (lo, hi, d) in zip(bases, terms))
+    return Binding(grid, half, 2 * half - 1, terms, tables, shift,
+                   (1 << shift) - 1, shift + grid)
 
 
 def scaled_residual(tail: Sequence[int],
@@ -230,21 +263,31 @@ def scaled_residual(tail: Sequence[int],
     So 0 < o_lo <= o_hi <= mask, and x - n is certified positive when
     o_lo > half, negative when o_hi < half.
     Raises AmbiguousRounding when an endpoint of x's enclosure lies on a
-    half-integer or the two endpoints round to different integers."""
-    s, width, mask = binding.half, 0, binding.mask  # s: lower end + half
-    for c, (lo, hi, d) in zip(tail, binding.terms):
-        if c > 0:
-            s += c * lo
-            width += c * d
-        elif c < 0:
-            s += c * hi
-            width -= c * d
-    o_lo = s & mask
-    o_hi = o_lo + width
+    half-integer or the two endpoints round to different integers.
+    With tables, every coordinate must lie within the binding's bound."""
+    mask = binding.mask
+    tables = binding.tables
+    if tables is not None:
+        packed = sum(map(getitem, tables, tail))
+        o_lo = (packed >> binding.shift) & mask
+        o_hi = o_lo + (packed & binding.wmask)
+        n = packed >> binding.nshift
+    else:
+        s, width = binding.half, 0  # s: lower end + half
+        for c, (lo, hi, d) in zip(tail, binding.terms):
+            if c > 0:
+                s += c * lo
+                width += c * d
+            elif c < 0:
+                s += c * hi
+                width -= c * d
+        o_lo = s & mask
+        o_hi = o_lo + width
+        n = s >> binding.grid
     # the lower endpoint is n - 1/2, or the upper one rounds to n + 1 or up
     if not o_lo or o_hi > mask:
         raise AmbiguousRounding("endpoint on or across a half-integer")
-    return s >> binding.grid, o_lo, o_hi
+    return n, o_lo, o_hi
 
 
 def record_enclosure(m: Sequence[int], binding: Binding) -> DyadicInterval:

@@ -240,7 +240,7 @@ def test_criterion_8_harmonic_closed_form():
     t0 = time.time()
     ok = True
     for M in (1, 7, 100, 1234, 10 ** 4):
-        iv = ext.lattice_inv_norm_sum(M, 1)
+        iv = ext.lattice_inv_norm_sum(M, 1)[M]
         harmonic = Fraction(0)
         for m in range(1, M + 1):
             harmonic += Fraction(1, m)

@@ -88,6 +88,44 @@ def lattice_sum_reference(M, k):
     return 2 * tree_sum(lo_terms), 2 * tree_sum(hi_terms)
 
 
+def lattice_rows_reference(M, k):
+    """Row R -> the lattice sum to max-norm R on the output grid, for
+    R = 1..M, a point at a time: each point adds its class term floored
+    (ceiled) 128 bits below the grid, so the exact sum scaled there lies
+    in [F, F + points) ([C - points, C]); a row whose bracket holds a grid
+    point takes the exact sum of ``lattice_sum_exact``.  A test oracle for
+    the rows that ``ext.lattice_inv_norm_sum`` reads off its one table."""
+    drop = 128
+    fine = ext.OMEGA_BITS + drop
+    terms = {}  # squared norm -> floored and ceiled terms on the fine grid
+    lo = hi = points = 0
+    rows = {}
+    for shell in range(1, M + 1):
+        for tail in canonical_shell_tails(k, shell):
+            n = sum(c * c for c in tail)
+            if n not in terms:
+                s = isqrt(n)
+                if s * s == n:
+                    num, den_lo, den_hi = 1 << fine, s, s
+                else:
+                    rt = isqrt(n << 2 * ext.LATTICE_BITS)
+                    num = 1 << (fine + ext.LATTICE_BITS)
+                    den_lo, den_hi = rt + 1, rt
+                terms[n] = (num // den_lo, -(-num // den_hi))
+            t_lo, t_hi = terms[n]
+            lo += 2 * t_lo  # canonical tails cover one of each +-pair
+            hi += 2 * t_hi
+            points += 2
+        down, up = lo >> drop, -(-hi >> drop)
+        if lo + points <= (down + 1) << drop \
+                and hi - points >= (up - 1) << drop:
+            rows[shell] = DyadicInterval(Dyadic(down, -ext.OMEGA_BITS),
+                                         Dyadic(up, -ext.OMEGA_BITS))
+        else:
+            rows[shell] = on_omega_grid(*lattice_sum_exact(shell, k))
+    return rows
+
+
 def on_omega_grid(lo, hi):
     """[lo, hi] rounded outward to the lattice sum's output grid, by the
     rule of ``DyadicInterval.from_fractions``."""
@@ -255,10 +293,15 @@ class TestDegeneracyCriterion:
         assert info.value.witness == (0, 1)
 
 
+#: The omega rows of the extend-mc benchmark: the successor norms of its
+#: golden-ratio-minus-1 base chain.
+EXTEND_MC_ROWS = (2, 3, 5, 8, 13, 21, 34, 55, 89)
+
+
 class TestLatticeSum:
     @pytest.mark.parametrize("M", [1, 2, 10, 100])
     def test_k1_harmonic_closed_form(self, M):
-        iv = ext.lattice_inv_norm_sum(M, 1)
+        iv = ext.lattice_inv_norm_sum(M, 1)[M]
         harmonic = sum(Fraction(1, m) for m in range(1, M + 1))
         assert iv == on_omega_grid(2 * harmonic, 2 * harmonic)
 
@@ -271,7 +314,7 @@ class TestLatticeSum:
                         oracle += 1 / mpmath.sqrt(a * a + b * b)
         sign, man, exp, _ = oracle._mpf_
         oracle_f = Fraction(man) * Fraction(2) ** exp
-        iv = ext.lattice_inv_norm_sum(3, 2)
+        iv = ext.lattice_inv_norm_sum(3, 2)[3]
         lo, hi = as_fraction(iv.lo), as_fraction(iv.hi)
         slack = Fraction(1, 2 ** 150)  # oracle's own rounding
         assert lo - slack <= oracle_f <= hi + slack
@@ -300,7 +343,7 @@ class TestLatticeSum:
     def test_equals_per_point_reference(self, M, k):
         reference = lattice_sum_reference(M, k)
         assert lattice_sum_exact(M, k) == reference
-        assert ext.lattice_inv_norm_sum(M, k) == on_omega_grid(*reference)
+        assert ext.lattice_inv_norm_sum(M, k)[M] == on_omega_grid(*reference)
 
     def test_k3_against_oracle(self):
         with mpmath.workdps(50):
@@ -312,11 +355,36 @@ class TestLatticeSum:
                             oracle += 1 / mpmath.sqrt(a * a + b * b + c * c)
             sign, man, exp, _ = oracle._mpf_
         oracle_f = Fraction(man) * Fraction(2) ** exp
-        iv = ext.lattice_inv_norm_sum(4, 3)
+        iv = ext.lattice_inv_norm_sum(4, 3)[4]
         lo, hi = as_fraction(iv.lo), as_fraction(iv.hi)
         slack = Fraction(1, 10 ** 45)  # oracle's own rounding
         assert lo < hi
         assert lo - slack <= oracle_f <= hi + slack
+
+    @pytest.mark.parametrize("M,k", [(10, 1), (13, 2), (4, 3), (3, 4)])
+    def test_every_row_equals_the_per_point_reference(self, M, k):
+        rows = {R: on_omega_grid(*lattice_sum_reference(R, k))
+                for R in range(1, M + 1)}
+        assert ext.lattice_inv_norm_sum(M, k, range(1, M)) == rows
+        # the faster reference that the larger tables below are held to
+        assert lattice_rows_reference(M, k) == rows
+
+    @pytest.mark.parametrize("M,k", [(299, 1), (89, 2), (21, 3), (5, 4)])
+    def test_every_row_equals_the_fast_reference(self, M, k):
+        # rows 1..M of one table: k = 1 to 299, k = 2 to 89, k = 3 to 21
+        # and k = 4 to 5 are the 414 rows the per-row sums were checked on
+        assert ext.lattice_inv_norm_sum(M, k, range(1, M)) == \
+            lattice_rows_reference(M, k)
+
+    @pytest.mark.parametrize("M,k", [(300, 2), (10 ** 5, 1)])
+    def test_large_row_equals_the_fast_reference(self, M, k):
+        assert ext.lattice_inv_norm_sum(M, k) == \
+            {M: lattice_rows_reference(M, k)[M]}
+
+    @pytest.mark.parametrize("rows", [(0,), (4,), (1, 2, 5)])
+    def test_rows_beyond_the_table_refused(self, rows):
+        with pytest.raises(ValueError, match="rows must lie in 1..3"):
+            ext.lattice_inv_norm_sum(3, 2, rows)
 
     @pytest.mark.parametrize("M,k", [(5, 2), (3, 3)])
     def test_draws_one_tail_per_point_pair(self, monkeypatch, M, k):
@@ -348,13 +416,15 @@ class TestLatticeSum:
             return real(num, den, p, round_up)
 
         monkeypatch.setattr(ext, "dyadic_from_ratio", counting)
-        assert ext.lattice_inv_norm_sum(M, 1) == DyadicInterval.point(total)
+        assert ext.lattice_inv_norm_sum(M, 1) == \
+            {M: DyadicInterval.point(total)}
         assert exact == [(total, True)]
 
-    @pytest.mark.parametrize("M", [2, 3, 5, 8, 13, 21, 34, 55, 89])
+    @pytest.mark.parametrize("M", EXTEND_MC_ROWS)
     def test_extend_mc_rows_match_the_exact_sum(self, M):
-        # the rows the extend-mc benchmark builds, to the hex digits
-        iv = ext.lattice_inv_norm_sum(M, 2)
+        # the rows the extend-mc benchmark reads off its one table, to the
+        # hex digits
+        iv = ext.lattice_inv_norm_sum(89, 2, EXTEND_MC_ROWS)[M]
         ref = on_omega_grid(*lattice_sum_exact(M, 2))
         assert (iv.lo.to_hex(), iv.hi.to_hex()) == \
             (ref.lo.to_hex(), ref.hi.to_hex())
@@ -390,30 +460,31 @@ class TestOmegaBound:
     def test_worked_example(self):
         z = DyadicInterval.from_fractions(Fraction(1, 100), Fraction(1, 100),
                                           90)
-        iv = ext.omega_bound(z, 1, 1, 1)
+        iv = ext.omega_bound(z, 1, 1, 1, ext.lattice_inv_norm_sum(1, 1)[1])
         # 2*(1+1+1) * 1 * (1/100) * 3**2 * 2*H_1 = 27/25
         assert as_fraction(iv.lo) <= Fraction(27, 25) <= as_fraction(iv.hi)
         assert as_fraction(iv.hi - iv.lo) < Fraction(1, 10 ** 12)
 
     def test_monotone_in_bound(self, sqrt2_chain):
         z = sqrt2_chain.records[0].zeta
+        sums = ext.lattice_inv_norm_sum(9, 1, (1, 2, 5))
         prev = None
         for m in (1, 2, 5, 9):
-            iv = ext.omega_bound(z, m, 1, 1)
+            iv = ext.omega_bound(z, m, 1, 1, sums[m])
             if prev is not None:
                 assert iv.lo > prev.hi
             prev = iv
 
     def test_k2_even_power_exact(self):
         z = DyadicInterval.point(Dyadic(1, -4))
-        iv = ext.omega_bound(z, 1, 1, 2)
+        iv = ext.omega_bound(z, 1, 1, 2, ext.lattice_inv_norm_sum(1, 2)[1])
         # k**(k/2) = 2 exactly; lattice sum has irrational terms
         assert iv.lo.man > 0
 
     def test_input_validation(self):
         z = DyadicInterval.from_fractions(Fraction(-1), Fraction(1), 10)
         with pytest.raises(ValueError):
-            ext.omega_bound(z, 1, 1, 1)
+            ext.omega_bound(z, 1, 1, 1, ext.lattice_inv_norm_sum(1, 1)[1])
 
 
 class TestCompareExtended:
@@ -525,24 +596,46 @@ class TestMonteCarlo:
     def test_beta_independent_work_runs_once(self, sqrt2_form, monkeypatch,
                                              samples):
         chain = enumerate_chain(sqrt2_form, 20)
-        calls = []
-        lattice = ext.lattice_inv_norm_sum
+        calls = []  # (M, k, canonical tails drawn) per lattice call
+        lattice, tails = ext.lattice_inv_norm_sum, ext.canonical_shell_tails
 
         def counting(*args, **kwargs):
-            calls.append(args[:2])
+            calls.append([*args[:2], 0])
             return lattice(*args, **kwargs)
+
+        def counting_tails(*args):
+            for tail in tails(*args):
+                calls[-1][2] += 1
+                yield tail
 
         def forbidden(*args, **kwargs):
             raise AssertionError("monte_carlo must not run criterion scans")
 
         monkeypatch.setattr(ext, "lattice_inv_norm_sum", counting)
+        monkeypatch.setattr(ext, "canonical_shell_tails", counting_tails)
         monkeypatch.setattr(ext, "compare_extended", forbidden)
         monkeypatch.setattr(ext, "degeneracy_criterion", forbidden)
         res = ext.monte_carlo(chain, k=2, samples=samples,
                               seed=3, M_max=8)
         assert len(res.horizons) == samples
-        # one lattice sum per index, whatever the sample count
-        assert calls == [(rec.M, 2) for rec in chain.records[1:]]
+        # one lattice table per run, at the largest row, whatever the
+        # sample count; like the traced benchmark gate, it visits exactly
+        # ((2M+1)^k - 1)/2 canonical tails
+        assert len(chain.records) > 2
+        M = chain.records[-1].M
+        assert calls == [[M, 2, ((2 * M + 1) ** 2 - 1) // 2]]
+
+    def test_one_record_chain_builds_no_table(self, sqrt2_form,
+                                              monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a chain with one record has no omega row")
+
+        monkeypatch.setattr(ext, "lattice_inv_norm_sum", forbidden)
+        chain = enumerate_chain(sqrt2_form, 1)
+        assert len(chain.records) == 1
+        res = ext.monte_carlo(chain, k=2, samples=1, seed=3, M_max=1)
+        assert res.omega_table == {}
+        assert res.regime_note.startswith("0 of 0 per-index measure bounds")
 
     def test_omega_table_matches_compare_extended(self, sqrt2_form):
         chain = enumerate_chain(sqrt2_form, 20)

@@ -242,16 +242,22 @@ def _residual_reference(tail, los, his, grid):
 
 
 @st.composite
-def _kernel_cases(draw):
+def _kernel_cases(draw, sizes=(1, 4), bound=60, edges=False):
     """Random tails, endpoint lists and grids; in the pinned modes the
     first coefficient is 1 and its endpoints are moved so that the lower
     or upper endpoint of the dot product lies exactly on a half-integer,
-    or the dot product's interval spans one."""
+    or the dot product's interval spans one.  Tails have between sizes[0]
+    and sizes[1] coordinates, each at most ``bound`` in size; with
+    ``edges``, some coordinates are moved to -bound or bound."""
     grid = draw(st.integers(min_value=1, max_value=80))
-    size = draw(st.integers(min_value=1, max_value=4))
+    size = draw(st.integers(min_value=sizes[0], max_value=sizes[1]))
     unit = 1 << grid
-    tail = draw(st.lists(st.integers(min_value=-60, max_value=60),
+    tail = draw(st.lists(st.integers(min_value=-bound, max_value=bound),
                          min_size=size, max_size=size))
+    if edges:
+        snap = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        tail = [(bound if c >= 0 else -bound) if moved else c
+                for c, moved in zip(tail, snap)]
     los = draw(st.lists(st.integers(min_value=-8 * unit, max_value=8 * unit),
                         min_size=size, max_size=size))
     widths = draw(st.lists(st.one_of(st.integers(min_value=0, max_value=3),
@@ -301,6 +307,53 @@ def test_scaled_residual_matches_fraction_reference(case):
         n, r_lo, r_hi = want
         half = 1 << (grid - 1)
         assert scaled_residual(tail, binding) == (n, r_lo + half, r_hi + half)
+
+
+def _kernel_outcome(tail, binding):
+    try:
+        return scaled_residual(tail, binding)
+    except AmbiguousRounding as exc:
+        return str(exc)
+
+
+@st.composite
+def _bounded_kernel_cases(draw):
+    """Kernel cases of r = 2..4 constants with a coordinate bound B that
+    lets a binding carry tables (B >= 2 for r = 2), and tails within it;
+    the edges -B and B, where the tables wrap, come up often."""
+    bound = draw(st.integers(min_value=2, max_value=40))
+    return draw(_kernel_cases(sizes=(2, 4), bound=bound, edges=True)) \
+        + (bound,)
+
+
+@given(_bounded_kernel_cases())
+@example(((1, 0), [2, 0], [2, 0], 2, 2))           # exactly 1/2
+@example(((1, -2), [0, 1], [2, 1], 2, 2))          # lower end on -1/2
+@example(((2, -2), [-1, 1], [0, 1], 2, 2))         # upper end on -1/2
+@example(((1, 3, -3), [-1, -5, 7], [1, -5, 7], 3, 3))  # spans -9/2
+@example(((-2, 2), [-9, 4], [-9, 4], 3, 2))        # the bound's edges
+@example(((0, 0, 0), [5, 1, 2], [9, 2, 2], 3, 2))  # the zero tail
+@settings(max_examples=400, deadline=None)
+def test_table_kernel_matches_the_loop(case):
+    # the tables give the loop's n, both offsets and every ambiguity
+    tail, los, his, grid, bound = case
+    loop = bind_endpoints(grid, los, his)
+    table = bind_endpoints(grid, los, his, bound)
+    assert loop.tables is None and table.tables is not None
+    assert _kernel_outcome(tail, table) == _kernel_outcome(tail, loop)
+
+
+@pytest.mark.parametrize("r,bound,tables", [
+    (1, 1, False), (1, 10 ** 6, False), (2, 1, False), (2, 2, True),
+    (3, 1, True), (4, 1, True),
+])
+def test_tables_only_where_smaller_than_the_scan(r, bound, tables):
+    # r * (2B + 1) entries against ((2B + 1)**r - 1) / 2 visits
+    binding = bind_endpoints(8, [3] * r, [4] * r, bound)
+    assert (binding.tables is not None) == tables
+    if tables:
+        assert [len(t) for t in binding.tables] == [2 * bound + 1] * r
+    assert binding.terms == bind_endpoints(8, [3] * r, [4] * r).terms
 
 
 # --- the record rule --------------------------------------------------------
