@@ -8,7 +8,6 @@ from .errors import (
     DomainError,
     PrecisionExhausted,
     SearchTooLarge,
-    WidthTooLarge,
 )
 from .realnum import (
     PRECISION_CAP,

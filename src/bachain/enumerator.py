@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import count, product
 from typing import Iterator
 
-from .errors import AmbiguousRounding, DependenceSuspected, WidthTooLarge
+from .errors import AmbiguousRounding, DependenceSuspected
 from .linform import (
     LinearForm,
     abs_bounds,
@@ -298,7 +298,7 @@ def brute_force_oracle(form: LinearForm, M_max: int,
     # per-shell argmin.  A candidate's rung only climbs, so the top rung
     # is read off the first rungs, each candidate that loses a comparison
     # and each one kept to the end
-    first_rungs = {}  # ladder start -> (rung, e, los, his, missing)
+    first_rungs = {}  # ladder start -> (rung, e, los, his)
     top = fetched = 0  # fetched: the ladder start of the table in hand
     shell_minima: list[_Candidate] = []
     for M in range(1, M_max + 1):
@@ -312,24 +312,22 @@ def brute_force_oracle(form: LinearForm, M_max: int,
                     table = first_rungs[start] = \
                         (w,) + endpoint_table(form, w, cap)
                     top = max(top, w)
-                w, e, los, his, missing = table
-            cand = None
-            if not missing:
-                s_lo, s_hi = dot_bounds(tail, los, his)
-                try:
-                    n, lo, hi = round_scaled(s_lo, s_hi, -e)
-                except (AmbiguousRounding, WidthTooLarge):
-                    lo = hi = 0
-                if lo or hi:
-                    if best is not None:
-                        low = lo if lo > 0 else -hi if hi < 0 else 0
-                        if (best_hi < low if best_e == e
-                                else _below(best_hi, best_e, low, e)):
-                            continue  # certifiably beaten at its first rung
-                    cand = _Candidate((-n,) + tail, lo, hi, e, w)
-            if cand is None:
-                # undecided, exactly zero or a constant missing at the
-                # first rung: best_m0's ladder decides or raises
+                w, e, los, his = table
+            s_lo, s_hi = dot_bounds(tail, los, his)
+            try:
+                n, lo, hi = round_scaled(s_lo, s_hi, -e)
+            except AmbiguousRounding:
+                lo = hi = 0
+            if lo or hi:
+                if best is not None:
+                    low = lo if lo > 0 else -hi if hi < 0 else 0
+                    if (best_hi < low if best_e == e
+                            else _below(best_hi, best_e, low, e)):
+                        continue  # certifiably beaten at its first rung
+                cand = _Candidate((-n,) + tail, lo, hi, e, w)
+            else:
+                # undecided or exactly zero: best_m0's ladder decides or
+                # raises
                 cand = _Candidate.from_best_m0(tail, form, cap)
             if best is None:
                 best = cand

@@ -30,10 +30,6 @@ class AmbiguousRounding(BachainError):
     determined.  Callers refine and retry."""
 
 
-class WidthTooLarge(BachainError):
-    """Interval too wide for the requested rounding operation."""
-
-
 class DependenceSuspected(BachainError):
     """Evidence of a rational dependence among 1 and the form constants:
     an exact zero or an unresolvable tie between residuals.

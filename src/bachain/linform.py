@@ -2,9 +2,9 @@
 
 A form of dimension r carries constants (a_1, ..., a_r); an integer vector
 m = (m_0, m_1, ..., m_r) has form value m_0 + m_1*a_1 + ... + m_r*a_r.
-This module evaluates form values as integer dot products over one table
-of constant endpoints per (form, precision, cap), climbs the one ladder
-over them, and picks the optimal free coefficient m_0 for a given tail.
+This module evaluates form values as integer dot products over a table
+of constant endpoints at one precision, climbs the one ladder over them,
+and picks the optimal free coefficient m_0 for a given tail.
 It also holds the scaled-integer residual kernel that both exhaustive
 scans (the chain enumerator and the degeneracy criterion) run per tail,
 and the chain-record rule built on it; the form-value path above never
@@ -14,16 +14,11 @@ independent check of the scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import getitem
 from typing import Iterator, Optional, Sequence
 
-from .errors import (
-    AmbiguousRounding,
-    BachainError,
-    DependenceSuspected,
-    WidthTooLarge,
-)
+from .errors import AmbiguousRounding, DependenceSuspected
 from .realnum import (
     PRECISION_CAP,
     START_PRECISION,
@@ -48,9 +43,6 @@ class LinearForm:
     """
 
     alphas: tuple[RealExpr, ...]
-    # endpoint_table results, keyed by (precision, cap)
-    _tables: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     def __post_init__(self):
         if len(self.alphas) < 1:
@@ -68,42 +60,22 @@ class LinearForm:
 
 
 def endpoint_table(form: LinearForm, precision: int,
-                   cap: int = PRECISION_CAP
-                   ) -> tuple[int, list[int], list[int], tuple[int, ...]]:
-    """Exponent e <= -2 and integer endpoints lo[j], hi[j] with
-    eval_interval(a_j, precision, cap) = [lo[j], hi[j]] * 2**e exactly,
-    plus the indices j whose constant cannot be evaluated there (their
-    endpoints are 0).
-
-    Memoised on the form under (precision, cap).
-    """
-    table = form._tables.get((precision, cap))
-    if table is not None:
-        return table
-    ivs = {}
-    for j, alpha in enumerate(form.alphas):
-        try:
-            ivs[j] = eval_interval(alpha, precision, cap)
-        except (BachainError, ValueError):
-            pass  # raised again by _dot for a vector that uses a_j
-    e = min([-2] + [d.exp for iv in ivs.values() for d in (iv.lo, iv.hi)])
-    los, his = [0] * form.r, [0] * form.r
-    for j, iv in ivs.items():
-        los[j] = iv.lo.man << (iv.lo.exp - e)
-        his[j] = iv.hi.man << (iv.hi.exp - e)
-    missing = tuple(j for j in range(form.r) if j not in ivs)
-    table = form._tables[(precision, cap)] = (e, los, his, missing)
-    return table
+                   cap: int = PRECISION_CAP) -> tuple[int, list[int], list[int]]:
+    """Exponent e <= -1 and integer endpoints lo[j], hi[j] with
+    eval_interval(a_j, precision, cap) = [lo[j], hi[j]] * 2**e exactly."""
+    ivs = [eval_interval(alpha, precision, cap) for alpha in form.alphas]
+    e = min([-1] + [d.exp for iv in ivs for d in (iv.lo, iv.hi)])
+    return (e, [iv.lo.man << (iv.lo.exp - e) for iv in ivs],
+            [iv.hi.man << (iv.hi.exp - e) for iv in ivs])
 
 
 def _dot(m: Sequence[int], form: LinearForm, precision: int,
          cap: int) -> tuple[int, int, int]:
     """Endpoints lo, hi and exponent e of m_0 + sum m_j*a_j enclosed as
     [lo, hi] * 2**e: one integer dot product over ``endpoint_table``."""
-    e, los, his, missing = endpoint_table(form, precision, cap)
-    for j in missing:
-        if m[j + 1]:
-            eval_interval(form.alphas[j], precision, cap)  # raises again
+    if len(m) != form.r + 1:
+        raise ValueError(f"expected {form.r + 1} coordinates, got {len(m)}")
+    e, los, his = endpoint_table(form, precision, cap)
     s_lo, s_hi = dot_bounds(m[1:], los, his)
     base = m[0] << -e
     return base + s_lo, base + s_hi, e
@@ -130,8 +102,6 @@ def zeta(m: Sequence[int], form: LinearForm, precision: int,
     """Enclosure of m_0 + sum m_j*a_j; each constant is evaluated to width
     <= 2**-precision, so the result has width <= 2**-precision * sum|m_j|.
     """
-    if len(m) != form.r + 1:
-        raise ValueError(f"expected {form.r + 1} coordinates, got {len(m)}")
     lo, hi, e = _dot(m, form, precision, cap)
     return DyadicInterval(Dyadic(lo, e), Dyadic(hi, e))
 
@@ -150,8 +120,6 @@ def form_values(m: Sequence[int], form: LinearForm, start: int,
     already holds only ever narrows its enclosure.  This is the one ladder
     over form values.
     """
-    if len(m) != form.r + 1:
-        raise ValueError(f"expected {form.r + 1} coordinates, got {len(m)}")
     for w in widths(start, cap):
         yield (w,) + _dot(m, form, w, cap)
 
@@ -173,7 +141,7 @@ def best_m0(tail: Sequence[int], form: LinearForm,
     for w, lo, hi, e in form_values((0,) + tuple(tail), form, start, cap):
         try:
             n, r_lo, r_hi = round_scaled(lo, hi, -e)
-        except (AmbiguousRounding, WidthTooLarge):
+        except AmbiguousRounding:
             continue
         if r_lo == r_hi == 0:
             # an exact integer combination is a certified rational dependence

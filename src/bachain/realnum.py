@@ -25,12 +25,7 @@ import re
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
-from .errors import (
-    AmbiguousRounding,
-    DomainError,
-    PrecisionExhausted,
-    WidthTooLarge,
-)
+from .errors import AmbiguousRounding, DomainError, PrecisionExhausted
 
 #: Hard cap on working precision, in bits.  Hitting it raises
 #: PrecisionExhausted rather than returning an undecided answer silently.
@@ -618,32 +613,28 @@ def eval_interval(expr: RealExpr, precision: int,
 def nearest_integer(x: DyadicInterval) -> tuple[int, DyadicInterval]:
     """Nearest integer to every point of x, plus the residual x - n.
 
-    Requires width < 1/4; raises AmbiguousRounding when x straddles (or
-    touches) a half-integer, in which case the caller refines and retries.
-    """
+    Raises AmbiguousRounding as ``round_scaled`` does; the caller refines
+    and retries."""
     lo, hi = x.lo, x.hi
-    # endpoints as integer multiples of 2**e; e <= -2 puts 1/4 on the grid
-    e = min(lo.exp, hi.exp, -2)
+    # endpoints as integer multiples of 2**e; e <= -1 puts 1/2 on the grid
+    e = min(lo.exp, hi.exp, -1)
     n, r_lo, r_hi = round_scaled(lo.man << (lo.exp - e),
                                  hi.man << (hi.exp - e), -e)
     return n, DyadicInterval(Dyadic(r_lo, e), Dyadic(r_hi, e))
 
 
 def round_scaled(lo: int, hi: int, q: int) -> tuple[int, int, int]:
-    """Nearest integer n to every point of [lo, hi] * 2**-q (q >= 2), and
+    """Nearest integer n to every point of [lo, hi] * 2**-q (q >= 1), and
     the residual endpoints lo - n * 2**q and hi - n * 2**q on that scale.
 
-    The one rounding rule: raises WidthTooLarge when the interval is 1/4
-    wide or wider, and AmbiguousRounding when an endpoint lies on a
-    half-integer or the endpoints round to different integers.
+    The one rounding rule: raises AmbiguousRounding when an endpoint lies
+    on a half-integer or the endpoints round to different integers.
     """
     half = 1 << (q - 1)
-    if hi - lo >= half >> 1:
-        raise WidthTooLarge("interval wider than 1/4")
     n = (lo + half) >> q
     step = n << q
     r_lo, r_hi = lo - step, hi - step
-    # -half <= r_lo <= r_hi < r_lo + half/2: hi rounds to n iff r_hi < half
+    # -half <= r_lo <= r_hi: hi rounds to n iff r_hi < half
     if r_lo == -half or r_hi == half:
         raise AmbiguousRounding("endpoint lies exactly on a half-integer")
     if r_hi > half:
@@ -750,8 +741,8 @@ def ln_interval(x: Union[int, Dyadic, DyadicInterval], p: int) -> DyadicInterval
 
 
 def pow_rational(x: DyadicInterval, a: Fraction, p: int) -> DyadicInterval:
-    """x**a for a positive interval x and rational exponent a >= 0,
-    outward-rounded where roots are involved."""
+    """x**a for a positive interval x and rational exponent a,
+    outward-rounded where roots or reciprocals are involved."""
     if x.lo.man <= 0:
         raise DomainError("rational power requires a positive interval")
     if a < 0:

@@ -125,6 +125,17 @@ class TestChainFile:
         with pytest.raises(ValueError):
             cli.parse_chain(cli.CHAIN_MAGIC + "\n# r 1\n")
 
+    @pytest.mark.parametrize("old,new,count", [
+        ("# r 1\n", "# r 2\n", "1 constants, r = 2"),
+        ("# alpha root(2, 2)\n", "# alpha root(2, 2)\n# alpha root(3, 2)\n",
+         "2 constants, r = 1")])
+    def test_rejects_alpha_count_other_than_r(self, sqrt2_chain, tmp_path,
+                                              capsys, old, new, count):
+        rec = tmp_path / "c.rec"
+        rec.write_text(cli.serialize_chain(sqrt2_chain).replace(old, new))
+        assert cli.main(["verify", str(rec)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: header lists {count}\n"
+
     # each names a dyadic, but not in the text to_hex writes
     @pytest.mark.parametrize("text", [
         "0x-5p3", "0xap3", "0x5_0p3", "0x5p+3", "0x5p 3",
@@ -251,6 +262,12 @@ class TestPsiSpecParsing:
         with pytest.raises(ValueError):
             cli.parse_psi("gauss:r=1", 1)
 
+    def test_power_negative_exponent(self):
+        # exp = -1 makes psi(y) = y / 2: pow_rational's reciprocal branch
+        value = cli.parse_psi("power:coeff=1/2,exp=-1", 1).value(7)
+        assert as_fraction(value.lo) <= Fraction(7, 2) <= \
+            as_fraction(value.hi)
+
     @pytest.mark.parametrize("family", ["power", "log", "loglog"])
     def test_r_defaults_to_the_chain(self, family):
         assert cli.parse_psi(f"{family}:k=2", 3).r == 3
@@ -349,6 +366,22 @@ class TestCommands:
         assert "minkowski: pass" in captured
         assert "psi-singular: fail" in captured
 
+    def test_verify_power_negative_exponent(self, tmp_path, capsys):
+        # psi(y) = y / 2 bounds every residual below 1/2
+        rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], 30)
+        capsys.readouterr()
+        assert cli.main(["verify", str(rec), "--format", "machine", "--psi",
+                         "power:coeff=1/2,exp=-1"]) == cli.EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert data["verdicts"]["psi-singular"]["status"] == "pass"
+
+    def test_verify_series_on_one_record_is_a_note(self, tmp_path, capsys):
+        rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], 1)
+        capsys.readouterr()
+        assert cli.main(["verify", str(rec), "--k", "1"]) == cli.EXIT_OK
+        assert "note series: need at least 2 records" in \
+            capsys.readouterr().out.splitlines()
+
     def test_verify_machine_format(self, tmp_path, capsys):
         rec = tmp_path / "c.rec"
         cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "12",
@@ -423,6 +456,37 @@ class TestCommands:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert "criterion nu=1: fail" in outputs[0]
+
+    def test_extend_match_horizon(self, tmp_path, capsys):
+        rec = enumerate_to(tmp_path / "c.rec",
+                           ["1/3 + root(2,2)/1000000000000"], 20)
+        capsys.readouterr()
+        assert cli.main(["extend", str(rec), "--k", "1",
+                         "--beta", "root(3,2)-1"]) == cli.EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert "missing base indices [1, 2]" in out
+        assert "match horizon 3" in out
+
+    def test_extend_beta_count_must_match_k(self, tmp_path, capsys):
+        rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], 10)
+        capsys.readouterr()
+        assert cli.main(["extend", str(rec), "--k", "2",
+                         "--beta", "root(3,2)-1"]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: expected 2 --beta expressions\n"
+
+    def test_extend_generated_seed_reproduces(self, tmp_path, capsys):
+        rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], 10)
+        capsys.readouterr()
+        assert cli.main(["extend", str(rec), "--k", "1"]) == cli.EXIT_OK
+        first = capsys.readouterr()
+        seed = first.err.removeprefix("generated seed ").removesuffix("\n")
+        assert first.err == f"generated seed {seed}\n" and seed.isdigit()
+        assert cli.main(["extend", str(rec), "--k", "1", "--seed",
+                         seed]) == cli.EXIT_OK
+        again = capsys.readouterr()
+        assert (again.out, again.err) == (first.out, "")
 
     def test_extend_sampled_machine(self, tmp_path, capsys):
         rec = tmp_path / "c.rec"
@@ -834,6 +898,20 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == cli.EXIT_OK
         assert "alpha[1] = root(2, 2)" in out
+
+    @pytest.mark.parametrize("fmt,head", [("machine", "{"),
+                                          ("text", cli.REPORT_MAGIC)])
+    def test_report_passes_a_verify_report_through(self, tmp_path, capsys,
+                                                   fmt, head):
+        rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], 12)
+        out = tmp_path / "v.out"
+        assert cli.main(["verify", str(rec), "--format", fmt, "--out",
+                         str(out)]) == cli.EXIT_OK
+        text = out.read_text()
+        assert text.startswith(head)
+        capsys.readouterr()
+        assert cli.main(["report", str(out)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == text
 
     @pytest.mark.parametrize("shape", list(DEEP_SHAPES), ids=list(DEEP_SHAPES))
     def test_enumerate_deep_expression_is_usage_error(self, capsys, shape):

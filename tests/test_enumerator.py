@@ -472,8 +472,6 @@ def near_half(bits):
     ((near_half(200), root(3)), 6, PRECISION_CAP),
     ((near_half(200), root(2, 3), root(5)), 3, PRECISION_CAP),
     ((near_half(200), root(3)), 4, 256),
-    # the second constant has no enclosure at the first rung
-    ((root(3), root(2) * (1 << 2000)), 2, 2048),
 ])
 def test_tails_the_first_rung_cannot_decide_take_best_m0(monkeypatch, alphas,
                                                          m_max, cap):
@@ -489,6 +487,20 @@ def test_tails_the_first_rung_cannot_decide_take_best_m0(monkeypatch, alphas,
     monkeypatch.setattr(enumerator, "best_m0", counted)
     assert oracle_outcome(brute_force_oracle, form, m_max, cap) == want
     assert ladders
+
+
+def test_a_constant_without_a_first_rung_enclosure_fails_every_path():
+    # the second constant has no enclosure at the first rung, so the
+    # oracle's table raises there, as the scan's binding does
+    form = LinearForm((root(3), root(2) * (1 << 2000)))
+    want = oracle_outcome(reference_oracle, form, 2, 2048)
+    assert want[0] is PrecisionExhausted
+    assert oracle_outcome(brute_force_oracle, form, 2, 2048) == want
+    # the same constant and cap; the scan's first rung, 64 +
+    # bitlength(r * M_max), is one bit finer than the oracle's
+    with pytest.raises(PrecisionExhausted) as info:
+        enumerate_chain(form, 2, 2048)
+    assert str(info.value) == want[1].replace("2^-66 ", "2^-67 ")
 
 
 def test_drop_test_compares_across_first_rungs(monkeypatch):

@@ -142,6 +142,17 @@ def make_chain(form, rows):
                    search_bound=max(r.M for r in records), precision_used=64)
 
 
+#: 1/3 plus a tiny irrational: its records to M = 20 are those of 1/3's
+#: neighbours, (0, 1), (1, -2) and (-1, 3), and an extension by one more
+#: constant keeps the last of them.
+NEAR_THIRD = "1/3 + root(2,2)/1000000000000"
+
+
+@pytest.fixture(scope="module")
+def near_third_chain():
+    return enumerate_chain(LinearForm((parse_expr(NEAR_THIRD),)), 20)
+
+
 class TestPadChain:
     def test_single_zero(self, sqrt2_chain):
         padded = ext.pad_chain(sqrt2_chain, 1)
@@ -538,6 +549,16 @@ class TestCompareExtended:
         assert rep.missing  # sqrt2 base records do not survive
         assert rep.nu_match is None
 
+    def test_match_horizon_found(self, near_third_chain):
+        # the base's first two records do not survive the extension, and
+        # its third, at norm 3, is beyond both extra records' norm 1
+        beta = ext.BetaSample(values=(parse_expr("root(3,2)-1"),),
+                              seed=None, recipe="x")
+        rep = ext.compare_extended(near_third_chain, beta, 20)
+        assert rep.missing == [1, 2]
+        assert rep.extras == [(-1, 1, 1), (0, -2, 1)]
+        assert rep.nu_match == 3
+
     def test_extends_the_chain_form(self, sqrt2_form):
         # the form comes from the chain; a short chain is re-enumerated
         beta = ext.BetaSample(values=(parse_expr("root(3,2)-1"),),
@@ -591,6 +612,12 @@ class TestMonteCarlo:
             allowed = max(Fraction(0), 1 - as_fraction(iv.hi))
             fraction = Fraction(res.matched_beyond[nu], res.samples)
             assert fraction >= allowed
+
+    def test_horizons_found(self, near_third_chain):
+        res = ext.monte_carlo(near_third_chain, k=1, samples=5, seed=2,
+                              M_max=20)
+        assert res.horizons == [3] * 5
+        assert res.matched_beyond == {1: 0, 2: 0, 3: 5}
 
     @pytest.mark.parametrize("samples", [1, 3])
     def test_beta_independent_work_runs_once(self, sqrt2_form, monkeypatch,

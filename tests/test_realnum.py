@@ -9,7 +9,6 @@ from bachain.errors import (
     AmbiguousRounding,
     DomainError,
     PrecisionExhausted,
-    WidthTooLarge,
 )
 from bachain.realnum import (
     PRECISION_CAP,
@@ -432,7 +431,8 @@ class TestNearestInteger:
             nearest_integer(DyadicInterval.point(Dyadic(1, -1)))
 
     def test_too_wide(self):
-        with pytest.raises(WidthTooLarge):
+        # width 1: its endpoints are integers that round apart
+        with pytest.raises(AmbiguousRounding):
             nearest_integer(self._iv(0, 1))
 
 
@@ -473,16 +473,15 @@ def _le_aligned(a: Dyadic, b: Dyadic) -> bool:
 
 
 def _nearest_integer_reference(x: DyadicInterval):
-    if not _lt_aligned(x.hi - x.lo, Dyadic(1, -2)):
-        raise WidthTooLarge("interval wider than 1/4")
     half = Dyadic(1, -1)
     t_lo = x.lo + half
     t_hi = x.hi + half
-    if t_lo.is_integer() or t_hi.is_integer():
-        raise AmbiguousRounding("endpoint lies exactly on a half-integer")
     n_lo = t_lo.floor_int()
-    n_hi = t_hi.floor_int()
-    if n_lo != n_hi:
+    # touching the half-integer next to lo's integer is an endpoint on
+    # it; reaching past it, a straddle, however far x reaches
+    if t_lo.is_integer() or t_hi == Dyadic(n_lo + 1):
+        raise AmbiguousRounding("endpoint lies exactly on a half-integer")
+    if t_hi.floor_int() != n_lo:
         raise AmbiguousRounding("interval straddles a half-integer")
     d = Dyadic(n_lo)
     return n_lo, DyadicInterval(x.lo - d, x.hi - d)
@@ -492,7 +491,7 @@ def _outcome(fn, x):
     """Result with exact endpoints, or the exception's type and text."""
     try:
         n, res = fn(x)
-    except (WidthTooLarge, AmbiguousRounding) as exc:
+    except AmbiguousRounding as exc:
         return type(exc), str(exc)
     return n, (res.lo.man, res.lo.exp), (res.hi.man, res.hi.exp)
 
@@ -515,6 +514,8 @@ _widths = st.one_of(
               st.integers(min_value=-90, max_value=-1)),
     st.integers(min_value=1, max_value=1 << 20).map(         # just below 1/4
         lambda k: Dyadic((1 << 40) - k, -42)),
+    st.builds(Dyadic, st.integers(min_value=1, max_value=1 << 12),
+              st.just(-8)),                                  # up to 16
 )
 
 
@@ -535,11 +536,12 @@ def test_nearest_integer_matches_dyadic_formulation(x):
 
 @pytest.mark.parametrize("lo,hi,expected", [
     (Dyadic(3, -1), Dyadic(13, -3), AmbiguousRounding),      # on 3/2
-    (Dyadic(0), Dyadic(1, -2), WidthTooLarge),                # width 1/4
-    (Dyadic(1, -1), Dyadic(3, -2), WidthTooLarge),            # both at once
+    (Dyadic(0), Dyadic(1, -2), None),                         # width 1/4
+    (Dyadic(1, -1), Dyadic(3, -2), AmbiguousRounding),        # on 1/2
     (Dyadic(5), Dyadic(5), None),                             # integer point
     (Dyadic(7, -4), Dyadic(9, -4), AmbiguousRounding),        # across 1/2
     (Dyadic(-1, -3), Dyadic(1, -4), None),                    # across 0
+    (Dyadic(-3, -3), Dyadic(3, -3), None),                    # width 3/4
 ])
 def test_nearest_integer_edge_cases(lo, hi, expected):
     x = DyadicInterval(lo, hi)

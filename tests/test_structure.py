@@ -2,6 +2,8 @@
 
 import argparse
 import ast
+import importlib
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bachain"
@@ -454,7 +456,7 @@ PUBLIC_NAMES = {
     "DependenceSuspected", "DomainError", "Dyadic", "DyadicInterval",
     "ExtensionReport", "LinearForm",
     "MonteCarloResult", "PRECISION_CAP", "PrecisionExhausted", "PsiSpec",
-    "RealExpr", "SearchTooLarge", "Verdict", "WidthTooLarge",
+    "RealExpr", "SearchTooLarge", "Verdict",
     "best_m0", "brute_force_oracle", "check_growth", "check_minkowski",
     "check_monotonic", "check_polytope", "check_psi_singular",
     "compare_extended", "convergent_denominators", "degeneracy_criterion",
@@ -472,6 +474,89 @@ PUBLIC_NAMES = {
 def test_public_names_are_the_listed_set():
     import bachain
     assert sorted(bachain.__all__) == sorted(PUBLIC_NAMES)
+
+
+BENCH = SRC.parent.parent / "bench"
+
+
+def bench_names(path: Path) -> set[str]:
+    """The ``module.name`` attributes of ``bachain`` that ``path`` reaches:
+    the dotted string targets in ``make_tracer``, which the tracer
+    rebinds by ``getattr``, and every ``bc.<module>.<name>`` read, also
+    through a local bound to ``bc.<module>``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    tracer = function_def(path, "make_tracer")
+    if tracer is not None:
+        found |= {node.value for node in ast.walk(tracer)
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and re.fullmatch(r"\w+\.\w+", node.value)}
+
+    def module_of(node):  # "mod" for bc.mod or self.bc.mod, else None
+        if isinstance(node, ast.Attribute) and (
+                getattr(node.value, "id", None) == "bc"
+                or getattr(node.value, "attr", None) == "bc"):
+            return node.attr
+        return None
+
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        aliases = {}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = zip(target.elts, node.value.elts) \
+                        if isinstance(target, ast.Tuple) \
+                        and isinstance(node.value, ast.Tuple) \
+                        else [(target, node.value)]
+                    aliases.update((t.id, module_of(v)) for t, v in pairs
+                                   if isinstance(t, ast.Name)
+                                   and module_of(v))
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute):
+                mod = module_of(node.value) or \
+                    aliases.get(getattr(node.value, "id", None))
+                if mod:
+                    found.add(f"{mod}.{node.attr}")
+    return found
+
+
+def unresolved(names) -> list[str]:
+    """The names among ``names`` that ``bachain.<module>`` lacks."""
+    missing = []
+    for name in sorted(names):
+        module, _, attr = name.partition(".")
+        if not hasattr(importlib.import_module("bachain." + module), attr):
+            missing.append(name)
+    return missing
+
+
+def test_every_name_the_bench_reaches_resolves():
+    names = bench_names(BENCH / "layers.py") | \
+        bench_names(BENCH / "workloads.py")
+    assert {"enumerator.brute_force_oracle", "realnum.nearest_integer",
+            "extension._mixed_tails", "enumerator.convergent_denominators",
+            "cli.parse_expr"} <= names
+    assert unresolved(names) == []
+
+
+def test_detects_a_bench_name_gone_from_the_package(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def make_tracer(bc):\n"
+                     "    plain = ('linform.zeta', 'linform.no_such_span')\n"
+                     "    return Tracer('bachain', dict.fromkeys(plain))\n"
+                     "class W:\n"
+                     "    def run(self):\n"
+                     "        cli, other = self.bc.cli, self.bc.enumerator\n"
+                     "        self.bc.cli.main(['x'])\n"
+                     "        return other.gone_oracle, cli.parse_chain\n")
+    names = bench_names(probe)
+    assert names == {"linform.zeta", "linform.no_such_span", "cli.main",
+                     "enumerator.gone_oracle", "cli.parse_chain"}
+    assert unresolved(names) == ["enumerator.gone_oracle",
+                                 "linform.no_such_span"]
 
 
 #: The option strings of each subcommand.  An option joins on purpose:
