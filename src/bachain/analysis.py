@@ -378,10 +378,10 @@ def series_partial_sums(chain: BAChain, k: int) -> list[DyadicInterval]:
     delta_k is 1 for k = 1 and 0 for k >= 2; logs are natural.  Terms are
     positive, so the sums are strictly increasing.
     """
-    if len(chain.records) < 2:
-        raise ChainTooShort("need at least 2 records")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if len(chain.records) < 2:
+        raise ChainTooShort("need at least 2 records")
     delta_k = 1 if k == 1 else 0
     r = chain.r
     sums: list[DyadicInterval] = []

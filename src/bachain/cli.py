@@ -69,13 +69,14 @@ REPORT_MAGIC = "bachain-report v1"
 # ---------------------------------------------------------------------------
 
 
-def serialize_chain(chain: BAChain, precision_cap: int = PRECISION_CAP) -> str:
+def serialize_chain(chain: BAChain) -> str:
+    """The chain file of ``chain``, with the precision cap it carries."""
     lines = [CHAIN_MAGIC,
              f"# r {chain.r}"]
     for alpha in chain.form.alphas:
         lines.append(f"# alpha {expr_to_text(alpha)}")
     lines.append(f"# search-bound {chain.search_bound}")
-    lines.append(f"# precision-cap {precision_cap}")
+    lines.append(f"# precision-cap {chain.precision_cap}")
     lines.append(f"# precision-used {chain.precision_used}")
     for rec in chain.records:
         coords = " ".join(str(c) for c in rec.m)
@@ -91,14 +92,13 @@ _LAYOUT = "chain file line {} is not as serialize_chain writes it"
 
 
 def parse_chain(text: str) -> BAChain:
-    """Read a chain file.  One rule decides what is accepted: the exact
-    text ``serialize_chain`` writes for the file's own ``precision-cap``,
-    so a chain read back is the chain the file states, byte for byte.
-    Values are read leniently and the final round trip rejects every
-    other spelling, repeated or unknown header and stray byte.  Each
-    record's enclosure is recomputed from its vector by the scan's rule,
-    ``linform.record_enclosure``, so the round trip also certifies its
-    form value, m0 and sign; a record missing after the last goes unseen."""
+    """Read a chain file, its ``precision-cap`` becoming the chain's cap.
+    A file is accepted only if ``serialize_chain`` writes its chain back
+    byte for byte, which rejects every other spelling, repeated or unknown
+    header and stray byte.  Each record's enclosure is recomputed from its
+    vector by the scan's rule, ``linform.record_enclosure``, so the round
+    trip also certifies its form value, m0 and sign; a record missing
+    after the last goes unseen."""
     lines = text.splitlines()
     if not lines or lines[0] != CHAIN_MAGIC:
         raise ValueError(f"not a chain file (missing {CHAIN_MAGIC!r})")
@@ -151,8 +151,9 @@ def parse_chain(text: str) -> BAChain:
         raise ValueError(f"search-bound {search_bound} is below record "
                          f"{records[-1].index}'s M = {records[-1].M}")
     chain = BAChain(form=form, records=tuple(records),
-                    search_bound=search_bound, precision_used=precision_used)
-    written = serialize_chain(chain, precision_cap)
+                    search_bound=search_bound, precision_used=precision_used,
+                    precision_cap=precision_cap)
+    written = serialize_chain(chain)
     if written != text:
         pairs = zip_longest(text.splitlines(True), written.splitlines(True))
         raise ValueError(_LAYOUT.format(next(
@@ -281,7 +282,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     SearchTooLarge.check(scan_volume(form.r, args.max_norm), args.budget,
                          f"scan in dimension {form.r} to max-norm {args.max_norm}")
     chain = enumerate_chain(form, args.max_norm, cap=args.precision_cap)
-    _emit(serialize_chain(chain, args.precision_cap), args.out)
+    _emit(serialize_chain(chain), args.out)
     return EXIT_OK
 
 
@@ -308,11 +309,10 @@ def cmd_extend(args: argparse.Namespace) -> int:
                              "runs, not to --beta")
         if len(args.beta) != args.k:
             raise ValueError(f"expected {args.k} --beta expressions")
-        values = tuple(parse_expr(b, args.precision_cap) for b in args.beta)
+        values = tuple(parse_expr(b, chain.precision_cap) for b in args.beta)
         beta = BetaSample(values=values, seed=None,
                           recipe="explicit: " + ", ".join(args.beta))
-        result = compare_extended(chain, beta, m_max, budget=args.budget,
-                                  cap=args.precision_cap)
+        result = compare_extended(chain, beta, m_max, budget=args.budget)
     else:
         seed = args.seed
         if seed is None:
@@ -320,8 +320,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
             print(f"generated seed {seed}", file=sys.stderr)
         samples = 1 if args.samples is None else args.samples
         result = monte_carlo(chain, k=args.k, samples=samples,
-                             seed=seed, M_max=m_max, budget=args.budget,
-                             cap=args.precision_cap)
+                             seed=seed, M_max=m_max, budget=args.budget)
     if args.format == "machine":
         _emit(json.dumps(result.to_dict(), indent=2, sort_keys=True),
               args.out)
@@ -440,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed for sampled runs (generated if omitted)")
     p_ext.add_argument("--max-norm", type=int,
                        help="search bound (default: the chain's)")
-    _add_options(p_ext, "precision-cap", "budget", "out", "format")
+    _add_options(p_ext, "budget", "out", "format")
     p_ext.set_defaults(func=cmd_extend)
 
     p_rep = sub.add_parser("report", help="pretty-print a chain/report file")
@@ -454,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "extend" and args.k < 1:
+    if "k" in args and args.k is not None and args.k < 1:
         parser.error("--k must be >= 1")
     if "budget" in args and args.budget < 0:
         parser.error("--budget must be >= 0")

@@ -71,13 +71,15 @@ class BAChain:
     and re-checkable on any chain, including one parsed from a file, via
     analysis.check_monotonic.  The last record's successor norm is unknown
     by construction (the scan stopped at ``search_bound``), so pairwise
-    checks skip it.
+    checks skip it.  ``precision_cap`` is the cap the chain was certified
+    under; every refinement on the chain runs at it.
     """
 
     form: LinearForm
     records: tuple[BestApprox, ...]
     search_bound: int
     precision_used: int
+    precision_cap: int
 
     def __post_init__(self):
         for i, rec in enumerate(self.records, start=1):
@@ -219,7 +221,7 @@ def enumerate_chain(form: LinearForm, M_max: int,
             failed = exc
             continue
         return BAChain(form=form, records=tuple(records), search_bound=M_max,
-                       precision_used=w)
+                       precision_used=w, precision_cap=cap)
     # an ambiguity (tie, half-integer, zero straddle) that survives the cap
     # witnesses a rational dependence
     raise DependenceSuspected(
@@ -366,8 +368,8 @@ def brute_force_oracle(form: LinearForm, M_max: int,
         if not rec.zeta.hi < prev.zeta.lo:
             raise AssertionError("oracle: consecutive records do not separate")
     top = max([top] + [cand.rung for cand in shell_minima])
-    return BAChain(form=form, records=tuple(records),
-                   search_bound=M_max, precision_used=top)
+    return BAChain(form=form, records=tuple(records), search_bound=M_max,
+                   precision_used=top, precision_cap=cap)
 
 
 def _below(x: int, ex: int, y: int, ey: int) -> bool:

@@ -37,7 +37,6 @@ from .errors import (
 )
 from .linform import LinearForm, abs_bounds, scaled_constants, scaled_residual
 from .realnum import (
-    PRECISION_CAP,
     START_PRECISION,
     Dyadic,
     DyadicInterval,
@@ -172,8 +171,7 @@ def mixed_scan_volume(r: int, k: int, bound: int) -> int:
 
 
 def degeneracy_criterion(chain: BAChain, beta: BetaSample, nu: int,
-                         budget: int = DEFAULT_BUDGET,
-                         cap: int = PRECISION_CAP) -> CriterionVerdict:
+                         budget: int = DEFAULT_BUDGET) -> CriterionVerdict:
     """Exhaustively test whether any integer vector with nonzero extension
     part and coordinates bounded by M_{nu+1} achieves a form value below
     zeta_nu under the extended constants.
@@ -193,6 +191,7 @@ def degeneracy_criterion(chain: BAChain, beta: BetaSample, nu: int,
     SearchTooLarge.check(volume, budget, f"criterion scan at nu={nu}")
     exprs = tuple(chain.form.alphas) + beta.values
     m0_cap = (r + k + 1) * bound
+    cap = chain.precision_cap
 
     for w in widths(START_PRECISION + (2 * (r + k) * bound).bit_length(), cap):
         binding = scaled_constants(exprs, w, cap)
@@ -396,27 +395,26 @@ class ExtensionReport:
         }
 
 
-def _resolve_base(base: BAChain, k: int, M_max: int, budget: int,
-                  cap: int) -> BAChain:
+def _resolve_base(base: BAChain, k: int, M_max: int, budget: int) -> BAChain:
     """Check the extended scan and the largest omega row, then return
     ``base``, or its form's chain re-enumerated to M_max when ``base``
     stops short of it, whose scans the first check covers."""
     SearchTooLarge.check(scan_volume(base.r + k, M_max), budget,
                          f"extended scan in dimension {base.r + k} to max-norm {M_max}")
     if base.search_bound < M_max:
-        return enumerate_chain(base.form, M_max, cap)
+        return enumerate_chain(base.form, M_max, base.precision_cap)
     row = max((rec.M for rec in base.records[1:]), default=0)
     SearchTooLarge.check(scan_volume(k, row), budget,
                          f"omega row in dimension {k} to max-norm {row}")
     return base
 
 
-def _align(base_chain: BAChain, beta: BetaSample, M_max: int,
-           cap: int) -> ExtensionReport:
+def _align(base_chain: BAChain, beta: BetaSample,
+           M_max: int) -> ExtensionReport:
     """Enumerate the extended form's chain to M_max and align it against
     the padded base chain; the per-sample half of an extension run."""
     ext_form = LinearForm(tuple(base_chain.form.alphas) + beta.values)
-    ext_chain = enumerate_chain(ext_form, M_max, cap)
+    ext_chain = enumerate_chain(ext_form, M_max, base_chain.precision_cap)
 
     padded = pad_chain(base_chain, beta.k)
     padded_vectors = set(padded)
@@ -460,8 +458,7 @@ def _omega_table(chain: BAChain, k: int,
 
 
 def compare_extended(chain: BAChain, beta: BetaSample, M_max: int,
-                     budget: int = DEFAULT_BUDGET,
-                     cap: int = PRECISION_CAP) -> ExtensionReport:
+                     budget: int = DEFAULT_BUDGET) -> ExtensionReport:
     """Enumerate the chain of ``chain.form`` extended by ``beta``, align
     it against the padded base chain, and run the per-index criterion
     scans.
@@ -470,12 +467,12 @@ def compare_extended(chain: BAChain, beta: BetaSample, M_max: int,
     sequences agree exactly through the search bound (None when no suffix
     agrees).
     """
-    base_chain = _resolve_base(chain, beta.k, M_max, budget, cap)
-    report = _align(base_chain, beta, M_max, cap)
+    base_chain = _resolve_base(chain, beta.k, M_max, budget)
+    report = _align(base_chain, beta, M_max)
     for nu in range(1, len(base_chain.records)):
         try:
             report.criterion_verdicts[nu] = degeneracy_criterion(
-                base_chain, beta, nu, budget=budget, cap=cap)
+                base_chain, beta, nu, budget=budget)
         except SearchTooLarge as exc:
             report.skipped_criteria[nu] = str(exc)
     report.omega_table, report.regime_note = _omega_table(
@@ -515,8 +512,7 @@ class MonteCarloResult:
 
 
 def monte_carlo(chain: BAChain, k: int, samples: int, seed: int, M_max: int,
-                budget: int = DEFAULT_BUDGET,
-                cap: int = PRECISION_CAP) -> MonteCarloResult:
+                budget: int = DEFAULT_BUDGET) -> MonteCarloResult:
     """Align ``samples`` seeded extensions of ``chain.form`` against the
     padded base chain and aggregate how many match it from each index on;
     the omega table is built once, and no criterion scan runs.
@@ -526,11 +522,11 @@ def monte_carlo(chain: BAChain, k: int, samples: int, seed: int, M_max: int,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    base = _resolve_base(chain, k, M_max, budget, cap)
+    base = _resolve_base(chain, k, M_max, budget)
     rng = random.Random(seed)
     sample_seeds = [rng.randrange(1 << 30) for _ in range(samples)]
     betas = (sample_betas(base.form, k, s) for s in sample_seeds)
-    horizons = [_align(base, b, M_max, cap).nu_match for b in betas]
+    horizons = [_align(base, b, M_max).nu_match for b in betas]
     matched_beyond = {
         nu: sum(1 for h in horizons if h is not None and h <= nu)
         for nu in range(1, len(base.records) + 1)

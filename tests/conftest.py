@@ -125,8 +125,8 @@ def reference_oracle(form, M_max, cap=PRECISION_CAP, first=best_m0):
         if not rec.zeta.hi < prev.zeta.lo:
             raise AssertionError("oracle: consecutive records do not separate")
     top = max([top] + [cand.rung for cand in shell_minima])
-    return BAChain(form=form, records=tuple(records),
-                   search_bound=M_max, precision_used=top)
+    return BAChain(form=form, records=tuple(records), search_bound=M_max,
+                   precision_used=top, precision_cap=cap)
 
 
 def _reference_smaller(a, b, form, cap):

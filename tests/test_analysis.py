@@ -8,7 +8,7 @@ from bachain import analysis as an
 from bachain.enumerator import BAChain, BestApprox
 from bachain.errors import ChainTooShort, DomainError
 from bachain.linform import LinearForm, tail_norm
-from bachain.realnum import Dyadic, DyadicInterval, root
+from bachain.realnum import PRECISION_CAP, Dyadic, DyadicInterval, root
 from conftest import as_fraction
 
 
@@ -68,7 +68,7 @@ def make_chain(form, rows, search_bound=None):
                                   M=tail_norm(m[1:]), zeta=zeta))
     bound = search_bound or max(r.M for r in records)
     return BAChain(form=form, records=tuple(records), search_bound=bound,
-                   precision_used=64)
+                   precision_used=64, precision_cap=PRECISION_CAP)
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +94,14 @@ class TestMonotonic:
         assert not verdict.passed
         assert verdict.witness_index == 3
 
+    def test_value_not_smaller_fails_with_index(self, r1_form):
+        # norms rise, but the second enclosure overlaps the first
+        rows = [((-1, 1), "0.41", "0.42"), ((3, -2), "0.415", "0.43")]
+        verdict = an.check_monotonic(make_chain(r1_form, rows))
+        assert not verdict.passed
+        assert verdict.witness_index == 2
+        assert verdict.detail == "form value not certifiably smaller"
+
     def test_single_record_vacuous(self, r1_form):
         chain = make_chain(r1_form, [((-1, 1), "0.41", "0.42")])
         assert an.check_monotonic(chain).passed
@@ -101,7 +109,8 @@ class TestMonotonic:
     def test_empty_raises(self, r1_form):
         with pytest.raises(ChainTooShort):
             an.check_monotonic(BAChain(form=r1_form, records=(),
-                                       search_bound=1, precision_used=64))
+                                       search_bound=1, precision_used=64,
+                                       precision_cap=PRECISION_CAP))
 
 
 class TestMinkowski:
@@ -371,6 +380,12 @@ class TestSeries:
     def test_k_validation(self, sqrt2_chain):
         with pytest.raises(ValueError):
             an.series_partial_sums(sqrt2_chain, 0)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_checked_before_the_length(self, r1_form, k):
+        chain = make_chain(r1_form, [((-1, 1), "0.41", "0.42")])
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            an.series_partial_sums(chain, k)
 
 
 class TestNormGap:

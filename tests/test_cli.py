@@ -2,13 +2,14 @@ import argparse
 import hashlib
 import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bachain import cli, extension
-from bachain.enumerator import BAChain, BestApprox, enumerate_chain
+from bachain import analysis, cli, extension
+from bachain.enumerator import BestApprox, enumerate_chain
 from bachain.linform import LinearForm, record_enclosure, scaled_constants
 from bachain.realnum import (
     MAX_EXPR_DEPTH,
@@ -175,7 +176,8 @@ class TestChainFile:
                                                   used, lo, hi, message):
         g = sqrt2_chain.precision_used + 2
         used = sqrt2_chain.precision_used if used is None else used
-        lines = cli.serialize_chain(sqrt2_chain, cap or 65536).splitlines()
+        lines = cli.serialize_chain(
+            replace(sqrt2_chain, precision_cap=cap or 65536)).splitlines()
         assert len(lines) == 11
         lines[lines.index(f"# precision-used {sqrt2_chain.precision_used}")] \
             = f"# precision-used {used}"
@@ -192,10 +194,24 @@ class TestChainFile:
         # each record with the endpoints its vector gives
         for cap in (64, 65536):
             chain = enumerate_chain(sqrt2_chain.form, 30, cap=cap)
-            text = cli.serialize_chain(chain, cap)
+            text = cli.serialize_chain(chain)
             parsed = cli.parse_chain(text)
             assert parsed.records == chain.records
-            assert cli.serialize_chain(parsed, cap) == text
+            assert cli.serialize_chain(parsed) == text
+
+    # a chain carries its cap: it is written and read back with it
+    @pytest.mark.parametrize("cap", [64, 2048, 65536])
+    @pytest.mark.parametrize("alphas,max_norm", [
+        (["root(2,2)"], 200), (["root(2,2)", "root(3,2)"], 20),
+        (["root(2,2)", "root(3,2)", "root(5,2)"], 6)],
+        ids=["r1", "r2", "r3"])
+    def test_round_trip_at_every_cap(self, alphas, max_norm, cap):
+        form = LinearForm(tuple(parse_expr(a, cap) for a in alphas))
+        chain = enumerate_chain(form, max_norm, cap)
+        text = cli.serialize_chain(chain)
+        assert f"\n# precision-cap {cap}\n" in text
+        assert cli.parse_chain(text) == chain
+        assert cli.serialize_chain(cli.parse_chain(text)) == text
 
     def test_finer_rung_rejected_before_any_constant(self, tmp_path,
                                                      monkeypatch):
@@ -268,6 +284,12 @@ class TestPsiSpecParsing:
         assert as_fraction(value.lo) <= Fraction(7, 2) <= \
             as_fraction(value.hi)
 
+    def test_empty_parts_are_skipped(self):
+        assert cli.parse_psi("log:", 1) == analysis.PsiSpec(
+            family="log", r=1, k=1, eps=Fraction(1, 10))
+        assert cli.parse_psi("log:k=1,,eps=1/2", 1) == \
+            cli.parse_psi("log:k=1,eps=1/2", 1)
+
     @pytest.mark.parametrize("family", ["power", "log", "loglog"])
     def test_r_defaults_to_the_chain(self, family):
         assert cli.parse_psi(f"{family}:k=2", 3).r == 3
@@ -291,7 +313,7 @@ class TestCommands:
     def test_constant_certified_at_the_given_cap(self, tmp_path, capsys,
                                                  source):
         # the divisor is exactly zero: refinement stops at the cap given
-        # with the constant, here 128 bits
+        # with the constant or carried by the chain, here 128 bits
         zero_divisor = "1/(root(2,2)-root(2,2))"
         rec = tmp_path / "c.rec"
         cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "5",
@@ -301,8 +323,7 @@ class TestCommands:
             argv = ["enumerate", "--alpha", zero_divisor, "--max-norm", "5",
                     "--precision-cap", "128"]
         elif source == "beta":
-            argv = ["extend", str(rec), "--k", "1", "--beta", zero_divisor,
-                    "--precision-cap", "128"]
+            argv = ["extend", str(rec), "--k", "1", "--beta", zero_divisor]
         else:
             rec.write_text(rec.read_text().replace(
                 "# alpha root(2, 2)", f"# alpha {zero_divisor}"))
@@ -312,17 +333,11 @@ class TestCommands:
             "precision exhausted: cannot certify denominator != 0 for "
             "(root(2, 2) - root(2, 2)) (precision cap 128 bits reached)\n")
 
-    @pytest.mark.parametrize("command,cap", [
-        ("enumerate", "63"), ("enumerate", "65537"), ("extend", "32")])
-    def test_precision_cap_out_of_range(self, tmp_path, capsys, command, cap):
-        rec = tmp_path / "c.rec"
-        cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm", "5",
-                  "--out", str(rec)])
-        capsys.readouterr()
-        argv = (["enumerate", "--alpha", "root(2,2)", "--max-norm", "5"]
-                if command == "enumerate" else
-                ["extend", str(rec), "--k", "1", "--seed", "1"])
-        assert cli.main(argv + ["--precision-cap", cap]) == cli.EXIT_USAGE
+    @pytest.mark.parametrize("cap", ["63", "65537"],
+                             ids=["enumerate-63", "enumerate-65537"])
+    def test_precision_cap_out_of_range(self, capsys, cap):
+        assert cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm",
+                         "5", "--precision-cap", cap]) == cli.EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == \
@@ -381,6 +396,28 @@ class TestCommands:
         assert cli.main(["verify", str(rec), "--k", "1"]) == cli.EXIT_OK
         assert "note series: need at least 2 records" in \
             capsys.readouterr().out.splitlines()
+
+    def test_verify_psi_on_one_record_is_skipped(self, tmp_path, capsys):
+        rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], 1)
+        capsys.readouterr()
+        assert cli.main(["verify", str(rec), "--psi", "log:"]) == cli.EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert "check psi-singular: skipped (need at least 2 records)" in out
+        assert "note psi-singular: need at least 2 records" in out
+
+    # k is checked before the chain is read, on a chain of one record
+    # (too short for the series) as on a longer one
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    @pytest.mark.parametrize("max_norm", [1, 30])
+    def test_verify_k_below_one_rejected(self, tmp_path, capsys, max_norm, k):
+        rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], max_norm)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            cli.main(["verify", str(rec), "--k", k])
+        assert info.value.code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--k must be >= 1" in captured.err
 
     def test_verify_machine_format(self, tmp_path, capsys):
         rec = tmp_path / "c.rec"
@@ -442,17 +479,17 @@ class TestCommands:
         assert "omega bound" in out
 
     def test_extend_at_a_low_cap_matches_cap_128(self, tmp_path, capsys):
-        # the criterion's start sits above working_limit(64) = 64; it runs
-        # at the limit, the rung the chain was enumerated at
-        rec = tmp_path / "c.rec"
-        assert cli.main(["enumerate", "--alpha", "root(2,2)", "--max-norm",
-                         "30", "--precision-cap", "64", "--out", str(rec)]) \
-            == cli.EXIT_OK
+        # extend works at its chain's cap.  At cap 64 the criterion's
+        # start sits above working_limit(64) = 64; it runs at the limit,
+        # the rung the chain was enumerated at
         outputs = []
         for cap in ("64", "128"):
+            rec = tmp_path / f"c{cap}.rec"
+            assert cli.main(["enumerate", "--alpha", "root(2,2)",
+                             "--max-norm", "30", "--precision-cap", cap,
+                             "--out", str(rec)]) == cli.EXIT_OK
             assert cli.main(["extend", str(rec), "--k", "1",
-                             "--beta", "root(3,2)-1",
-                             "--precision-cap", cap]) == cli.EXIT_OK
+                             "--beta", "root(3,2)-1"]) == cli.EXIT_OK
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert "criterion nu=1: fail" in outputs[0]
@@ -688,6 +725,7 @@ class TestCommands:
         ["verify", "CHAIN", "--precision-cap", "1"],
         ["verify", "CHAIN", "--budget", "1"],
         ["verify", "CHAIN", "--checks", "monotonic"],
+        ["extend", "CHAIN", "--k", "1", "--precision-cap", "128"],
     ])
     def test_unread_flags_rejected(self, tmp_path, capsys, extra):
         rec = tmp_path / "c.rec"
@@ -862,7 +900,8 @@ class TestCommands:
                          str(rec)]) == cli.EXIT_OK
         text = rec.read_text()
         assert "\n# precision-cap 4096\n" in text
-        assert cli.serialize_chain(cli.parse_chain(text), 4096) == text
+        assert cli.parse_chain(text).precision_cap == 4096
+        assert cli.serialize_chain(cli.parse_chain(text)) == text
         capsys.readouterr()
         for argv in (["verify", str(rec)], ["report", str(rec)],
                      ["extend", str(rec), "--k", "1", "--seed", "1"]):
@@ -998,9 +1037,8 @@ def wide_record_chain(path, used):
     records = tuple(BestApprox(r.index, r.m, r.M,
                                record_enclosure(r.m, binding))
                     for r in chain.records)
-    path.write_text(cli.serialize_chain(BAChain(
-        form=chain.form, records=records, search_bound=chain.search_bound,
-        precision_used=used)))
+    path.write_text(cli.serialize_chain(
+        replace(chain, records=records, precision_used=used)))
     return path
 
 

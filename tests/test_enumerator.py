@@ -286,7 +286,8 @@ class TestOracleRefinement:
         chain = brute_force_oracle(sqrt2_form, 50, cap=cap)
         assert chain.precision_used == max(rungs + [climbs["top"]])
         assert chain.precision_used <= working_limit(cap)
-        text = serialize_chain(chain, cap)
+        assert chain.precision_cap == cap
+        text = serialize_chain(chain)
         assert f"# precision-cap {cap}\n" in text
         assert f"# precision-used {chain.precision_used}\n" in text
 
@@ -393,7 +394,7 @@ def oracle_outcome(oracle, form, m_max, cap):
     """The chain file an oracle's chain serialises to, or the error it
     raises with its witness."""
     try:
-        return serialize_chain(oracle(form, m_max, cap), cap)
+        return serialize_chain(oracle(form, m_max, cap))
     except BachainError as exc:
         return (type(exc), str(exc), getattr(exc, "witness", None))
 
@@ -544,7 +545,7 @@ def scan_outcome(scan, form, m_max, cap):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enumerator, "_shell_scan", spy)
         try:
-            out = serialize_chain(enumerate_chain(form, m_max, cap), cap)
+            out = serialize_chain(enumerate_chain(form, m_max, cap))
         except BachainError as exc:
             out = (type(exc), str(exc), getattr(exc, "witness", None))
     return out, rescans

@@ -1,5 +1,6 @@
 import re
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import ceil, floor, isqrt
 
@@ -22,6 +23,7 @@ from bachain.errors import (
 )
 from bachain.linform import LinearForm, tail_norm, zeta
 from bachain.realnum import (
+    PRECISION_CAP,
     Dyadic,
     DyadicInterval,
     eval_interval,
@@ -132,14 +134,15 @@ def on_omega_grid(lo, hi):
     return DyadicInterval.from_fractions(lo, hi, ext.LATTICE_BITS + 16)
 
 
-def make_chain(form, rows):
+def make_chain(form, rows, cap=PRECISION_CAP):
     records = []
     for i, (m, lo, hi) in enumerate(rows, start=1):
         iv = DyadicInterval.from_fractions(Fraction(lo), Fraction(hi), 120)
         records.append(BestApprox(index=i, m=tuple(m),
                                   M=tail_norm(m[1:]), zeta=iv))
     return BAChain(form=form, records=tuple(records),
-                   search_bound=max(r.M for r in records), precision_used=64)
+                   search_bound=max(r.M for r in records), precision_used=64,
+                   precision_cap=cap)
 
 
 #: 1/3 plus a tiny irrational: its records to M = 20 are those of 1/3's
@@ -166,7 +169,7 @@ class TestPadChain:
 
     def test_empty_chain(self, sqrt2_form):
         empty = BAChain(form=sqrt2_form, records=(), search_bound=1,
-                        precision_used=64)
+                        precision_used=64, precision_cap=PRECISION_CAP)
         assert ext.pad_chain(empty, 2) == []
 
     def test_norm_preserved(self, sqrt2_chain):
@@ -286,12 +289,12 @@ class TestDegeneracyCriterion:
 
     def test_wide_zeta_exhausts_precision(self, sqrt2_form):
         rows = [((-1, 1), "0.3", "0.5"), ((3, -2), "0.1", "0.2")]
-        chain = make_chain(sqrt2_form, rows)
+        chain = make_chain(sqrt2_form, rows, cap=4096)
         # ||beta|| = sqrt(2)/4 ~ 0.3536 sits inside the stored enclosure
         beta = ext.BetaSample(values=(parse_expr("root(2,2)/4"),),
                               seed=None, recipe="x")
         with pytest.raises(PrecisionExhausted):
-            ext.degeneracy_criterion(chain, beta, 1, cap=4096)
+            ext.degeneracy_criterion(chain, beta, 1)
 
     def test_half_integer_value_suspects_dependence(self, sqrt2_chain):
         # beta = root(4,2)/4 is exactly 1/2: the vector (0, 1) rounds
@@ -300,7 +303,8 @@ class TestDegeneracyCriterion:
         beta = ext.BetaSample(values=(parse_expr("root(4,2)/4"),),
                               seed=None, recipe="x")
         with pytest.raises(DependenceSuspected) as info:
-            ext.degeneracy_criterion(sqrt2_chain, beta, 1, cap=1024)
+            ext.degeneracy_criterion(
+                replace(sqrt2_chain, precision_cap=1024), beta, 1)
         assert info.value.witness == (0, 1)
 
 

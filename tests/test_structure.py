@@ -559,6 +559,48 @@ def test_detects_a_bench_name_gone_from_the_package(tmp_path):
                                  "linform.no_such_span"]
 
 
+#: Parameter names that carry a precision cap.  A chain carries the cap
+#: it was certified under, so a cap passed beside it is a second cap.
+CAP_PARAMETERS = {"cap", "precision_cap"}
+
+
+def annotated_chain(arg: ast.arg) -> bool:
+    node = arg.annotation
+    return (isinstance(node, ast.Name) and node.id == "BAChain"
+            or isinstance(node, ast.Attribute) and node.attr == "BAChain"
+            or isinstance(node, ast.Constant) and node.value == "BAChain")
+
+
+def caps_beside_chains(path: Path) -> list[str]:
+    """Names of the functions in ``path`` that take both a parameter
+    annotated ``BAChain`` and a cap parameter."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs
+            if (any(map(annotated_chain, params))
+                    and any(p.arg in CAP_PARAMETERS for p in params)):
+                found.append(node.name)
+    return found
+
+
+def test_a_chain_is_never_passed_beside_a_cap():
+    assert [(p.name, fn) for p in SRC.glob("*.py")
+            for fn in caps_beside_chains(p)] == []
+
+
+def test_detects_a_cap_beside_a_chain(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def write(chain: BAChain, precision_cap: int): ...\n"
+                     "def scan(chain: 'BAChain', beta, *, cap=64): ...\n"
+                     "class C:\n"
+                     "    def run(self, c: enumerator.BAChain, cap): ...\n"
+                     "def plain(chain: BAChain, budget: int): ...\n"
+                     "def enumerate_chain(form, M_max, cap): ...\n")
+    assert caps_beside_chains(probe) == ["write", "scan", "run"]
+
+
 #: The option strings of each subcommand.  An option joins on purpose:
 #: every one multiplies the inputs its command must be right on.
 CLI_OPTIONS = {
@@ -566,7 +608,7 @@ CLI_OPTIONS = {
                   "--out"},
     "verify": {"--psi", "--k", "--out", "--format"},
     "extend": {"--k", "--beta", "--samples", "--seed", "--max-norm",
-               "--precision-cap", "--budget", "--out", "--format"},
+               "--budget", "--out", "--format"},
     "report": {"--out"},
 }
 
