@@ -41,6 +41,11 @@ THEOREM_CHECKS = ("monotonic", "minkowski", "growth", "polytope")
 #: sums are computed at it, and the psi test starts its ladder there.
 CHECK_PRECISION = 96
 
+#: Largest |numerator| of a psi exponent.  ``pow_rational`` forms the
+#: exact n-th power of a p-bit enclosure, n * p bits; a larger numerator
+#: is refused before that power is formed.
+MAX_PSI_EXP_NUMERATOR = 10 ** 5
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -274,6 +279,18 @@ class PsiSpec:
             raise ValueError("eps must be positive for logarithmic families")
         if self.family == "power" and self.coeff <= 0:
             raise ValueError("coeff must be positive")
+        if abs(self.exponent.numerator) > MAX_PSI_EXP_NUMERATOR:
+            raise ValueError(f"psi exponent {self.exponent} has a numerator "
+                             f"above {MAX_PSI_EXP_NUMERATOR}")
+
+    @property
+    def exponent(self) -> Fraction:
+        """The rational power ``value`` takes: of y (power), log y (log)
+        or log log y (loglog)."""
+        if self.family == "power":
+            return self.power_exp
+        return self.delta_k + 1 + self.eps if self.family == "log" \
+            else 1 + self.eps
 
     @property
     def delta_k(self) -> int:
@@ -296,21 +313,20 @@ class PsiSpec:
         p = precision
         if self.family == "power":
             base = DyadicInterval.point(y)
-            powered = pow_rational(base, self.power_exp, p)
+            powered = pow_rational(base, self.exponent, p)
             inv = powered.reciprocal(p)
             c = DyadicInterval.from_fractions(self.coeff, self.coeff, p)
             return c * inv
         ypow = y ** (self.r + self.k)
         log_y = ln_interval(y, p)
         if self.family == "log":
-            exponent = Fraction(self.delta_k + 1) + self.eps
-            denom = pow_rational(log_y, exponent, p).mul_int(ypow)
+            denom = pow_rational(log_y, self.exponent, p).mul_int(ypow)
             return denom.reciprocal(p)
         # loglog
         loglog_y = ln_interval(log_y, p)
         if loglog_y.lo.man <= 0:
             raise DomainError("log log y not certifiably positive")
-        denom = pow_rational(loglog_y, Fraction(1) + self.eps, p)
+        denom = pow_rational(loglog_y, self.exponent, p)
         if self.delta_k:
             denom = denom * log_y
         denom = denom.mul_int(ypow)

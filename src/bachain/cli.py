@@ -221,6 +221,8 @@ def parse_psi(text: str, r: int) -> analysis.PsiSpec:
                                 k=int(kv["k"]), eps=Fraction(kv["eps"]))
     except ZeroDivisionError:
         raise ValueError(f"psi spec {text!r} divides by zero") from None
+    except ValueError as exc:
+        raise ValueError(f"psi spec {text!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -299,8 +299,12 @@ def lattice_inv_norm_sum(M: int, k: int, rows: Iterable[int] = (),
     roots: dict[int, tuple[int, int, int]] = {}  # n -> shift, lo/hi dens
     table = {}
     for shell in range(1, M + 1):
-        classes.update(sum(map(mul, tail, tail))
-                       for tail in canonical_shell_tails(k, shell))
+        # squared norms unpacked for k = 2: no iterator per tail
+        shell_tails = canonical_shell_tails(k, shell)
+        if k == 2:
+            classes.update(a * a + b * b for a, b in shell_tails)
+        else:
+            classes.update(sum(map(mul, t, t)) for t in shell_tails)
         if shell not in wanted:
             continue
         lo_terms: list[tuple[int, int]] = []

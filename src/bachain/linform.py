@@ -236,7 +236,15 @@ def scaled_residual(tail: Sequence[int],
     mask = binding.mask
     tables = binding.tables
     if tables is not None:
-        packed = sum(map(getitem, tables, tail))
+        # tails of length 2 and 3 unpacked: no iterator per tail
+        if len(tail) == 2:
+            a, b = tail
+            packed = tables[0][a] + tables[1][b]
+        elif len(tail) == 3:
+            a, b, c = tail
+            packed = tables[0][a] + tables[1][b] + tables[2][c]
+        else:
+            packed = sum(map(getitem, tables, tail))
         o_lo = (packed >> binding.shift) & mask
         o_hi = o_lo + (packed & binding.wmask)
         n = packed >> binding.nshift

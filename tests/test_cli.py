@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bachain import analysis, cli, extension
+from bachain import analysis, cli, extension, realnum
 from bachain.enumerator import BestApprox, enumerate_chain
 from bachain.linform import LinearForm, record_enclosure, scaled_constants
 from bachain.realnum import (
     MAX_EXPR_DEPTH,
+    MAX_ROOT_INDEX,
     PRECISION_CAP,
     ExprSyntaxError,
     expr_to_text,
@@ -34,6 +35,15 @@ DEEP_SHAPES = {
     "minus-signs": "-" * 2000 + "root(2,2)",
     "sum-chain": "1+" * 1500 + "root(2,2)",
 }
+
+
+def refuse_to_run(monkeypatch, owner, *names):
+    """Make each named attribute of ``owner`` fail the test if called, so a
+    test shows that a check fires before that work starts."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("called before the input was refused")
+    for name in names:
+        monkeypatch.setattr(owner, name, refuse)
 
 
 def enumerate_to(path, alphas, max_norm):
@@ -69,6 +79,15 @@ class TestExprParser:
     def test_syntax_errors(self, bad):
         with pytest.raises(ExprSyntaxError):
             parse_expr(bad)
+
+    def test_root_index_at_the_bound_parses(self):
+        e = parse_expr(f"root(2,{MAX_ROOT_INDEX})")
+        assert e == root(2, MAX_ROOT_INDEX)
+        assert parse_expr(expr_to_text(e)) == e
+
+    def test_root_index_above_the_bound(self):
+        with pytest.raises(ExprSyntaxError, match="root index .* is above"):
+            parse_expr(f"1 + root(2,{MAX_ROOT_INDEX + 1})")
 
     def test_division_by_zero_literal(self):
         with pytest.raises(ExprSyntaxError):
@@ -289,6 +308,16 @@ class TestPsiSpecParsing:
             family="log", r=1, k=1, eps=Fraction(1, 10))
         assert cli.parse_psi("log:k=1,,eps=1/2", 1) == \
             cli.parse_psi("log:k=1,eps=1/2", 1)
+
+    # numerators of 1 + eps, 2 + eps and exp at the bound still parse
+    @pytest.mark.parametrize("spec,exponent", [
+        ("loglog:eps=1/30000", Fraction(30001, 30000)),
+        ("log:k=1,eps=1/30000", Fraction(60001, 30000)),
+        (f"power:exp=-{analysis.MAX_PSI_EXP_NUMERATOR}/7",
+         Fraction(-analysis.MAX_PSI_EXP_NUMERATOR, 7)),
+    ])
+    def test_exponent_numerator_at_most_the_bound(self, spec, exponent):
+        assert cli.parse_psi(spec, 1).exponent == exponent
 
     @pytest.mark.parametrize("family", ["power", "log", "loglog"])
     def test_r_defaults_to_the_chain(self, family):
@@ -960,6 +989,57 @@ class TestCommands:
         assert code == cli.EXIT_USAGE
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+
+    # an n-th root takes the integer root of an n * p bit number, so an
+    # unbounded index ran for many seconds before any output; the index
+    # is refused before any root is built or taken
+    def test_enumerate_huge_root_index_is_usage_error(self, capsys,
+                                                      monkeypatch):
+        refuse_to_run(monkeypatch, realnum, "root")
+        refuse_to_run(monkeypatch, realnum.DyadicInterval, "nth_root")
+        code = cli.main(["enumerate", "--alpha", "root(2,99999999)",
+                         "--max-norm", "5"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == (f"error: root index 99999999 is above "
+                                f"{MAX_ROOT_INDEX}\n")
+
+    def test_huge_root_index_header_is_usage_error(self, tmp_path, capsys,
+                                                   monkeypatch):
+        rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], 5)
+        text = rec.read_text()
+        assert "# alpha root(2, 2)\n" in text
+        rec.write_text(text.replace("# alpha root(2, 2)\n",
+                                    "# alpha root(2, 99999999)\n"))
+        capsys.readouterr()
+        refuse_to_run(monkeypatch, realnum, "root")
+        refuse_to_run(monkeypatch, realnum.DyadicInterval, "nth_root")
+        code = cli.main(["verify", str(rec)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("error: root index 99999999 is above")
+
+    # the exact power pow_rational forms has numerator * p bits: a huge
+    # exponent ran out of memory with a traceback and exit 1; it is now
+    # refused before any psi power is formed
+    @pytest.mark.parametrize("spec", [
+        "power:r=1,coeff=1,exp=99999999999",
+        "log:r=1,eps=99999999999",
+        "loglog:r=1,eps=99999999999",
+        f"power:r=1,exp={analysis.MAX_PSI_EXP_NUMERATOR + 1}/3",
+    ], ids=["power", "log", "loglog", "power-above-the-bound"])
+    def test_verify_huge_psi_exponent_is_usage_error(self, tmp_path, capsys,
+                                                     monkeypatch, spec):
+        rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], 50)
+        capsys.readouterr()
+        refuse_to_run(monkeypatch, analysis, "pow_rational")
+        assert cli.main(["verify", str(rec), "--psi", spec]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: psi spec {spec!r}: ")
+        assert "numerator above" in captured.err
 
     @pytest.mark.parametrize("command", ["verify", "extend", "report"])
     @pytest.mark.parametrize("shape", list(DEEP_SHAPES), ids=list(DEEP_SHAPES))

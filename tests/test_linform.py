@@ -332,6 +332,9 @@ def _bounded_kernel_cases(draw):
 @example(((1, 3, -3), [-1, -5, 7], [1, -5, 7], 3, 3))  # spans -9/2
 @example(((-2, 2), [-9, 4], [-9, 4], 3, 2))        # the bound's edges
 @example(((0, 0, 0), [5, 1, 2], [9, 2, 2], 3, 2))  # the zero tail
+# length 4, past the unpacked lengths 2 and 3, at the bound's edges
+@example(((3, -3, 3, -3), [5, -7, 1, 9], [6, -7, 1, 9], 4, 3))
+@example(((-3, 3, -3, 3), [5, -7, 1, 9], [6, -7, 1, 9], 4, 3))
 @settings(max_examples=400, deadline=None)
 def test_table_kernel_matches_the_loop(case):
     # the tables give the loop's n, both offsets and every ambiguity

@@ -638,8 +638,8 @@ def test_detects_an_added_option():
 
 #: The constant grammar, kept in ``realnum`` beside its inverse
 #: ``expr_to_text``.
-GRAMMAR_NAMES = {"_TOKEN_RE", "MAX_EXPR_DEPTH", "ExprSyntaxError",
-                 "_tokenize", "parse_expr"}
+GRAMMAR_NAMES = {"_TOKEN_RE", "MAX_EXPR_DEPTH", "MAX_ROOT_INDEX",
+                 "ExprSyntaxError", "_tokenize", "parse_expr"}
 
 
 def top_level_names(path: Path) -> set[str]:
