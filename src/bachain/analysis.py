@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .enumerator import BAChain
@@ -41,10 +42,15 @@ THEOREM_CHECKS = ("monotonic", "minkowski", "growth", "polytope")
 #: sums are computed at it, and the psi test starts its ladder there.
 CHECK_PRECISION = 96
 
-#: Largest |numerator| of a psi exponent.  ``pow_rational`` forms the
-#: exact n-th power of a p-bit enclosure, n * p bits; a larger numerator
-#: is refused before that power is formed.
+#: Largest |numerator| n and denominator d of a psi exponent.
+#: ``pow_rational`` forms the exact n-th power of a p-bit enclosure, n * p
+#: bits, and its integer d-th root on the 2**-(d * p) grid; a larger n or
+#: d is refused before that power is formed.
 MAX_PSI_EXP_NUMERATOR = 10 ** 5
+MAX_PSI_EXP_DENOMINATOR = 30_000
+
+#: Largest k of the series and of a psi target, which form M**(r+k).
+MAX_K = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -248,15 +254,16 @@ def check_polytope(chain: BAChain, dets: dict[int, int]) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
+def delta(k: int) -> int:
+    """The paper's delta_k: 1 for k = 1 and 0 for k >= 2."""
+    return 1 if k == 1 else 0
+
+
 @dataclass(frozen=True)
 class PsiSpec:
-    """Parametric decay target psi(y) for singularity testing.
-
-    Families:
-      power       psi(y) = coeff * y**(-power_exp)
-      log         psi(y) = 1 / (y**(r+k) * (log y)**(delta_k + 1 + eps))
-      loglog      psi(y) = 1 / (y**(r+k) * (log y)**delta_k
-                                * (log log y)**(1 + eps))
+    """Parametric decay target psi(y) = coeff / (y**a * (log y)**b *
+    (log log y)**c) for singularity testing, each family setting the
+    powers (a, b, c) in ``powers``, coeff 1 in the logarithmic ones.
     Logarithms are natural; the choice only shifts constants and is
     recorded here once.  r names the dimension of the chain the target is
     meant for; every family's r must equal the chain's, although only the
@@ -266,71 +273,62 @@ class PsiSpec:
     family: str
     r: int
     k: int = 1
-    eps: Fraction = Fraction(0)
+    eps: Fraction = Fraction(1, 10)
     coeff: Fraction = Fraction(1)
     power_exp: Fraction = Fraction(0)
 
     def __post_init__(self):
-        if self.family not in ("power", "log", "loglog"):
+        if self.family not in PSI_KEYS:
             raise ValueError(f"unknown psi family {self.family!r}")
-        if self.r < 1 or self.k < 1:
-            raise ValueError("r and k must be positive")
-        if self.family in ("log", "loglog") and self.eps <= 0:
+        if self.r < 1 or not 1 <= self.k <= MAX_K:
+            raise ValueError(f"r must be positive and k in 1..{MAX_K}")
+        if self.family != "power" and self.eps <= 0:
             raise ValueError("eps must be positive for logarithmic families")
-        if self.family == "power" and self.coeff <= 0:
+        if self.coeff <= 0:
             raise ValueError("coeff must be positive")
-        if abs(self.exponent.numerator) > MAX_PSI_EXP_NUMERATOR:
-            raise ValueError(f"psi exponent {self.exponent} has a numerator "
-                             f"above {MAX_PSI_EXP_NUMERATOR}")
+        for power in self.powers:
+            if (abs(power.numerator) > MAX_PSI_EXP_NUMERATOR
+                    or power.denominator > MAX_PSI_EXP_DENOMINATOR):
+                raise ValueError(
+                    f"psi exponent {power} has a numerator above "
+                    f"{MAX_PSI_EXP_NUMERATOR} or a denominator above "
+                    f"{MAX_PSI_EXP_DENOMINATOR}")
 
-    @property
-    def exponent(self) -> Fraction:
-        """The rational power ``value`` takes: of y (power), log y (log)
-        or log log y (loglog)."""
+    @cached_property
+    def powers(self) -> tuple[Fraction | int, ...]:
+        """The powers (a, b, c) of y, log y and log log y."""
         if self.family == "power":
-            return self.power_exp
-        return self.delta_k + 1 + self.eps if self.family == "log" \
-            else 1 + self.eps
+            return self.power_exp, 0, 0
+        if self.family == "log":
+            return self.r + self.k, self.delta_k + 1 + self.eps, 0
+        return self.r + self.k, self.delta_k, 1 + self.eps
 
     @property
     def delta_k(self) -> int:
-        return 1 if self.k == 1 else 0
+        return delta(self.k)
 
     @property
     def y_min(self) -> int:
         # smallest integer argument with a positive, finite value
-        if self.family == "log":
-            return 2
-        if self.family == "loglog":
-            return 3  # needs log y > 1
-        return 1
+        _, b, c = self.powers
+        return 3 if c else 2 if b else 1  # log log y > 0 needs y >= 3
 
     def value(self, y: int,
               precision: int = CHECK_PRECISION) -> DyadicInterval:
-        """Certified enclosure of psi(y) for integer y >= y_min."""
+        """Certified enclosure of psi(y) for integer y >= y_min: the
+        nonzero powers by ``pow_rational``, their exact product inverted."""
         if y < self.y_min:
             raise DomainError(f"psi undefined below y = {self.y_min}")
         p = precision
-        if self.family == "power":
-            base = DyadicInterval.point(y)
-            powered = pow_rational(base, self.exponent, p)
-            inv = powered.reciprocal(p)
-            c = DyadicInterval.from_fractions(self.coeff, self.coeff, p)
-            return c * inv
-        ypow = y ** (self.r + self.k)
-        log_y = ln_interval(y, p)
-        if self.family == "log":
-            denom = pow_rational(log_y, self.exponent, p).mul_int(ypow)
-            return denom.reciprocal(p)
-        # loglog
-        loglog_y = ln_interval(log_y, p)
-        if loglog_y.lo.man <= 0:
-            raise DomainError("log log y not certifiably positive")
-        denom = pow_rational(loglog_y, self.exponent, p)
-        if self.delta_k:
-            denom = denom * log_y
-        denom = denom.mul_int(ypow)
-        return denom.reciprocal(p)
+        a, b, c = self.powers
+        denom = pow_rational(DyadicInterval.point(y), a, p)
+        log_y = ln_interval(y, p) if b or c else None
+        if b:
+            denom = denom * pow_rational(log_y, b, p)
+        if c:
+            denom = denom * pow_rational(ln_interval(log_y, p), c, p)
+        coeff = DyadicInterval.from_fractions(self.coeff, self.coeff, p)
+        return coeff * denom.reciprocal(p)
 
     def describe(self) -> str:
         if self.family == "power":
@@ -340,6 +338,39 @@ class PsiSpec:
                     f"(log y)^({self.delta_k}+1+{self.eps}))")
         return (f"psi(y) = 1/(y^{self.r + self.k} (log y)^{self.delta_k} "
                 f"(log log y)^(1+{self.eps}))")
+
+
+#: The keys of each psi family's spec; ``exp`` sets ``power_exp``.
+PSI_KEYS = {"power": ("r", "k", "coeff", "exp"), "log": ("r", "k", "eps"),
+            "loglog": ("r", "k", "eps")}
+
+
+def parse_psi(text: str, r: int) -> PsiSpec:
+    """Parse 'family:key=value,...', e.g. 'log:k=1,eps=1/10'; r defaults
+    to ``r``, the chain's dimension, and other keys to PsiSpec's."""
+    if ":" not in text:
+        raise ValueError("psi spec must look like family:key=value,...")
+    family, _, rest = text.partition(":")
+    if family not in PSI_KEYS:
+        raise ValueError(f"unknown psi family {family!r}")
+    given: dict[str, str] = {}
+    for part in filter(None, rest.split(",")):
+        key, _, val = (s.strip() for s in part.partition("="))
+        if key not in PSI_KEYS[family]:
+            raise ValueError(f"unknown psi key {key!r} for family {family!r}; "
+                             f"expected {', '.join(PSI_KEYS[family])}")
+        if key in given:
+            raise ValueError(f"psi key {key!r} given twice")
+        given[key] = val
+    try:
+        fields = {"power_exp" if key == "exp" else key:
+                  int(val) if key in ("r", "k") else Fraction(val)
+                  for key, val in given.items()}
+        return PsiSpec(family, **({"r": r} | fields))
+    except ZeroDivisionError:
+        raise ValueError(f"psi spec {text!r} divides by zero") from None
+    except ValueError as exc:
+        raise ValueError(f"psi spec {text!r}: {exc}") from None
 
 
 def check_psi_singular(chain: BAChain, psi: PsiSpec) -> Verdict:
@@ -394,17 +425,15 @@ def series_partial_sums(chain: BAChain, k: int) -> list[DyadicInterval]:
     delta_k is 1 for k = 1 and 0 for k >= 2; logs are natural.  Terms are
     positive, so the sums are strictly increasing.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"k must be >= 1 and at most {MAX_K}")
     if len(chain.records) < 2:
         raise ChainTooShort("need at least 2 records")
-    delta_k = 1 if k == 1 else 0
-    r = chain.r
     sums: list[DyadicInterval] = []
     total = DyadicInterval.point(0)
     for rec, nxt in zip(chain.records, chain.records[1:]):
-        term = rec.zeta.mul_int(nxt.M ** (r + k))
-        if delta_k:
+        term = rec.zeta.mul_int(nxt.M ** (chain.r + k))
+        if delta(k):
             term = term * ln_interval(nxt.M, CHECK_PRECISION)
         total = total + term
         sums.append(total)

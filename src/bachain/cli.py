@@ -22,7 +22,6 @@ import json
 import random
 import re
 import sys
-from fractions import Fraction
 from itertools import zip_longest
 from typing import Optional, Sequence
 
@@ -180,58 +179,30 @@ def _too_wide(tail: Sequence[int], lo: str, hi: str, grid: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# psi specification strings
-# ---------------------------------------------------------------------------
-
-
-#: Keys each psi family accepts besides r, with their defaults.
-_PSI_KEYS = {"power": {"k": "1", "coeff": "1", "exp": "0"},
-             "log": {"k": "1", "eps": "1/10"},
-             "loglog": {"k": "1", "eps": "1/10"}}
-
-
-def parse_psi(text: str, r: int) -> analysis.PsiSpec:
-    """Parse 'family:key=value,...', e.g. 'log:k=1,eps=1/10' or
-    'power:coeff=1/2,exp=1', for a chain of dimension ``r``; a spec
-    without ``r=`` takes that r."""
-    if ":" not in text:
-        raise ValueError("psi spec must look like family:key=value,...")
-    family, _, rest = text.partition(":")
-    if family not in _PSI_KEYS:
-        raise ValueError(f"unknown psi family {family!r}")
-    kv = {"r": str(r)} | _PSI_KEYS[family]
-    given: set[str] = set()
-    for part in rest.split(","):
-        if not part:
-            continue
-        key, _, val = (s.strip() for s in part.partition("="))
-        if key not in kv:
-            raise ValueError(f"unknown psi key {key!r} for family {family!r}; "
-                             f"expected {', '.join(kv)}")
-        if key in given:
-            raise ValueError(f"psi key {key!r} given twice")
-        given.add(key)
-        kv[key] = val
-    try:
-        if family == "power":
-            return analysis.PsiSpec(
-                family="power", r=int(kv["r"]), k=int(kv["k"]),
-                coeff=Fraction(kv["coeff"]), power_exp=Fraction(kv["exp"]))
-        return analysis.PsiSpec(family=family, r=int(kv["r"]),
-                                k=int(kv["k"]), eps=Fraction(kv["eps"]))
-    except ZeroDivisionError:
-        raise ValueError(f"psi spec {text!r} divides by zero") from None
-    except ValueError as exc:
-        raise ValueError(f"psi spec {text!r}: {exc}") from None
-
-
-# ---------------------------------------------------------------------------
 # Report rendering
 # ---------------------------------------------------------------------------
 
 
+def _digits9(d: Dyadic) -> str:
+    """``d`` as ``f"{float(d):.9g}"`` writes it; a value above the float
+    range in that style, rounded half to even from the exact integers."""
+    try:
+        return f"{float(d):.9g}"
+    except OverflowError:
+        pass
+    num, den = abs(d.man) << max(d.exp, 0), 1 << max(-d.exp, 0)
+    e = (num.bit_length() - den.bit_length()) * 301029995 // 10 ** 9
+    while num >= den * 10 ** (e + 1):  # e starts at most floor(log10 |d|)
+        e += 1
+    q, rem = divmod(num, unit := den * 10 ** (e - 8))
+    if 2 * rem > unit or 2 * rem == unit and q & 1:
+        q += 1
+    n = len(str(q))  # 10 when rounding carries to 10**9
+    return f"{'-' * (d.man < 0)}{q / 10 ** (n - 1):.9g}e+{e + n - 9}"
+
+
 def _interval_text(iv: DyadicInterval) -> str:
-    return f"[{float(iv.lo):.9g}, {float(iv.hi):.9g}]"
+    return f"[{_digits9(iv.lo)}, {_digits9(iv.hi)}]"
 
 
 def render_chain_text(chain: BAChain) -> str:
@@ -291,7 +262,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     with open(args.chain) as fh:
         chain = parse_chain(fh.read())
-    psi = None if args.psi is None else parse_psi(args.psi, chain.r)
+    psi = None if args.psi is None else analysis.parse_psi(args.psi, chain.r)
     report = analysis.run_checks(chain, psi=psi, series_k=args.k)
     if args.format == "machine":
         _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True),
@@ -455,8 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if "k" in args and args.k is not None and args.k < 1:
-        parser.error("--k must be >= 1")
+    k = getattr(args, "k", None)
+    if k is not None and not 1 <= k <= analysis.MAX_K:
+        parser.error(f"--k must be >= 1 and at most {analysis.MAX_K}")
     if "budget" in args and args.budget < 0:
         parser.error("--budget must be >= 0")
     try:

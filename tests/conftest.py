@@ -9,10 +9,11 @@ import pytest
 from bachain import Dyadic, LinearForm, brute_force_oracle, enumerate_chain
 from bachain import enumerator, parse_expr
 from bachain.enumerator import BAChain, BestApprox, canonical_shell_tails
-from bachain.errors import AmbiguousRounding, DependenceSuspected
+from bachain.errors import AmbiguousRounding, DependenceSuspected, \
+    DomainError
 from bachain.linform import abs_bounds, best_m0, form_values, tail_norm
 from bachain.realnum import PRECISION_CAP, DyadicInterval, RealExpr, \
-    _make_quotient, eval_interval
+    _make_quotient, eval_interval, ln_interval, pow_rational
 
 R1_ALPHA_TEXTS = {
     "sqrt2": "root(2,2)",
@@ -213,6 +214,41 @@ def reference_shell_scan(form, M_max, w, cap):
             zeta=DyadicInterval(Dyadic(r_lo, -grid), Dyadic(r_hi, -grid))))
         running_lo, running_hi, running_tail = abs_lo, abs_hi, tail
     return records
+
+
+#: The smallest argument of each psi family, as ``PsiSpec.y_min`` once
+#: listed it: log y > 0 needs y >= 2, and log log y > 0 needs y >= 3.
+PSI_Y_MIN = {"power": 1, "log": 2, "loglog": 3}
+
+
+def reference_psi_value(spec, y, p):
+    """``PsiSpec.value`` as it once read, one branch per family, each with
+    its own exponent: E of y for power, delta_k + 1 + eps of log y for
+    log, 1 + eps of log log y (times log y when delta_k is 1) for loglog,
+    and y**(r+k) as an exact integer.  The one-formula path must give its
+    bytes."""
+    if y < PSI_Y_MIN[spec.family]:
+        raise DomainError(f"psi undefined below y = {PSI_Y_MIN[spec.family]}")
+    delta_k = 1 if spec.k == 1 else 0
+    if spec.family == "power":
+        base = DyadicInterval.point(y)
+        powered = pow_rational(base, spec.power_exp, p)
+        inv = powered.reciprocal(p)
+        c = DyadicInterval.from_fractions(spec.coeff, spec.coeff, p)
+        return c * inv
+    ypow = y ** (spec.r + spec.k)
+    log_y = ln_interval(y, p)
+    if spec.family == "log":
+        denom = pow_rational(log_y, delta_k + 1 + spec.eps, p).mul_int(ypow)
+        return denom.reciprocal(p)
+    loglog_y = ln_interval(log_y, p)
+    if loglog_y.lo.man <= 0:
+        raise DomainError("log log y not certifiably positive")
+    denom = pow_rational(loglog_y, 1 + spec.eps, p)
+    if delta_k:
+        denom = denom * log_y
+    denom = denom.mul_int(ypow)
+    return denom.reciprocal(p)
 
 
 def sqrt_digits(n: int, digits: int) -> Fraction:

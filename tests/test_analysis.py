@@ -9,7 +9,7 @@ from bachain.enumerator import BAChain, BestApprox
 from bachain.errors import ChainTooShort, DomainError
 from bachain.linform import LinearForm, tail_norm
 from bachain.realnum import PRECISION_CAP, Dyadic, DyadicInterval, root
-from conftest import as_fraction
+from conftest import PSI_Y_MIN, as_fraction, reference_psi_value
 
 
 def det_cofactor(rows):
@@ -346,6 +346,32 @@ class TestPsi:
         assert an.PsiSpec(family="log", r=2, k=2, eps=Fraction(1)).delta_k == 0
         assert an.PsiSpec(family="log", r=2, k=5, eps=Fraction(1)).delta_k == 0
 
+    # the one formula against the three-branch value it replaced: every
+    # endpoint equal, at every rung the psi check starts from
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["power", "log", "loglog"]), st.integers(1, 3),
+           st.integers(1, 3),
+           st.fractions(Fraction(1, 6), 3, max_denominator=6),
+           st.fractions(-3, 4, max_denominator=4),
+           st.fractions(Fraction(1, 4), 8, max_denominator=4),
+           st.integers(0, 10 ** 6), st.sampled_from([96, 192, 384]))
+    def test_value_matches_the_family_branches(self, family, r, k, eps, exp,
+                                               coeff, y, p):
+        spec = an.PsiSpec(family, r=r, k=k, eps=eps, coeff=coeff,
+                          power_exp=exp) if family == "power" else \
+            an.PsiSpec(family, r=r, k=k, eps=eps)
+        y = max(y, spec.y_min)
+        got, want = spec.value(y, p), reference_psi_value(spec, y, p)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+
+    @pytest.mark.parametrize("family", ["power", "log", "loglog"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_y_min_is_the_family_table(self, family, k):
+        spec = an.PsiSpec(family, r=1, k=k)
+        assert spec.y_min == PSI_Y_MIN[family]
+        with pytest.raises(DomainError):
+            spec.value(spec.y_min - 1)
+
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
             an.PsiSpec(family="log", r=2, k=1, eps=Fraction(0))
@@ -380,6 +406,10 @@ class TestSeries:
     def test_k_validation(self, sqrt2_chain):
         with pytest.raises(ValueError):
             an.series_partial_sums(sqrt2_chain, 0)
+
+    def test_k_above_the_bound(self, sqrt2_chain):
+        with pytest.raises(ValueError, match=f"at most {an.MAX_K}"):
+            an.series_partial_sums(sqrt2_chain, an.MAX_K + 1)
 
     @pytest.mark.parametrize("k", [0, -3])
     def test_k_checked_before_the_length(self, r1_form, k):

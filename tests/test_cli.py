@@ -281,48 +281,51 @@ def test_written_chains_pass_the_width_bound(form_and_norm, cap):
 
 class TestPsiSpecParsing:
     def test_log_family(self):
-        psi = cli.parse_psi("log:r=2,k=1,eps=1/10", 2)
+        psi = analysis.parse_psi("log:r=2,k=1,eps=1/10", 2)
         assert psi.family == "log"
         assert psi.eps == Fraction(1, 10)
         assert psi.delta_k == 1
 
     def test_power_family(self):
-        psi = cli.parse_psi("power:r=1,coeff=1/2,exp=1", 1)
+        psi = analysis.parse_psi("power:r=1,coeff=1/2,exp=1", 1)
         assert psi.coeff == Fraction(1, 2)
         assert psi.power_exp == Fraction(1)
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):
-            cli.parse_psi("nolog", 1)
+            analysis.parse_psi("nolog", 1)
         with pytest.raises(ValueError):
-            cli.parse_psi("gauss:r=1", 1)
+            analysis.parse_psi("gauss:r=1", 1)
 
     def test_power_negative_exponent(self):
         # exp = -1 makes psi(y) = y / 2: pow_rational's reciprocal branch
-        value = cli.parse_psi("power:coeff=1/2,exp=-1", 1).value(7)
+        value = analysis.parse_psi("power:coeff=1/2,exp=-1", 1).value(7)
         assert as_fraction(value.lo) <= Fraction(7, 2) <= \
             as_fraction(value.hi)
 
     def test_empty_parts_are_skipped(self):
-        assert cli.parse_psi("log:", 1) == analysis.PsiSpec(
+        assert analysis.parse_psi("log:", 1) == analysis.PsiSpec(
             family="log", r=1, k=1, eps=Fraction(1, 10))
-        assert cli.parse_psi("log:k=1,,eps=1/2", 1) == \
-            cli.parse_psi("log:k=1,eps=1/2", 1)
+        assert analysis.parse_psi("log:k=1,,eps=1/2", 1) == \
+            analysis.parse_psi("log:k=1,eps=1/2", 1)
 
     # numerators of 1 + eps, 2 + eps and exp at the bound still parse
+    # (as the power of log log y, log y and y), and so do denominators
     @pytest.mark.parametrize("spec,exponent", [
-        ("loglog:eps=1/30000", Fraction(30001, 30000)),
-        ("log:k=1,eps=1/30000", Fraction(60001, 30000)),
+        ("loglog:eps=1/30000", (2, 1, Fraction(30001, 30000))),
+        ("log:k=1,eps=1/30000", (2, Fraction(60001, 30000), 0)),
         (f"power:exp=-{analysis.MAX_PSI_EXP_NUMERATOR}/7",
-         Fraction(-analysis.MAX_PSI_EXP_NUMERATOR, 7)),
+         (Fraction(-analysis.MAX_PSI_EXP_NUMERATOR, 7), 0, 0)),
+        (f"power:exp=1/{analysis.MAX_PSI_EXP_DENOMINATOR}",
+         (Fraction(1, analysis.MAX_PSI_EXP_DENOMINATOR), 0, 0)),
     ])
     def test_exponent_numerator_at_most_the_bound(self, spec, exponent):
-        assert cli.parse_psi(spec, 1).exponent == exponent
+        assert analysis.parse_psi(spec, 1).powers == exponent
 
     @pytest.mark.parametrize("family", ["power", "log", "loglog"])
     def test_r_defaults_to_the_chain(self, family):
-        assert cli.parse_psi(f"{family}:k=2", 3).r == 3
-        assert cli.parse_psi(f"{family}:r=1,k=2", 3).r == 1
+        assert analysis.parse_psi(f"{family}:k=2", 3).r == 3
+        assert analysis.parse_psi(f"{family}:r=1,k=2", 3).r == 1
 
 
 class TestCommands:
@@ -447,6 +450,29 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--k must be >= 1" in captured.err
+
+    # forming M**(r+k) for a huge k ran out of memory with a traceback and
+    # exit 1; k is bounded before the chain file is read (it does not exist)
+    @pytest.mark.parametrize("command", ["verify", "extend"])
+    @pytest.mark.parametrize("k", [str(analysis.MAX_K + 1), "10000000000"])
+    def test_k_above_the_bound_rejected(self, tmp_path, capsys, command, k):
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, str(tmp_path / "missing.rec"), "--k", k,
+                      "--format", "machine"])
+        assert info.value.code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--k must be >= 1 and at most {analysis.MAX_K}" in \
+            captured.err
+
+    def test_verify_k_at_the_bound_runs(self, tmp_path, capsys):
+        rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], 30)
+        capsys.readouterr()
+        assert cli.main(["verify", str(rec), "--k", str(analysis.MAX_K),
+                         "--format", "machine"]) == cli.EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert data["series_k"] == analysis.MAX_K
+        assert len(data["series_partial_sums"]) == 4
 
     def test_verify_machine_format(self, tmp_path, capsys):
         rec = tmp_path / "c.rec"
@@ -1041,6 +1067,31 @@ class TestCommands:
         assert captured.err.startswith(f"error: psi spec {spec!r}: ")
         assert "numerator above" in captured.err
 
+    # an integer d-th root of a d * p bit number: exp=1/1000000 never
+    # finished, and a spec's huge k formed y**(r+k) (in the norm gap too,
+    # after a passing power psi); both are refused before any psi power
+    @pytest.mark.parametrize("spec,refusal", [
+        (f"power:r=1,exp=1/{analysis.MAX_PSI_EXP_DENOMINATOR + 1}",
+         f"a denominator above {analysis.MAX_PSI_EXP_DENOMINATOR}"),
+        ("power:r=1,exp=1/1000000", "psi exponent 1/1000000 has"),
+        ("log:r=1,eps=1/1000000", "psi exponent 2000001/1000000 has"),
+        ("loglog:r=1,eps=1/99999", "psi exponent 100000/99999 has"),
+        ("log:k=10000000000", f"k in 1..{analysis.MAX_K}"),
+        (f"loglog:k={analysis.MAX_K + 1}", f"k in 1..{analysis.MAX_K}"),
+        ("power:r=1,k=10000000000,exp=1", f"k in 1..{analysis.MAX_K}"),
+    ], ids=["power-above-the-bound", "power", "log", "loglog", "log-k",
+            "loglog-k-above-the-bound", "power-k"])
+    def test_verify_psi_denominator_and_k_bounded(self, tmp_path, capsys,
+                                                  monkeypatch, spec, refusal):
+        rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], 50)
+        capsys.readouterr()
+        refuse_to_run(monkeypatch, analysis, "pow_rational", "_norm_gap")
+        assert cli.main(["verify", str(rec), "--psi", spec]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: psi spec {spec!r}: ")
+        assert refusal in captured.err
+
     @pytest.mark.parametrize("command", ["verify", "extend", "report"])
     @pytest.mark.parametrize("shape", list(DEEP_SHAPES), ids=list(DEEP_SHAPES))
     def test_deep_alpha_header_is_usage_error(self, tmp_path, capsys, shape,
@@ -1075,7 +1126,7 @@ class TestCommands:
         rec = enumerate_to(tmp_path / "c.rec", alphas, 12)
         capsys.readouterr()
         assert cli.main(["verify", str(rec), "--psi", spec]) == cli.EXIT_USAGE
-        spec_r = cli.parse_psi(spec, chain_r).r
+        spec_r = analysis.parse_psi(spec, chain_r).r
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"error: psi spec r={spec_r} does not match "
@@ -1142,6 +1193,46 @@ def test_wide_records_print(tmp_path, capsys, argv):
         assert captured.err == ""
         outputs.append(captured.out)
     assert outputs[0] == outputs[1]
+
+
+def printed_digits(text: str, exact: Fraction) -> bool:
+    """Whether ``text`` is ``exact`` to 9 significant digits as ``.9g``
+    writes a float above 1e16: a mantissa in [1, 10) without trailing
+    zeros, ``e+`` and the exponent, within half a unit of the last
+    digit."""
+    mantissa, _, exponent = text.partition("e+")
+    if mantissa.endswith("0") or not 1 <= Fraction(mantissa) < 10:
+        return False
+    unit = Fraction(10) ** (int(exponent) - 8)
+    return abs(Fraction(mantissa) * 10 ** int(exponent) - exact) <= unit / 2
+
+
+# a series sum above the float range raised OverflowError in the text
+# report; every endpoint prints as a float would, from its exact value
+@pytest.mark.parametrize("k", [103, 200])
+def test_verify_text_beyond_the_float_range(tmp_path, capsys, k):
+    rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], 1000)
+    capsys.readouterr()
+    assert cli.main(["verify", str(rec), "--k", str(k)]) == cli.EXIT_OK
+    text = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  S_")]
+    assert cli.main(["verify", str(rec), "--k", str(k),
+                     "--format", "machine"]) == cli.EXIT_OK
+    sums = json.loads(capsys.readouterr().out)["series_partial_sums"]
+    assert len(text) == len(sums) >= 2
+    beyond = 0
+    for i, (line, ends) in enumerate(zip(text, sums), start=1):
+        got = line.removeprefix(f"  S_{i} = [").removesuffix("]").split(", ")
+        for printed, hex_end in zip(got, ends):
+            exact = as_fraction(dyadic_from_hex(hex_end))
+            try:
+                as_float = f"{float(exact):.9g}"
+            except OverflowError:
+                beyond += 1
+                assert printed_digits(printed, exact), (printed, hex_end)
+            else:
+                assert printed == as_float
+    assert beyond >= 2
 
 
 def test_main_builds_one_parser(tmp_path, capsys, monkeypatch):

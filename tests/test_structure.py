@@ -672,3 +672,24 @@ def test_detects_a_grammar_definition(tmp_path):
                      "    return []\n")
     assert top_level_names(probe) & GRAMMAR_NAMES == \
         {"MAX_EXPR_DEPTH", "ExprSyntaxError", "_tokenize"}
+
+
+#: The psi spec grammar, kept in ``analysis`` beside ``PsiSpec``, whose
+#: defaults are the only ones.
+PSI_SPEC_NAMES = {"PSI_KEYS", "parse_psi"}
+
+
+def test_cli_defines_none_of_the_psi_spec_grammar():
+    assert PSI_SPEC_NAMES <= top_level_names(SRC / "analysis.py")
+    assert top_level_names(SRC / "cli.py") & PSI_SPEC_NAMES == set()
+
+
+def test_detects_a_psi_spec_definition(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from . import analysis\n"
+                     "PSI_KEYS = {'log': ('r', 'k', 'eps')}\n"
+                     "def parse_psi(text, r):\n"
+                     "    return analysis.PsiSpec('log', r)\n"
+                     "def _psi_keys():\n"
+                     "    return PSI_KEYS\n")
+    assert top_level_names(probe) & PSI_SPEC_NAMES == PSI_SPEC_NAMES
