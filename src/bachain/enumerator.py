@@ -31,6 +31,7 @@ from .linform import (
     record_enclosure,
     scaled_constants,
     scaled_residual,
+    screen,
     tail_norm,
 )
 from .realnum import (
@@ -155,7 +156,8 @@ def _shell_scan(form: LinearForm, M_max: int, w: int,
     """One full scan at working precision w.  Returns the records or
     raises _Rescan when certification fails at this precision.  Every
     tail the kernel rounds has |residual| < 1/2, so bounds of 1/2 stand
-    for "no best yet" and "no record yet"."""
+    for "no best yet" and "no record yet".  With residue tables (r >= 2),
+    the kernel sees only the tails ``screen`` keeps in each shell."""
     r = form.r
     binding = scaled_constants(form.alphas, w, cap, M_max)
     half, mask = binding.half, binding.mask
@@ -168,7 +170,10 @@ def _shell_scan(form: LinearForm, M_max: int, w: int,
         best_lo, best_hi, best_tail = half, half, None  # the shell's best
         # offset residuals wholly above up or below down are beaten
         up, down = mask, 0
-        for tail in canonical_shell_tails(r, M):
+        tails = canonical_shell_tails(r, M)
+        if binding.residues is not None:
+            tails = screen(tails, binding)
+        for tail in tails:
             try:
                 _, o_lo, o_hi = scaled_residual(tail, binding)
             except AmbiguousRounding:

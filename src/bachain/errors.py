@@ -52,4 +52,7 @@ class SearchTooLarge(BachainError):
     @staticmethod
     def check(visits: int, budget: int, scan: str) -> None:
         if visits > budget:
-            raise SearchTooLarge(f"{scan} needs {visits} evaluations > budget {budget}")
+            # by bit length past 2**256: str() refuses ints over 4,300 digits
+            count = visits if visits >> 256 == 0 else \
+                f"at least 2**{visits.bit_length() - 1}"
+            raise SearchTooLarge(f"{scan} needs {count} evaluations > budget {budget}")

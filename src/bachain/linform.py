@@ -7,16 +7,16 @@ of constant endpoints at one precision, climbs the one ladder over them,
 and picks the optimal free coefficient m_0 for a given tail.
 It also holds the scaled-integer residual kernel that both exhaustive
 scans (the chain enumerator and the degeneracy criterion) run per tail,
-and the chain-record rule built on it; the form-value path above never
-calls them, so the brute-force oracle built on that path stays an
-independent check of the scans.
+the shell scan's screen, and the chain-record rule built on the kernel;
+the form-value path above never calls them, so the brute-force oracle
+built on that path stays an independent check of the scans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import getitem
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import AmbiguousRounding, DependenceSuspected
 from .realnum import (
@@ -167,23 +167,19 @@ class Binding:
     hi, hi - lo) for constant j in [lo, hi] * 2**-grid.  Slots, as a tuple
     subclass unpacks more slowly in the kernel, which reads it per tail.
 
-    A binding for coordinates bounded by B may also carry contribution
-    tables: tables[j][c], for -B <= c <= B (a negative c indexes from the
-    end), packs constant j's term c * lo (c * hi for c < 0) of the lower
-    endpoint, shifted ``shift`` bits up, with its term |c| * (hi - lo) of
-    the width below, which B * sum(hi - lo) < 2**shift leaves room for;
-    table 0 also holds half, shifted.  wmask = 2**shift - 1 and nshift =
-    shift + grid.  A coordinate beyond B reads a wrong entry or none, so
-    only a scan that visits no such tail may bind a bound."""
+    A binding for coordinates bounded by B may also carry residue tables
+    for ``screen``: residues[j][c], for -B <= c <= B (a negative c indexes
+    from the end), is c * lo mod 2**grid for constant j, plus half in
+    table 0; slack = B * sum(hi - lo).  A coordinate beyond B reads a
+    wrong entry or none, so only a scan that visits no such tail may bind
+    a bound."""
 
     grid: int
     half: int
     mask: int
     terms: tuple[tuple[int, int, int], ...]
-    tables: Optional[tuple[list[int], ...]] = None
-    shift: int = 0
-    wmask: int = 0
-    nshift: int = 0
+    residues: Optional[tuple[list[int], ...]] = None
+    slack: int = 0
 
 
 def scaled_constants(exprs: Sequence[RealExpr], w: int,
@@ -202,26 +198,22 @@ def scaled_constants(exprs: Sequence[RealExpr], w: int,
 def bind_endpoints(grid: int, los: Sequence[int], his: Sequence[int],
                    bound: Optional[int] = None) -> Binding:
     """The binding for constants in [los[j], his[j]] * 2**-grid.  With a
-    coordinate bound B, it carries contribution tables when they hold
-    fewer entries, r * (2B + 1), than a scan over that box visits tails,
-    ((2B + 1)**r - 1) / 2: never for r = 1, and for every B >= 2 when
-    r >= 2.  Forced on at r = 1, tables lost: the chains benchmark's
-    r = 1 scan to B = 200,000 made it 11% slower and 47% larger in peak
-    memory (``BENCH_25.json``, ``r1_tables_forced``)."""
+    coordinate bound B, it carries residue tables for ``screen`` when they
+    hold fewer entries, r * (2B + 1), than a scan over that box visits
+    tails, ((2B + 1)**r - 1) / 2: never for r = 1, whose shells hold one
+    tail each, and for every B >= 2 when r >= 2."""
     half = 1 << (grid - 1)
+    mask = 2 * half - 1
     terms = tuple((lo, hi, hi - lo) for lo, hi in zip(los, his))
     r = len(terms)
     side = None if bound is None else 2 * bound + 1  # the box's side
     if side is None or r * side >= (side ** r - 1) // 2:
-        return Binding(grid, half, 2 * half - 1, terms)
-    shift = (bound * sum(d for _, _, d in terms)).bit_length()
-    bases = [half << shift] + [0] * (r - 1)  # table 0 also holds half
-    tables = tuple(
-        [(c * lo << shift) + c * d + base for c in range(bound + 1)]
-        + [(c * hi << shift) - c * d + base for c in range(-bound, 0)]
-        for base, (lo, hi, d) in zip(bases, terms))
-    return Binding(grid, half, 2 * half - 1, terms, tables, shift,
-                   (1 << shift) - 1, shift + grid)
+        return Binding(grid, half, mask, terms)
+    coords = list(range(bound + 1)) + list(range(-bound, 0))
+    residues = tuple([(c * lo + base) & mask for c in coords]
+                     for base, lo in zip([half] + [0] * (r - 1), los))
+    return Binding(grid, half, mask, terms, residues,
+                   bound * sum(d for _, _, d in terms))
 
 
 def scaled_residual(tail: Sequence[int],
@@ -231,39 +223,59 @@ def scaled_residual(tail: Sequence[int],
     So 0 < o_lo <= o_hi <= mask, and x - n is certified positive when
     o_lo > half, negative when o_hi < half.
     Raises AmbiguousRounding when an endpoint of x's enclosure lies on a
-    half-integer or the two endpoints round to different integers.
-    With tables, every coordinate must lie within the binding's bound."""
+    half-integer or the two endpoints round to different integers."""
     mask = binding.mask
-    tables = binding.tables
-    if tables is not None:
-        # tails of length 2 and 3 unpacked: no iterator per tail
-        if len(tail) == 2:
-            a, b = tail
-            packed = tables[0][a] + tables[1][b]
-        elif len(tail) == 3:
-            a, b, c = tail
-            packed = tables[0][a] + tables[1][b] + tables[2][c]
-        else:
-            packed = sum(map(getitem, tables, tail))
-        o_lo = (packed >> binding.shift) & mask
-        o_hi = o_lo + (packed & binding.wmask)
-        n = packed >> binding.nshift
-    else:
-        s, width = binding.half, 0  # s: lower end + half
-        for c, (lo, hi, d) in zip(tail, binding.terms):
-            if c > 0:
-                s += c * lo
-                width += c * d
-            elif c < 0:
-                s += c * hi
-                width -= c * d
-        o_lo = s & mask
-        o_hi = o_lo + width
-        n = s >> binding.grid
+    s, width = binding.half, 0  # s: lower end + half
+    for c, (lo, hi, d) in zip(tail, binding.terms):
+        if c > 0:
+            s += c * lo
+            width += c * d
+        elif c < 0:
+            s += c * hi
+            width -= c * d
+    o_lo = s & mask
+    o_hi = o_lo + width
+    n = s >> binding.grid
     # the lower endpoint is n - 1/2, or the upper one rounds to n + 1 or up
     if not o_lo or o_hi > mask:
         raise AmbiguousRounding("endpoint on or across a half-integer")
     return n, o_lo, o_hi
+
+
+def screen(tails: Iterable[Sequence[int]],
+           binding: Binding) -> list[Sequence[int]]:
+    """The tails, in order, that a scan rounding each through
+    ``scaled_residual`` cannot pass over unseen: each it might not find
+    certifiably beaten by an earlier tail, and each it might fail to
+    round.  The binding's residue tables must bound every coordinate.
+
+    A tail's residue sum puts S = sum tail_j * lo_j at distance d from its
+    nearest integer, and slack bounds |x - S| for every x in the tail's
+    enclosure: so a tail with d more than 2 * slack above an earlier
+    tail's lies wholly farther from the integers, and one with
+    d < half - slack encloses no half-integer."""
+    residues, half, mask = binding.residues, binding.half, binding.mask
+    tails = list(tails)
+    if len(residues) == 2:  # the common lengths unpacked: no map per tail
+        first, second = residues
+        sums = [first[a] + second[b] for a, b in tails]
+    elif len(residues) == 3:
+        first, second, third = residues
+        sums = [first[a] + second[b] + third[c] for a, b, c in tails]
+    else:
+        sums = [sum(map(getitem, residues, tail)) for tail in tails]
+    slack = binding.slack
+    edge = mask - slack  # u off (slack, edge]: S within slack of 1/2
+    near, far = 0, mask  # u in [near, far]: d within 2 * slack of the least
+    kept = []
+    for tail, u in zip(tails, sums):
+        u &= mask  # S - its nearest integer + half
+        if near <= u <= far or not slack < u <= edge:
+            kept.append(tail)
+            d = abs(u - half) + 2 * slack
+            if d < far - half:
+                near, far = half - d, half + d
+    return kept
 
 
 def record_enclosure(m: Sequence[int], binding: Binding) -> DyadicInterval:

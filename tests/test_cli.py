@@ -607,6 +607,17 @@ class TestCommands:
                          "--seed", "1", "--budget", "10"])
         assert code == cli.EXIT_BUDGET
 
+    def test_extend_budget_exit_past_the_printable_digits(self, tmp_path,
+                                                          capsys):
+        # (2 * 1000 + 1)**2001 / 2 visits: about 6,600 digits, more than
+        # Python turns into a string
+        rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], 1000)
+        code = cli.main(["extend", str(rec), "--k", "2000", "--seed", "1"])
+        assert code == cli.EXIT_BUDGET
+        assert capsys.readouterr().err == (
+            "budget exceeded: extended scan in dimension 2001 to max-norm "
+            "1000 needs at least 2**21942 evaluations > budget 10000000\n")
+
     @pytest.mark.parametrize("budget,code", [(839, cli.EXIT_BUDGET),
                                              (840, cli.EXIT_OK)])
     def test_extend_budget_counts_visits(self, tmp_path, capsys, budget,

@@ -586,6 +586,10 @@ def test_scan_matches_reference_bytes(indices, m_max, cap):
     ((root(2) - 1, rational(2) - root(2)), 2, 2048, "sign",
      (DependenceSuspected, "cannot separate candidates at cap (sign)",
       (1, 1))),
+    # 5 * a1 + 3 * a2 = 2**-200: shell 4's second tail (1, 4) and its
+    # later (4, -1) have residuals of sizes 2**-200 apart
+    ((root(2), quotient(rational(1, 1 << 200) - root(2) * 5, 3)), 4,
+     PRECISION_CAP, "tie", 272),
 ])
 def test_rescan_reasons_fire_and_match_reference(alphas, m_max, cap, reason,
                                                  want):

@@ -349,6 +349,17 @@ class TestLatticeSum:
                                                  f"> budget {visits - 1}$"):
             ext.lattice_inv_norm_sum(M, k, budget=visits - 1)
 
+    @pytest.mark.parametrize("visits,count", [
+        ((1 << 256) - 1, str((1 << 256) - 1)),
+        (1 << 256, "at least 2**256"),
+        ((1 << 20000) + 1, "at least 2**20000"),
+    ], ids=["below", "at", "past-printable"])
+    def test_budget_message_prints_a_bounded_count(self, visits, count):
+        with pytest.raises(SearchTooLarge) as info:
+            SearchTooLarge.check(visits, 10, "lattice sum")
+        assert str(info.value) == \
+            f"lattice sum needs {count} evaluations > budget 10"
+
     @pytest.mark.parametrize("M,k", [
         (1, 1), (2, 1), (10, 1),
         (1, 2), (2, 2), (3, 2), (13, 2), (34, 2),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bachain import enumerate_chain, parse_expr
+from bachain.enumerator import canonical_shell_tails
 from bachain.errors import (
     AmbiguousRounding,
     BachainError,
@@ -22,6 +23,7 @@ from bachain.linform import (
     record_enclosure,
     scaled_constants,
     scaled_residual,
+    screen,
     zeta,
 )
 from bachain.realnum import (
@@ -241,22 +243,16 @@ def _residual_reference(tail, los, his, grid):
 
 
 @st.composite
-def _kernel_cases(draw, sizes=(1, 4), bound=60, edges=False):
+def _kernel_cases(draw):
     """Random tails, endpoint lists and grids; in the pinned modes the
     first coefficient is 1 and its endpoints are moved so that the lower
     or upper endpoint of the dot product lies exactly on a half-integer,
-    or the dot product's interval spans one.  Tails have between sizes[0]
-    and sizes[1] coordinates, each at most ``bound`` in size; with
-    ``edges``, some coordinates are moved to -bound or bound."""
+    or the dot product's interval spans one."""
     grid = draw(st.integers(min_value=1, max_value=80))
-    size = draw(st.integers(min_value=sizes[0], max_value=sizes[1]))
+    size = draw(st.integers(min_value=1, max_value=4))
     unit = 1 << grid
-    tail = draw(st.lists(st.integers(min_value=-bound, max_value=bound),
+    tail = draw(st.lists(st.integers(min_value=-60, max_value=60),
                          min_size=size, max_size=size))
-    if edges:
-        snap = draw(st.lists(st.booleans(), min_size=size, max_size=size))
-        tail = [(bound if c >= 0 else -bound) if moved else c
-                for c, moved in zip(tail, snap)]
     los = draw(st.lists(st.integers(min_value=-8 * unit, max_value=8 * unit),
                         min_size=size, max_size=size))
     widths = draw(st.lists(st.one_of(st.integers(min_value=0, max_value=3),
@@ -308,41 +304,75 @@ def test_scaled_residual_matches_fraction_reference(case):
         assert scaled_residual(tail, binding) == (n, r_lo + half, r_hi + half)
 
 
-def _kernel_outcome(tail, binding):
-    try:
-        return scaled_residual(tail, binding)
-    except AmbiguousRounding as exc:
-        return str(exc)
+def _unskippable(tails, binding):
+    """Indices of the tails that ``_shell_scan``'s loop, rounding each
+    through ``scaled_residual``, would not pass over as beaten: each it
+    cannot round, and each whose residual the least |residual| upper
+    bound before it does not certifiably beat.  Where the scan raises (a
+    tie, an exact zero), this walk goes on with the least bound."""
+    half = binding.half
+    up, down, need = binding.mask, 0, []
+    for i, tail in enumerate(tails):
+        try:
+            _, o_lo, o_hi = scaled_residual(tail, binding)
+        except AmbiguousRounding:
+            need.append(i)
+            continue
+        if o_lo > up or o_hi < down:
+            continue
+        need.append(i)
+        _, abs_hi = abs_bounds(o_lo - half, o_hi - half)
+        up, down = min(up, half + abs_hi), max(down, half - abs_hi)
+    return need
 
 
 @st.composite
-def _bounded_kernel_cases(draw):
-    """Kernel cases of r = 2..4 constants with a coordinate bound B that
-    lets a binding carry tables (B >= 2 for r = 2), and tails within it;
-    the edges -B and B, where the tables wrap, come up often."""
-    bound = draw(st.integers(min_value=2, max_value=40))
-    return draw(_kernel_cases(sizes=(2, 4), bound=bound, edges=True)) \
-        + (bound,)
+def _screen_cases(draw):
+    """Distinct tails of r = 2..4 coordinates within a bound B that gives
+    the binding residue tables (B >= 2 for r = 2), and endpoints on the
+    2**-grid lattice.  Grids of a few bits make exact zeros (at zero
+    widths), half-integers and tails at equal distances common."""
+    r = draw(st.integers(min_value=2, max_value=4))
+    bound = draw(st.integers(min_value=2 if r == 2 else 1, max_value=12))
+    grid = draw(st.one_of(st.integers(min_value=1, max_value=6),
+                          st.integers(min_value=7, max_value=80)))
+    unit = 1 << grid
+    los = draw(st.lists(st.integers(min_value=-8 * unit, max_value=8 * unit),
+                        min_size=r, max_size=r))
+    widths = draw(st.lists(st.one_of(st.integers(min_value=0, max_value=3),
+                                     st.integers(min_value=0,
+                                                 max_value=unit)),
+                           min_size=r, max_size=r))
+    coordinate = st.integers(min_value=-bound, max_value=bound)
+    tails = draw(st.lists(st.tuples(*[coordinate] * r), min_size=1,
+                          max_size=40, unique=True))
+    return tails, los, [lo + wd for lo, wd in zip(los, widths)], grid, bound
 
 
-@given(_bounded_kernel_cases())
-@example(((1, 0), [2, 0], [2, 0], 2, 2))           # exactly 1/2
-@example(((1, -2), [0, 1], [2, 1], 2, 2))          # lower end on -1/2
-@example(((2, -2), [-1, 1], [0, 1], 2, 2))         # upper end on -1/2
-@example(((1, 3, -3), [-1, -5, 7], [1, -5, 7], 3, 3))  # spans -9/2
-@example(((-2, 2), [-9, 4], [-9, 4], 3, 2))        # the bound's edges
-@example(((0, 0, 0), [5, 1, 2], [9, 2, 2], 3, 2))  # the zero tail
-# length 4, past the unpacked lengths 2 and 3, at the bound's edges
-@example(((3, -3, 3, -3), [5, -7, 1, 9], [6, -7, 1, 9], 4, 3))
-@example(((-3, 3, -3, 3), [5, -7, 1, 9], [6, -7, 1, 9], 4, 3))
+@given(_screen_cases())
+# slack 2: the second tail's distance is the first's plus 2 * slack, and
+# its |residual| lower bound equals the first's upper bound: a tie
+@example(([(2, 0), (-2, 2)], [3, 8], [4, 8], 5, 2))
+# the second tail's upper endpoint lies on 1/2, at distance half - slack
+@example(([(0, 1), (2, 0)], [7, 1], [8, 1], 5, 2))
+@example(([(0, 1), (1, 0)], [8, 1], [8, 1], 4, 2))   # exactly 1/2
+@example(([(1, 1), (1, -1)], [5, 5], [5, 5], 4, 2))  # an exact zero
+@example(([(1, -1, 1, 0), (1, 1, 1, 1), (0, 0, 1, -1)],
+          [3, 5, 7, 9], [3, 5, 7, 9], 4, 1))          # length 4
 @settings(max_examples=400, deadline=None)
-def test_table_kernel_matches_the_loop(case):
-    # the tables give the loop's n, both offsets and every ambiguity
-    tail, los, his, grid, bound = case
-    loop = bind_endpoints(grid, los, his)
-    table = bind_endpoints(grid, los, his, bound)
-    assert loop.tables is None and table.tables is not None
-    assert _kernel_outcome(tail, table) == _kernel_outcome(tail, loop)
+def test_screen_keeps_every_tail_the_loop_cannot_pass_over(case):
+    tails, los, his, grid, bound = case
+    binding = bind_endpoints(grid, los, his, bound)
+    position = {tail: i for i, tail in enumerate(tails)}
+    kept = [position[tail] for tail in screen(tails, binding)]
+    assert kept == sorted(kept)
+    assert set(_unskippable(tails, binding)) <= set(kept)
+
+
+def test_screen_passes_few_of_a_shell_to_the_kernel(cbrt_pair):
+    binding = scaled_constants(cbrt_pair.alphas, 64, PRECISION_CAP, 40)
+    tails = list(canonical_shell_tails(2, 40))
+    assert len(screen(tails, binding)) < len(tails) // 10
 
 
 @pytest.mark.parametrize("r,bound,tables", [
@@ -352,9 +382,10 @@ def test_table_kernel_matches_the_loop(case):
 def test_tables_only_where_smaller_than_the_scan(r, bound, tables):
     # r * (2B + 1) entries against ((2B + 1)**r - 1) / 2 visits
     binding = bind_endpoints(8, [3] * r, [4] * r, bound)
-    assert (binding.tables is not None) == tables
+    assert (binding.residues is not None) == tables
     if tables:
-        assert [len(t) for t in binding.tables] == [2 * bound + 1] * r
+        assert [len(t) for t in binding.residues] == [2 * bound + 1] * r
+        assert binding.slack == bound * r
     assert binding.terms == bind_endpoints(8, [3] * r, [4] * r).terms
 
 

@@ -180,20 +180,22 @@ def test_detects_a_record_enclosure_call(tmp_path):
 
 
 #: The exhaustive scans, whose every rounding to the nearest integer must
-#: come from their calls to ``linform.scaled_residual``: one per tail, and
-#: in the shell scan one more for a shell winner's nearest integer.
+#: come from their calls to ``linform``: ``scaled_residual`` once per tail
+#: (in the shell scan, per tail that ``screen`` keeps), and in the shell
+#: scan once more for a shell winner's nearest integer.
 SCAN_SITES = {
-    ("enumerator.py", "_shell_scan"): ["scaled_residual", "scaled_residual"],
+    ("enumerator.py", "_shell_scan"): ["scaled_residual", "screen",
+                                       "scaled_residual"],
     ("extension.py", "degeneracy_criterion"): ["scaled_residual"],
 }
 
 
 #: The functions that may bind the kernel's constants under a coordinate
-#: bound, so that the binding may carry contribution tables: the shell
-#: scan, which bounds its own tails, and ``scaled_constants``, which
-#: hands its caller's bound on.  A table indexed beyond its bound reads
-#: another coordinate's entry, so no other caller (the chain reader, in
-#: particular) may reach one.
+#: bound, so that the binding may carry residue tables: the shell scan,
+#: which bounds its own tails, and ``scaled_constants``, which hands its
+#: caller's bound on.  ``screen`` is the tables' only reader, and a table
+#: indexed beyond its bound reads another coordinate's entry, so no other
+#: caller (the chain reader, in particular) may bind one.
 BOUNDED_BINDING_SITES = {
     ("enumerator.py", "_shell_scan"),
     ("linform.py", "scaled_constants"),
@@ -252,7 +254,7 @@ def test_detects_a_bounded_binding(tmp_path):
 ORACLE_SITE = ("enumerator.py", "brute_force_oracle")
 
 #: Calls that round to the nearest integer.
-ROUNDING_CALLS = ("divmod", "scaled_residual", "round_scaled")
+ROUNDING_CALLS = ("divmod", "scaled_residual", "round_scaled", "screen")
 
 #: Operators that round: floor division, the right shift, and the mask
 #: and remainder that take a residual off a scaled sum.
@@ -261,10 +263,10 @@ ROUNDING_OPS = {ast.FloorDiv: "//", ast.RShift: ">>", ast.BitAnd: "&",
 
 
 def rounding_ops(path: Path, function: str):
-    """``divmod``, ``//``, ``>>``, ``&``, ``%``, ``scaled_residual`` and
-    ``round_scaled`` uses anywhere inside the function named ``function``
-    in ``path`` (nested functions included), or None when there is no
-    such function."""
+    """``divmod``, ``//``, ``>>``, ``&``, ``%``, ``scaled_residual``,
+    ``round_scaled`` and ``screen`` uses anywhere inside the function
+    named ``function`` in ``path`` (nested functions included), or None
+    when there is no such function."""
     body = function_def(path, function)
     if body is None:
         return None
@@ -298,6 +300,7 @@ def test_detects_rounding_in_a_scan(tmp_path):
                      "    s >>= 1\n"
                      "    s &= t - 1\n"
                      "    lo, hi = linform.scaled_residual(s, t)\n"
+                     "    kept = screen([s], t)\n"
                      "    m, _, _ = realnum.round_scaled(lo, hi, 4)\n"
                      "    o = (s + t) & (2 * t - 1), hi % t\n"
                      "    return (2 * s + t) // (2 * t), inner(o), m >> 2\n"
@@ -306,7 +309,7 @@ def test_detects_rounding_in_a_scan(tmp_path):
                      "    return s // 2, s >> 1, round_scaled(s, t, 2)\n")
     assert sorted(rounding_ops(probe, "scan")) == [
         "%", "&", "&", "//", "//", ">>", ">>", "divmod", "round_scaled",
-        "scaled_residual"]
+        "scaled_residual", "screen"]
     assert rounding_ops(probe, "missing") is None
 
 
@@ -391,10 +394,10 @@ ORACLE_PATH = ("zeta", "form_values", "best_m0", "endpoint_table",
                "dot_bounds", "_Candidate", "_below", "_smaller",
                "brute_force_oracle")
 
-#: The exhaustive scans' residual kernel and its binding, with the record
-#: rule built on it.
+#: The exhaustive scans' residual kernel, its binding and the shell
+#: scan's screen, with the record rule built on the kernel.
 SCAN_KERNEL = {"scaled_residual", "scaled_constants", "bind_endpoints",
-               "Binding", "record_enclosure"}
+               "Binding", "record_enclosure", "screen"}
 
 
 def kernel_reach(paths, roots, kernel=SCAN_KERNEL) -> dict[str, list[str]]:
@@ -438,13 +441,16 @@ def test_detects_a_kernel_call_behind_a_helper(tmp_path):
                      "        return scaled_constants(self.m, 64)\n"
                      "def best_m0(t):\n"
                      "    return record_enclosure((0,) + t, [], [], 4)\n"
+                     "def form_values(m):\n"
+                     "    return [linform.screen(t, 64) for t in m]\n"
                      "def clean(m):\n"
                      "    return zeta\n")
     assert kernel_reach([probe], ("zeta", "_Candidate", "best_m0",
-                                  "clean")) == {
+                                  "form_values", "clean")) == {
         "zeta": ["zeta -> _dot -> scaled_residual"],
         "_Candidate": ["_Candidate -> scaled_constants"],
         "best_m0": ["best_m0 -> record_enclosure"],
+        "form_values": ["form_values -> screen"],
         "clean": []}
 
 
