@@ -17,7 +17,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
 from math import isqrt
 from operator import mul
 from typing import Iterable, Iterator, Optional
@@ -402,7 +402,10 @@ class ExtensionReport:
 def _resolve_base(base: BAChain, k: int, M_max: int, budget: int) -> BAChain:
     """Check the extended scan and the largest omega row, then return
     ``base``, or its form's chain re-enumerated to M_max when ``base``
-    stops short of it, whose scans the first check covers."""
+    stops short of it, whose scans the first check covers.  A ``base``
+    that reaches M_max is checked against its form's chain to M_max: the
+    records up to M_max must agree in (index, m, M), or ValueError names
+    the first that differs.  It is returned as read, enclosures too."""
     SearchTooLarge.check(scan_volume(base.r + k, M_max), budget,
                          f"extended scan in dimension {base.r + k} to max-norm {M_max}")
     if base.search_bound < M_max:
@@ -410,6 +413,13 @@ def _resolve_base(base: BAChain, k: int, M_max: int, budget: int) -> BAChain:
     row = max((rec.M for rec in base.records[1:]), default=0)
     SearchTooLarge.check(scan_volume(k, row), budget,
                          f"omega row in dimension {k} to max-norm {row}")
+    fresh = enumerate_chain(base.form, M_max, base.precision_cap)
+    got, want = ([(rec.index, rec.m, rec.M) for rec in chain.records
+                  if rec.M <= M_max] for chain in (base, fresh))
+    for g, w in zip_longest(got, want):
+        if g != w:
+            raise ValueError(f"chain record {(g or w)[0]} disagrees with "
+                             f"the form's chain to max-norm {M_max}")
     return base
 
 

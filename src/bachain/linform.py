@@ -85,15 +85,29 @@ def dot_bounds(tail: Sequence[int], los: Sequence[int],
                his: Sequence[int]) -> tuple[int, int]:
     """Bounds s_lo <= sum tail_j * a_j <= s_hi for every a_j in
     [los[j], his[j]]: per constant, the endpoint that bounds
-    tail_j * a_j from below (above)."""
+    tail_j * a_j from below (above).  The three sequences share a length."""
+    if len(tail) == 2:  # the common lengths unpacked: one sign test each
+        (a, b), (la, lb), (ha, hb) = tail, los, his
+        if a < 0:
+            la, ha = ha, la
+        if b < 0:
+            lb, hb = hb, lb
+        return a * la + b * lb, a * ha + b * hb
+    if len(tail) == 3:
+        (a, b, c), (la, lb, lc), (ha, hb, hc) = tail, los, his
+        if a < 0:
+            la, ha = ha, la
+        if b < 0:
+            lb, hb = hb, lb
+        if c < 0:
+            lc, hc = hc, lc
+        return a * la + b * lb + c * lc, a * ha + b * hb + c * hc
     s_lo = s_hi = 0
     for c, al, ah in zip(tail, los, his):
-        if c > 0:
-            s_lo += c * al
-            s_hi += c * ah
-        elif c < 0:
-            s_lo += c * ah
-            s_hi += c * al
+        if c < 0:
+            al, ah = ah, al
+        s_lo += c * al
+        s_hi += c * ah
     return s_lo, s_hi
 
 

@@ -687,6 +687,31 @@ class TestCommands:
             "budget exceeded: extended scan in dimension 2 to max-norm 20 "
             "needs 840 evaluations > budget 10\n")
 
+    @pytest.mark.parametrize("edit,max_norm,index", [
+        (lambda chain: replace(chain, search_bound=3000), 3000, 10),
+        (lambda chain: replace(chain, records=chain.records[:4]), 1000, 5),
+    ], ids=["raised-search-bound", "cut-records"])
+    def test_extend_refuses_a_base_that_is_not_its_forms_chain(
+            self, tmp_path, capsys, edit, max_norm, index):
+        # the reader certifies each record of a file, not that none is
+        # missing: the sqrt(2) chain to 1000 ends at M = 985, so with its
+        # bound raised to 3000 it lacks record 10 at M = 2378, and cut to
+        # four records it lacks records 5-9.  The budget admits the
+        # extended scan to 3000, which the refusal comes before
+        rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], 1000)
+        rec.write_text(cli.serialize_chain(edit(cli.parse_chain(
+            rec.read_text()))))
+        out = tmp_path / "extend.txt"
+        capsys.readouterr()
+        code = cli.main(["extend", str(rec), "--k", "1", "--beta",
+                         "root(3,2)-1", "--max-norm", str(max_norm),
+                         "--budget", "20000000", "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: chain record {index} disagrees with the form's chain "
+            f"to max-norm {max_norm}\n")
+
     @pytest.mark.parametrize("bound", ["0", "-3"])
     def test_extend_max_norm_below_one(self, tmp_path, capsys, bound):
         rec = tmp_path / "c.rec"

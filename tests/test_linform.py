@@ -585,6 +585,18 @@ def test_integer_path_matches_dyadic_path(texts, m0, coeffs, precision, cap):
         _outcome(_best_m0_reference, tail, form, cap)
 
 
+def _every_sign_pattern(test):
+    """An example per sign pattern (+, -, 0) of a tail of length 2 or 3,
+    as (c, lo, width) terms with endpoints near 2**200, so that each
+    unpacked branch of ``dot_bounds`` meets each sign."""
+    for n in (2, 3):
+        for signs in product((1, -1, 0), repeat=n):
+            test = example([(s * (10 ** 6 - j), -(3 << 199) // (j + 2),
+                             (1 << 200) - j) for j, s in enumerate(signs)]
+                           )(test)
+    return test
+
+
 class TestIntegerPath:
     def test_reference_errors(self):
         # the exact-integer and cap-exhaustion dependences, on both paths
@@ -623,7 +635,8 @@ class TestIntegerPath:
     @given(st.lists(st.tuples(st.integers(-50, 50),
                               st.integers(-10 ** 6, 10 ** 6),
                               st.integers(0, 10 ** 6)),
-                    min_size=1, max_size=4))
+                    min_size=1, max_size=5))
+    @_every_sign_pattern
     def test_dot_bounds_are_the_extreme_corners(self, terms):
         # the tightest bounds on sum c_j * a_j over a_j in [lo_j, hi_j]
         tail = [c for c, _, _ in terms]
