@@ -15,9 +15,7 @@ intervals; no check ever decides anything through floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .enumerator import BAChain
@@ -53,15 +51,17 @@ MAX_PSI_EXP_DENOMINATOR = 30_000
 MAX_K = 10 ** 5
 
 
-@dataclass(frozen=True)
 class Verdict:
     """Outcome of one check with its machine-readable evidence."""
 
-    check: str
-    status: str
-    witness_index: Optional[int] = None
-    margin: Optional[DyadicInterval] = None
-    detail: str = ""
+    __slots__ = ("check", "status", "witness_index", "margin", "detail")
+
+    def __init__(self, check: str, status: str,
+                 witness_index: Optional[int] = None,
+                 margin: Optional[DyadicInterval] = None, detail: str = ""):
+        self.check, self.status = check, status
+        self.witness_index, self.margin, self.detail = \
+            witness_index, margin, detail
 
     @property
     def passed(self) -> bool:
@@ -259,7 +259,6 @@ def delta(k: int) -> int:
     return 1 if k == 1 else 0
 
 
-@dataclass(frozen=True)
 class PsiSpec:
     """Parametric decay target psi(y) = coeff / (y**a * (log y)**b *
     (log log y)**c) for singularity testing, each family setting the
@@ -270,22 +269,29 @@ class PsiSpec:
     logarithmic families use it in their formula.
     """
 
-    family: str
-    r: int
-    k: int = 1
-    eps: Fraction = Fraction(1, 10)
-    coeff: Fraction = Fraction(1)
-    power_exp: Fraction = Fraction(0)
+    __slots__ = ("family", "r", "k", "eps", "coeff", "power_exp", "powers")
 
-    def __post_init__(self):
-        if self.family not in PSI_KEYS:
-            raise ValueError(f"unknown psi family {self.family!r}")
-        if self.r < 1 or not 1 <= self.k <= MAX_K:
+    def __init__(self, family: str, r: int, k: int = 1,
+                 eps: Fraction = Fraction(1, 10),
+                 coeff: Fraction = Fraction(1),
+                 power_exp: Fraction = Fraction(0)):
+        if family not in PSI_KEYS:
+            raise ValueError(f"unknown psi family {family!r}")
+        if r < 1 or not 1 <= k <= MAX_K:
             raise ValueError(f"r must be positive and k in 1..{MAX_K}")
-        if self.family != "power" and self.eps <= 0:
+        if family != "power" and eps <= 0:
             raise ValueError("eps must be positive for logarithmic families")
-        if self.coeff <= 0:
+        if coeff <= 0:
             raise ValueError("coeff must be positive")
+        self.family, self.r, self.k = family, r, k
+        self.eps, self.coeff, self.power_exp = eps, coeff, power_exp
+        # the powers (a, b, c) of y, log y and log log y
+        if family == "power":
+            self.powers = power_exp, 0, 0
+        elif family == "log":
+            self.powers = r + k, delta(k) + 1 + eps, 0
+        else:
+            self.powers = r + k, delta(k), 1 + eps
         for power in self.powers:
             if (abs(power.numerator) > MAX_PSI_EXP_NUMERATOR
                     or power.denominator > MAX_PSI_EXP_DENOMINATOR):
@@ -294,14 +300,17 @@ class PsiSpec:
                     f"{MAX_PSI_EXP_NUMERATOR} or a denominator above "
                     f"{MAX_PSI_EXP_DENOMINATOR}")
 
-    @cached_property
-    def powers(self) -> tuple[Fraction | int, ...]:
-        """The powers (a, b, c) of y, log y and log log y."""
-        if self.family == "power":
-            return self.power_exp, 0, 0
-        if self.family == "log":
-            return self.r + self.k, self.delta_k + 1 + self.eps, 0
-        return self.r + self.k, self.delta_k, 1 + self.eps
+    def _key(self):
+        return (self.family, self.r, self.k, self.eps, self.coeff,
+                self.power_exp)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PsiSpec):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def delta_k(self) -> int:
@@ -471,16 +480,20 @@ def _norm_gap(chain: BAChain, k: int, dets: dict[int, int]) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ChainReport:
-    """All verdicts and tables for one chain, serializable via to_dict."""
+    """All verdicts and tables for one chain, serializable via to_dict;
+    ``run_checks`` fills them in."""
 
-    verdicts: dict[str, Verdict] = field(default_factory=dict)
-    determinants: dict[int, int] = field(default_factory=dict)
-    tail_ranks: dict[int, int] = field(default_factory=dict)
-    series_sums: list[DyadicInterval] = field(default_factory=list)
-    series_k: Optional[int] = None
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("verdicts", "determinants", "tail_ranks", "series_sums",
+                 "series_k", "notes")
+
+    def __init__(self):
+        self.verdicts: dict[str, Verdict] = {}
+        self.determinants: dict[int, int] = {}
+        self.tail_ranks: dict[int, int] = {}
+        self.series_sums: list[DyadicInterval] = []
+        self.series_k: Optional[int] = None
+        self.notes: list[str] = []
 
     @property
     def theorem_checks_pass(self) -> bool:
@@ -523,8 +536,13 @@ def run_checks(chain: BAChain, psi: Optional[PsiSpec] = None,
     run("growth", lambda: check_growth(chain))
     report.determinants = dets = window_determinants(chain)
     run("polytope", lambda: check_polytope(chain, dets))
-    report.tail_ranks = {nu0: tail_rank(chain, nu0)
-                         for nu0 in range(1, len(chain.records) + 1)}
+    # from the last record back: a longer suffix spans at least as much,
+    # and rows in Z^(r+1) span at most r + 1 dimensions
+    ranks = []
+    for nu0 in range(len(chain.records), 0, -1):
+        ranks.append(ranks[-1] if ranks and ranks[-1] > chain.r
+                     else tail_rank(chain, nu0))
+    report.tail_ranks = dict(enumerate(reversed(ranks), start=1))
     if psi is not None:
         run("psi-singular", lambda: check_psi_singular(chain, psi))
         if report.verdicts["psi-singular"].passed:

@@ -16,7 +16,6 @@ explicit running minima) and exists for cross-validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count, product
 from typing import Iterator
 
@@ -46,24 +45,32 @@ from .realnum import (
 )
 
 
-@dataclass(frozen=True)
 class BestApprox:
     """One chain record: index, sign-normalized vector, tail max-norm, and
     a certified strictly positive enclosure of the form value."""
 
-    index: int
-    m: tuple[int, ...]
-    M: int
-    zeta: DyadicInterval
+    __slots__ = ("index", "m", "M", "zeta")
 
-    def __post_init__(self):
-        if self.zeta.lo.man <= 0:
+    def __init__(self, index: int, m: tuple[int, ...], M: int,
+                 zeta: DyadicInterval):
+        if zeta.lo.man <= 0:
             raise ValueError("form value must be certified positive")
-        if tail_norm(self.m[1:]) != self.M:
+        if tail_norm(m[1:]) != M:
             raise ValueError("stored norm disagrees with coordinates")
+        self.index, self.m, self.M, self.zeta = index, m, M, zeta
+
+    def _key(self):
+        return (self.index, self.m, self.M, self.zeta)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BestApprox):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
 class BAChain:
     """Ordered best-approximation records plus search provenance.
 
@@ -76,16 +83,29 @@ class BAChain:
     under; every refinement on the chain runs at it.
     """
 
-    form: LinearForm
-    records: tuple[BestApprox, ...]
-    search_bound: int
-    precision_used: int
-    precision_cap: int
+    __slots__ = ("form", "records", "search_bound", "precision_used",
+                 "precision_cap")
 
-    def __post_init__(self):
-        for i, rec in enumerate(self.records, start=1):
+    def __init__(self, form: LinearForm, records: tuple[BestApprox, ...],
+                 search_bound: int, precision_used: int, precision_cap: int):
+        for i, rec in enumerate(records, start=1):
             if rec.index != i:
                 raise ValueError("record indices must be consecutive from 1")
+        self.form, self.records = form, records
+        self.search_bound = search_bound
+        self.precision_used, self.precision_cap = precision_used, precision_cap
+
+    def _key(self):
+        return (self.form, self.records, self.search_bound,
+                self.precision_used, self.precision_cap)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BAChain):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def r(self) -> int:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product, zip_longest
 from math import isqrt
@@ -70,14 +69,15 @@ def pad_chain(chain: BAChain, k: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BetaSample:
     """k extension constants in (0, 1), irrational by construction, with
     the seed and recipe that produced them."""
 
-    values: tuple[RealExpr, ...]
-    seed: Optional[int]
-    recipe: str
+    __slots__ = ("values", "seed", "recipe")
+
+    def __init__(self, values: tuple[RealExpr, ...], seed: Optional[int],
+                 recipe: str):
+        self.values, self.seed, self.recipe = values, seed, recipe
 
     @property
     def k(self) -> int:
@@ -131,14 +131,15 @@ def sample_betas(form: LinearForm, k: int, seed: int) -> BetaSample:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CriterionVerdict:
     """Outcome of the exhaustive per-index scan."""
 
-    nu: int
-    passed: bool
-    witness: Optional[tuple[int, ...]] = None
-    detail: str = ""
+    __slots__ = ("nu", "passed", "witness", "detail")
+
+    def __init__(self, nu: int, passed: bool,
+                 witness: Optional[tuple[int, ...]] = None, detail: str = ""):
+        self.nu, self.passed, self.witness, self.detail = \
+            nu, passed, witness, detail
 
     def to_dict(self) -> dict:
         out = {"nu": self.nu, "passed": self.passed}
@@ -362,22 +363,27 @@ def omega_bound(zeta_nu: DyadicInterval, M_next: int, r: int, k: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ExtensionReport:
-    """Alignment of an extended form's chain against the padded base chain."""
+    """Alignment of an extended form's chain against the padded base chain;
+    ``compare_extended`` fills in the criterion scan and the omega table."""
 
-    k: int
-    search_bound: int
-    beta: BetaSample
-    base_chain: BAChain
-    extended_chain: BAChain
-    criterion_verdicts: dict[int, CriterionVerdict] = field(default_factory=dict)
-    skipped_criteria: dict[int, str] = field(default_factory=dict)
-    extras: list[tuple[int, ...]] = field(default_factory=list)
-    missing: list[int] = field(default_factory=list)  # base indices
-    nu_match: Optional[int] = None
-    omega_table: dict[int, DyadicInterval] = field(default_factory=dict)
-    regime_note: str = ""
+    __slots__ = ("k", "search_bound", "beta", "base_chain", "extended_chain",
+                 "criterion_verdicts", "skipped_criteria", "extras",
+                 "missing", "nu_match", "omega_table", "regime_note")
+
+    def __init__(self, k: int, search_bound: int, beta: BetaSample,
+                 base_chain: BAChain, extended_chain: BAChain,
+                 extras: list[tuple[int, ...]], missing: list[int],
+                 nu_match: Optional[int]):
+        self.k, self.search_bound, self.beta = k, search_bound, beta
+        self.base_chain, self.extended_chain = base_chain, extended_chain
+        self.extras = extras
+        self.missing = missing  # base indices
+        self.nu_match = nu_match
+        self.criterion_verdicts: dict[int, CriterionVerdict] = {}
+        self.skipped_criteria: dict[int, str] = {}
+        self.omega_table: dict[int, DyadicInterval] = {}
+        self.regime_note = ""
 
     def to_dict(self) -> dict:
         return {
@@ -494,19 +500,21 @@ def compare_extended(chain: BAChain, beta: BetaSample, M_max: int,
     return report
 
 
-@dataclass
 class MonteCarloResult:
     """Aggregate of seeded extension comparisons for one base chain."""
 
-    samples: int
-    seed: int
-    k: int
-    search_bound: int
-    sample_seeds: list[int]
-    horizons: list[Optional[int]]
-    matched_beyond: dict[int, int]   # base index -> samples matching from it
-    omega_table: dict[int, DyadicInterval]
-    regime_note: str
+    __slots__ = ("samples", "seed", "k", "search_bound", "sample_seeds",
+                 "horizons", "matched_beyond", "omega_table", "regime_note")
+
+    def __init__(self, samples: int, seed: int, k: int, search_bound: int,
+                 sample_seeds: list[int], horizons: list[Optional[int]],
+                 matched_beyond: dict[int, int],
+                 omega_table: dict[int, DyadicInterval], regime_note: str):
+        # matched_beyond: base index -> samples matching from it
+        self.samples, self.seed, self.k = samples, seed, k
+        self.search_bound, self.sample_seeds = search_bound, sample_seeds
+        self.horizons, self.matched_beyond = horizons, matched_beyond
+        self.omega_table, self.regime_note = omega_table, regime_note
 
     def to_dict(self) -> dict:
         return {

@@ -14,7 +14,6 @@ built on that path stays an independent check of the scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import getitem
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -31,7 +30,6 @@ from .realnum import (
 )
 
 
-@dataclass(frozen=True)
 class LinearForm:
     """Dimension r plus the r constants being approximated.
 
@@ -42,17 +40,26 @@ class LinearForm:
     the enumerator's tie detection.
     """
 
-    alphas: tuple[RealExpr, ...]
+    __slots__ = ("alphas",)
 
-    def __post_init__(self):
-        if len(self.alphas) < 1:
+    def __init__(self, alphas: tuple[RealExpr, ...]):
+        if len(alphas) < 1:
             raise ValueError("a linear form needs at least one constant")
-        for j, a in enumerate(self.alphas):
+        for j, a in enumerate(alphas):
             if not isinstance(a, RealExpr):
                 raise TypeError(f"alpha[{j}] is not a RealExpr")
             if a.exact_fraction() is not None:
                 raise DependenceSuspected(
                     f"alpha[{j}] = {a!r} is provably rational", witness=(j,))
+        self.alphas = alphas
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LinearForm):
+            return NotImplemented
+        return self.alphas == other.alphas
+
+    def __hash__(self) -> int:
+        return hash(self.alphas)
 
     @property
     def r(self) -> int:
@@ -174,7 +181,6 @@ def best_m0(tail: Sequence[int], form: LinearForm,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
 class Binding:
     """One rung's constants for ``scaled_residual`` on the 2**-grid
     lattice: half = 2**(grid - 1), mask = 2**grid - 1 and terms[j] = (lo,
@@ -188,12 +194,14 @@ class Binding:
     wrong entry or none, so only a scan that visits no such tail may bind
     a bound."""
 
-    grid: int
-    half: int
-    mask: int
-    terms: tuple[tuple[int, int, int], ...]
-    residues: Optional[tuple[list[int], ...]] = None
-    slack: int = 0
+    __slots__ = ("grid", "half", "mask", "terms", "residues", "slack")
+
+    def __init__(self, grid: int, half: int, mask: int,
+                 terms: tuple[tuple[int, int, int], ...],
+                 residues: Optional[tuple[list[int], ...]] = None,
+                 slack: int = 0):
+        self.grid, self.half, self.mask, self.terms = grid, half, mask, terms
+        self.residues, self.slack = residues, slack
 
 
 def scaled_constants(exprs: Sequence[RealExpr], w: int,

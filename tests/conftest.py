@@ -55,6 +55,14 @@ def dyadic_from_hex(text: str):
         raise ValueError(f"malformed dyadic literal: {text!r}") from None
 
 
+def replace(record, **changes):
+    """A copy of a slotted record with ``changes`` applied, built through
+    its constructor so that its checks run again.  Every slot must name a
+    constructor parameter, as in ``BAChain``."""
+    kept = {name: getattr(record, name) for name in type(record).__slots__}
+    return type(record)(**(kept | changes))
+
+
 class _ReferenceCandidate:
     """One tail's full vector (m_0, tail), its signed form-value enclosure
     with the enclosure's absolute value, and the rung of the form-value

@@ -228,6 +228,19 @@ class TestTailRank:
         with pytest.raises(ChainTooShort):
             an.tail_rank(sqrt2_chain, len(sqrt2_chain.records) + 1)
 
+    @pytest.mark.parametrize("fixture", [
+        "sqrt2_chain", "r1_chains_10k", "cbrt_pair_chain_200",
+        "sqrt23_chain_200", "sqrt235_chain_60"])
+    def test_report_table_is_every_tail_rank(self, fixture, request):
+        # run_checks stops eliminating once a suffix has full rank; the
+        # cube-root pair's table falls to 2 and 1 at its last records
+        chains = request.getfixturevalue(fixture)
+        for chain in chains.values() if isinstance(chains, dict) else [chains]:
+            want = {nu0: an.tail_rank(chain, nu0)
+                    for nu0 in range(1, len(chain.records) + 1)}
+            got = an.run_checks(chain).tail_ranks
+            assert list(got.items()) == list(want.items())
+
 
 class TestPolytope:
     def test_pass_on_chains(self, sqrt2_chain, cbrt_pair_chain_200):

@@ -2,7 +2,6 @@ import argparse
 import hashlib
 import json
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,7 +19,7 @@ from bachain.realnum import (
     parse_expr,
     root,
 )
-from conftest import as_fraction, dyadic_from_hex
+from conftest import as_fraction, dyadic_from_hex, replace
 
 
 DEPTH = MAX_EXPR_DEPTH
@@ -308,6 +307,8 @@ class TestPsiSpecParsing:
             family="log", r=1, k=1, eps=Fraction(1, 10))
         assert analysis.parse_psi("log:k=1,,eps=1/2", 1) == \
             analysis.parse_psi("log:k=1,eps=1/2", 1)
+        assert len({analysis.parse_psi("log:k=1,,eps=1/2", 1),
+                    analysis.parse_psi("log:k=1,eps=1/2", 1)}) == 1
 
     # numerators of 1 + eps, 2 + eps and exp at the bound still parse
     # (as the power of log log y, log y and y), and so do denominators

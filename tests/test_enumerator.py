@@ -114,6 +114,14 @@ class TestEnumerate:
                [(r.m, r.M, r.zeta) for r in c2.records]
         assert c1.precision_used == c2.precision_used
 
+    def test_equal_records_hash_alike(self, sqrt2_form):
+        c1 = enumerate_chain(sqrt2_form, 40)
+        c2 = enumerate_chain(LinearForm(sqrt2_form.alphas), 40)
+        assert c1 is not c2 and c1 == c2
+        assert len({c1, c2}) == len({c1.form, c2.form}) == 1
+        assert len({*c1.records, *c2.records}) == len(c1.records)
+        assert c1 != enumerate_chain(sqrt2_form, 12)
+
     def test_bad_bound(self, sqrt2_form):
         with pytest.raises(ValueError):
             enumerate_chain(sqrt2_form, 0)

@@ -1,6 +1,5 @@
 import re
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from math import ceil, floor, isqrt
 
@@ -31,7 +30,7 @@ from bachain.realnum import (
     root,
 )
 from bachain import parse_expr
-from conftest import as_fraction
+from conftest import as_fraction, replace
 
 
 def tree_sum(terms):

@@ -341,6 +341,12 @@ _nonnegative_dyadics = st.builds(
 
 @given(_nonnegative_dyadics, _nonnegative_dyadics,
        st.integers(min_value=0, max_value=400))
+# points, which PsiSpec.value raises
+@example(Dyadic(0), Dyadic(0), 3)
+@example(Dyadic(1), Dyadic(1), 64)
+@example(Dyadic(3, -5), Dyadic(3, -5), 7)
+@example(Dyadic((1 << 96) + 1, -96), Dyadic((1 << 96) + 1, -96), 2)
+@example(Dyadic(5, 10), Dyadic(5, 10), 400)
 @settings(max_examples=100, deadline=None)
 def test_pow_int_matches_reference(a, b, n):
     x = DyadicInterval(min(a, b), max(a, b))

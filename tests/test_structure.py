@@ -3,7 +3,10 @@
 import argparse
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bachain"
@@ -699,3 +702,46 @@ def test_detects_a_psi_spec_definition(tmp_path):
                      "def _psi_keys():\n"
                      "    return PSI_KEYS\n")
     assert top_level_names(probe) & PSI_SPEC_NAMES == PSI_SPEC_NAMES
+
+
+def imported_from(path: Path, module: str) -> list[int]:
+    """The lines at which ``path`` imports ``module`` (absolutely) or a
+    name from it, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [node.lineno for a in node.names
+                      if a.name.partition(".")[0] == module]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.partition(".")[0] == module:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_module_imports_dataclasses():
+    # the record types are plain slotted classes: each dataclass would
+    # generate and compile its methods again at every import
+    lines = {p.name: imported_from(p, "dataclasses") for p in SRC.glob("*.py")}
+    assert {name: found for name, found in lines.items() if found} == {}
+
+
+def test_detects_a_dataclasses_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import os, dataclasses\n"
+                     "from .dataclasses import fields\n"
+                     "def f():\n"
+                     "    from dataclasses import replace\n"
+                     "    return replace\n")
+    assert imported_from(probe, "dataclasses") == [1, 4]
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # a fresh interpreter, as each CLI call starts one
+    code = ("import sys, bachain.cli; print(bachain.cli.__file__); "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=os.environ | {"PYTHONPATH": path}).stdout
+    assert out.splitlines() == [str(SRC / "cli.py"), "[]"]
