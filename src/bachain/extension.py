@@ -179,8 +179,7 @@ def degeneracy_criterion(chain: BAChain, beta: BetaSample, nu: int,
 
     Passing at every index is exactly what keeps the padded chain equal to
     the extended form's chain from that point on.  The free coefficient is
-    chosen optimally per tail and clamped to |m_0| <= (r+k+1) * M_{nu+1},
-    the widest value that can matter for constants of this size.
+    minus the nearest integer to each tail's value, as in the shell scan.
     """
     if nu < 1 or nu + 1 > len(chain.records):
         raise ChainTooShort(f"criterion at {nu} needs record {nu + 1}")
@@ -191,7 +190,6 @@ def degeneracy_criterion(chain: BAChain, beta: BetaSample, nu: int,
     volume = mixed_scan_volume(r, k, bound)
     SearchTooLarge.check(volume, budget, f"criterion scan at nu={nu}")
     exprs = tuple(chain.form.alphas) + beta.values
-    m0_cap = (r + k + 1) * bound
     cap = chain.precision_cap
 
     for w in widths(START_PRECISION + (2 * (r + k) * bound).bit_length(), cap):
@@ -207,14 +205,12 @@ def degeneracy_criterion(chain: BAChain, beta: BetaSample, nu: int,
             except AmbiguousRounding:
                 ambiguous, rounding = tail, True
                 break
-            m0 = min(m0_cap, max(-m0_cap, n))
-            shift = ((n - m0) << grid) - half
-            abs_lo, abs_hi = abs_bounds(o_lo + shift, o_hi + shift)
+            abs_lo, abs_hi = abs_bounds(o_lo - half, o_hi - half)
             if abs_lo >= z_hi:
                 continue  # certified no smaller than zeta_nu
             if abs_hi < z_lo:
                 return CriterionVerdict(nu=nu, passed=False,
-                                        witness=(-m0,) + tail,
+                                        witness=(-n,) + tail,
                                         detail="form value certifiably below "
                                                f"zeta_{nu}")
             ambiguous, rounding = tail, False

@@ -3,6 +3,7 @@ digit oracles used to pin expected values are deliberately independent of
 the package's own evaluation code."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,7 +11,7 @@ from bachain import Dyadic, LinearForm, brute_force_oracle, enumerate_chain
 from bachain import enumerator, parse_expr
 from bachain.enumerator import BAChain, BestApprox, canonical_shell_tails
 from bachain.errors import AmbiguousRounding, DependenceSuspected, \
-    DomainError
+    DomainError, PrecisionExhausted
 from bachain.linform import abs_bounds, best_m0, form_values, tail_norm
 from bachain.realnum import PRECISION_CAP, DyadicInterval, RealExpr, \
     _make_quotient, eval_interval, ln_interval, pow_rational
@@ -150,6 +151,32 @@ def _reference_smaller(a, b, form, cap):
             raise DependenceSuspected(
                 f"oracle: residual tie between {a.m[1:]} and {b.m[1:]}",
                 witness=(a.m[1:], b.m[1:]))
+
+
+def reference_criterion(chain, betas, nu):
+    """``extension.degeneracy_criterion`` at index nu by exhaustion: every
+    vector of the box [-M, M]**(r+k), M = M_{nu+1}, with a nonzero
+    extension part and a positive first nonzero coordinate, takes
+    ``best_m0`` on the form extended by ``betas`` and climbs its ladder
+    until its |value| separates from zeta_nu.  Returns {tail: m_0} of the
+    vectors certifiably below zeta_nu; PrecisionExhausted when one never
+    separates.  Slow; the scan must agree with it."""
+    r = chain.r
+    form = LinearForm(tuple(chain.form.alphas) + tuple(betas))
+    bound, z = chain.records[nu].M, chain.records[nu - 1].zeta
+    cap = chain.precision_cap
+    below = {}
+    for tail in product(range(-bound, bound + 1), repeat=form.r):
+        if not any(tail[r:]) or next(c for c in tail if c) < 0:
+            continue
+        cand = _ReferenceCandidate(tail, form, cap, best_m0)
+        while not (cand.size.hi < z.lo or cand.size.lo >= z.hi):
+            if not cand.refine(form, cap):
+                raise PrecisionExhausted(
+                    f"reference criterion: {tail} does not separate", cap)
+        if cand.size.hi < z.lo:
+            below[tail] = cand.m[0]
+    return below
 
 
 def _reference_residual(tail, los, his, grid):

@@ -663,6 +663,28 @@ class TestCommands:
         assert "omega row in dimension 2 to max-norm 70 needs 9940 " \
                "evaluations > budget 5000" in capsys.readouterr().err
 
+    def test_extend_skips_a_criterion_scan_over_budget(self, tmp_path,
+                                                       capsys):
+        # the records at nu = 6, 7 and 8 lie beyond --max-norm 100: their
+        # criterion scans, checked when each starts, exceed the budget that
+        # the extended scan and the omega rows fit in
+        rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], 1000)
+        capsys.readouterr()
+        argv = ["extend", str(rec), "--k", "1", "--beta", "root(3,2)-1",
+                "--max-norm", "100", "--budget", "20200"]
+        needs = {6: 57291, 7: 333336, 8: 1941435}
+        why = {nu: f"criterion scan at nu={nu} needs {n} evaluations > "
+                   "budget 20200" for nu, n in needs.items()}
+        assert cli.main(argv) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln for ln in lines if "skipped" in ln] == [
+            f"criterion nu={nu}: skipped ({why[nu]})" for nu in needs]
+        assert cli.main(argv + ["--format", "machine"]) == cli.EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert data["criterion_skipped"] == {str(nu): w
+                                             for nu, w in why.items()}
+        assert sorted(data["criterion"]) == ["1", "2", "3", "4", "5"]
+
     @pytest.mark.parametrize("mode", [
         ["--samples", "1", "--seed", "5"],
         ["--beta", "root(3,2)-1"],

@@ -395,6 +395,37 @@ def test_oracle_equivalence_r2(i, j, m_max):
     assert [(r.m, r.M) for r in a.records] == [(r.m, r.M) for r in b.records]
 
 
+#: Roots with 1 rationally independent, any of them together; the scans'
+#: shift-invariance test shifts them by integers.
+_INDEPENDENT_ROOTS = ["root(2,2)", "root(3,2)", "root(5,2)", "root(7,2)",
+                      "root(2,3)", "root(3,3)"]
+_SHIFT_BOUNDS = {1: 300, 2: 25, 3: 8}
+
+
+@given(st.lists(st.sampled_from(_INDEPENDENT_ROOTS), min_size=1, max_size=3,
+                unique=True),
+       st.lists(st.integers(min_value=-50, max_value=50), min_size=3,
+                max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_integer_shifts_move_only_m0(texts, shifts):
+    # a_j + s_j takes m_0 - sum s_j * m_j and changes nothing else
+    alphas = [parse_expr(t) for t in texts]
+    shifted = LinearForm(tuple(a + s for a, s in zip(alphas, shifts)))
+    form = LinearForm(tuple(alphas))
+    m_max = _SHIFT_BOUNDS[form.r]
+
+    def moved(m):
+        return (m[0] - sum(s * c for s, c in zip(shifts, m[1:])),) + m[1:]
+
+    want, got = enumerate_chain(form, m_max), enumerate_chain(shifted, m_max)
+    assert [(r.index, moved(r.m), r.M, r.zeta) for r in want.records] == \
+        [(r.index, r.m, r.M, r.zeta) for r in got.records]
+    assert got.precision_used == want.precision_used
+    want, got = (brute_force_oracle(f, m_max) for f in (form, shifted))
+    assert [(r.index, r.m[1:], r.M) for r in want.records] == \
+        [(r.index, r.m[1:], r.M) for r in got.records]
+
+
 # --- the oracle against its per-tail reference ----------------------------
 
 

@@ -5,7 +5,7 @@ from math import ceil, floor, isqrt
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bachain import extension as ext
 from bachain.enumerator import (
@@ -30,7 +30,7 @@ from bachain.realnum import (
     root,
 )
 from bachain import parse_expr
-from conftest import as_fraction, replace
+from conftest import as_fraction, reference_criterion, replace
 
 
 def tree_sum(terms):
@@ -305,6 +305,81 @@ class TestDegeneracyCriterion:
             ext.degeneracy_criterion(
                 replace(sqrt2_chain, precision_cap=1024), beta, 1)
         assert info.value.witness == (0, 1)
+
+
+#: Square roots of distinct primes: with 1, any of them are rationally
+#: independent, so no criterion comparison is an exact tie.
+_CRITERION_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def criterion_cases(draw):
+    """(base texts, beta texts, integer shifts): r + k <= 3 roots of
+    distinct primes times c/d, |c| <= 6 for the base and 40 for the
+    betas, 1 <= d <= 6, and one shift per constant."""
+    r = draw(st.integers(min_value=1, max_value=2))
+    k = draw(st.integers(min_value=1, max_value=3 - r))
+    primes = draw(st.permutations(_CRITERION_PRIMES))[:r + k]
+    texts = tuple(
+        f"{draw(st.integers(min_value=1, max_value=6 if j < r else 40))}"
+        f"*{draw(st.sampled_from((1, -1)))}*root({p},2)"
+        f"/{draw(st.integers(min_value=1, max_value=6))}"
+        for j, p in enumerate(primes))
+    shifts = tuple(draw(st.integers(min_value=-30, max_value=30))
+                   for _ in primes)
+    return texts[:r], texts[r:], shifts
+
+
+def criterion_outcomes(base, betas, shifts):
+    """The chain of the shifted base constants to M = 8 (4 when r + k =
+    3), the shifted betas, and the criterion's verdict at each index."""
+    consts = [parse_expr(t) + j for t, j in zip(base + betas, shifts)]
+    r = len(base)
+    chain = enumerate_chain(LinearForm(tuple(consts[:r])),
+                            8 if len(consts) == 2 else 4)
+    values = tuple(consts[r:])
+    beta = ext.BetaSample(values=values, seed=None, recipe="x")
+    return chain, values, [ext.degeneracy_criterion(chain, beta, nu)
+                           for nu in range(1, len(chain.records))]
+
+
+#: The clamp-binding case: (-10, 0, 1) has |value| ~ 0.1005 below zeta_1
+#: ~ 0.414, with m_0 beyond (r+k+1) * M_2 = 6 once sqrt(2) - 1 is shifted
+#: to 9 + sqrt(2); and a pass, which is rare: 2 of 564 indices passed
+#: over 400 unshifted forms with every c and d at most 6.
+_CRITERION_EXAMPLES = (
+    (("root(2,2)-1",), ("7*root(2,2)+root(3,2)/1000000",), (10, 0)),
+    (("3*root(11,2)/2", "2*root(7,2)/5"), ("3*root(3,2)/2",), (4, -7, 12)),
+)
+
+
+def with_criterion_examples(test):
+    for case in _CRITERION_EXAMPLES:
+        test = example(case)(test)
+    return settings(max_examples=30, deadline=None)(
+        given(criterion_cases())(test))
+
+
+@with_criterion_examples
+def test_criterion_matches_reference(case):
+    base, betas, shifts = case
+    chain, values, verdicts = criterion_outcomes(base, betas, shifts)
+    for nu, verdict in enumerate(verdicts, start=1):
+        below = reference_criterion(chain, values, nu)
+        assert verdict.passed == (not below)
+        if below:  # the witness is the first violator the scan visits
+            first = next(t for t in ext._mixed_tails(
+                len(base), len(betas), chain.records[nu].M) if t in below)
+            assert verdict.witness == (below[first],) + first
+
+
+@with_criterion_examples
+def test_criterion_ignores_integer_shifts(case):
+    base, betas, shifts = case
+    outcomes = [[(v.passed, v.witness and v.witness[1:]) for v in
+                 criterion_outcomes(base, betas, js)[2]]
+                for js in (shifts, (0,) * len(shifts))]
+    assert outcomes[0] == outcomes[1]
 
 
 #: The omega rows of the extend-mc benchmark: the successor norms of its
