@@ -247,14 +247,21 @@ def scaled_residual(tail: Sequence[int],
     Raises AmbiguousRounding when an endpoint of x's enclosure lies on a
     half-integer or the two endpoints round to different integers."""
     mask = binding.mask
-    s, width = binding.half, 0  # s: lower end + half
-    for c, (lo, hi, d) in zip(tail, binding.terms):
+    if len(tail) == 1:  # one coordinate unpacked: no iterator per tail
+        (c,), ((lo, hi, d),) = tail, binding.terms
         if c > 0:
-            s += c * lo
-            width += c * d
-        elif c < 0:
-            s += c * hi
-            width -= c * d
+            s, width = binding.half + c * lo, c * d
+        else:
+            s, width = binding.half + c * hi, -c * d
+    else:
+        s, width = binding.half, 0  # s: lower end + half
+        for c, (lo, hi, d) in zip(tail, binding.terms):
+            if c > 0:
+                s += c * lo
+                width += c * d
+            elif c < 0:
+                s += c * hi
+                width -= c * d
     o_lo = s & mask
     o_hi = o_lo + width
     n = s >> binding.grid

@@ -282,6 +282,26 @@ def _kernel_cases(draw):
     return tuple(tail), los, his, grid
 
 
+def _every_one_coordinate_mode(test):
+    """An example per coefficient c in {1, -1, 3, -3, 0} of a tail (c,)
+    and per pinned mode of ``_kernel_cases``, so that the kernel's
+    unpacked one-coordinate branch meets each sign with its lower
+    endpoint on a half-integer, its upper one, or an enclosure that
+    spans one: c * e * 2**-grid = 7|c|/2.  For c = 0 the endpoints are
+    those of c = 1."""
+    grid = 5
+    half = 1 << (grid - 1)
+    for c in (1, -1, 3, -3, 0):
+        rising = c >= 0  # c * a rises with a
+        e = 7 * half if rising else -7 * half
+        below, above = e - 3, e + 5
+        for los, his in (([e], [above]) if rising else ([below], [e]),
+                         ([below], [e]) if rising else ([e], [above]),
+                         ([below], [above])):
+            test = example(((c,), los, his, grid))(test)
+    return test
+
+
 @given(_kernel_cases())
 @example(((1,), [2], [2], 2))      # exactly 1/2
 @example(((-1,), [2], [2], 2))     # exactly -1/2
@@ -289,6 +309,7 @@ def _kernel_cases(draw):
 @example(((1,), [1], [3], 2))      # [1/4, 3/4] spans 1/2
 @example(((2, -1), [3, 1], [3, 2], 2))  # [1, 5/4]
 @example(((0, 0), [5, 1], [9, 2], 3))   # the zero tail
+@_every_one_coordinate_mode
 @settings(max_examples=400, deadline=None)
 def test_scaled_residual_matches_fraction_reference(case):
     # the residual comes back offset by half
