@@ -28,6 +28,7 @@ from .linform import (
     endpoint_table,
     form_values,
     record_enclosure,
+    residue_tables,
     scaled_constants,
     scaled_residual,
     screen,
@@ -176,10 +177,11 @@ def _shell_scan(form: LinearForm, M_max: int, w: int,
     """One full scan at working precision w.  Returns the records or
     raises _Rescan when certification fails at this precision.  Every
     tail the kernel rounds has |residual| < 1/2, so bounds of 1/2 stand
-    for "no best yet" and "no record yet".  With residue tables (r >= 2),
-    the kernel sees only the tails ``screen`` keeps in each shell."""
+    for "no best yet" and "no record yet".  For r >= 2 the kernel sees
+    only the tails ``screen`` keeps in each shell."""
     r = form.r
-    binding = scaled_constants(form.alphas, w, cap, M_max)
+    binding = scaled_constants(form.alphas, w, cap)
+    tables = residue_tables(binding, M_max) if r > 1 else None
     half, mask = binding.half, binding.mask
 
     # |residual| bounds and tail of the last record
@@ -191,8 +193,8 @@ def _shell_scan(form: LinearForm, M_max: int, w: int,
         # offset residuals wholly above up or below down are beaten
         up, down = mask, 0
         tails = canonical_shell_tails(r, M)
-        if binding.residues is not None:
-            tails = screen(tails, binding)
+        if tables is not None:
+            tails = screen(tails, binding, *tables)
         for tail in tails:
             try:
                 _, o_lo, o_hi = scaled_residual(tail, binding)

@@ -98,9 +98,9 @@ def sample_betas(form: LinearForm, k: int, seed: int) -> BetaSample:
     """Seeded constants b_i = frac(u_i * sqrt(p_i)) with rational u_i and
     distinct primes p_i.
 
-    A prime is skipped when it divides a square-root radicand greater
-    than 1 already present in the form, so a sample can never be
-    trivially dependent on the base constants.
+    A prime is skipped when it divides p * q for an even-index root of a
+    rational p/q in the form (such a root's power is sqrt(p * q) / q),
+    so a sample can never be trivially dependent on the base constants.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

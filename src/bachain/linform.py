@@ -6,16 +6,18 @@ This module evaluates form values as integer dot products over a table
 of constant endpoints at one precision, climbs the one ladder over them,
 and picks the optimal free coefficient m_0 for a given tail.
 It also holds the scaled-integer residual kernel that both exhaustive
-scans (the chain enumerator and the degeneracy criterion) run per tail,
-the shell scan's screen, and the chain-record rule built on the kernel;
-the form-value path above never calls them, so the brute-force oracle
-built on that path stays an independent check of the scans.
+scans (the chain enumerator and the degeneracy criterion) run per tail
+over a ``Binding`` of one rung's constants, the shell scan's screen with
+the residue tables it reads (built from a binding and the scan's
+coordinate bound), and the chain-record rule built on the kernel; the
+form-value path above never calls them, so the brute-force oracle built
+on that path stays an independent check of the scans.
 """
 
 from __future__ import annotations
 
 from operator import getitem
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import AmbiguousRounding, DependenceSuspected
 from .realnum import (
@@ -182,60 +184,43 @@ def best_m0(tail: Sequence[int], form: LinearForm,
 
 
 class Binding:
-    """One rung's constants for ``scaled_residual`` on the 2**-grid
-    lattice: half = 2**(grid - 1), mask = 2**grid - 1 and terms[j] = (lo,
-    hi, hi - lo) for constant j in [lo, hi] * 2**-grid.  Slots, as a tuple
-    subclass unpacks more slowly in the kernel, which reads it per tail.
+    """One rung's constants for ``scaled_residual``, constant j in
+    [los[j], his[j]] * 2**-grid: half = 2**(grid - 1), mask = 2**grid - 1
+    and terms[j] = (lo, hi, hi - lo).  Slots, as a tuple subclass unpacks
+    more slowly in the kernel, which reads it per tail."""
 
-    A binding for coordinates bounded by B may also carry residue tables
-    for ``screen``: residues[j][c], for -B <= c <= B (a negative c indexes
-    from the end), is c * lo mod 2**grid for constant j, plus half in
-    table 0; slack = B * sum(hi - lo).  A coordinate beyond B reads a
-    wrong entry or none, so only a scan that visits no such tail may bind
-    a bound."""
+    __slots__ = ("grid", "half", "mask", "terms")
 
-    __slots__ = ("grid", "half", "mask", "terms", "residues", "slack")
-
-    def __init__(self, grid: int, half: int, mask: int,
-                 terms: tuple[tuple[int, int, int], ...],
-                 residues: Optional[tuple[list[int], ...]] = None,
-                 slack: int = 0):
-        self.grid, self.half, self.mask, self.terms = grid, half, mask, terms
-        self.residues, self.slack = residues, slack
+    def __init__(self, grid: int, los: Sequence[int], his: Sequence[int]):
+        self.grid, self.half = grid, 1 << (grid - 1)
+        self.mask = 2 * self.half - 1
+        self.terms = tuple((lo, hi, hi - lo) for lo, hi in zip(los, his))
 
 
 def scaled_constants(exprs: Sequence[RealExpr], w: int,
-                     cap: int = PRECISION_CAP,
-                     bound: Optional[int] = None) -> Binding:
+                     cap: int = PRECISION_CAP) -> Binding:
     """The binding for ``exprs`` at precision w: on the grid g = w + 2,
     integer endpoints on the 2**-g lattice enclosing each constant, from
     enclosures of width <= 2**-w (exact when the grid is as fine as their
-    endpoints).  ``bound`` is the largest |coordinate| of any tail the
-    caller will pass (see ``bind_endpoints``)."""
+    endpoints)."""
     ivs = [eval_interval(e, w, cap) for e in exprs]
-    return bind_endpoints(w + 2, [iv.lo.floor_scaled(w + 2) for iv in ivs],
-                          [iv.hi.ceil_scaled(w + 2) for iv in ivs], bound)
+    return Binding(w + 2, [iv.lo.floor_scaled(w + 2) for iv in ivs],
+                   [iv.hi.ceil_scaled(w + 2) for iv in ivs])
 
 
-def bind_endpoints(grid: int, los: Sequence[int], his: Sequence[int],
-                   bound: Optional[int] = None) -> Binding:
-    """The binding for constants in [los[j], his[j]] * 2**-grid.  With a
-    coordinate bound B, it carries residue tables for ``screen`` when they
-    hold fewer entries, r * (2B + 1), than a scan over that box visits
-    tails, ((2B + 1)**r - 1) / 2: never for r = 1, whose shells hold one
-    tail each, and for every B >= 2 when r >= 2."""
-    half = 1 << (grid - 1)
-    mask = 2 * half - 1
-    terms = tuple((lo, hi, hi - lo) for lo, hi in zip(los, his))
-    r = len(terms)
-    side = None if bound is None else 2 * bound + 1  # the box's side
-    if side is None or r * side >= (side ** r - 1) // 2:
-        return Binding(grid, half, mask, terms)
+def residue_tables(binding: Binding,
+                   bound: int) -> tuple[tuple[list[int], ...], int]:
+    """(residues, slack) for ``screen`` over tails whose coordinates are
+    bounded by B: residues[j][c], for -B <= c <= B (a negative c indexes
+    from the end), is c * lo mod 2**grid for constant j, plus half in
+    table 0; slack = B * sum(hi - lo).  A coordinate beyond B reads a
+    wrong entry or none, so only a scan that visits no such tail may
+    build them."""
     coords = list(range(bound + 1)) + list(range(-bound, 0))
-    residues = tuple([(c * lo + base) & mask for c in coords]
-                     for base, lo in zip([half] + [0] * (r - 1), los))
-    return Binding(grid, half, mask, terms, residues,
-                   bound * sum(d for _, _, d in terms))
+    bases = [binding.half] + [0] * (len(binding.terms) - 1)
+    residues = tuple([(c * lo + base) & binding.mask for c in coords]
+                     for base, (lo, _, _) in zip(bases, binding.terms))
+    return residues, bound * sum(d for _, _, d in binding.terms)
 
 
 def scaled_residual(tail: Sequence[int],
@@ -271,19 +256,21 @@ def scaled_residual(tail: Sequence[int],
     return n, o_lo, o_hi
 
 
-def screen(tails: Iterable[Sequence[int]],
-           binding: Binding) -> list[Sequence[int]]:
+def screen(tails: Iterable[Sequence[int]], binding: Binding,
+           residues: tuple[list[int], ...],
+           slack: int) -> list[Sequence[int]]:
     """The tails, in order, that a scan rounding each through
     ``scaled_residual`` cannot pass over unseen: each it might not find
     certifiably beaten by an earlier tail, and each it might fail to
-    round.  The binding's residue tables must bound every coordinate.
+    round.  ``residues`` and ``slack`` are the binding's
+    ``residue_tables`` for a bound on every coordinate.
 
     A tail's residue sum puts S = sum tail_j * lo_j at distance d from its
     nearest integer, and slack bounds |x - S| for every x in the tail's
     enclosure: so a tail with d more than 2 * slack above an earlier
     tail's lies wholly farther from the integers, and one with
     d < half - slack encloses no half-integer."""
-    residues, half, mask = binding.residues, binding.half, binding.mask
+    half, mask = binding.half, binding.mask
     tails = list(tails)
     if len(residues) == 2:  # the common lengths unpacked: no map per tail
         first, second = residues
@@ -293,7 +280,6 @@ def screen(tails: Iterable[Sequence[int]],
         sums = [first[a] + second[b] + third[c] for a, b, c in tails]
     else:
         sums = [sum(map(getitem, residues, tail)) for tail in tails]
-    slack = binding.slack
     edge = mask - slack  # u off (slack, edge]: S within slack of 1/2
     near, far = 0, mask  # u in [near, far]: d within 2 * slack of the least
     kept = []

@@ -486,12 +486,13 @@ class RealExpr:
         return a / b
 
     def square_root_radicands(self) -> set[int]:
-        """Integer radicands of square-root leaves anywhere in the tree."""
+        """p * q for each even-index root of a rational p/q anywhere in
+        the tree: that root's power sqrt(p/q) is sqrt(p * q) / q."""
         found: set[int] = set()
-        if self.kind == _ROOT and self.index == 2:
+        if self.kind == _ROOT and self.index % 2 == 0:
             child = self.children[0]
-            if child.kind == _RAT and child.value.denominator == 1:
-                found.add(child.value.numerator)
+            if child.kind == _RAT:
+                found.add(child.value.numerator * child.value.denominator)
         for c in self.children:
             found |= c.square_root_radicands()
         return found

@@ -602,6 +602,11 @@ _SCAN_REFERENCE_BOUNDS = {1: 2000, 2: 40, 3: 10}
 @example([0], 2000, PRECISION_CAP)
 @example([1, 5], 40, 2048)
 @example([2, 6, 9], 10, PRECISION_CAP)
+# r = 2 at M_max = 1, where the screen's tables cover the one shell: an
+# exact integer a1 - a2 in it, a dependence just beyond it, and neither
+@example([1, 10], 1, 2048)
+@example([0, 11], 1, PRECISION_CAP)
+@example([2, 5], 1, PRECISION_CAP)
 def test_scan_matches_reference_bytes(indices, m_max, cap):
     form = LinearForm(tuple(parse_expr(_ALPHA_POOL[i]) for i in indices))
     m_max = 1 + (m_max - 1) % _SCAN_REFERENCE_BOUNDS[form.r]

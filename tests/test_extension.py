@@ -222,13 +222,20 @@ class TestBetaSample:
         assert b1.values[0]._key() != b2.values[0]._key()
 
     def test_avoids_form_radicands(self):
-        form = LinearForm((root(8),))  # sqrt(8) = 2*sqrt(2)
-        beta = ext.sample_betas(form, 3, seed=5)
-        used = set()
-        for v in beta.values:
-            used |= v.square_root_radicands()
-        assert 2 not in used
-        assert len(used) == 3
+        # an even-index root of p/q has the power sqrt(p*q)/q, so no prime
+        # dividing p*q may be drawn
+        for text, pq in [("root(8,2)", 8),      # 2*sqrt(2)
+                         ("root(1/2,2)", 2),    # sqrt(2)/2
+                         ("root(4,4)", 4),      # sqrt(2)
+                         ("root(9,4)", 9),      # sqrt(3)
+                         ("root(8,6)", 8)]:     # sqrt(2)
+            beta = ext.sample_betas(LinearForm((parse_expr(text),)), 3,
+                                    seed=5)
+            used = set()
+            for v in beta.values:
+                used |= v.square_root_radicands()
+            assert len(used) == 3
+            assert all(pq % p for p in used), text
 
     def test_recipe_recorded(self, sqrt2_form):
         beta = ext.sample_betas(sqrt2_form, 1, seed=9)

@@ -13,14 +13,15 @@ from bachain.errors import (
     PrecisionExhausted,
 )
 from bachain.linform import (
+    Binding,
     LinearForm,
     abs_bounds,
     best_m0,
-    bind_endpoints,
     dot_bounds,
     endpoint_table,
     form_values,
     record_enclosure,
+    residue_tables,
     scaled_constants,
     scaled_residual,
     screen,
@@ -314,7 +315,7 @@ def _every_one_coordinate_mode(test):
 def test_scaled_residual_matches_fraction_reference(case):
     # the residual comes back offset by half
     tail, los, his, grid = case
-    binding = bind_endpoints(grid, los, his)
+    binding = Binding(grid, los, his)
     want = _residual_reference(tail, los, his, grid)
     if want is None:
         with pytest.raises(AmbiguousRounding):
@@ -349,12 +350,12 @@ def _unskippable(tails, binding):
 
 @st.composite
 def _screen_cases(draw):
-    """Distinct tails of r = 2..4 coordinates within a bound B that gives
-    the binding residue tables (B >= 2 for r = 2), and endpoints on the
-    2**-grid lattice.  Grids of a few bits make exact zeros (at zero
-    widths), half-integers and tails at equal distances common."""
+    """Distinct tails of r = 2..4 coordinates within a bound B >= 1, the
+    shell scan's bounds, and endpoints on the 2**-grid lattice.  Grids of
+    a few bits make exact zeros (at zero widths), half-integers and tails
+    at equal distances common."""
     r = draw(st.integers(min_value=2, max_value=4))
-    bound = draw(st.integers(min_value=2 if r == 2 else 1, max_value=12))
+    bound = draw(st.integers(min_value=1, max_value=12))
     grid = draw(st.one_of(st.integers(min_value=1, max_value=6),
                           st.integers(min_value=7, max_value=80)))
     unit = 1 << grid
@@ -377,37 +378,42 @@ def _screen_cases(draw):
 # the second tail's upper endpoint lies on 1/2, at distance half - slack
 @example(([(0, 1), (2, 0)], [7, 1], [8, 1], 5, 2))
 @example(([(0, 1), (1, 0)], [8, 1], [8, 1], 4, 2))   # exactly 1/2
+# shell 1 of r = 2 at B = 1
+@example(([(1, -1), (1, 0), (1, 1), (0, 1)], [3, 8], [4, 8], 5, 1))
 @example(([(1, 1), (1, -1)], [5, 5], [5, 5], 4, 2))  # an exact zero
 @example(([(1, -1, 1, 0), (1, 1, 1, 1), (0, 0, 1, -1)],
           [3, 5, 7, 9], [3, 5, 7, 9], 4, 1))          # length 4
 @settings(max_examples=400, deadline=None)
 def test_screen_keeps_every_tail_the_loop_cannot_pass_over(case):
     tails, los, his, grid, bound = case
-    binding = bind_endpoints(grid, los, his, bound)
+    binding = Binding(grid, los, his)
+    tables = residue_tables(binding, bound)
     position = {tail: i for i, tail in enumerate(tails)}
-    kept = [position[tail] for tail in screen(tails, binding)]
+    kept = [position[tail] for tail in screen(tails, binding, *tables)]
     assert kept == sorted(kept)
     assert set(_unskippable(tails, binding)) <= set(kept)
 
 
 def test_screen_passes_few_of_a_shell_to_the_kernel(cbrt_pair):
-    binding = scaled_constants(cbrt_pair.alphas, 64, PRECISION_CAP, 40)
+    binding = scaled_constants(cbrt_pair.alphas, 64, PRECISION_CAP)
     tails = list(canonical_shell_tails(2, 40))
-    assert len(screen(tails, binding)) < len(tails) // 10
+    kept = screen(tails, binding, *residue_tables(binding, 40))
+    assert len(kept) < len(tails) // 10
 
 
-@pytest.mark.parametrize("r,bound,tables", [
-    (1, 1, False), (1, 10 ** 6, False), (2, 1, False), (2, 2, True),
-    (3, 1, True), (4, 1, True),
-])
-def test_tables_only_where_smaller_than_the_scan(r, bound, tables):
-    # r * (2B + 1) entries against ((2B + 1)**r - 1) / 2 visits
-    binding = bind_endpoints(8, [3] * r, [4] * r, bound)
-    assert (binding.residues is not None) == tables
-    if tables:
-        assert [len(t) for t in binding.residues] == [2 * bound + 1] * r
-        assert binding.slack == bound * r
-    assert binding.terms == bind_endpoints(8, [3] * r, [4] * r).terms
+@pytest.mark.parametrize("r,bound", [(1, 1), (2, 1), (2, 2), (3, 1), (4, 1)])
+def test_residue_tables_shape_and_slack(r, bound):
+    # one table of 2B + 1 entries per constant, c * lo mod 2**grid at
+    # index c (negative c from the end), plus half in table 0
+    los, his = [-3, 5, 7, 90][:r], [-1, 6, 10, 94][:r]
+    binding = Binding(5, los, his)
+    residues, slack = residue_tables(binding, bound)
+    assert [len(t) for t in residues] == [2 * bound + 1] * r
+    assert slack == bound * sum(hi - lo for lo, hi in zip(los, his))
+    for j, (table, lo) in enumerate(zip(residues, los)):
+        base = binding.half if j == 0 else 0
+        assert [table[c] for c in range(-bound, bound + 1)] == \
+            [(c * lo + base) % 32 for c in range(-bound, bound + 1)]
 
 
 # --- the record rule --------------------------------------------------------
@@ -424,7 +430,7 @@ def test_record_enclosure_is_the_kernel_residual(case):
     # the vector negates the enclosure exactly (the scan's sign
     # normalisation rests on it)
     tail, los, his, grid = case
-    binding = bind_endpoints(grid, los, his)
+    binding = Binding(grid, los, his)
     want = _residual_reference(tail, los, his, grid)
     if want is None:
         with pytest.raises(AmbiguousRounding):

@@ -193,62 +193,18 @@ SCAN_SITES = {
 }
 
 
-#: The functions that may bind the kernel's constants under a coordinate
-#: bound, so that the binding may carry residue tables: the shell scan,
-#: which bounds its own tails, and ``scaled_constants``, which hands its
-#: caller's bound on.  ``screen`` is the tables' only reader, and a table
-#: indexed beyond its bound reads another coordinate's entry, so no other
-#: caller (the chain reader, in particular) may bind one.
-BOUNDED_BINDING_SITES = {
-    ("enumerator.py", "_shell_scan"),
-    ("linform.py", "scaled_constants"),
-}
-
-#: The binding builders, each with the number of arguments before its
-#: coordinate bound.
-BINDERS = {"scaled_constants": 3, "bind_endpoints": 3}
-
-
-def bounded_binders(path: Path) -> list[str]:
-    """Names of the functions in ``path`` that call a binding builder with
-    a coordinate bound, by position or as ``bound=``."""
-    found = []
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        name = call_name(node)
-        if name in BINDERS and (
-                len(node.args) > BINDERS[name]
-                or any(isinstance(a, ast.Starred) for a in node.args)
-                or any(kw.arg in ("bound", None) for kw in node.keywords)):
-            found.append(where)
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
-    return found
+#: The one function that may build the screen's residue tables, the only
+#: kernel input that takes a coordinate bound: the shell scan, which bounds
+#: its own tails.  A table indexed beyond its bound reads another
+#: coordinate's entry, so no other caller (the chain reader, in
+#: particular) may build one.
+RESIDUE_TABLE_SITES = {("enumerator.py", "_shell_scan")}
 
 
 def test_only_the_shell_scan_binds_a_coordinate_bound():
     sites = {(p.name, fn) for p in SRC.glob("*.py")
-             for fn in bounded_binders(p)}
-    assert sites == BOUNDED_BINDING_SITES
-
-
-def test_detects_a_bounded_binding(tmp_path):
-    probe = tmp_path / "probe.py"
-    probe.write_text("def read(form, w, cap, M):\n"
-                     "    return linform.scaled_constants(form, w, cap, M)\n"
-                     "def check(form, w, M):\n"
-                     "    return scaled_constants(form, w, bound=M)\n"
-                     "def spread(args, kwargs):\n"
-                     "    return (bind_endpoints(*args),\n"
-                     "            scaled_constants(1, 2, **kwargs))\n"
-                     "def plain(form, w, cap):\n"
-                     "    return (scaled_constants(form, w, cap),\n"
-                     "            bind_endpoints(8, [1], [2]))\n")
-    assert bounded_binders(probe) == ["read", "check", "spread", "spread"]
+             for fn in callers(p, "residue_tables")}
+    assert sites == RESIDUE_TABLE_SITES
 
 
 #: The oracle, whose every rounding is its one ``realnum.round_scaled``
@@ -398,8 +354,9 @@ ORACLE_PATH = ("zeta", "form_values", "best_m0", "endpoint_table",
                "brute_force_oracle")
 
 #: The exhaustive scans' residual kernel, its binding and the shell
-#: scan's screen, with the record rule built on the kernel.
-SCAN_KERNEL = {"scaled_residual", "scaled_constants", "bind_endpoints",
+#: scan's screen with its residue tables, with the record rule built on
+#: the kernel.
+SCAN_KERNEL = {"scaled_residual", "scaled_constants", "residue_tables",
                "Binding", "record_enclosure", "screen"}
 
 
