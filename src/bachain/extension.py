@@ -34,7 +34,8 @@ from .errors import (
     PrecisionExhausted,
     SearchTooLarge,
 )
-from .linform import LinearForm, abs_bounds, scaled_constants, scaled_residual
+from .linform import (LinearForm, abs_bounds, scaled_constants,
+                      scaled_residual, tail_norm)
 from .realnum import (
     START_PRECISION,
     Dyadic,
@@ -268,8 +269,7 @@ def _round_sum(terms: list[tuple[int, int]], p: int,
     return dyadic_from_ratio(*_ratio_sum(terms), p, round_up)
 
 
-def lattice_inv_norm_sum(M: int, k: int, rows: Iterable[int] = (),
-                         budget: int = DEFAULT_BUDGET
+def lattice_inv_norm_sum(M: int, k: int, rows: Iterable[int] = ()
                          ) -> dict[int, DyadicInterval]:
     """Bounds on sum of 1/sqrt(m_1^2 + ... + m_k^2) over nonzero integer
     vectors with max-norm <= R, on the 2**-OMEGA_BITS grid, for R = M and
@@ -283,15 +283,14 @@ def lattice_inv_norm_sum(M: int, k: int, rows: Iterable[int] = (),
     the 2**-LATTICE_BITS grid; each class's root is taken once per table.
     The sums of a row's terms are rounded outward to the output grid in
     integers (``_round_sum``); for k = 1 the endpoints are twice the R-th
-    harmonic number rounded down and up.
+    harmonic number rounded down and up.  It checks no budget: an
+    ``extend`` run's table is charged once, in ``_resolve_base``.
     """
     if M < 1 or k < 1:
         raise ValueError("M and k must be >= 1")
     wanted = {M, *rows}
     if min(wanted) < 1 or max(wanted) > M:
         raise ValueError(f"rows must lie in 1..{M}")
-    SearchTooLarge.check(scan_volume(k, M), budget,
-                         f"lattice sum in dimension {k} to max-norm {M}")
     classes: Counter = Counter()  # squared norm -> canonical tails so far
     roots: dict[int, tuple[int, int, int]] = {}  # n -> shift, lo/hi dens
     table = {}
@@ -441,8 +440,7 @@ def _align(base_chain: BAChain, beta: BetaSample,
     missing = [rec.index for rec, v in zip(base_chain.records, padded)
                if v not in ext_vectors]
 
-    max_extra_norm = max((max(abs(c) for c in v[1:]) for v in extras),
-                         default=0)
+    max_extra_norm = max((tail_norm(v[1:]) for v in extras), default=0)
     bad_pad = max(missing, default=0)
     nu_match: Optional[int] = None
     for s, rec in enumerate(base_chain.records, start=1):
@@ -455,13 +453,13 @@ def _align(base_chain: BAChain, beta: BetaSample,
                            extras=extras, missing=missing, nu_match=nu_match)
 
 
-def _omega_table(chain: BAChain, k: int,
-                 budget: int) -> tuple[dict[int, DyadicInterval], str]:
+def _omega_table(chain: BAChain, k: int
+                 ) -> tuple[dict[int, DyadicInterval], str]:
     """The omega bound at each index with a successor record, its lattice
     sum read off one table to the largest successor norm, and the regime
     note read from them; neither depends on the extension constants."""
     rows = [rec.M for rec in chain.records[1:]]
-    sums = lattice_inv_norm_sum(max(rows), k, rows, budget) if rows else {}
+    sums = lattice_inv_norm_sum(max(rows), k, rows) if rows else {}
     table = {nu: omega_bound(chain.records[nu - 1].zeta, M, chain.r, k,
                              sums[M])
              for nu, M in enumerate(rows, start=1)}
@@ -491,8 +489,7 @@ def compare_extended(chain: BAChain, beta: BetaSample, M_max: int,
                 base_chain, beta, nu, budget=budget)
         except SearchTooLarge as exc:
             report.skipped_criteria[nu] = str(exc)
-    report.omega_table, report.regime_note = _omega_table(
-        base_chain, beta.k, budget)
+    report.omega_table, report.regime_note = _omega_table(base_chain, beta.k)
     return report
 
 
@@ -549,7 +546,7 @@ def monte_carlo(chain: BAChain, k: int, samples: int, seed: int, M_max: int,
         nu: sum(1 for h in horizons if h is not None and h <= nu)
         for nu in range(1, len(base.records) + 1)
     }
-    omega_table, regime = _omega_table(base, k, budget)
+    omega_table, regime = _omega_table(base, k)
     return MonteCarloResult(samples=samples, seed=seed, k=k,
                             search_bound=M_max, sample_seeds=sample_seeds,
                             horizons=horizons, matched_beyond=matched_beyond,

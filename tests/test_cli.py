@@ -1,8 +1,12 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +27,9 @@ from conftest import as_fraction, dyadic_from_hex, replace
 
 
 DEPTH = MAX_EXPR_DEPTH
+
+#: The directory that holds the package, for a fresh interpreter's path.
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: What ``parse_chain`` says of a file that ``serialize_chain`` did not write.
 LAYOUT = "chain file line {} is not as serialize_chain writes it"
@@ -72,9 +79,11 @@ class TestExprParser:
         e = parse_expr("root(2,3)+root(4,3)")
         assert e.kind == "add"
         assert parse_expr("root( 2 , 2 )") == root(2)
+        assert parse_expr("root(2,2) ") == root(2)
 
     @pytest.mark.parametrize("bad", [
-        "", "root(2)", "1 +", "(1", "root(2,x)", "1 @ 2", "2 2"])
+        "", "root(2)", "1 +", "(1", "root(2,x)", "1 @ 2", "2 2",
+        "root(2,(3))", "2+)"])
     def test_syntax_errors(self, bad):
         with pytest.raises(ExprSyntaxError):
             parse_expr(bad)
@@ -99,7 +108,8 @@ class TestExprParser:
         "1+(" * (DEPTH - 1) + "-3/7" + ")" * (DEPTH - 1),
         "root(" * (DEPTH - 2) + "2+-3/7" + ",2)" * (DEPTH - 2),
         "(" * (DEPTH + 1) + "1" + ")" * (DEPTH + 1),
-    ], ids=["left-chain", "right-chain", "roots", "brackets"])
+        "-(-3/7" + "+1" * (DEPTH - 2) + ")",
+    ], ids=["left-chain", "right-chain", "roots", "brackets", "minus-on-sum"])
     def test_depth_bound_accepted_and_round_trips(self, text):
         e = parse_expr(text)
         assert parse_expr(expr_to_text(e)) == e
@@ -115,9 +125,12 @@ class TestExprParser:
 
     def test_round_trip_fixture_expressions(self):
         for text in ["root(2,2)", "(1+root(5,2))/2 - 1", "root(5,2)-2",
-                     "root(3,2)-1", "2*root(6,2)-4"]:
+                     "root(3,2)-1", "2*root(6,2)-4", "-root(2,2)",
+                     "-(1+root(5,2))/2"]:
             e = parse_expr(text)
             assert parse_expr(expr_to_text(e)) == e
+        # a minus on a non-literal is a subtraction from 0
+        assert expr_to_text(parse_expr("-root(2,2)")) == "(0 - root(2, 2))"
 
 
 class TestChainFile:
@@ -341,6 +354,18 @@ class TestCommands:
     def test_enumerate_rational_alpha_exit_code(self, capsys):
         code = cli.main(["enumerate", "--alpha", "1/2", "--max-norm", "10"])
         assert code == cli.EXIT_DEPENDENCE
+
+    def test_module_entry_point_returns_the_exit_code(self, tmp_path):
+        # a fresh interpreter outside the checkout, through __main__.py
+        path = os.pathsep.join(filter(None, [str(SRC),
+                                             os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-m", "bachain", "enumerate",
+                              "--alpha", "2", "--max-norm", "10"],
+                             cwd=tmp_path, capture_output=True, text=True,
+                             env=os.environ | {"PYTHONPATH": path})
+        assert run.returncode == cli.EXIT_DEPENDENCE
+        assert run.stderr == "dependence suspected: alpha[0] = RealExpr<2> " \
+                             "is provably rational\n"
 
     @pytest.mark.parametrize("source", ["alpha", "beta", "chain-header"])
     def test_constant_certified_at_the_given_cap(self, tmp_path, capsys,
@@ -619,15 +644,22 @@ class TestCommands:
             "budget exceeded: extended scan in dimension 2001 to max-norm "
             "1000 needs at least 2**21942 evaluations > budget 10000000\n")
 
-    @pytest.mark.parametrize("budget,code", [(839, cli.EXIT_BUDGET),
-                                             (840, cli.EXIT_OK)])
-    def test_extend_budget_counts_visits(self, tmp_path, capsys, budget,
-                                         code):
-        # the extended scan of root(2,2) and one sampled constant to M = 20
-        # is the 2-D scan of test_enumerate_budget: 840 tails
-        rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], 20)
-        argv = ["extend", str(rec), "--k", "1", "--samples", "1",
-                "--seed", "1"]
+    # the extended scan of root(2,2) and one sampled constant to M = 20
+    # is the 2-D scan of test_enumerate_budget: 840 tails; a chain to 100
+    # extended by k = 2 to --max-norm 5 charges its omega table to the
+    # last record, M = 70: 9,940 tails, more than the 665 of its scan
+    @pytest.mark.parametrize("chain_norm,opts,budget,code,refusal", [
+        (20, ["--k", "1"], 839, cli.EXIT_BUDGET,
+         "extended scan in dimension 2 to max-norm 20 needs 840"),
+        (20, ["--k", "1"], 840, cli.EXIT_OK, None),
+        (100, ["--k", "2", "--max-norm", "5"], 9939, cli.EXIT_BUDGET,
+         "omega row in dimension 2 to max-norm 70 needs 9940"),
+        (100, ["--k", "2", "--max-norm", "5"], 9940, cli.EXIT_OK, None),
+    ], ids=["839-5", "840-0", "9939-5", "9940-0"])
+    def test_extend_budget_counts_visits(self, tmp_path, capsys, chain_norm,
+                                         opts, budget, code, refusal):
+        rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], chain_norm)
+        argv = ["extend", str(rec), *opts, "--samples", "1", "--seed", "1"]
         assert cli.main(argv) == cli.EXIT_OK
         default = capsys.readouterr().out
         assert cli.main(argv + ["--budget", str(budget)]) == code
@@ -636,8 +668,7 @@ class TestCommands:
             assert captured.out == default
         else:
             assert captured.out == ""
-            assert "extended scan in dimension 2 to max-norm 20 needs 840 " \
-                   "evaluations > budget 839" in captured.err
+            assert f"{refusal} evaluations > budget {budget}" in captured.err
 
     @pytest.mark.parametrize("mode", [
         ["--samples", "1", "--seed", "5"],

@@ -426,6 +426,47 @@ def test_integer_shifts_move_only_m0(texts, shifts):
         [(r.index, r.m[1:], r.M) for r in got.records]
 
 
+#: Square roots of these primes, any of them together, are independent
+#: with 1; the symmetry test maps them by signed permutations and shifts.
+_SYMMETRY_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+_SYMMETRY_BOUNDS = {2: 25, 3: 8}
+
+
+@st.composite
+def signed_permutations(draw):
+    """Distinct primes for a form of r = 2 or 3 square roots, a bound, and
+    a map b_i = s_i * alpha_pi(i) + j_i: signs s, permutation pi, shifts j."""
+    r = draw(st.sampled_from(sorted(_SYMMETRY_BOUNDS)))
+    primes = draw(st.lists(st.sampled_from(_SYMMETRY_PRIMES), min_size=r,
+                           max_size=r, unique=True))
+    m_max = draw(st.integers(min_value=1, max_value=_SYMMETRY_BOUNDS[r]))
+    perm = draw(st.permutations(range(r)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=r, max_size=r))
+    shifts = draw(st.lists(st.integers(min_value=-3, max_value=3),
+                           min_size=r, max_size=r))
+    return primes, m_max, perm, signs, shifts
+
+
+@given(signed_permutations())
+@settings(max_examples=150, deadline=None)
+def test_signed_permutations_map_every_record(case):
+    # record (m_0, m) of alpha is record (m_0 - sum t_i j_i, t) of b, with
+    # t_i = s_i * m_pi(i), at the same index and M
+    primes, m_max, perm, signs, shifts = case
+    form = LinearForm(tuple(root(p) for p in primes))
+    mapped = LinearForm(tuple(
+        parse_expr(f"{'-' if s < 0 else ''}root({primes[i]},2){j:+d}")
+        for s, i, j in zip(signs, perm, shifts)))
+
+    def image(m):
+        t = tuple(s * m[1 + i] for s, i in zip(signs, perm))
+        return (m[0] - sum(c * j for c, j in zip(t, shifts)),) + t
+
+    want, got = enumerate_chain(form, m_max), enumerate_chain(mapped, m_max)
+    assert [(r.index, image(r.m), r.M) for r in want.records] == \
+        [(r.index, r.m, r.M) for r in got.records]
+
+
 # --- the oracle against its per-tail reference ----------------------------
 
 

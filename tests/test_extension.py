@@ -416,20 +416,6 @@ class TestLatticeSum:
         assert lo - slack <= oracle_f <= hi + slack
         assert hi - lo < Fraction(1, 10 ** 9)
 
-    def test_budget(self):
-        with pytest.raises(SearchTooLarge):
-            ext.lattice_inv_norm_sum(10 ** 4, 2, budget=10 ** 6)
-
-    @pytest.mark.parametrize("M,k", [(1, 1), (7, 1), (3, 2), (10, 2), (2, 3)])
-    def test_budget_counts_visits(self, M, k):
-        # the sum visits one canonical tail per +-pair of nonzero points
-        visits = ((2 * M + 1) ** k - 1) // 2
-        assert ext.lattice_inv_norm_sum(M, k, budget=visits) == \
-            ext.lattice_inv_norm_sum(M, k)
-        with pytest.raises(SearchTooLarge, match=f"needs {visits} evaluations "
-                                                 f"> budget {visits - 1}$"):
-            ext.lattice_inv_norm_sum(M, k, budget=visits - 1)
-
     @pytest.mark.parametrize("visits,count", [
         ((1 << 256) - 1, str((1 << 256) - 1)),
         (1 << 256, "at least 2**256"),

@@ -391,6 +391,16 @@ class TestEval:
         assert Fraction("2.84732") < as_fraction(iv.lo)
         assert as_fraction(iv.hi) < Fraction("2.84733")
 
+    @pytest.mark.parametrize("text,lo,hi", [
+        ("-root(2,2)", "-1.41422", "-1.41421"),
+        ("-(1+root(5,2))/2", "-1.61804", "-1.61803"),
+    ])
+    def test_negated_root_digits(self, text, lo, hi):
+        iv = eval_interval(parse_expr(text), 20)
+        assert iv.width_le(20)
+        assert Fraction(lo) < as_fraction(iv.lo)
+        assert as_fraction(iv.hi) < Fraction(hi)
+
     def test_nonneg_radicand_enforced(self):
         with pytest.raises(DomainError):
             root(rational(-1))
