@@ -320,8 +320,6 @@ def _render_extension_text(result) -> str:
             status = "pass" if v["passed"] else "fail"
             extra = f" witness {v['witness']}" if "witness" in v else ""
             out.append(f"criterion nu={nu}: {status}{extra}")
-        for nu, why in data["criterion_skipped"].items():
-            out.append(f"criterion nu={nu}: skipped ({why})")
         out.append(f"extra records {data['extra_records']}")
         out.append(f"missing base indices {data['missing_base_indices']}")
         out.append(f"match horizon {data['match_horizon']}")

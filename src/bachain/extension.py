@@ -363,7 +363,7 @@ class ExtensionReport:
     ``compare_extended`` fills in the criterion scan and the omega table."""
 
     __slots__ = ("k", "search_bound", "beta", "base_chain", "extended_chain",
-                 "criterion_verdicts", "skipped_criteria", "extras",
+                 "criterion_verdicts", "extras",
                  "missing", "nu_match", "omega_table", "regime_note")
 
     def __init__(self, k: int, search_bound: int, beta: BetaSample,
@@ -376,7 +376,6 @@ class ExtensionReport:
         self.missing = missing  # base indices
         self.nu_match = nu_match
         self.criterion_verdicts: dict[int, CriterionVerdict] = {}
-        self.skipped_criteria: dict[int, str] = {}
         self.omega_table: dict[int, DyadicInterval] = {}
         self.regime_note = ""
 
@@ -389,8 +388,6 @@ class ExtensionReport:
             "beta_recipe": self.beta.recipe,
             "criterion": {str(nu): v.to_dict()
                           for nu, v in sorted(self.criterion_verdicts.items())},
-            "criterion_skipped": {str(nu): why
-                                  for nu, why in sorted(self.skipped_criteria.items())},
             "extra_records": [list(v) for v in self.extras],
             "missing_base_indices": self.missing,
             "match_horizon": self.nu_match,
@@ -401,27 +398,26 @@ class ExtensionReport:
 
 
 def _resolve_base(base: BAChain, k: int, M_max: int, budget: int) -> BAChain:
-    """Check the extended scan and the largest omega row, then return
-    ``base``, or its form's chain re-enumerated to M_max when ``base``
-    stops short of it, whose scans the first check covers.  A ``base``
-    that reaches M_max is checked against its form's chain to M_max: the
-    records up to M_max must agree in (index, m, M), or ValueError names
-    the first that differs.  It is returned as read, enclosures too."""
+    """Check the extended scan and the largest omega row, then enumerate
+    ``base``'s form to M_max, a scan the first check covers.  The records
+    of ``base`` up to min(M_max, its search bound) must agree with that
+    chain's in (index, m, M), or ValueError names the first that differs.
+    Return ``base`` as read, enclosures too, when it reaches M_max, and
+    the fresh chain otherwise."""
     SearchTooLarge.check(scan_volume(base.r + k, M_max), budget,
                          f"extended scan in dimension {base.r + k} to max-norm {M_max}")
-    if base.search_bound < M_max:
-        return enumerate_chain(base.form, M_max, base.precision_cap)
     row = max((rec.M for rec in base.records[1:]), default=0)
     SearchTooLarge.check(scan_volume(k, row), budget,
                          f"omega row in dimension {k} to max-norm {row}")
     fresh = enumerate_chain(base.form, M_max, base.precision_cap)
+    bound = min(M_max, base.search_bound)
     got, want = ([(rec.index, rec.m, rec.M) for rec in chain.records
-                  if rec.M <= M_max] for chain in (base, fresh))
+                  if rec.M <= bound] for chain in (base, fresh))
     for g, w in zip_longest(got, want):
         if g != w:
             raise ValueError(f"chain record {(g or w)[0]} disagrees with "
                              f"the form's chain to max-norm {M_max}")
-    return base
+    return base if base.search_bound >= M_max else fresh
 
 
 def _align(base_chain: BAChain, beta: BetaSample,
@@ -474,8 +470,10 @@ def _omega_table(chain: BAChain, k: int
 def compare_extended(chain: BAChain, beta: BetaSample, M_max: int,
                      budget: int = DEFAULT_BUDGET) -> ExtensionReport:
     """Enumerate the chain of ``chain.form`` extended by ``beta``, align
-    it against the padded base chain, and run the per-index criterion
-    scans.
+    it against the padded base chain, and run the criterion scan at each
+    index whose successor norm is at most M_max.  Each such scan's box
+    lies inside the extended scan's, which ``_resolve_base`` has checked
+    against ``budget``, so none is refused.
 
     The match horizon is the smallest base index from which the two
     sequences agree exactly through the search bound (None when no suffix
@@ -483,12 +481,11 @@ def compare_extended(chain: BAChain, beta: BetaSample, M_max: int,
     """
     base_chain = _resolve_base(chain, beta.k, M_max, budget)
     report = _align(base_chain, beta, M_max)
-    for nu in range(1, len(base_chain.records)):
-        try:
-            report.criterion_verdicts[nu] = degeneracy_criterion(
-                base_chain, beta, nu, budget=budget)
-        except SearchTooLarge as exc:
-            report.skipped_criteria[nu] = str(exc)
+    for nu, succ in enumerate(base_chain.records[1:], start=1):
+        if succ.M > M_max:
+            break
+        report.criterion_verdicts[nu] = degeneracy_criterion(
+            base_chain, beta, nu, budget=budget)
     report.omega_table, report.regime_note = _omega_table(base_chain, beta.k)
     return report
 

@@ -694,27 +694,29 @@ class TestCommands:
         assert "omega row in dimension 2 to max-norm 70 needs 9940 " \
                "evaluations > budget 5000" in capsys.readouterr().err
 
-    def test_extend_skips_a_criterion_scan_over_budget(self, tmp_path,
-                                                       capsys):
-        # the records at nu = 6, 7 and 8 lie beyond --max-norm 100: their
-        # criterion scans, checked when each starts, exceed the budget that
-        # the extended scan and the omega rows fit in
+    def test_extend_runs_criteria_only_within_max_norm(self, tmp_path,
+                                                      capsys):
+        # the sqrt(2) chain to 1000 has successor norms 2, 5, 12, 29, 70,
+        # 169, 408 and 985: criteria run at nu = 1..5, inside the extended
+        # scan's box, which the budget of 20,200 admits exactly
         rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], 1000)
         capsys.readouterr()
         argv = ["extend", str(rec), "--k", "1", "--beta", "root(3,2)-1",
                 "--max-norm", "100", "--budget", "20200"]
-        needs = {6: 57291, 7: 333336, 8: 1941435}
-        why = {nu: f"criterion scan at nu={nu} needs {n} evaluations > "
-                   "budget 20200" for nu, n in needs.items()}
+        witnesses = [[-1, 0, 1], [-3, 0, 4], [-8, 0, 11], [-11, 0, 15],
+                     [-41, 0, 56]]
         assert cli.main(argv) == cli.EXIT_OK
         lines = capsys.readouterr().out.splitlines()
-        assert [ln for ln in lines if "skipped" in ln] == [
-            f"criterion nu={nu}: skipped ({why[nu]})" for nu in needs]
+        assert [ln for ln in lines if ln.startswith("criterion")] == [
+            f"criterion nu={nu}: fail witness {w}"
+            for nu, w in enumerate(witnesses, start=1)]
         assert cli.main(argv + ["--format", "machine"]) == cli.EXIT_OK
         data = json.loads(capsys.readouterr().out)
-        assert data["criterion_skipped"] == {str(nu): w
-                                             for nu, w in why.items()}
-        assert sorted(data["criterion"]) == ["1", "2", "3", "4", "5"]
+        assert "criterion_skipped" not in data
+        assert data["criterion"] == {
+            str(nu): {"nu": nu, "passed": False, "witness": w,
+                      "detail": f"form value certifiably below zeta_{nu}"}
+            for nu, w in enumerate(witnesses, start=1)}
 
     @pytest.mark.parametrize("mode", [
         ["--samples", "1", "--seed", "5"],
@@ -741,18 +743,25 @@ class TestCommands:
             "budget exceeded: extended scan in dimension 2 to max-norm 20 "
             "needs 840 evaluations > budget 10\n")
 
-    @pytest.mark.parametrize("edit,max_norm,index", [
-        (lambda chain: replace(chain, search_bound=3000), 3000, 10),
-        (lambda chain: replace(chain, records=chain.records[:4]), 1000, 5),
-    ], ids=["raised-search-bound", "cut-records"])
+    @pytest.mark.parametrize("edit,chain_norm,max_norm,index", [
+        (lambda chain: replace(chain, search_bound=3000), 1000, 3000, 10),
+        (lambda chain: replace(chain, records=chain.records[:4]), 1000,
+         1000, 5),
+        (lambda chain: replace(chain, records=[
+            replace(rec, index=i) for i, rec in enumerate(
+                chain.records[:2] + chain.records[3:], start=1)]),
+         100, 150, 3),
+    ], ids=["raised-search-bound", "cut-records", "dropped-record"])
     def test_extend_refuses_a_base_that_is_not_its_forms_chain(
-            self, tmp_path, capsys, edit, max_norm, index):
+            self, tmp_path, capsys, edit, chain_norm, max_norm, index):
         # the reader certifies each record of a file, not that none is
         # missing: the sqrt(2) chain to 1000 ends at M = 985, so with its
         # bound raised to 3000 it lacks record 10 at M = 2378, and cut to
-        # four records it lacks records 5-9.  The budget admits the
+        # four records it lacks records 5-9.  The chain to 100 without its
+        # record 3 (M = 5) is checked up to its own bound, below the
+        # --max-norm it would be re-enumerated to.  The budget admits the
         # extended scan to 3000, which the refusal comes before
-        rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], 1000)
+        rec = enumerate_to(tmp_path / "c.rec", ["root(2,2)"], chain_norm)
         rec.write_text(cli.serialize_chain(edit(cli.parse_chain(
             rec.read_text()))))
         out = tmp_path / "extend.txt"
@@ -809,7 +818,7 @@ class TestCommands:
     # keep its output bytes
     @pytest.mark.parametrize("argv,digest", [
         (["--k", "1", "--beta", "root(3,2)-1"],
-         "aa800f9c349023c5552e755c5e20b62c87b3050c5546d89bffc389533bf16c90"),
+         "e298c3c996787b90af25faa6e05a491a2aecc06107215b8ad0d497199aeed9d2"),
         (["--k", "2", "--samples", "3", "--seed", "9", "--max-norm", "12"],
          "108f1bdb472ed92b2a84e9490d35b7b68b0d4d0fe6a51b7cc27688e06da9d0ed"),
     ], ids=["explicit-beta", "sampled"])

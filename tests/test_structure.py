@@ -65,21 +65,42 @@ LADDER_SITES = set()
 WORKING_LIMIT_SITES = {("cli.py", "parse_chain")}
 
 
-def callers(path: Path, name: str) -> list[str]:
-    """Names of the functions in ``path`` that call ``name`` (``<module>``
-    for a call outside any function)."""
+def sites(path: Path, matches) -> list[str]:
+    """Names of the functions in ``path`` that hold a node for which
+    ``matches`` is true (``<module>`` for one outside any function)."""
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if call_name(node) == name:
+        if matches(node):
             found.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
     return found
+
+
+def callers(path: Path, name: str) -> list[str]:
+    """Names of the functions in ``path`` that call ``name`` (``<module>``
+    for a call outside any function)."""
+    return sites(path, lambda node: call_name(node) == name)
+
+
+def catchers(path: Path, name: str) -> list[str]:
+    """Names of the functions in ``path`` with an ``except`` clause that
+    names ``name``, alone or in a tuple (``<module>`` outside any
+    function); a bare ``except:`` names nothing."""
+    def catches(node):
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            return False
+        types = node.type.elts if isinstance(node.type, ast.Tuple) \
+            else [node.type]
+        return any(getattr(t, "attr", getattr(t, "id", None)) == name
+                   for t in types)
+
+    return sites(path, catches)
 
 
 def calls_outside_realnum(name: str) -> set[tuple[str, str]]:
@@ -157,6 +178,40 @@ def test_detects_a_second_search_too_large_site(tmp_path):
                      "        raise errors.SearchTooLarge('lattice points')\n")
     assert callers(probe, "SearchTooLarge") == ["check",
                                                 "lattice_inv_norm_sum"]
+
+
+#: The one function that may catch ``SearchTooLarge``: ``cli.main``,
+#: which maps it to exit 5.  A catch anywhere else would turn a refused
+#: scan into output that ``--budget`` was meant to stop.
+BUDGET_CATCH_SITES = {("cli.py", "main")}
+
+
+def test_search_too_large_caught_only_at_its_site():
+    sites = {(p.name, fn) for p in SRC.glob("*.py")
+             for fn in catchers(p, "SearchTooLarge")}
+    assert sites == BUDGET_CATCH_SITES
+
+
+def test_detects_a_search_too_large_catch(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def main(argv):\n"
+                     "    try:\n"
+                     "        return run(argv)\n"
+                     "    except (DomainError, errors.SearchTooLarge):\n"
+                     "        return 5\n"
+                     "def compare_extended(chain, budget):\n"
+                     "    for nu in chain:\n"
+                     "        try:\n"
+                     "            scan(nu, budget)\n"
+                     "        except SearchTooLarge as exc:\n"
+                     "            skipped[nu] = str(exc)\n"
+                     "        except ValueError:\n"
+                     "            pass\n"
+                     "try:\n"
+                     "    SearchTooLarge.check(1, 0, 'probe')\n"
+                     "except:\n"
+                     "    pass\n")
+    assert catchers(probe, "SearchTooLarge") == ["main", "compare_extended"]
 
 
 #: The functions that may decide a chain record's enclosure: the scan
